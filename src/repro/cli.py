@@ -123,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require message equality when composing")
     p.add_argument("--engine", choices=("sql", "python"), default="sql",
                    help="set-based SQL pipeline or the Python oracle")
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads for parallel placement composition "
-                        "(default: one per CPU, capped at the placements)")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="run the table-driven simulator")
@@ -500,7 +497,6 @@ def _cmd_deadlock(system, args) -> int:
         ignore_messages=not args.strict,
         closure=args.closure,
         engine=args.engine,
-        workers=args.workers,
     )
     cycles = analysis.cycles()
     print(f"V = {args.assignment}: {analysis.vcg.number_of_nodes()} channels, "

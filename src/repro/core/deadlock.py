@@ -30,9 +30,6 @@ Pipeline, following the paper step by step:
 
 from __future__ import annotations
 
-import os
-import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -41,12 +38,11 @@ import networkx as nx
 from ..telemetry import get_tracer, span
 
 from ..analysis.cycles import (
-    canonical_cycle,
     cyclic_vertices_networkx,
     cyclic_vertices_sql,
     find_cycles_networkx,
 )
-from .database import SNAPSHOT_SUPPORTED, IndexSpec, ProtocolDatabase
+from .database import IndexSpec, ProtocolDatabase
 from .quad import ALL_PLACEMENTS, Placement
 from .report import CheckResult, Report
 from .sqlgen import quote_ident, quote_value
@@ -61,6 +57,7 @@ __all__ = [
     "DependencyRow",
     "DeadlockAnalyzer",
     "DeadlockAnalysis",
+    "CandidateScorer",
 ]
 
 
@@ -236,6 +233,51 @@ def _dep_index_specs(table: str) -> tuple[IndexSpec, ...]:
     )
 
 
+def _lookups_sql(spec: ControllerMessageSpec) -> str:
+    """Every V lookup the Python loops make for ``spec``'s controller, as
+    ``(r, k, m, s, d)`` rows: the input triple (``k = 0``) of each row
+    whose input is complete, then each complete output triple of such a
+    row.  Ordered by ``(r, k)`` they come in the loops' visiting order."""
+    it = spec.input_triple
+    return "\nUNION ALL\n".join(
+        f"SELECT t.rowid AS r, {k} AS k, t.{quote_ident(tri.msg)} AS m, "
+        f"t.{quote_ident(tri.src)} AS s, t.{quote_ident(tri.dst)} AS d "
+        f"FROM {quote_ident(spec.controller.table_name)} t "
+        f"WHERE {_complete(it, *((tri,) if k else ()))}"
+        for k, tri in enumerate((it, *spec.output_triples))
+    )
+
+
+def _complete(*triples: MessageTriple) -> str:
+    """SQL condition: every column of every triple (of the controller
+    table aliased ``t``) is non-NULL."""
+    return " AND ".join(f"t.{quote_ident(c)} IS NOT NULL"
+                        for tri in triples for c in (tri.msg, tri.src, tri.dst))
+
+
+def _role_sql(column: str, placement: Placement) -> str:
+    """``column`` with ``placement``'s merged node roles CASE-substituted."""
+    q = quote_ident(column)
+    arms = " ".join(f"WHEN {quote_value(a)} THEN {quote_value(b)}"
+                    for a, b in placement.substitution.items() if a != b)
+    return f"CASE {q} {arms} ELSE {q} END" if arms else q
+
+
+def _dedicated_filter(dedicated: Iterable[str]) -> str:
+    """SQL filtering out compositions whose matched intermediate
+    assignment rides a dedicated channel.
+
+    A dedicated (unbounded) path cannot back-pressure its producer, so
+    a wait chain never propagates through it — this is precisely why
+    the paper's "dedicated hardware path ... for mread requests" fix
+    removes the Figure 4 deadlock.
+    """
+    ded = sorted(dedicated)
+    if not ded:
+        return ""
+    return f"AND a.out_vc NOT IN ({', '.join(map(quote_value, ded))})"
+
+
 class DeadlockAnalyzer:
     """Builds the protocol dependency table and the VCG for one channel
     assignment over a set of controller tables.
@@ -246,10 +288,7 @@ class DeadlockAnalyzer:
       database: direct dependencies are extracted by joining each
       controller table against V, placements are derived with CASE
       substitutions, and composition is an indexed self-join.  Rows never
-      round-trip through Python.  With ``workers > 1`` (and Python 3.11+,
-      see :data:`~repro.core.database.SNAPSHOT_SUPPORTED`) the quad
-      placements fan out across threads, each composing against a private
-      ``serialize()``/``deserialize()`` snapshot of the central database.
+      round-trip through Python.
     * ``engine="python"`` — the original row-at-a-time extraction loops,
       kept as the oracle the parity tests compare against.
     """
@@ -260,7 +299,6 @@ class DeadlockAnalyzer:
         specs: Sequence[ControllerMessageSpec],
         channels: ChannelAssignment,
         engine: str = "sql",
-        workers: Optional[int] = None,
     ) -> None:
         if engine not in ("sql", "python"):
             raise ValueError(f"unknown deadlock engine {engine!r}")
@@ -268,7 +306,6 @@ class DeadlockAnalyzer:
         self.specs = tuple(specs)
         self.channels = channels
         self.engine = engine
-        self.workers = workers
 
     # -- step 2: individual controller dependency tables -----------------------
     def controller_dependency_rows(
@@ -328,10 +365,11 @@ class DeadlockAnalyzer:
         return out
 
     # -- steps 2-3 in SQL: direct extraction + placement derivation -------------
-    def _assignment_table(self) -> str:
-        """Materialize V once per analysis with a covering (m, s, d, v)
-        index so every direct-extraction join is an index lookup."""
-        name = f"V_{self.channels.name}"
+    def _assignment_table(self, table: str) -> str:
+        """Materialize V once per analysis, as a scratch table of the
+        dependency table ``table``, with a covering (m, s, d, v) index so
+        every direct-extraction join is an index lookup."""
+        name = f"__v_{table}"
         self.channels.to_table(self.db, name)
         self.db.create_index(name, ("m", "s", "d", "v"), name=name + "_msd")
         return name
@@ -341,34 +379,11 @@ class DeadlockAnalyzer:
         """Raise :class:`MissingAssignmentError` for the first message of
         ``spec``'s controller (row-major, input triple before outputs —
         the same order the Python loops visit) that has no entry in V."""
-        it = spec.input_triple
-        t = quote_ident(spec.controller.table_name)
-        v = quote_ident(v_table)
-
-        def branch(tri: MessageTriple, k: int, needs_input: bool) -> str:
-            m, s, d = (quote_ident(tri.msg), quote_ident(tri.src),
-                       quote_ident(tri.dst))
-            conds = [f"t.{m} IS NOT NULL", f"t.{s} IS NOT NULL",
-                     f"t.{d} IS NOT NULL", "x.v IS NULL"]
-            if needs_input:
-                conds = [
-                    f"t.{quote_ident(it.msg)} IS NOT NULL",
-                    f"t.{quote_ident(it.src)} IS NOT NULL",
-                    f"t.{quote_ident(it.dst)} IS NOT NULL",
-                ] + conds
-            return (
-                f"SELECT t.rowid AS r, {k} AS k, t.{m} AS m, t.{s} AS s, "
-                f"t.{d} AS d FROM {t} t LEFT JOIN {v} x "
-                f"ON x.m = t.{m} AND x.s = t.{s} AND x.d = t.{d} "
-                f"WHERE {' AND '.join(conds)}"
-            )
-
-        branches = [branch(it, 0, needs_input=False)]
-        for k, ot in enumerate(spec.output_triples, start=1):
-            branches.append(branch(ot, k, needs_input=True))
-        sql = ("SELECT m, s, d FROM (" + "\nUNION ALL\n".join(branches) +
-               ") ORDER BY r, k LIMIT 1")
-        missing = self.db.query(sql)
+        missing = self.db.query(
+            f"SELECT q.m, q.s, q.d FROM ({_lookups_sql(spec)}) q "
+            f"LEFT JOIN {quote_ident(v_table)} x "
+            f"ON x.m = q.m AND x.s = q.s AND x.d = q.d "
+            f"WHERE x.v IS NULL ORDER BY q.r, q.k LIMIT 1")
         if missing:
             r = missing[0]
             # lookup() raises with the exact message the Python path uses.
@@ -420,19 +435,14 @@ class DeadlockAnalyzer:
         """INSERT…SELECT deriving one placement's dependency table from
         the exact rows by CASE-substituting merged roles (channels
         unchanged — exactly how the paper rewrites R2 to R2')."""
-        subs = [(a, b) for a, b in placement.substitution.items() if a != b]
-        arms = " ".join(
-            f"WHEN {quote_value(a)} THEN {quote_value(b)}" for a, b in subs
-        )
         selected = []
         for c in _DEP_COLUMNS:
-            q = quote_ident(c)
             if c == "placement":
                 selected.append(quote_value(placement.value))
-            elif subs and c in ("in_src", "in_dst", "out_src", "out_dst"):
-                selected.append(f"CASE {q} {arms} ELSE {q} END")
+            elif c in ("in_src", "in_dst", "out_src", "out_dst"):
+                selected.append(_role_sql(c, placement))
             else:
-                selected.append(q)
+                selected.append(quote_ident(c))
         return (
             f"INSERT INTO {quote_ident(table)} "
             f"SELECT {', '.join(selected)} FROM {quote_ident(exact_table)}"
@@ -454,21 +464,6 @@ class DeadlockAnalyzer:
         for spec in _dep_index_specs(table):
             self.db.create_index(spec)
 
-    def _dedicated_filter(self) -> str:
-        """SQL filtering out compositions whose matched intermediate
-        assignment rides a dedicated channel.
-
-        A dedicated (unbounded) path cannot back-pressure its producer, so
-        a wait chain never propagates through it — this is precisely why
-        the paper's "dedicated hardware path ... for mread requests" fix
-        removes the Figure 4 deadlock.
-        """
-        ded = sorted(self.channels.dedicated)
-        if not ded:
-            return ""
-        vals = ", ".join("'" + d.replace("'", "''") + "'" for d in ded)
-        return f"AND a.out_vc NOT IN ({vals})"
-
     def _compose_round_stmts(self, table: str, ignore_messages: bool,
                              closure: bool) -> list[str]:
         """Statements performing one composition round on ``table``.
@@ -487,7 +482,7 @@ class DeadlockAnalyzer:
         """
         t = quote_ident(table)
         msg_match = "" if ignore_messages else "AND a.out_msg IS b.in_msg"
-        dedicated = self._dedicated_filter()
+        dedicated = _dedicated_filter(self.channels.dedicated)
         assignment_cols = ("in_msg, in_src, in_dst, in_vc, "
                            "out_msg, out_src, out_dst, out_vc")
         cand = quote_ident(f"{table}__cand")
@@ -548,106 +543,22 @@ class DeadlockAnalyzer:
             stmts.append(f"DROP TABLE {a_side}")
         return stmts
 
-    def _compose_pairwise_sql(self, table: str, ignore_messages: bool) -> int:
-        """One round of pairwise composition, inserted back into ``table``.
-        Returns the number of new rows added."""
-        before = self.db.row_count(table)
-        for stmt in self._compose_round_stmts(table, ignore_messages,
-                                              closure=False):
-            self.db.execute(stmt)
-        added = self.db.row_count(table) - before
-        get_tracer().incr("deadlock.compositions", added)
-        return added
-
-    def _compose_closure_sql(self, table: str, ignore_messages: bool) -> int:
-        """Repeated composition to a fixpoint — the transitive closure the
-        paper's footnote 2 tried and abandoned for its spurious cycles.
-        Composes any row (direct or composed) with direct rows until no
-        new dependencies appear."""
-        stmts = self._compose_round_stmts(table, ignore_messages,
-                                          closure=True)
-        added_total = 0
+    def _compose_sql(self, table: str, ignore_messages: bool,
+                     closure: bool) -> None:
+        """Pairwise composition, inserted back into ``table``: one round,
+        or with ``closure`` rounds to a fixpoint — the transitive closure
+        the paper's footnote 2 tried and abandoned for its spurious
+        cycles, composing any row (direct or composed) with direct rows
+        until no new dependencies appear."""
+        stmts = self._compose_round_stmts(table, ignore_messages, closure)
         while True:
             before = self.db.row_count(table)
             for stmt in stmts:
                 self.db.execute(stmt)
             added = self.db.row_count(table) - before
             get_tracer().incr("deadlock.compositions", added)
-            added_total += added
-            if added == 0:
-                return added_total
-
-    # -- parallel composition over snapshots -------------------------------------
-    def _worker_compose(
-        self,
-        snapshot: bytes,
-        placement: Placement,
-        exact_table: str,
-        ignore_messages: bool,
-        closure: bool,
-    ) -> tuple[list[tuple], int]:
-        """One worker: derive ``placement``'s table inside a private
-        deserialized copy of the database, compose it there, and return
-        the finished rows.  Runs on a plain connection (no tracer — the
-        tracer is not thread-safe) owned entirely by this thread."""
-        conn = sqlite3.connect(":memory:")
-        try:
-            conn.deserialize(snapshot)
-            cols = ", ".join(f"{quote_ident(c)} TEXT" for c in _DEP_COLUMNS)
-            conn.execute(f"CREATE TABLE __w ({cols})")
-            conn.execute(self._derive_sql(exact_table, placement, "__w"))
-            for spec in _dep_index_specs("__w"):
-                conn.execute(spec.sql())
-            stmts = self._compose_round_stmts("__w", ignore_messages, closure)
-            count = "SELECT COUNT(*) FROM __w"
-            composed = 0
-            while True:
-                before = conn.execute(count).fetchone()[0]
-                for stmt in stmts:
-                    conn.execute(stmt)
-                added = conn.execute(count).fetchone()[0] - before
-                composed += added
-                if added == 0 or not closure:
-                    break
-            rows = conn.execute(
-                "SELECT " + ", ".join(_DEP_COLUMNS) + " FROM __w ORDER BY rowid"
-            ).fetchall()
-            return rows, composed
-        finally:
-            conn.close()
-
-    def _compose_parallel(
-        self,
-        table: str,
-        exact_table: str,
-        placements: Sequence[Placement],
-        ignore_messages: bool,
-        closure: bool,
-        workers: int,
-    ) -> None:
-        """Fan the placements out across snapshot workers, then collect
-        their finished per-placement tables back into ``table`` (direct
-        rows first, in placement order, matching the sequential layout)."""
-        snapshot = self.db.snapshot()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda p: self._worker_compose(
-                    snapshot, p, exact_table, ignore_messages, closure),
-                placements,
-            ))
-        derived_idx = _DEP_COLUMNS.index("derived")
-        cols = ", ".join(quote_ident(c) for c in _DEP_COLUMNS)
-        marks = ", ".join("?" for _ in _DEP_COLUMNS)
-        insert = f"INSERT INTO {quote_ident(table)} ({cols}) VALUES ({marks})"
-        composed_total = 0
-        for rows, _ in results:
-            self.db.executemany(
-                insert, [r for r in rows if r[derived_idx] == "direct"])
-        for rows, composed in results:
-            self.db.executemany(
-                insert, [r for r in rows if r[derived_idx] == "composed"])
-            composed_total += composed
-        get_tracer().incr("deadlock.compositions", composed_total)
+            if added == 0 or not closure:
+                return
 
     # -- the full pipeline -------------------------------------------------------
     def _analyze_python(
@@ -674,10 +585,7 @@ class DeadlockAnalyzer:
         with span("deadlock.materialize", table=table, engine="python"):
             self._materialize(all_rows, table)
         with span("deadlock.compose", table=table, closure=closure):
-            if closure:
-                self._compose_closure_sql(table, ignore_messages)
-            else:
-                self._compose_pairwise_sql(table, ignore_messages)
+            self._compose_sql(table, ignore_messages, closure)
         return [
             DependencyRow(**{c: r[c] for c in _DEP_COLUMNS})
             for r in self.db.rows(table)
@@ -689,20 +597,14 @@ class DeadlockAnalyzer:
         placements: Sequence[Placement],
         ignore_messages: bool,
         closure: bool,
-        workers: Optional[int],
     ) -> None:
         """The set-based pipeline: extraction, derivation and composition
-        all happen inside the database."""
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            workers = min(len(placements), os.cpu_count() or 1)
-        parallel = (workers > 1 and len(placements) > 1 and SNAPSHOT_SUPPORTED)
-
+        all happen inside the database, which afterwards holds only the
+        dependency table (V and the exact rows are scratch)."""
         exact = f"__exact_{table}"
         with span("deadlock.direct", assignment=self.channels.name,
                   engine="sql"):
-            v_table = self._assignment_table()
+            v_table = self._assignment_table(table)
             self.db.create_table(exact, _DEP_COLUMNS)
             for spec in self.specs:
                 self._check_assignments_sql(spec, v_table)
@@ -710,23 +612,15 @@ class DeadlockAnalyzer:
 
         with span("deadlock.materialize", table=table, engine="sql"):
             self.db.create_table(table, _DEP_COLUMNS)
-            if not parallel:
-                for placement in placements:
-                    self.db.execute(self._derive_sql(exact, placement, table))
+            for placement in placements:
+                self.db.execute(self._derive_sql(exact, placement, table))
             for spec in _dep_index_specs(table):
                 self.db.create_index(spec)
 
-        with span("deadlock.compose", table=table, closure=closure,
-                  parallel=parallel):
-            if parallel:
-                self._compose_parallel(table, exact, placements,
-                                       ignore_messages, closure, workers)
-            else:
-                if closure:
-                    self._compose_closure_sql(table, ignore_messages)
-                else:
-                    self._compose_pairwise_sql(table, ignore_messages)
+        with span("deadlock.compose", table=table, closure=closure):
+            self._compose_sql(table, ignore_messages, closure)
         self.db.drop_table(exact)
+        self.db.drop_table(v_table)
 
     def analyze(
         self,
@@ -735,7 +629,6 @@ class DeadlockAnalyzer:
         closure: bool = False,
         table_name: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> "DeadlockAnalysis":
         engine = engine or self.engine
         if engine not in ("sql", "python"):
@@ -750,8 +643,7 @@ class DeadlockAnalyzer:
                                             ignore_messages, closure)
                 n_rows = len(rows)
             else:
-                self._analyze_sql(table, placements, ignore_messages,
-                                  closure, workers)
+                self._analyze_sql(table, placements, ignore_messages, closure)
                 # Pull only the aggregates the VCG needs; the full rows
                 # stay in the database until a witness report asks.
                 n_rows = self.db.row_count(table)
@@ -774,6 +666,19 @@ class DeadlockAnalyzer:
             edge_pairs=edge_pairs,
             build_seconds=sp.seconds,
         )
+
+
+def _vcg(channels: ChannelAssignment,
+         pairs: Iterable[tuple[str, str]]) -> nx.DiGraph:
+    """The VCG of the ``(in_vc, out_vc)`` pairs.  Dedicated channels are
+    unbounded hardware paths and contribute no vertices or edges."""
+    g = nx.DiGraph()
+    blocking = channels.blocking_channels()
+    g.add_nodes_from(sorted(blocking))
+    for in_vc, out_vc in pairs:
+        if in_vc in blocking and out_vc in blocking:
+            g.add_edge(in_vc, out_vc)
+    return g
 
 
 class DeadlockAnalysis:
@@ -841,19 +746,12 @@ class DeadlockAnalysis:
 
     @property
     def vcg(self) -> nx.DiGraph:
-        """The virtual channel dependency graph.  Dedicated channels are
-        unbounded hardware paths and contribute no vertices or edges."""
+        """The virtual channel dependency graph (see :func:`_vcg`)."""
         if self._vcg is None:
-            g = nx.DiGraph()
-            blocking = self.channels.blocking_channels()
-            g.add_nodes_from(sorted(blocking))
             pairs = self._edge_pairs
             if pairs is None:
                 pairs = {r.edge() for r in self.dependency_rows}
-            for in_vc, out_vc in pairs:
-                if in_vc in blocking and out_vc in blocking:
-                    g.add_edge(in_vc, out_vc)
-            self._vcg = g
+            self._vcg = _vcg(self.channels, pairs)
         return self._vcg
 
     def edges(self) -> list[tuple[str, str]]:
@@ -930,3 +828,92 @@ class DeadlockAnalysis:
             )
         )
         return report
+
+
+class CandidateScorer:
+    """The VCG cycles of many candidate assignments over one set of
+    controller tables — the repair search's inner loop.
+
+    Only V differs between candidates, so the channel-independent part of
+    the default analysis (every placement, messages ignored, one pairwise
+    round) is built once, in SQL, from the tables as they are now: the
+    distinct exact-placement (input triple, output triple, controller)
+    rows, each with every placement's substituted roles.  Scoring a
+    candidate rewrites one scratch V table and runs one query — the direct
+    edges UNION the pairwise-composed edges, under the same filters as
+    :meth:`DeadlockAnalyzer._compose_round_stmts` — whose edges go to the
+    VCG cycle finder.  The cycles equal both full engines'; a candidate
+    missing a V entry raises their :class:`MissingAssignmentError`.
+    :meth:`close` drops the scratch tables.
+    """
+
+    def __init__(self, db: ProtocolDatabase,
+                 specs: Sequence[ControllerMessageSpec]) -> None:
+        self.db = db
+        self.deps, self.v_table = "__score_deps", "__score_v"
+        # Every V lookup the engines make, in their visiting order.
+        self.lookups = list(dict.fromkeys(
+            key for spec in specs for key in db.query_tuples(
+                f"SELECT m, s, d FROM ({_lookups_sql(spec)}) ORDER BY r, k")))
+
+        def triple(tri: MessageTriple, side: str) -> str:
+            return ", ".join(
+                f"t.{quote_ident(c)} AS {side}_{part}" for c, part in
+                zip((tri.msg, tri.src, tri.dst), ("msg", "src", "dst")))
+
+        exact = "\nUNION\n".join(
+            f"SELECT {quote_value(spec.name)} AS controller, "
+            f"{triple(spec.input_triple, 'in')}, {triple(ot, 'out')} "
+            f"FROM {quote_ident(spec.controller.table_name)} t "
+            f"WHERE {_complete(spec.input_triple, ot)}"
+            for spec in specs for ot in spec.output_triples)
+        roles = ("in_src", "in_dst", "out_src", "out_dst")
+        db.create_table(self.deps, (
+            "placement", "controller", "in_msg", "in_src", "in_dst",
+            "out_msg", "out_src", "out_dst", *(f"p_{c}" for c in roles)))
+        for placement in ALL_PLACEMENTS:
+            db.execute(
+                f"INSERT INTO {quote_ident(self.deps)} SELECT "
+                f"{quote_value(placement.value)}, controller, in_msg, in_src, "
+                f"in_dst, out_msg, out_src, out_dst, "
+                f"{', '.join(_role_sql(c, placement) for c in roles)} "
+                f"FROM ({exact})")
+        db.create_table(self.v_table, ("m", "s", "d", "v"))
+        db.create_index(self.v_table, ("m", "s", "d", "v"),
+                        name=self.v_table + "_msd")
+
+    def cycles(self, channels: ChannelAssignment) -> list[tuple[str, ...]]:
+        """All elementary cycles of ``channels``' VCG, canonical and
+        sorted, as :meth:`DeadlockAnalysis.cycles` returns them."""
+        with span("deadlock.score", assignment=channels.name):
+            for key in self.lookups:
+                channels.lookup(*key)
+            v = quote_ident(self.v_table)
+            self.db.execute(f"DELETE FROM {v}")
+            self.db.executemany(f"INSERT INTO {v} VALUES (?, ?, ?, ?)", {
+                (a.message, a.src, a.dst, a.channel)
+                for a in channels.assignments})
+            pairs = self.db.query_tuples(f"""
+                WITH r AS (
+                    SELECT DISTINCT x.placement, x.controller,
+                           x.p_in_src, x.p_in_dst, x.p_out_src, x.p_out_dst,
+                           vi.v AS in_vc, vo.v AS out_vc
+                    FROM {quote_ident(self.deps)} x
+                    JOIN {v} vi ON vi.m = x.in_msg AND vi.s = x.in_src
+                               AND vi.d = x.in_dst
+                    JOIN {v} vo ON vo.m = x.out_msg AND vo.s = x.out_src
+                               AND vo.d = x.out_dst)
+                SELECT in_vc, out_vc FROM r
+                UNION
+                SELECT a.in_vc, b.out_vc FROM r a JOIN r b
+                  ON a.placement = b.placement
+                 AND a.controller != b.controller
+                 AND a.p_out_src IS b.p_in_src
+                 AND a.p_out_dst IS b.p_in_dst
+                 AND a.out_vc IS b.in_vc
+                 {_dedicated_filter(channels.dedicated)}""")
+            return find_cycles_networkx(_vcg(channels, pairs).edges())
+
+    def close(self) -> None:
+        self.db.drop_table(self.deps)
+        self.db.drop_table(self.v_table)

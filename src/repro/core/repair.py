@@ -16,10 +16,13 @@ history):
 3. **dedicate a whole channel** (every message on it becomes unbounded —
    the big hammer).
 
-The greedy search evaluates candidates by re-running the full analysis
-and keeps whichever clears the most cycles at the lowest cost, repeating
-until the assignment is deadlock-free.  Two invariants of the applied
-sequence are enforced (and pinned by the property suite):
+The greedy search scores every candidate incrementally
+(:class:`~repro.core.deadlock.CandidateScorer`: the channel-independent
+part of the analysis is built once per search, so a candidate costs one
+V rewrite and one query) and keeps whichever clears the most cycles at
+the lowest cost, repeating until the assignment is deadlock-free.  Two
+invariants of the applied sequence are enforced (and pinned by the
+property suite):
 
 * fix costs are **non-decreasing across rounds** — once the search has
   escalated to a dearer kind of fix it never silently falls back, so the
@@ -51,6 +54,7 @@ from typing import Any, Optional, Sequence
 from ..telemetry import get_tracer
 from .database import ProtocolDatabase
 from .deadlock import (
+    CandidateScorer,
     ChannelAssignment,
     ControllerMessageSpec,
     DeadlockAnalyzer,
@@ -64,6 +68,10 @@ _COSTS = {"move": 0, "dedicate-message": 1, "dedicate-channel": 2}
 
 #: ``kind`` stamped into repair checkpoint-journal headers.
 REPAIR_JOURNAL_KIND = "repair-search"
+
+#: the one dependency table every full analysis of a repairer reuses and
+#: drops, so a search leaves the database as it found it.
+_SCRATCH_TABLE = "pdt_repair"
 
 
 def _assignment_digest(assignment: ChannelAssignment) -> str:
@@ -193,7 +201,6 @@ class DeadlockRepairer:
         self.specs = tuple(specs)
         self.base = assignment
         self.system = system
-        self._counter = 0
 
     @classmethod
     def for_system(cls, system, assignment="v5") -> "DeadlockRepairer":
@@ -207,13 +214,13 @@ class DeadlockRepairer:
     # -- analysis ----------------------------------------------------------------
     def _cycles(self, assignment: ChannelAssignment,
                 engine: Optional[str] = None):
-        analyzer = DeadlockAnalyzer(self.db, self.specs, assignment)
-        analysis = analyzer.analyze(
-            table_name=f"pdt_repair_{self._counter}",
-            engine=engine,
-        )
-        self._counter += 1
-        return analysis.cycles()
+        """The cycles of one full analysis (``engine`` as in
+        :meth:`DeadlockAnalyzer.analyze`), its table dropped after."""
+        try:
+            return DeadlockAnalyzer(self.db, self.specs, assignment).analyze(
+                table_name=_SCRATCH_TABLE, engine=engine).cycles()
+        finally:
+            self.db.drop_table(_SCRATCH_TABLE)
 
     # -- candidates ---------------------------------------------------------------
     def _fresh_channel(self, assignment: ChannelAssignment) -> str:
@@ -353,47 +360,51 @@ class DeadlockRepairer:
         # before it (repair strictly shrinks the cyclic region).
         cost_floor = max((f.cost for f in applied), default=0)
 
-        for round_no in range(len(applied), max_rounds):
-            if not cycles:
-                break
-            # Cheap fixes first (moving a message / a dedicated path for
-            # one message — the paper's own steps).  A whole-channel
-            # dedication is an architectural big hammer (unbounded
-            # buffering for everything on it) and is only considered when
-            # no cheap fix makes progress.
-            cyclic_before = _cyclic_channels(cycles)
-            all_fixes = self.candidates(current, cycles)
-            best: Optional[tuple[tuple, Fix, list]] = None
-            for tier in (("move", "dedicate-message"), ("dedicate-channel",)):
-                for fix in all_fixes:
-                    if fix.kind not in tier or fix.cost < cost_floor:
-                        continue
-                    fixed_cycles = self._cycles(fix.assignment)
-                    evaluated += 1
-                    if _cyclic_channels(fixed_cycles) - cyclic_before:
-                        continue  # would break a previously-clean channel
-                    score = (len(fixed_cycles), fix.cost)
-                    if best is None or score < best[0]:
-                        best = (score, fix, fixed_cycles)
-                if best is not None and len(best[2]) < len(cycles):
-                    break  # a fix in this tier makes progress
-            if best is None or len(best[2]) >= len(cycles):
-                break  # nothing helps
-            _, fix, cycles = best
-            applied.append(fix)
-            current = fix.assignment
-            cost_floor = fix.cost
-            get_tracer().incr("repair.search.fixes")
-            if journal is not None:
-                journal.record(round_no, {
-                    "kind": fix.kind,
-                    "description": fix.description,
-                    "name": fix.assignment.name,
-                    "changes": [list(c) for c in fix.changes],
-                    "dedicated": list(fix.dedicated),
-                    "cycles_after": len(cycles),
-                })
-
+        scorer = CandidateScorer(self.db, self.specs)
+        try:
+            for round_no in range(len(applied), max_rounds):
+                if not cycles:
+                    break
+                # Cheap fixes first (moving a message / a dedicated path
+                # for one message — the paper's own steps).  A
+                # whole-channel dedication is an architectural big hammer
+                # (unbounded buffering for everything on it) and is only
+                # considered when no cheap fix makes progress.
+                cyclic_before = _cyclic_channels(cycles)
+                all_fixes = self.candidates(current, cycles)
+                best: Optional[tuple[tuple, Fix, list]] = None
+                for tier in (("move", "dedicate-message"),
+                             ("dedicate-channel",)):
+                    for fix in all_fixes:
+                        if fix.kind not in tier or fix.cost < cost_floor:
+                            continue
+                        fixed_cycles = scorer.cycles(fix.assignment)
+                        evaluated += 1
+                        if _cyclic_channels(fixed_cycles) - cyclic_before:
+                            continue  # would break a previously-clean channel
+                        score = (len(fixed_cycles), fix.cost)
+                        if best is None or score < best[0]:
+                            best = (score, fix, fixed_cycles)
+                    if best is not None and len(best[2]) < len(cycles):
+                        break  # a fix in this tier makes progress
+                if best is None or len(best[2]) >= len(cycles):
+                    break  # nothing helps
+                _, fix, cycles = best
+                applied.append(fix)
+                current = fix.assignment
+                cost_floor = fix.cost
+                get_tracer().incr("repair.search.fixes")
+                if journal is not None:
+                    journal.record(round_no, {
+                        "kind": fix.kind,
+                        "description": fix.description,
+                        "name": fix.assignment.name,
+                        "changes": [list(c) for c in fix.changes],
+                        "dedicated": list(fix.dedicated),
+                        "cycles_after": len(cycles),
+                    })
+        finally:
+            scorer.close()
         if journal is not None:
             journal.close()
         get_tracer().incr("repair.search.evaluated", evaluated)

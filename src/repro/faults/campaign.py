@@ -501,8 +501,7 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
         # Layer 2: VCG deadlock analysis against the clean cycle set.
         def _deadlock_cycles(engine: str):
             analysis = system.analyze_deadlocks(
-                assignment, engine=engine, workers=1,
-                table_name="__mut_dep")
+                assignment, engine=engine, table_name="__mut_dep")
             return frozenset(tuple(c) for c in analysis.cycles())
 
         def _repaired() -> Optional[dict]:
@@ -760,8 +759,7 @@ def run_campaign(
                 "mutation detection would be meaningless")
         clean_cycles = frozenset(
             tuple(c) for c in system.analyze_deadlocks(
-                assignment, engine="sql", workers=1,
-                table_name="__mut_clean_dep").cycles())
+                assignment, engine="sql", table_name="__mut_clean_dep").cycles())
 
         snapshot = system.db.snapshot()
 

@@ -243,17 +243,14 @@ class FamilySystem:
         ignore_messages: bool = True,
         closure: bool = False,
         engine: str = "sql",
-        workers: Optional[int] = None,
         table_name: Optional[str] = None,
     ) -> DeadlockAnalysis:
         """Run the section 4.1 analysis for one channel assignment
         (``v4``, ``v5`` or ``v5d``).  ``engine`` picks the set-based SQL
-        pipeline (default) or the row-at-a-time Python oracle; ``workers``
-        fans placements across snapshot threads when > 1."""
+        pipeline (default) or the row-at-a-time Python oracle."""
         channels_ = self.channel_assignments[assignment]
         analyzer = DeadlockAnalyzer(
-            self.db, self.deadlock_specs(), channels_,
-            engine=engine, workers=workers,
+            self.db, self.deadlock_specs(), channels_, engine=engine,
         )
         return analyzer.analyze(
             placements=placements,

@@ -114,3 +114,43 @@ class TestAsuraRepair:
             fresh_system.channel_assignments["v5d"],
         ).analyze(table_name="pdt_paperfix")
         assert analysis.is_deadlock_free()
+
+
+def schema_names(db):
+    """Every table and index name in the database."""
+    return sorted(r["name"] for r in db.query("SELECT name FROM sqlite_master"))
+
+
+class TestRepairLeavesDatabaseAsFound:
+    """Search and re-verification work in scratch tables they drop, so
+    nothing they do reaches later snapshots, mutant clones or
+    ``--save-db`` files."""
+
+    def test_mesi_v5_search_and_reverify(self, fresh_system):
+        before = schema_names(fresh_system.db)
+        repairer = DeadlockRepairer.for_system(fresh_system, "v5")
+        result = repairer.search(max_rounds=4)
+        repairer.reverify(result, oracle_depth=2)
+        assert result.success and result.evaluated
+        assert schema_names(fresh_system.db) == before
+
+    def test_in_campaign_repair_of_a_mutant_clone(self, system, monkeypatch):
+        from repro.faults import campaign
+
+        attempts = []
+        attempt = campaign._attempt_repair
+
+        def probed(clone, assignment, cfg):
+            before = schema_names(clone.db)
+            out = attempt(clone, assignment, cfg)
+            attempts.append((before, schema_names(clone.db), out))
+            return out
+
+        monkeypatch.setattr(campaign, "_attempt_repair", probed)
+        campaign.run_campaign(system=system, seed=0, count=1,
+                              classes=("reassign-channel",), workers=1,
+                              repair=True)
+        assert attempts, "the mutant was not caught by the deadlock layer"
+        for before, after, out in attempts:
+            assert out.get("success") and out.get("evaluated")
+            assert after == before

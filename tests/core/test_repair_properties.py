@@ -1,7 +1,9 @@
 """Property battery for the repair search (differential, via Hypothesis).
 
 Three laws, checked against randomly perturbed channel assignments on
-both the toy ping-pong system and the full generated ASURA tables:
+both the toy ping-pong system and the full generated ASURA tables
+(the parity of the search's incremental candidate scorer with the full
+engines is checked last, on every family member):
 
 1. **parity** — every assignment the search declares deadlock-free is
    re-verified free by the ``engine="python"`` parity oracle (the SQL
@@ -18,8 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.database import ProtocolDatabase
-from repro.core.deadlock import ChannelAssignment, DeadlockAnalyzer, VCAssignment
+from repro.core.deadlock import (
+    CandidateScorer,
+    ChannelAssignment,
+    DeadlockAnalyzer,
+    VCAssignment,
+)
 from repro.core.repair import DeadlockRepairer, _cyclic_channels
+from repro.protocols.family import SPECS, build_variant
 
 from .test_repair import toy_specs
 
@@ -107,3 +115,49 @@ def test_asura_repair_laws_on_mutated_v(repair_system, data):
     # The perturbation class is the one the campaign repairs: the search
     # must converge on it (matching the 7/7 campaign repair rate).
     assert result.success
+
+
+class _RecordingRepairer(DeadlockRepairer):
+    """A repairer that keeps every candidate its search generates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.generated = []
+
+    def candidates(self, assignment, cycles):
+        fixes = super().candidates(assignment, cycles)
+        self.generated.extend(fixes)
+        return fixes
+
+
+@pytest.mark.parametrize("variant", tuple(SPECS))
+def test_scorer_matches_full_engines_on_every_candidate(variant):
+    """The search scores candidates incrementally.  On every candidate a
+    v4 or v5 search generates, in every round, the scorer's cycles equal
+    a full analysis by the SQL engine; on every candidate of the v5
+    (Figure 4) search they also equal the Python oracle's.  The oracle
+    does not run on all ~1,900 candidates because that takes minutes;
+    the engine parity suites hold it to the SQL engine row for row."""
+    system = build_variant(variant)
+    try:
+        specs = system.deadlock_specs()
+        generated = []
+        for assignment in ("v4", "v5"):
+            repairer = _RecordingRepairer.for_system(system, assignment)
+            repairer.search(max_rounds=4)
+            engines = ("sql", "python") if assignment == "v5" else ("sql",)
+            generated += [(fix, engines) for fix in repairer.generated]
+        assert generated
+        scorer = CandidateScorer(system.db, specs)
+        try:
+            for fix, engines in generated:
+                scored = scorer.cycles(fix.assignment)
+                for engine in engines:
+                    full = DeadlockAnalyzer(
+                        system.db, specs, fix.assignment, engine=engine,
+                    ).analyze(table_name="pdt_scorer_parity").cycles()
+                    assert scored == full, (fix.description, engine)
+        finally:
+            scorer.close()
+    finally:
+        system.db.close()

@@ -62,8 +62,7 @@ class TestDetectionLayers:
         prepare_reference_tables(clone)
         cycles = frozenset(
             tuple(c) for c in clone.analyze_deadlocks(
-                "v5d", engine="sql", workers=1,
-                table_name="__t_clean_dep").cycles())
+                "v5d", engine="sql", table_name="__t_clean_dep").cycles())
         return clone.db.snapshot(), cycles
 
     def test_noop_mutation_escapes(self, system, clone_of):

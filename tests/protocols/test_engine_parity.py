@@ -16,8 +16,9 @@ Two guarantees the performance work must never erode:
 
 import pytest
 
-from repro.core.database import SNAPSHOT_SUPPORTED, ProtocolDatabase
+from repro.core.database import ProtocolDatabase
 from repro.core.deadlock import (
+    CandidateScorer,
     ChannelAssignment,
     DeadlockAnalyzer,
     MissingAssignmentError,
@@ -97,8 +98,7 @@ class TestDeadlockEngineParity:
     @pytest.mark.parametrize("assignment", ["v4", "v5", "v5d"])
     def test_sql_matches_python_oracle(self, system, assignment):
         sql = system.analyze_deadlocks(
-            assignment, engine="sql", workers=1,
-            table_name=f"pdt_par_sql_{assignment}")
+            assignment, engine="sql", table_name=f"pdt_par_sql_{assignment}")
         py = system.analyze_deadlocks(
             assignment, engine="python",
             table_name=f"pdt_par_py_{assignment}")
@@ -114,22 +114,11 @@ class TestDeadlockEngineParity:
     def test_variant_parity(self, system, kwargs):
         tag = "_".join(kwargs)
         sql = system.analyze_deadlocks(
-            "v5", engine="sql", workers=1,
-            table_name=f"pdt_var_sql_{tag}", **kwargs)
+            "v5", engine="sql", table_name=f"pdt_var_sql_{tag}", **kwargs)
         py = system.analyze_deadlocks(
             "v5", engine="python", table_name=f"pdt_var_py_{tag}", **kwargs)
         assert sorted(rows_of(sql)) == sorted(rows_of(py))
         assert sql.cycles() == py.cycles()
-
-    @pytest.mark.skipif(not SNAPSHOT_SUPPORTED,
-                        reason="sqlite3 serialize() needs Python 3.11+")
-    def test_parallel_workers_match_sequential(self, system):
-        seq = system.analyze_deadlocks(
-            "v5", engine="sql", workers=1, table_name="pdt_seq")
-        par = system.analyze_deadlocks(
-            "v5", engine="sql", workers=4, table_name="pdt_par")
-        assert sorted(rows_of(par)) == sorted(rows_of(seq))
-        assert par.cycles() == seq.cycles()
 
     def test_missing_assignment_error_parity(self, system):
         v5 = system.channel_assignments["v5"]
@@ -145,7 +134,16 @@ class TestDeadlockEngineParity:
             with pytest.raises(MissingAssignmentError) as exc:
                 analyzer.analyze(table_name=f"pdt_broken_{engine}")
             errors[engine] = str(exc.value)
-        assert errors["python"] == errors["sql"]
+        # The repair search's incremental scorer joins V with inner
+        # joins; it must raise the same error, not drop the rows.
+        scorer = CandidateScorer(system.db, system.deadlock_specs())
+        try:
+            with pytest.raises(MissingAssignmentError) as exc:
+                scorer.cycles(broken)
+        finally:
+            scorer.close()
+        errors["scorer"] = str(exc.value)
+        assert errors["python"] == errors["sql"] == errors["scorer"]
         assert "mread" in errors["sql"]
 
     def test_unknown_engine_rejected(self, system):
@@ -166,7 +164,7 @@ class TestQueryPlans:
     and an indexed one as ``SEARCH <alias> USING ... INDEX <name>``."""
 
     def test_composition_join_and_dedup_use_indexes(self, system, analyzer):
-        analyzer.analyze(table_name="pdt_plan", workers=1)
+        analyzer.analyze(table_name="pdt_plan")
         stmts = analyzer._compose_round_stmts(
             "pdt_plan", ignore_messages=True, closure=False)
         *setup, insert, drop = stmts
@@ -185,12 +183,13 @@ class TestQueryPlans:
         assert not any(line.startswith("SCAN c") for line in lines)
 
     def test_direct_extraction_probes_v_index(self, system, analyzer):
-        v_table = analyzer._assignment_table()
+        v_table = analyzer._assignment_table("__plan")
         system.db.create_table("__exact_plan", _DEP_COLUMNS)
         spec = analyzer.specs[0]
         lines = plan_lines(
             system.db, analyzer._direct_sql(spec, v_table, "__exact_plan"))
         system.db.drop_table("__exact_plan")
+        system.db.drop_table(v_table)
         indexed = [l for l in lines if "USING" in l and "INDEX" in l]
         # Both V probes (vi and vo) of every branch hit the covering index.
         assert len(indexed) >= 2 * len(spec.output_triples)
@@ -247,11 +246,10 @@ class TestMutatedTableParity:
         try:
             results = {}
             for engine in ("sql", "python"):
-                kwargs = {"workers": 1} if engine == "sql" else {}
                 try:
                     analysis = clone.analyze_deadlocks(
                         "v5d", engine=engine,
-                        table_name=f"mut_par_{engine}", **kwargs)
+                        table_name=f"mut_par_{engine}")
                     results[engine] = ("ok", rows_of(analysis),
                                        analysis.cycles())
                 except MissingAssignmentError as exc:

@@ -140,8 +140,7 @@ class TestDeadlockEngineParity:
         system = family(variant)
         tag = next(_table_counter)
         sql = system.analyze_deadlocks(
-            assignment, engine="sql", workers=1,
-            table_name=f"fam_par_sql_{tag}")
+            assignment, engine="sql", table_name=f"fam_par_sql_{tag}")
         py = system.analyze_deadlocks(
             assignment, engine="python", table_name=f"fam_par_py_{tag}")
         assert rows_of(sql) == rows_of(py)
