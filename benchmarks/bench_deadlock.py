@@ -70,7 +70,7 @@ def test_dependency_extraction_only(benchmark, system):
     assert sum(len(r) for r in rows) > 50
 
 
-def test_cycle_detection_sql_vs_networkx(benchmark, system):
+def test_cycle_detection_sql_vs_scc(benchmark, system):
     """The pure-SQL recursive reachability used as a cross-check."""
     analysis = system.analyze_deadlocks("v5")
 

@@ -42,8 +42,8 @@ def main() -> None:
         analysis = system.analyze_deadlocks(name)
         cycles = analysis.cycles()
         print(f"static : {len(cycles)} cycle(s) in the VCG "
-              f"({analysis.vcg.number_of_nodes()} channels, "
-              f"{analysis.vcg.number_of_edges()} dependencies)")
+              f"({len(analysis.vcg.nodes)} channels, "
+              f"{len(analysis.vcg.edges)} dependencies)")
         for cycle in cycles:
             print("  " + analysis.scenario(cycle).replace("\n", "\n  "))
 

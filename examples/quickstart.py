@@ -41,7 +41,7 @@ def main() -> None:
         cycles = analysis.cycles()
         verdict = "deadlock-free" if not cycles else f"{len(cycles)} cycle(s)"
         print(f"  {name:<4} {verdict:<16} "
-              f"{analysis.vcg.number_of_edges()} channel dependencies, "
+              f"{len(analysis.vcg.edges)} channel dependencies, "
               f"{analysis.build_seconds:.2f}s")
         for cycle in cycles:
             print(f"        cycle: {' -> '.join(cycle)} -> {cycle[0]}")

@@ -1,17 +1,17 @@
 """Analysis utilities: cycle detection and protocol statistics."""
 
 from .cycles import (
-    canonical_cycle,
-    cyclic_vertices_networkx,
+    cyclic_vertices,
     cyclic_vertices_sql,
-    find_cycles_networkx,
+    find_cycles,
+    strongly_connected_components,
 )
 
 __all__ = [
-    "canonical_cycle",
-    "cyclic_vertices_networkx",
+    "cyclic_vertices",
     "cyclic_vertices_sql",
-    "find_cycles_networkx",
+    "find_cycles",
+    "strongly_connected_components",
 ]
 
 from .stats import ProtocolStats, collect

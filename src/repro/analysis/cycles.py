@@ -1,69 +1,109 @@
-"""Cycle detection over virtual-channel dependency graphs.
+"""Graph algorithms over plain ``(src, dst)`` edge iterables — the only
+graph code in the package (VCG deadlock cycles, constraint ordering,
+the simulator's wait-for cycle).
 
-Two independent implementations, cross-checked by property tests:
-
-* :func:`find_cycles_networkx` — enumerate elementary cycles with
-  ``networkx.simple_cycles``.
-* :func:`cyclic_vertices_sql` — pure SQL, the way the paper's database
-  would do it: a recursive reachability query; a vertex is on a cycle iff
-  it reaches itself.
-
-Both operate on plain ``(src, dst)`` edge iterables so they are usable
-outside the deadlock analyzer (e.g. on ad-hoc graphs in tests).
+:func:`cyclic_vertices_sql` recomputes :func:`cyclic_vertices` the way
+the paper's database would: a recursive reachability query, where a
+vertex is on a cycle iff it reaches itself.  It is the cross-check.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Hashable, Iterable
 
 __all__ = [
-    "find_cycles_networkx",
-    "cyclic_vertices_networkx",
+    "strongly_connected_components",
+    "find_cycles",
+    "cyclic_vertices",
     "cyclic_vertices_sql",
-    "canonical_cycle",
 ]
 
 Edge = tuple[str, str]
 
 
-def canonical_cycle(cycle: Sequence[str]) -> tuple[str, ...]:
-    """Rotate a cycle so it starts at its smallest vertex, giving a
-    canonical form usable as a set element."""
-    if not cycle:
-        return ()
-    i = min(range(len(cycle)), key=lambda k: cycle[k])
-    return tuple(cycle[i:]) + tuple(cycle[:i])
+def strongly_connected_components(
+        vertices: Iterable[Hashable],
+        edges: Iterable[tuple]) -> list[tuple]:
+    """The strongly connected components in topological order: every
+    edge between two components leads from an earlier one to a later
+    one.  Vertices only named by ``edges`` are included.  Iterative
+    Tarjan, deterministic for a given vertex and edge order."""
+    succ: dict = {v: [] for v in vertices}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    done = len(succ)  # the index of a finished vertex: lowers no low-link
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    components: list[tuple] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = done
+                    components.append(tuple(component))
+    # Tarjan finishes a component only after everything it reaches.
+    return components[::-1]
 
 
-def find_cycles_networkx(edges: Iterable[Edge]) -> list[tuple[str, ...]]:
-    """All elementary cycles, each in canonical rotation, sorted."""
-    g = nx.DiGraph()
-    g.add_edges_from(edges)
-    cycles = {canonical_cycle(c) for c in nx.simple_cycles(g)}
+def find_cycles(edges: Iterable[Edge]) -> list[tuple[str, ...]]:
+    """All elementary cycles, each rotated to start at its least vertex,
+    sorted.  Each is enumerated once: from its least vertex, through
+    larger vertices only."""
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    cycles: list[tuple[str, ...]] = []
+
+    def extend(path: list) -> None:
+        for w in succ.get(path[-1], ()):
+            if w == path[0]:
+                cycles.append(tuple(path))
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for start in succ:
+        extend([start])
     return sorted(cycles)
 
 
-def cyclic_vertices_networkx(edges: Iterable[Edge]) -> set[str]:
-    """Vertices lying on at least one cycle (incl. self-loops)."""
-    g = nx.DiGraph()
-    g.add_edges_from(edges)
-    out: set[str] = set()
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            out |= comp
-        else:
-            (v,) = comp
-            if g.has_edge(v, v):
-                out.add(v)
+def cyclic_vertices(edges: Iterable[tuple]) -> set:
+    """Vertices lying on at least one cycle: the members of non-trivial
+    strongly connected components plus the self-loop vertices."""
+    edges = list(edges)
+    out = {a for a, b in edges if a == b}
+    for component in strongly_connected_components((), edges):
+        if len(component) > 1:
+            out.update(component)
     return out
 
 
 def cyclic_vertices_sql(edges: Iterable[Edge]) -> set[str]:
-    """Same as :func:`cyclic_vertices_networkx`, computed by a recursive
-    SQL reachability query in a scratch SQLite database."""
+    """Same as :func:`cyclic_vertices`, computed by a recursive SQL
+    reachability query in a scratch SQLite database."""
     conn = sqlite3.connect(":memory:")
     try:
         conn.execute("CREATE TABLE edges (src TEXT, dst TEXT)")

@@ -268,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel assignment to explore under "
                         "(default: %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel frontier expanders (kernel worker "
-                        "processes under --kernel compiled, threads under "
-                        "interpreted); results are identical for any "
-                        "worker count (default: %(default)s)")
+                   help="kernel worker processes expanding the frontier "
+                        "(--kernel compiled only); results are identical "
+                        "for any worker count (default: %(default)s)")
     p.add_argument("--capacity", type=int, default=1,
                    help="per-channel queue capacity (default: %(default)s)")
     p.add_argument("--kernel", choices=("compiled", "interpreted"),
@@ -499,8 +498,8 @@ def _cmd_deadlock(system, args) -> int:
         engine=args.engine,
     )
     cycles = analysis.cycles()
-    print(f"V = {args.assignment}: {analysis.vcg.number_of_nodes()} channels, "
-          f"{analysis.vcg.number_of_edges()} dependencies, "
+    print(f"V = {args.assignment}: {len(analysis.vcg.nodes)} channels, "
+          f"{len(analysis.vcg.edges)} dependencies, "
           f"{analysis.n_rows} dependency rows "
           f"({analysis.build_seconds:.2f}s)")
     if not cycles:

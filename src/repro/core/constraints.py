@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-import networkx as nx
-
+from ..analysis.cycles import strongly_connected_components
 from .expr import (
     And,
     BoolExpr,
@@ -182,25 +181,19 @@ class ConstraintSet:
         """
         inputs = set(self.schema.input_names)
         outputs = list(self.schema.output_names)
-        g = nx.DiGraph()
-        g.add_nodes_from(outputs)
+        edges: list[tuple[str, str]] = []
         for name in outputs:
             for dep in self.get(name).dependencies():
                 if dep in inputs:
                     continue
-                if dep not in g:
+                if dep not in outputs:
                     raise ConstraintError(
                         f"output column {name!r} depends on unknown column {dep!r}"
                     )
-                g.add_edge(dep, name)  # dep must be generated before name
-        plan: list[tuple[str, ...]] = []
-        condensed = nx.condensation(g)
-        for component in nx.topological_sort(condensed):
-            members = condensed.nodes[component]["members"]
-            # Keep schema order within a group for reproducible output.
-            ordered = tuple(c for c in outputs if c in members)
-            plan.append(ordered)
-        return plan
+                edges.append((dep, name))  # dep must be generated before name
+        # Keep schema order within a group for reproducible output.
+        return [tuple(c for c in outputs if c in members)
+                for members in strongly_connected_components(outputs, edges)]
 
     def input_conjunction(self) -> BoolExpr:
         """Conjunction of constraints on input columns only.

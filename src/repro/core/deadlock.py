@@ -31,17 +31,11 @@ Pipeline, following the paper step by step:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
-
-import networkx as nx
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..telemetry import get_tracer, span
 
-from ..analysis.cycles import (
-    cyclic_vertices_networkx,
-    cyclic_vertices_sql,
-    find_cycles_networkx,
-)
+from ..analysis.cycles import cyclic_vertices, cyclic_vertices_sql, find_cycles
 from .database import IndexSpec, ProtocolDatabase
 from .quad import ALL_PLACEMENTS, Placement
 from .report import CheckResult, Report
@@ -57,6 +51,7 @@ __all__ = [
     "DependencyRow",
     "DeadlockAnalyzer",
     "DeadlockAnalysis",
+    "VCG",
     "CandidateScorer",
 ]
 
@@ -668,17 +663,21 @@ class DeadlockAnalyzer:
         )
 
 
+class VCG(NamedTuple):
+    """A virtual channel dependency graph: its channels and its distinct
+    ``(in_vc, out_vc)`` edges, both sorted."""
+
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+
+
 def _vcg(channels: ChannelAssignment,
-         pairs: Iterable[tuple[str, str]]) -> nx.DiGraph:
+         pairs: Iterable[tuple[str, str]]) -> VCG:
     """The VCG of the ``(in_vc, out_vc)`` pairs.  Dedicated channels are
     unbounded hardware paths and contribute no vertices or edges."""
-    g = nx.DiGraph()
     blocking = channels.blocking_channels()
-    g.add_nodes_from(sorted(blocking))
-    for in_vc, out_vc in pairs:
-        if in_vc in blocking and out_vc in blocking:
-            g.add_edge(in_vc, out_vc)
-    return g
+    return VCG(tuple(sorted(blocking)), tuple(sorted(
+        {(a, b) for a, b in pairs if a in blocking and b in blocking})))
 
 
 class DeadlockAnalysis:
@@ -721,7 +720,7 @@ class DeadlockAnalysis:
         self._edge_pairs = (
             list(edge_pairs) if edge_pairs is not None else None
         )
-        self._vcg: Optional[nx.DiGraph] = None
+        self._vcg: Optional[VCG] = None
 
     @property
     def dependency_rows(self) -> list[DependencyRow]:
@@ -745,7 +744,7 @@ class DeadlockAnalysis:
         return self._n_rows
 
     @property
-    def vcg(self) -> nx.DiGraph:
+    def vcg(self) -> VCG:
         """The virtual channel dependency graph (see :func:`_vcg`)."""
         if self._vcg is None:
             pairs = self._edge_pairs
@@ -754,19 +753,16 @@ class DeadlockAnalysis:
             self._vcg = _vcg(self.channels, pairs)
         return self._vcg
 
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self.vcg.edges())
-
     def cycles(self) -> list[tuple[str, ...]]:
         """All elementary cycles of the VCG, canonical and sorted."""
-        return find_cycles_networkx(self.vcg.edges())
+        return find_cycles(self.vcg.edges)
 
     def cyclic_channels(self) -> set[str]:
-        return cyclic_vertices_networkx(self.vcg.edges())
+        return cyclic_vertices(self.vcg.edges)
 
     def cyclic_channels_sql(self) -> set[str]:
         """Pure-SQL recomputation of :meth:`cyclic_channels` (cross-check)."""
-        return cyclic_vertices_sql(self.vcg.edges())
+        return cyclic_vertices_sql(self.vcg.edges)
 
     def is_deadlock_free(self) -> bool:
         return not self.cyclic_channels()
@@ -819,8 +815,8 @@ class DeadlockAnalysis:
                 name="vcg-acyclic",
                 passed=not cycles,
                 description=(
-                    f"{self.vcg.number_of_nodes()} channels, "
-                    f"{self.vcg.number_of_edges()} dependencies, "
+                    f"{len(self.vcg.nodes)} channels, "
+                    f"{len(self.vcg.edges)} dependencies, "
                     f"{len(cycles)} cycle(s)"
                 ),
                 details=[self.scenario(c) for c in cycles],
@@ -912,7 +908,7 @@ class CandidateScorer:
                  AND a.p_out_dst IS b.p_in_dst
                  AND a.out_vc IS b.in_vc
                  {_dedicated_filter(channels.dedicated)}""")
-            return find_cycles_networkx(_vcg(channels, pairs).edges())
+            return find_cycles(_vcg(channels, pairs).edges)
 
     def close(self) -> None:
         self.db.drop_table(self.deps)

@@ -11,11 +11,11 @@ workloads use, so a transition exists here iff the generated controller
 tables contain its row.
 
 Exploration is breadth-first and depth-synchronized: the frontier of
-depth *d* is fully expanded (in parallel batches over the PR 4
-:func:`~repro.runtime.run_units` pool, each worker on a private database
-clone) before depth *d+1* begins, successors are merged in deterministic
-submission order, and deduplication runs on SHA-256 digests of canonical
-(symmetry-reduced) states — results are identical for any worker count.
+depth *d* is fully expanded (inline, or in batches over the compiled
+kernel's :class:`~repro.explore.pool.KernelPool`) before depth *d+1*
+begins, successors are merged in deterministic submission order, and
+deduplication runs on SHA-256 digests of canonical (symmetry-reduced)
+states — results are identical for any worker count.
 Every *new* state is checked on the fly:
 
 * **coherence** — the single-writer/multiple-reader property over all
@@ -48,7 +48,8 @@ Two kernels execute the moves (``--kernel``):
   once and thereafter only ships encoded state batches.
 * ``interpreted`` — the original SQL lookup path, kept as the parity
   oracle: both kernels must produce identical reached-state digest
-  sets, identical violations, and identical hole messages.
+  sets, identical violations, and identical hole messages.  It always
+  expands inline.
 
 With ``--frontier-dir`` the successor relation itself is memoized into
 an indexed SQLite store (:mod:`repro.explore.store`): a warm sweep
@@ -68,7 +69,7 @@ from typing import Any, Optional, Sequence
 from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.kernel import compile_system_kernels
 from ..core.table import LookupError_
-from ..runtime import CheckpointJournal, JournalError, load_journal, run_units
+from ..runtime import CheckpointJournal, JournalError, load_journal
 from ..sim.models import SimProtocolError
 from ..sim.system import SimConfig, Simulator, TraceEvent
 from ..sim.trace import render_sequence
@@ -115,6 +116,10 @@ JOURNAL_KIND = "explore"
 
 #: schema tag of the JSON result report.
 RESULT_SCHEMA = "repro.explore.result/v1"
+
+#: states per :class:`KernelPool` task (smaller = better load balance,
+#: larger = less per-task pickling overhead).
+BATCH_SIZE = 64
 
 #: processor operations the explorer may inject at any idle node.
 INJECT_OPS = ("ld", "st", "evict")
@@ -171,13 +176,9 @@ class ExploreConfig:
     #: quad count override (default: 1 quad for 1 node, else 2).  Three
     #: or more quads give "full" symmetry non-trivial orbits.
     quads: Optional[int] = None
-    #: states per parallel work unit (smaller = better load balance,
-    #: larger = less per-unit clone overhead).
-    batch_size: int = 64
     #: protocol-family variant key (``repro.protocols.family``); None
-    #: means "whatever the database holds" — workers re-attach via the
-    #: variant marker either way, this knob only pins journals/stores to
-    #: one family member.
+    #: means "whatever the database holds" — this knob only pins
+    #: journals/stores to one family member.
     variant: Optional[str] = None
     journal_path: Optional[str] = None
     resume_from: Optional[str] = None
@@ -198,6 +199,10 @@ class ExploreConfig:
             raise ExplorationError(
                 f"kernel must be 'compiled' or 'interpreted', "
                 f"got {self.kernel!r}")
+        if self.workers > 1 and self.kernel == "interpreted":
+            raise ExplorationError(
+                "workers > 1 needs the compiled kernel; the interpreted "
+                "kernel expands inline")
         if self.quads is not None and self.quads < 1:
             raise ExplorationError("quads must be >= 1")
         if self.variant is not None:
@@ -378,21 +383,16 @@ def _sim_config(config: ExploreConfig, home_map: dict) -> SimConfig:
 
 
 def _build_simulator(system, config: ExploreConfig, home_map: dict,
-                     channels=None, tables=None) -> Simulator:
+                     tables=None) -> Simulator:
     """A simulator trimmed to exactly ``config.nodes`` nodes.
 
     Nodes are kept in round-robin order across quads (``node:0.0``,
     ``node:1.0``, ``node:0.1``, …) so every quad participates before any
-    quad gets a second node.  ``channels`` overrides the clone's channel
-    assignment with the parent system's live object, so in-memory
-    reassignment mutations survive worker cloning.  ``tables`` injects
-    compiled kernel tables in place of the SQL-backed ones.
+    quad gets a second node.  ``tables`` injects compiled kernel tables
+    in place of the SQL-backed ones.
     """
     sim = Simulator(system, config.assignment, _sim_config(config, home_map),
                     tables=tables)
-    if channels is not None:
-        sim.channels = channels
-        sim.fabric.assignment = channels
     n_quads = sim.config.n_quads
     keep = [
         f"node:{q}.{i}"
@@ -548,31 +548,6 @@ def _expand_state(sim: Simulator, state: tuple, addrs: Sequence[str],
     deadlocked = _pending_work(state) and not progress and not holes
     return {"successors": successors, "holes": holes,
             "deadlocked": deadlocked}
-
-
-def _expand_unit(payload: tuple) -> list:
-    """Module-level :func:`run_units` adapter: expand a batch of states
-    on a private clone of the protocol database (sqlite connections are
-    single-thread; every unit builds its own)."""
-    snapshot, channels, config, batch = payload
-    from ..protocols.family import attach_variant
-
-    db = ProtocolDatabase.deserialize(snapshot)
-    try:
-        # The variant marker in the database picks the family member;
-        # a bare MESI database attaches exactly as before.
-        system = attach_variant(db, config.variant)
-        home_map = {a: 0 for a in _addrs(config)}
-        sim = _build_simulator(system, config, home_map, channels=channels)
-        addrs = _addrs(config)
-        quad_classes = _quad_classes(config)
-        return [
-            [digest, _expand_state(sim, state, addrs, config.symmetry,
-                                   quad_classes)]
-            for digest, state in batch
-        ]
-    finally:
-        db.close()
 
 
 # -- state-level invariants ---------------------------------------------------
@@ -1047,51 +1022,27 @@ class ReachabilityExplorer:
 
     def _expand_frontier_live(self, frontier: list[str]) -> list:
         cfg = self.config
-        tracer = get_tracer()
         workers = cfg.workers
-        if tracer.enabled:
-            # Multi-worker expansion either shares this non-thread-safe
-            # tracer (thread isolation) or would write to inherited
-            # sinks (the kernel pool's forked children) — so a recording
-            # run expands inline.  The campaign's process workers are
-            # where telemetry keeps its parallelism.
+        if get_tracer().enabled:
+            # The kernel pool's forked children would write to inherited
+            # sinks, so a recording run expands inline.  The campaign's
+            # process workers are where telemetry keeps its parallelism.
             workers = 1
-        if workers <= 1:
-            # Inline on the live simulator: the only mode that sees
-            # in-memory table mutations made after explorer construction
-            # (with the interpreted kernel), hence the oracle path.
-            states = (self.states.get_many(frontier)
-                      if isinstance(self.states, DiskStateMap)
-                      else self.states)
-            return [
-                (digest,
-                 _expand_state(self.sim, states[digest], self.addrs,
-                               cfg.symmetry, self.quad_classes))
-                for digest in frontier
-            ]
-        if cfg.kernel == "compiled":
+        if workers > 1 and self.kernels is not None:
             return self._expand_frontier_pool(frontier, workers)
-        snapshot = self.system.db.snapshot()
-        channels = self.system.channel_assignments[cfg.assignment]
-        chunk = max(1, min(cfg.batch_size,
-                           math.ceil(len(frontier) / workers)))
-        batches = [frontier[i:i + chunk]
-                   for i in range(0, len(frontier), chunk)]
-        units = [
-            (i, (snapshot, channels, cfg,
-                 [(d, self.states[d]) for d in batch]))
-            for i, batch in enumerate(batches)
+        # Inline on the live simulator: the only mode that sees in-memory
+        # table mutations made after explorer construction (with the
+        # interpreted kernel), hence the oracle path.  A compiled kernel
+        # that fell back to the interpreted one also lands here.
+        states = (self.states.get_many(frontier)
+                  if isinstance(self.states, DiskStateMap)
+                  else self.states)
+        return [
+            (digest,
+             _expand_state(self.sim, states[digest], self.addrs,
+                           cfg.symmetry, self.quad_classes))
+            for digest in frontier
         ]
-        results = run_units(units, _expand_unit, workers=workers,
-                            isolation="thread")
-        out: list = []
-        for unit in results:  # submission order == frontier order
-            if not unit.ok:
-                raise ExplorationError(
-                    f"frontier expansion worker failed: {unit.error}")
-            out.extend((digest, expansion)
-                       for digest, expansion in unit.value)
-        return out
 
     def _expand_frontier_pool(self, frontier: list[str],
                               workers: int) -> list:
@@ -1102,8 +1053,7 @@ class ReachabilityExplorer:
             channels = self.system.channel_assignments[cfg.assignment]
             self._pool = KernelPool(self.kernels, channels, cfg,
                                     self.home_map, workers)
-        chunk = max(1, min(cfg.batch_size,
-                           math.ceil(len(frontier) / workers)))
+        chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
         states = (self.states.get_many(frontier)
                   if isinstance(self.states, DiskStateMap)
                   else self.states)

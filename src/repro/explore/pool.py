@@ -1,8 +1,6 @@
 """Shared kernel worker pools for parallel frontier expansion.
 
-The PR 4 ``run_units`` path clones the *whole protocol database* into
-every work unit — correct, but the clone dominates the unit cost.  A
-:class:`KernelPool` instead ships the compiled
+A :class:`KernelPool` ships the compiled
 :class:`~repro.core.kernel.KernelTable` rows to each worker **once**, at
 pool creation (they pickle as ``(schema, rows)`` and recompile on
 arrival); after that, every task payload is just a batch of encoded

@@ -14,9 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from ..analysis.coverage import CoverageRecorder, CoverageReport, coverage_report
+from ..analysis.cycles import cyclic_vertices
 from ..core.deadlock import ChannelAssignment
 from ..telemetry import get_tracer, span
 from ..protocols import messages as M
@@ -307,14 +306,25 @@ class Simulator:
                 or any(io.dev_ops for io in self.ios.values()))
 
     def _wait_cycle(self) -> list:
-        """A cycle in the channel wait-for graph of the last step, if any."""
-        g = nx.DiGraph()
-        for q1, q2 in self._blocked_edges:
-            g.add_edge(q1.key, q2.key)
-        try:
-            return [a for a, _ in nx.find_cycle(g)]
-        except nx.NetworkXNoCycle:
+        """A cycle in the channel wait-for graph of the last step, if any.
+
+        Every vertex on a cycle has a successor on a cycle, so a walk
+        from one along such successors must repeat a vertex; the walk
+        from the first repeat onwards is a cycle.
+        """
+        edges = [(q1.key, q2.key) for q1, q2 in self._blocked_edges]
+        cyclic = cyclic_vertices(edges)
+        if not cyclic:
             return []
+        succ: dict = {}
+        for a, b in edges:
+            if a in cyclic and b in cyclic:
+                succ.setdefault(a, b)
+        v, walk = next(iter(succ)), []
+        while v not in walk:
+            walk.append(v)
+            v = succ[v]
+        return walk[walk.index(v):]
 
     def run(self, max_steps: Optional[int] = None) -> SimResult:
         """Run to quiescence, deadlock, or the step limit."""

@@ -223,7 +223,7 @@ class TestAnalysis:
         assert analysis.is_deadlock_free()
         assert "PDED" not in analysis.vcg.nodes
 
-    def test_sql_and_networkx_cycle_detectors_agree(self, toy):
+    def test_sql_and_scc_cycle_detectors_agree(self, toy):
         db, specs, v = toy
         analysis = DeadlockAnalyzer(db, specs, v).analyze()
         assert analysis.cyclic_channels() == analysis.cyclic_channels_sql()

@@ -164,7 +164,7 @@ class TestJournaling:
 
     def test_config_validation(self, system):
         for bad in (dict(nodes=0), dict(depth=-1), dict(lines=0),
-                    dict(capacity=0)):
+                    dict(capacity=0), dict(workers=2, kernel="interpreted")):
             with pytest.raises(ExplorationError):
                 ReachabilityExplorer(system, ExploreConfig(**bad))
 

@@ -356,6 +356,12 @@ class TestExploreCommand:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "Traceback" not in err
 
+    def test_interpreted_workers_exit_2(self, capsys):
+        assert main(["explore", "--kernel", "interpreted",
+                     "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "compiled kernel" in err and "Traceback" not in err
+
     def test_save_db_carries_exploration_certificate(self, tmp_path,
                                                      capsys):
         """--save-db after an exploration persists the per-depth summary
