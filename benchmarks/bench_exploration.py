@@ -1,8 +1,11 @@
-"""Bounded reachability exploration — the ground-truth oracle's cost.
+"""Bounded reachability exploration — the ground-truth oracle's cost, and
+experiment T7's exhaustive baseline.
 
 The oracle column of ``BENCH_oracle.json`` is only affordable if a
-bounded exploration stays orders of magnitude below the minutes a model
-checker needs on the same configuration (see ``bench_model_checker``).
+bounded exploration of a small configuration stays in seconds.  The
+same runs reproduce the paper's section 4.2 point: exhaustive search
+grows super-linearly with the depth bound and the topology, while the
+SQL analysis in ``bench_deadlock`` is a fixed-cost database job.
 These benchmarks pin the explorer's throughput on the clean tables —
 state growth per depth, kernel dispatch vs SQL lookups, the warm
 successor-store sweep, symmetry-reduction payoff, worker scaling — and

@@ -19,7 +19,8 @@ from repro.core.database import ProtocolDatabase
 from repro.core.expr import C, TRUE, when
 from repro.core.generator import TableGenerator
 from repro.core.schema import Column, Role, TableSchema
-from repro.protocols.asura.directory import directory_constraints
+from repro.protocols.family import MESI
+from repro.protocols.family.directory import directory_constraints
 
 
 def synthetic_constraints(n_outputs: int, domain: int = 6) -> ConstraintSet:
@@ -78,7 +79,7 @@ def test_full_directory_table_generation(benchmark, system):
     def run():
         with ProtocolDatabase() as db:
             result = TableGenerator(
-                db, directory_constraints()
+                db, directory_constraints(MESI)
             ).generate_incremental()
             return (result.table.row_count,
                     result.table.schema.cross_product_size())
@@ -94,7 +95,7 @@ def test_figure3_rows_regenerate(benchmark, system):
     def run():
         with ProtocolDatabase() as db:
             table = TableGenerator(
-                db, directory_constraints()
+                db, directory_constraints(MESI)
             ).generate_incremental().table
             return table.match_rows({"inmsg": "readex", "bdirlookup": "miss"})
     rows = benchmark(run)

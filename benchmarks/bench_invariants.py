@@ -15,7 +15,8 @@ sweep is batched (one UNION ALL query for the whole suite); see
 ``docs/PERFORMANCE.md``.
 """
 
-from repro.protocols.asura.invariants import build_invariants
+from repro.protocols.family import MESI
+from repro.protocols.family.invariants import build_invariants
 
 #: fixed pedantic rounds per benchmark — keep in sync with the docstring.
 ROUNDS_FULL = 50
@@ -54,7 +55,7 @@ def test_paper_four_invariants(benchmark, system):
 
 def test_recursive_liveness_invariant(benchmark, system):
     """The WITH RECURSIVE busy-state completability check on its own."""
-    inv = next(i for i in build_invariants()
+    inv = next(i for i in build_invariants(MESI)
                if i.name == "every-busy-state-completable")
     checker = system.invariant_checker()
 

@@ -10,13 +10,14 @@ generated from these tables using SQL report generation").
 from repro.core.codegen import generate_python, generate_verilog
 from repro.core.database import ProtocolDatabase
 from repro.core.generator import TableGenerator
-from repro.protocols.asura.directory import directory_constraints
+from repro.protocols.family import MESI
+from repro.protocols.family.directory import directory_constraints
 from repro.protocols.asura.hardware import build_hardware_mapping
 
 
 def _fresh_d():
     db = ProtocolDatabase()
-    cs = directory_constraints()
+    cs = directory_constraints(MESI)
     table = TableGenerator(db, cs).generate_incremental().table
     return db, table, cs
 

@@ -22,7 +22,8 @@ import random
 from repro.core import RevisionLog
 from repro.core.generator import TableGenerator
 from repro.protocols.asura import build_system
-from repro.protocols.asura.directory import directory_constraints
+from repro.protocols.family import MESI
+from repro.protocols.family.directory import directory_constraints
 from repro.sim.system import SimConfig, Simulator
 
 
@@ -35,7 +36,7 @@ def revision_demo(system) -> None:
     # as soon as the *first* idone arrives instead of waiting for all of
     # them.  Edit one constraint, regenerate, diff.
     from repro.core.expr import C, cases
-    cs = directory_constraints()
+    cs = directory_constraints(MESI)
     base = cs.get("nxtbdirst").expr
     cs.replace("nxtbdirst", cases(
         (C("inmsg").eq("idone") & C("bdirst").eq("Busy-u-s")
@@ -58,7 +59,7 @@ def revision_demo(system) -> None:
         print(f"  [{r.name}] {r.description}")
 
     # Roll back: regenerate from the original constraints.
-    TableGenerator(system.db, directory_constraints(),
+    TableGenerator(system.db, directory_constraints(MESI),
                    table_name="D").generate_incremental()
     print("rolled back to the baseline constraints\n")
 

@@ -5,11 +5,11 @@
     python -m repro deadlock --assignment v5
     python -m repro simulate --workload fig4 --assignment v5
     python -m repro simulate --workload random --ops 200 --coverage
-    python -m repro mc --assignment v5     # model-checker baseline
     python -m repro map                    # section-5 hardware mapping
     python -m repro codegen M --verilog    # generated controller code
     python -m repro mutate --seed 0 --count 50   # fault-injection campaign
     python -m repro explore --nodes 2 --depth 12 # bounded reachability
+    python -m repro explore --assignment v5 --lines 2 --depth 13  # Figure 4
     python -m repro watch campaign.journal       # live view of a run
     python -m repro family --variant moesi       # one member, full pipeline
     python -m repro family --all --matrix-out BENCH_family.json
@@ -145,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --guided: start from an explorer frontier "
                         "state sampled out of DIR's successor store "
                         "(fingerprint must match)")
-
-    p = sub.add_parser("mc", parents=[common],
-                       help="explicit-state model checker (baseline)")
-    p.add_argument("--assignment", choices=("v4", "v5", "v5d"), default="v5")
-    p.add_argument("--max-states", type=int, default=100_000)
 
     p = sub.add_parser("repair", parents=[common],
                        help="search for channel-assignment fixes")
@@ -556,22 +551,6 @@ def _cmd_simulate(system, args) -> int:
         print(f"coverage ledger: {total} distinct rows "
               f"({total - before} new this run)")
     return 0 if result.status == "quiescent" else 1
-
-
-def _cmd_mc(system, args) -> int:
-    from .checkers import ExplicitStateChecker
-    from .sim import figure4_scenario
-    mc = ExplicitStateChecker(figure4_scenario(system, args.assignment))
-    result = mc.run(max_states=args.max_states)
-    print(f"explored {result.states} states / {result.transitions} "
-          f"transitions in {result.seconds:.2f}s (depth {result.max_depth})")
-    for depth, desc in result.deadlocks:
-        print(f"deadlock at depth {depth}: {desc}")
-    for depth, desc in result.violations:
-        print(f"coherence violation at depth {depth}: {desc}")
-    if result.truncated:
-        print(f"search truncated at {args.max_states} states")
-    return 0 if result.passed else 1
 
 
 def _cmd_repair(system, args) -> int:
@@ -1119,7 +1098,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "deadlock": _cmd_deadlock,
     "simulate": _cmd_simulate,
-    "mc": _cmd_mc,
     "repair": _cmd_repair,
     "map": _cmd_map,
     "codegen": _cmd_codegen,

@@ -312,7 +312,7 @@ class ExploreResult:
         for s in self.per_depth:
             lines.append(f"{s.depth:>6}{s.frontier:>10}{s.new_states:>8}"
                          f"{s.transitions:>8}{s.dedup_hits:>8}"
-                         f"{s.violations + s.deadlocks:>5}")
+                         f"{s.violations:>5}")
         if not self.violations:
             lines.append("no violations: every reachable state is coherent")
         else:

@@ -1,6 +1,6 @@
 """Structural audits: the table-level checks that make mutations visible.
 
-The behavioral invariant suite (``protocols/asura/invariants``) encodes
+The behavioral invariant suite (``protocols/family/invariants``) encodes
 protocol *properties*; a single corrupted cell or a dropped row can slip
 between them.  The paper's stronger observation is that a generated table
 carries its own ground truth: it is exactly the solution set of its column

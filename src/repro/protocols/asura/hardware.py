@@ -36,7 +36,8 @@ from ...core.report import CheckResult
 from ...core.schema import Column, Role
 from ...core.table import ControllerTable
 from .. import messages as M
-from .directory import directory_constraints
+from ..family.directory import directory_constraints
+from ..family.spec import MESI
 
 __all__ = [
     "ED_TABLE_NAME",
@@ -70,7 +71,7 @@ def _is_imp_request() -> BoolExpr:
 
 def extension_spec() -> ExtensionSpec:
     """The D -> ED extension of section 5."""
-    base = directory_constraints()
+    base = directory_constraints(MESI)
     imp_req = _is_imp_request()
     q_full = imp_req & C("Qstatus").eq("Full")
     # "On a response, if the directory controller needs to update the
@@ -217,5 +218,5 @@ def build_hardware_mapping(
     d_constraints: Optional[ConstraintSet] = None,
 ) -> HardwareMapping:
     """Run the complete section-5 flow against an existing debugged D."""
-    cs = d_constraints or directory_constraints()
+    cs = d_constraints or directory_constraints(MESI)
     return HardwareMapping(db, d_table, cs)

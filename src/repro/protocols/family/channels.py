@@ -1,8 +1,20 @@
 """Virtual-channel assignments, parameterized over the protocol family.
 
-The three-assignment debugging history (v4 / v5 / v5d, paper sections
-4.1–4.2) is reproduced for every family member; the family axes move two
-things only:
+The three-assignment debugging history (paper sections 4.1–4.2) is
+reproduced for every family member:
+
+* ``v4`` — the initial four-channel assignment.  Directory-to-memory
+  requests share VC0 with incoming requests; the analysis finds several
+  cycles involving the home directory and memory controllers.
+* ``v5`` — VC4 added for the directory-to-memory requests.  Exactly the
+  Figure 4 deadlock remains: VC2 (responses into home) and VC4 depend on
+  each other.
+* ``v5d`` — the production fix: a dedicated path from the directory to
+  the home memory controller for the memory requests that response
+  processing generates.  Dedicated paths are unbounded and leave the
+  VCG; the assignment is deadlock-free.
+
+The family axes move two things only:
 
 * the local-to-home request list follows ``spec.dir_request_inputs``
   (MOESI rides its ``owb`` on VC0 with the other requests; a no-DMA

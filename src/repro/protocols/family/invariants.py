@@ -1,9 +1,9 @@
 """The protocol invariant suite, parameterized over the protocol family.
 
-The ~90-invariant suite of :mod:`repro.protocols.asura.invariants`
-(the paper's four section-4.3 directory invariants, structural checks on
-every controller table, busy-state liveness/coverage, cross-controller
-interface checks) generalized with a :class:`~.spec.FamilySpec`:
+The ~90-invariant suite (the paper's four section-4.3 directory
+invariants, structural checks on every controller table, busy-state
+liveness/coverage, cross-controller interface checks), generalized with
+a :class:`~.spec.FamilySpec`:
 
 * "dirty data only from M" becomes "only from a dirty state" —
   MOESI's Owned holders legitimately emit dirty snoop replies;

@@ -122,12 +122,41 @@ class TestDifferentialParity:
 
 
 class TestViolationDetection:
-    def test_v4_reaches_the_papers_deadlock(self, system):
+    def test_v4_deadlocks_on_first_request(self, system):
         result = explore_system(system, nodes=2, depth=4, assignment="v4")
         assert not result.ok
         kinds = {v.kind for v in result.violations}
         assert kinds == {"deadlock"}
+        assert {v.depth for v in result.violations} == {1}
+        assert "VC0@q0:read" in result.violations[0].detail
         assert result.exhausted  # everything beyond the deadlock is stuck
+
+    def test_render_counts_each_violation_once(self, system):
+        result = explore_system(system, nodes=2, depth=4, assignment="v4")
+        table = result.render().splitlines()
+        start = next(i for i, line in enumerate(table)
+                     if line.split()[-1:] == ["bad"]) + 1
+        rows = table[start:start + len(result.per_depth)]
+        assert sum(int(row.split()[-1]) for row in rows) == \
+            len(result.violations) == 4
+
+    def test_v5_finds_figure4_by_exploration(self, system):
+        """Paper section 4.2: exhaustive search does find the Figure 4
+        deadlock, but only on a bounded configuration and after
+        thousands of states (the SQL analysis needs none)."""
+        result = explore_system(system, nodes=2, lines=2, depth=13,
+                                assignment="v5", stop_on_violation=True)
+        assert (result.states, result.transitions) == (8543, 17704)
+        assert {(v.kind, v.depth) for v in result.violations} == \
+            {("deadlock", 12)}
+        for v in result.violations:
+            assert "VC2@q0" in v.detail and "VC4@q0:mread" in v.detail
+
+    def test_v5d_is_clean_at_the_figure4_bound(self, system):
+        result = explore_system(system, nodes=2, lines=2, depth=13,
+                                assignment="v5d", stop_on_violation=True)
+        assert result.ok
+        assert (result.states, result.transitions) == (8879, 18376)
 
     def test_v4_counterexample_renders(self, system):
         explorer = ReachabilityExplorer(

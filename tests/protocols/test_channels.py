@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.deadlock import MissingAssignmentError
-from repro.protocols.asura.channels import channel_assignments
+from repro.protocols.family import MESI
+from repro.protocols.family.channels import channel_assignments
 
 
 @pytest.fixture(scope="module")
 def assignments():
-    return channel_assignments()
+    return channel_assignments(MESI)
 
 
 class TestStructure:

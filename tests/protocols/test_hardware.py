@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.protocols.asura.directory import directory_constraints
 from repro.protocols.asura.hardware import (
     HardwareMapping,
     IMP_REQUESTS,

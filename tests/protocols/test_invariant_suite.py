@@ -5,13 +5,14 @@ import pytest
 
 from repro.core.invariants import InvariantChecker
 from repro.core.sqlgen import quote_ident
-from repro.protocols.asura.invariants import build_invariants
+from repro.protocols.family import MESI
+from repro.protocols.family.invariants import build_invariants
 
 
 class TestCleanProtocol:
     def test_about_fifty_invariants(self, system):
         # Paper section 4.3: "All of the protocol invariants (around 50)".
-        assert 45 <= len(build_invariants()) <= 100
+        assert 45 <= len(build_invariants(MESI)) <= 100
 
     def test_all_invariants_hold(self, system):
         report = system.check_invariants()
@@ -23,16 +24,16 @@ class TestCleanProtocol:
         assert report.total_seconds < 60
 
     def test_every_invariant_has_description(self):
-        assert all(inv.description for inv in build_invariants())
+        assert all(inv.description for inv in build_invariants(MESI))
 
     def test_invariant_names_unique(self):
-        names = [inv.name for inv in build_invariants()]
+        names = [inv.name for inv in build_invariants(MESI)]
         assert len(names) == len(set(names))
 
 
 def _checker(sys_):
     checker = InvariantChecker(sys_.db)
-    checker.extend(build_invariants())
+    checker.extend(build_invariants(MESI))
     return checker
 
 

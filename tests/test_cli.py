@@ -62,9 +62,13 @@ class TestCommands:
                      "--coverage"]) == 0
         assert "transition coverage" in capsys.readouterr().out
 
-    def test_mc_finds_figure4(self, capsys):
-        assert main(["mc", "--assignment", "v5"]) == 1
-        assert "deadlock at depth" in capsys.readouterr().out
+    def test_explore_finds_figure4(self, capsys):
+        assert main(["explore", "--assignment", "v5", "--lines", "2",
+                     "--depth", "13"]) == 1
+        out = capsys.readouterr().out
+        assert "explored 8543 states / 17704 transitions" in out
+        assert "[deadlock] depth 12:" in out
+        assert "VC2@q0" in out and "VC4@q0:mread" in out
 
     def test_map(self, capsys):
         assert main(["map"]) == 0
