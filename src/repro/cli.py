@@ -13,10 +13,6 @@
     python -m repro watch campaign.journal       # live view of a run
     python -m repro family --variant moesi       # one member, full pipeline
     python -m repro family --all --matrix-out BENCH_family.json
-    python -m repro serve --spool /var/repro     # verification service
-    python -m repro submit campaign seed=0 count=50 --wait
-    python -m repro jobs                         # queue state
-    python -m repro chaos                        # failover scenario suite
 
 Every subcommand (except ``watch``, which only observes) also accepts
 the telemetry flags ``--profile`` (human text summary), ``--trace-out
@@ -41,11 +37,6 @@ member or every member, and emits the cross-family benchmark matrix.
 interrupted campaign after the last completed mutant, and
 ``--isolation process`` + ``--timeout`` reap hung workers — see
 ``docs/RESILIENCE.md``.
-
-``serve`` runs the always-on verification service (durable job queue +
-lease-based worker fleet); ``submit``/``jobs`` are its clients,
-``worker`` is one fleet member (normally spawned by ``serve`` itself),
-and ``chaos`` is the failover scenario suite — see ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -359,111 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit the snapshot as one JSON object per refresh "
                         "instead of the human block")
-
-    # The verification service (docs/SERVICE.md).  These subcommands
-    # run or talk to the service rather than performing one run, so
-    # like ``watch`` they take neither the telemetry flags nor a
-    # protocol database.
-    p = sub.add_parser("serve",
-                       help="run the always-on verification service: "
-                            "durable job queue + lease-based worker fleet")
-    p.add_argument("--spool", metavar="DIR", required=True,
-                   help="service home: queue journal, per-job workdirs")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8642,
-                   help="listen port; 0 picks a free one "
-                        "(default: %(default)s)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="worker processes to spawn and supervise; 0 means "
-                        "an external fleet attaches via 'repro worker' "
-                        "(default: %(default)s)")
-    p.add_argument("--capacity", type=int, default=64, metavar="N",
-                   help="max active (queued+leased) jobs before 429 "
-                        "backpressure (default: %(default)s)")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="seconds a claim or heartbeat holds a lease "
-                        "(default: %(default)s)")
-    p.add_argument("--stall-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="seconds without job progress before a supervised "
-                        "worker kills itself (default: %(default)s)")
-    p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                   help="supervised workers' idle claim-poll interval "
-                        "(default: %(default)s)")
-    p.add_argument("--sweep-interval", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="lease-expiry / compaction / supervision sweep "
-                        "period (default: %(default)s)")
-    p.add_argument("--port-file", metavar="PATH", default=None,
-                   help="write the bound port to PATH once listening "
-                        "(for parents that passed --port 0)")
-
-    p = sub.add_parser("worker",
-                       help="one verification worker: claim jobs from a "
-                            "service, run them, heartbeat the lease")
-    p.add_argument("--url", required=True, metavar="URL",
-                   help="service endpoint, e.g. http://127.0.0.1:8642")
-    p.add_argument("--spool", metavar="DIR", required=True,
-                   help="the service's spool (job workdirs live here)")
-    p.add_argument("--id", dest="worker_id", default=None,
-                   help="worker name in leases (default: host-pid)")
-    p.add_argument("--stall-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="seconds without job progress before exiting so "
-                        "the lease can fail over (default: %(default)s)")
-    p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                   help="idle claim-poll interval (default: %(default)s)")
-    p.add_argument("--once", action="store_true",
-                   help="process at most one job, then exit (tests)")
-
-    p = sub.add_parser("submit",
-                       help="submit a job to a running service")
-    p.add_argument("kind", choices=("campaign", "explore", "check",
-                                    "family", "repair"))
-    p.add_argument("params", nargs="*", metavar="KEY=VALUE",
-                   help="job parameters, e.g. seed=0 count=50 "
-                        "chaos=crash:3")
-    p.add_argument("--url", default="http://127.0.0.1:8642", metavar="URL")
-    p.add_argument("--key", default=None,
-                   help="idempotency key: resubmitting the same key "
-                        "returns the existing job instead of a new one")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job is terminal; exit 0 only on "
-                        "'done'")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   metavar="SECONDS",
-                   help="--wait limit (default: %(default)s)")
-
-    p = sub.add_parser("jobs",
-                       help="list a running service's jobs (or one job, "
-                            "with live progress)")
-    p.add_argument("job_id", nargs="?", default=None,
-                   help="show this job's document and live progress")
-    p.add_argument("--url", default="http://127.0.0.1:8642", metavar="URL")
-    p.add_argument("--state", choices=("queued", "leased", "done",
-                                       "failed", "cancelled"), default=None)
-    p.add_argument("--json", action="store_true", dest="as_json")
-    p.add_argument("--cancel", action="store_true",
-                   help="cancel the named job instead of showing it")
-
-    p = sub.add_parser("chaos",
-                       help="the failover scenario suite: inject worker "
-                            "crashes/hangs, server kills, sqlite and "
-                            "disk-full faults against a live service")
-    p.add_argument("--spool", metavar="DIR", default=None,
-                   help="scratch root for the scenario services "
-                        "(default: a temp dir, removed on success)")
-    p.add_argument("--scenario", action="append", dest="scenarios",
-                   metavar="NAME", default=None,
-                   help="run only this scenario (repeatable; default: "
-                        "all of worker-crash, worker-hang, server-kill, "
-                        "sqlite, diskfull)")
-    p.add_argument("--lease-ttl", type=float, default=3.0,
-                   metavar="SECONDS",
-                   help="lease TTL for the scenario services — the "
-                        "failover detection latency under test "
-                        "(default: %(default)s)")
     return parser
 
 
@@ -929,164 +815,9 @@ def _cmd_watch(args) -> int:
                      as_json=args.as_json)
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import serve
-    worker_args = ["--stall-timeout", str(args.stall_timeout),
-                   "--poll", str(args.poll)]
-    try:
-        return asyncio.run(serve(
-            spool=args.spool, host=args.host, port=args.port,
-            capacity=args.capacity, lease_ttl=args.lease_ttl,
-            workers=args.workers, sweep_interval=args.sweep_interval,
-            worker_args=worker_args, port_file=args.port_file))
-    except KeyboardInterrupt:
-        return 0
-    except OSError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_worker(args) -> int:
-    import signal
-
-    from .service import Worker
-    worker = Worker(args.url, spool=args.spool, worker_id=args.worker_id,
-                    poll_interval=args.poll,
-                    stall_timeout=args.stall_timeout)
-    signal.signal(signal.SIGTERM, lambda *_: worker.stop())
-    if args.once:
-        return 0 if worker.run_one() else 1
-    try:
-        return worker.run_forever()
-    except KeyboardInterrupt:
-        return 0
-
-
-def _parse_job_params(pairs: Sequence[str]) -> dict:
-    params: dict = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"job parameter {pair!r} is not KEY=VALUE")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
-    return params
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from .service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        params = _parse_job_params(args.params)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        job = client.submit(args.kind, params, key=args.key)
-        if args.wait:
-            job = client.wait(job["job_id"], timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(job, indent=2, sort_keys=True))
-    if args.wait:
-        return 0 if job["state"] == "done" else 1
-    return 0
-
-
-def _render_job_row(job: dict) -> str:
-    lease = job.get("lease") or {}
-    holder = f" @{lease['worker']}" if lease else ""
-    extras = []
-    if job.get("attempts", 0) > 1 or job.get("expiries"):
-        extras.append(f"attempt {job['attempts']}/{job['max_attempts']}")
-    if job.get("expiries"):
-        extras.append(f"{job['expiries']} expiry(s)")
-    if job.get("duplicates"):
-        extras.append(f"{job['duplicates']} duplicate(s)")
-    suffix = f"  [{', '.join(extras)}]" if extras else ""
-    return (f"{job['job_id']}  {job['kind']:<9} "
-            f"{job['state']:<10}{holder}{suffix}")
-
-
-def _cmd_jobs(args) -> int:
-    import json
-
-    from .service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id and args.cancel:
-            doc = client.cancel(args.job_id)
-        elif args.job_id:
-            doc = client.status(args.job_id)
-        else:
-            doc = None
-            jobs = client.jobs(state=args.state)
-    except ServiceError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    if doc is not None:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    if args.as_json:
-        print(json.dumps(jobs, indent=2, sort_keys=True))
-        return 0
-    if not jobs:
-        print("no jobs")
-        return 0
-    for job in jobs:
-        print(_render_job_row(job))
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    import shutil
-    import tempfile
-
-    from .service import run_scenarios
-
-    spool = args.spool or tempfile.mkdtemp(prefix="repro-chaos-")
-    try:
-        results = run_scenarios(spool, names=args.scenarios,
-                                lease_ttl=args.lease_ttl)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    failed = [r for r in results if not r.passed]
-    print(f"chaos: {len(results) - len(failed)}/{len(results)} "
-          f"scenario(s) passed")
-    if failed:
-        print(f"chaos: artifacts kept at {spool}")
-        return 1
-    if args.spool is None:
-        shutil.rmtree(spool, ignore_errors=True)
-    return 0
-
-
 #: subcommands that observe other runs rather than performing one: no
-#: protocol database, no telemetry flags.  The service subcommands live
-#: here too — ``serve``/``worker`` run jobs *for* clients (job-scoped
-#: telemetry is configured per attempt by the runner), and
-#: ``submit``/``jobs``/``chaos`` only talk to a server.
-_NO_SYSTEM_COMMANDS = {
-    "watch": _cmd_watch,
-    "serve": _cmd_serve,
-    "worker": _cmd_worker,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "chaos": _cmd_chaos,
-}
+#: protocol database, no telemetry flags.
+_NO_SYSTEM_COMMANDS = {"watch": _cmd_watch}
 
 #: subcommands that build their own systems (one per family member)
 #: instead of receiving the single one from :func:`_load_system`; they

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -329,7 +328,7 @@ class DeadlockRepairer:
         journal replays the recorded fixes (no candidate re-evaluation)
         and continues the search from where the previous process died.
         """
-        from ..runtime import CheckpointJournal, load_journal
+        from ..runtime import CheckpointJournal, JournalError, load_journal
 
         t0 = time.perf_counter()
         evaluated = 0
@@ -341,17 +340,32 @@ class DeadlockRepairer:
             "assignment": self.base.name,
             "base_digest": _assignment_digest(self.base),
         }
+        variant = self.system.spec.key if self.system is not None else "mesi"
+        if variant != "mesi":
+            # Absent for the baseline so pre-family journals resume.
+            # Members can share a V digest (MESI and MESIF do under v5),
+            # so the digest alone cannot tell their journals apart.
+            header["variant"] = variant
         if journal_path is not None:
-            if os.path.exists(journal_path) \
-                    and os.path.getsize(journal_path) > 0:
-                _, units = load_journal(journal_path)
-                for round_no in sorted(units):
-                    fix = self._replay_fix(current, units[round_no])
-                    applied.append(fix)
-                    current = fix.assignment
+            # Open before replaying: ``open`` rejects a foreign header
+            # before any of its fixes touch this run.  It ignores keys
+            # only the old journal has, so the variant is checked the
+            # other way here (a MESI run must not resume a member's).
+            journal = CheckpointJournal.open(journal_path, header)
+            if journal.header.get("variant") != header.get("variant"):
+                journal.close()
+                raise JournalError(
+                    f"journal {journal_path!r} was written by a different "
+                    f"run: variant={journal.header.get('variant')!r} "
+                    f"there, None here")
+            _, units = load_journal(journal_path)
+            for round_no in sorted(units):
+                fix = self._replay_fix(current, units[round_no])
+                applied.append(fix)
+                current = fix.assignment
+            if units:
                 get_tracer().incr("repair.search.resumed_rounds",
                                   len(applied))
-            journal = CheckpointJournal.open(journal_path, header)
 
         initial_cycles = self._cycles(self.base)
         cycles = self._cycles(current) if applied else initial_cycles

@@ -102,16 +102,19 @@ class CheckpointJournal:
     def compact(self) -> int:
         """Atomically rewrite the journal keeping only live records.
 
-        A journal that re-records units (a service queue journaling
-        every job state change, a resumed campaign) grows without bound;
+        A journal that re-records units (a campaign or exploration run
+        again on the same ``--journal`` without ``--resume`` appends
+        every unit a second time) keeps every superseded record;
         compaction rewrites it down to the header plus the *latest*
         record per unit id — exactly what :func:`load_journal` would
         have surfaced anyway — and reopens the append handle on the new
-        file.  The rewrite is a fully-written, fsync'd sibling temp file
-        swapped in with ``os.replace``, so a crash at any instant leaves
-        either the old complete journal or the new complete journal on
-        disk, never a prefix and never a lost record.  Returns the
-        number of superseded records dropped."""
+        file.  It is the one way to shrink a journal without a window in
+        which a kill could lose it, so it stays even though no run
+        compacts on its own.  The rewrite is a fully-written, fsync'd
+        sibling temp file swapped in with ``os.replace``, so a crash at
+        any instant leaves either the old complete journal or the new
+        complete journal on disk, never a prefix and never a lost
+        record.  Returns the number of superseded records dropped."""
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())

@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 #: journal kinds this watcher understands, mapped to their unit noun.
-_KINDS = {"mutation-campaign": "mutants", "explore": "depths",
-          "service-queue": "jobs"}
+_KINDS = {"mutation-campaign": "mutants", "explore": "depths"}
 
 #: detection layers in pipeline order, as rendered in the matrix row.
 _MATRIX_COLUMNS = ("invariants", "deadlock", "simulation", "oracle",
@@ -136,70 +135,6 @@ def _explore_snapshot(snap: dict, records: dict[Any, dict]) -> None:
     snap["per_depth"] = depths[-5:]
 
 
-def _service_snapshot(snap: dict, records: dict[Any, dict],
-                      now: float) -> None:
-    """Fold a verification-service queue journal into the snapshot:
-    job states, lease holders and remaining TTLs, failover counters,
-    and — for leased campaign/explore jobs — per-job progress and ETA
-    read from each job's *own* checkpoint journal in its workdir."""
-    try:
-        from ..service.runner import JOURNAL_NAMES
-    except ImportError:  # pragma: no cover — service package missing
-        JOURNAL_NAMES = {"campaign": "campaign.jsonl",
-                         "explore": "explore.jsonl"}
-    import os
-
-    jobs = [record.get("data") or {} for record in records.values()]
-    jobs.sort(key=lambda j: (j.get("submitted_at", 0.0),
-                             str(j.get("job_id"))))
-    by_state: dict[str, int] = {}
-    duplicates = expiries = 0
-    rows: list[dict] = []
-    for job in jobs:
-        state = job.get("state", "?")
-        by_state[state] = by_state.get(state, 0) + 1
-        duplicates += job.get("duplicates", 0)
-        expiries += job.get("expiries", 0)
-        row: dict[str, Any] = {
-            "job_id": job.get("job_id"),
-            "kind": job.get("kind"),
-            "state": state,
-            "attempts": job.get("attempts", 0),
-            "expiries": job.get("expiries", 0),
-            "duplicates": job.get("duplicates", 0),
-        }
-        lease = job.get("lease")
-        if lease:
-            row["worker"] = lease.get("worker")
-            row["lease_remaining_seconds"] = round(
-                float(lease.get("deadline", now)) - now, 3)
-        workdir = job.get("workdir")
-        journal_name = JOURNAL_NAMES.get(job.get("kind"))
-        if state == "leased" and workdir and journal_name:
-            inner = os.path.join(workdir, journal_name)
-            events = os.path.join(workdir, "events.jsonl")
-            if os.path.exists(inner):
-                try:
-                    progress = watch_once(
-                        inner,
-                        events if os.path.exists(events) else None,
-                        now=now)
-                    row["done"] = progress.get("done")
-                    row["total"] = progress.get("total")
-                    row["eta_seconds"] = progress.get("eta_seconds")
-                except (OSError, ValueError):
-                    pass
-        rows.append(row)
-    snap["by_state"] = by_state
-    snap["jobs"] = rows
-    snap["duplicates"] = duplicates
-    snap["expiries"] = expiries
-    # For a queue, "done" means jobs that reached a terminal state.
-    snap["done"] = sum(by_state.get(s, 0)
-                       for s in ("done", "failed", "cancelled"))
-    snap["total"] = len(jobs)
-
-
 def _apply_events(snap: dict, events: list[dict]) -> None:
     """Fold the live event stream in: the campaign's declared total
     (the journal alone cannot know how many units are coming), units
@@ -272,11 +207,6 @@ def watch_once(journal_path: str, events_path: Optional[str] = None,
         _campaign_snapshot(snap, records)
     elif kind == "explore":
         _explore_snapshot(snap, records)
-    elif kind == "service-queue":
-        _service_snapshot(snap, records, now)
-        # The run-level ETA is meaningless for a queue (per-job ETAs
-        # live on the job rows); don't derive one from append rates.
-        return snap
     if events_path is not None:
         _apply_events(snap, read_spool(events_path))
     total = snap.get("total")
@@ -329,33 +259,6 @@ def render_snapshot(snap: dict) -> str:
                 f"{k}={v}" for k, v in sorted(failures.items())))
         if snap.get("degraded"):
             lines.append(f"  degraded verdicts: {snap['degraded']}")
-    if "by_state" in snap:
-        lines.append("  queue: " + "  ".join(
-            f"{state}={n}" for state, n in sorted(snap["by_state"].items())))
-        counters = []
-        if snap.get("expiries"):
-            counters.append(f"lease expiries={snap['expiries']}")
-        if snap.get("duplicates"):
-            counters.append(f"duplicate results={snap['duplicates']}")
-        if counters:
-            lines.append("  failovers: " + "  ".join(counters))
-        for row in snap.get("jobs", [])[-8:]:
-            bits = [f"{row['job_id']}  {row['kind']:<9}{row['state']:<10}"]
-            if row.get("worker"):
-                ttl = row.get("lease_remaining_seconds")
-                bits.append(f"@{row['worker']}"
-                            + (f" (lease {ttl:+.1f}s)"
-                               if ttl is not None else ""))
-            if row.get("done") is not None:
-                progress = f"{row['done']}"
-                if row.get("total"):
-                    progress += f"/{row['total']}"
-                bits.append(progress + " units")
-            if row.get("eta_seconds") is not None:
-                bits.append(f"ETA {_fmt_seconds(row['eta_seconds'])}")
-            if row.get("attempts", 0) > 1:
-                bits.append(f"attempt {row['attempts']}")
-            lines.append("    " + "  ".join(bits))
     if "states" in snap:
         lines.append(
             f"  depth {snap.get('depth', 0)}: {snap['states']} states, "

@@ -509,9 +509,9 @@ class _MidBatchFlakyConnection:
 
 
 class TestExecutemanyRetry:
-    """Satellite of the service PR: a transient error landing mid-batch
-    must not double-apply the surviving prefix on retry, and one-shot
-    row iterators must not be half-eaten by the failed attempt."""
+    """A transient error landing mid-batch must not double-apply the
+    surviving prefix on retry, and one-shot row iterators must not be
+    half-eaten by the failed attempt."""
 
     @pytest.fixture(autouse=True)
     def _fast_retries(self, db, monkeypatch):

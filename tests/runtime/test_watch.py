@@ -111,13 +111,14 @@ class TestWatchOnce:
         assert snap["states"] == 18
         assert snap["transitions"] == 36
 
-    def test_unknown_kind_rejected(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["mystery", "service-queue"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
         path = str(tmp_path / "j.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"type": "header",
                                  "schema": "repro.runtime.journal/v1",
-                                 "kind": "mystery"}) + "\n")
-        with pytest.raises(ValueError, match="mystery"):
+                                 "kind": kind}) + "\n")
+        with pytest.raises(ValueError, match=kind):
             watch_once(path)
 
     def test_duplicate_ids_keep_latest(self, tmp_path):
@@ -169,80 +170,3 @@ class TestRunWatch:
         assert main(["watch", journal, "--once", "--json"]) == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["kind"] == "mutation-campaign"
-
-
-class TestServiceQueueWatch:
-    """``repro watch`` pointed at a verification-service queue journal."""
-
-    @pytest.fixture()
-    def queue_journal(self, tmp_path):
-        from repro.service import JobQueue
-
-        clock = [1000.0]
-        path = str(tmp_path / "queue.jsonl")
-        with JobQueue(path, lease_ttl=30.0, clock=lambda: clock[0],
-                      workdir_root=str(tmp_path)) as q:
-            done, _ = q.submit("check")
-            clock[0] += 1
-            q.submit("campaign", {"count": 4})
-            job = q.claim("worker-a")     # the check job
-            q.complete(job.job_id, job.lease.token, {"ok": True})
-            leased = q.claim("worker-a")  # the campaign
-        return path, done.job_id, leased
-
-    def test_snapshot_folds_states_and_leases(self, queue_journal):
-        path, done_id, leased = queue_journal
-        snap = watch_once(path, now=1010.0)
-        assert snap["kind"] == "service-queue"
-        assert snap["by_state"] == {"done": 1, "leased": 1}
-        assert snap["done"] == 1  # one job reached a terminal state
-        assert snap["total"] == 2
-        rows = {r["job_id"]: r for r in snap["jobs"]}
-        assert rows[done_id]["state"] == "done"
-        row = rows[leased.job_id]
-        assert row["worker"] == "worker-a"
-        # claim at t=1001, ttl 30 → deadline 1031; watched at 1010.
-        assert row["lease_remaining_seconds"] == pytest.approx(21.0)
-
-    def test_leased_job_progress_read_from_its_own_journal(
-            self, queue_journal, tmp_path):
-        path, _, leased = queue_journal
-        (tmp_path / leased.job_id).mkdir()
-        inner = str(tmp_path / leased.job_id / "campaign.jsonl")
-        _campaign_journal(inner, n=2, t0=1005.0)
-        snap = watch_once(path, now=1010.0)
-        row = next(r for r in snap["jobs"]
-                   if r["job_id"] == leased.job_id)
-        assert row["done"] == 2  # units from the job's own checkpoint
-
-    def test_render_mentions_queue_and_failovers(self, tmp_path):
-        from repro.service import JobQueue
-
-        clock = [1000.0]
-        path = str(tmp_path / "queue.jsonl")
-        with JobQueue(path, lease_ttl=5.0, clock=lambda: clock[0]) as q:
-            q.submit("check")
-            first = q.claim("worker-a")
-            stale_token = first.lease.token
-            clock[0] += 6
-            q.expire_leases()
-            second = q.claim("worker-b")
-            q.complete(first.job_id, stale_token, {})  # duplicate path
-            q.complete(second.job_id, second.lease.token, {"ok": True})
-        text = render_snapshot(watch_once(path, now=1010.0))
-        assert "service-queue" in text
-        assert "queue: done=1" in text
-        assert "lease expiries=1" in text
-        assert "duplicate results=1" in text
-
-    def test_cli_accepts_queue_journals(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.service import JobQueue
-
-        path = str(tmp_path / "queue.jsonl")
-        with JobQueue(path) as q:
-            q.submit("check")
-        assert main(["watch", path, "--once", "--json"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["kind"] == "service-queue"
-        assert snap["by_state"] == {"queued": 1}

@@ -156,6 +156,43 @@ class TestRepairCommand:
         assert main(["repair", "--assignment", "v5d"]) == 0
         assert "deadlock-free" in capsys.readouterr().out
 
+    def test_journal_resumes_and_rejects_another_member(
+            self, tmp_path, capsys, monkeypatch):
+        """A second run replays the journaled fixes without evaluating a
+        candidate.  MESIF shares MESI's v5 digest, so only the header's
+        variant stops it from taking MESI's fixes — and the check must
+        come before any fix is replayed."""
+        from repro.core.repair import DeadlockRepairer
+
+        journal = str(tmp_path / "repair.jsonl")
+        assert main(["repair", "--journal", journal]) == 0
+        first = capsys.readouterr().out
+        assert main(["repair", "--journal", journal]) == 0
+        second = capsys.readouterr().out
+        assert "0 candidate evaluations" in second
+        steps = [line for line in first.splitlines() if "step" in line]
+        assert steps
+        assert steps == [line for line in second.splitlines()
+                         if "step" in line]
+
+        def no_replay(*_):
+            raise AssertionError("replayed a foreign journal")
+
+        monkeypatch.setattr(DeadlockRepairer, "_replay_fix", no_replay)
+        assert main(["repair", "--variant", "mesif",
+                     "--journal", journal]) == 2
+        err = capsys.readouterr().err
+        assert "written by a different run" in err and "variant" in err
+
+        monkeypatch.undo()
+        member = str(tmp_path / "mesif.jsonl")
+        assert main(["repair", "--variant", "mesif",
+                     "--journal", member]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(DeadlockRepairer, "_replay_fix", no_replay)
+        assert main(["repair", "--journal", member]) == 2
+        assert "variant='mesif' there" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     """Every bad invocation must exit non-zero with a one-line message,
