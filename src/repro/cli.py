@@ -18,8 +18,7 @@ Every subcommand (except ``watch``, which only observes) also accepts
 the telemetry flags ``--profile`` (human text summary), ``--trace-out
 events.jsonl`` (JSONL event stream, flushed per event unless
 ``--trace-buffered``), ``--report-out report.json`` (machine-readable
-run report), ``--metrics-out metrics.prom`` (live OpenMetrics
-snapshot), and ``--quiet`` (suppress the normal human output) — see
+run report), and ``--quiet`` (suppress the normal human output) — see
 ``docs/OBSERVABILITY.md`` — plus the database flags ``--db PATH``
 (attach to an existing generated database file) and ``--save-db PATH``
 (generate into a file for later ``--db`` runs).
@@ -34,8 +33,9 @@ member or every member, and emits the cross-family benchmark matrix.
 
 ``mutate`` additionally runs through the crash-safe runtime:
 ``--journal`` checkpoints completed mutants, ``--resume`` restarts an
-interrupted campaign after the last completed mutant, and
-``--isolation process`` + ``--timeout`` reap hung workers — see
+interrupted campaign after the last completed mutant, ``--workers N``
+runs each mutant in its own child process (``--workers 1`` runs them
+inline), and ``--timeout`` has a watchdog reap hung workers — see
 ``docs/RESILIENCE.md``.
 """
 
@@ -64,10 +64,6 @@ def _telemetry_parent() -> argparse.ArgumentParser:
                         "lose liveness)")
     g.add_argument("--report-out", metavar="PATH", default=None,
                    help="write the machine-readable JSON run report to PATH")
-    g.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="keep a Prometheus/OpenMetrics text-format snapshot "
-                        "of the run's metrics current at PATH (atomically "
-                        "rewritten; scrape or watch it live)")
     g.add_argument("--quiet", action="store_true",
                    help="suppress the command's normal output")
     d = common.add_argument_group("database")
@@ -184,19 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel assignment the campaign perturbs and "
                         "analyzes (default: %(default)s)")
     p.add_argument("--workers", type=int, default=None,
-                   help="workers fanning mutants across snapshot clones "
-                        "(default: 4; forced to 1 when telemetry is on "
-                        "with thread isolation — process workers relay "
-                        "their telemetry instead)")
-    p.add_argument("--isolation", choices=("thread", "process"),
-                   default="thread",
-                   help="worker isolation: threads (default) or one child "
-                        "process per mutant, which survives worker crashes "
-                        "and enables --timeout (see docs/RESILIENCE.md)")
+                   help="child processes running mutants concurrently, one "
+                        "process per mutant; 1 runs every mutant inline "
+                        "(default: 4; see docs/RESILIENCE.md)")
     p.add_argument("--timeout", type=float, metavar="SECONDS", default=None,
                    help="per-mutant wall-clock timeout; hung workers are "
-                        "killed and reported as 'timeout' outcomes "
-                        "(requires --isolation process)")
+                        "killed and reported as 'timeout' outcomes (runs "
+                        "mutants in child processes even with --workers 1)")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="append a crash-safe checkpoint journal at PATH "
                         "(one fsync'd JSONL record per completed mutant)")
@@ -273,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of quads hosting the nodes (default: "
                         "topology-derived; >2 enables quad-interchange "
                         "reduction under --symmetry full)")
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable canonicalization under node permutation "
-                        "symmetry (explores the full concrete space)")
     p.add_argument("--symmetry", choices=("off", "quad", "full"),
                    default=None,
                    help="symmetry reduction mode: 'quad' canonicalizes "
@@ -552,8 +539,8 @@ def _cmd_mutate(system, args) -> int:
         result = run_campaign(
             system=system, seed=args.seed, count=args.count,
             classes=classes, assignment=args.assignment,
-            workers=args.workers, isolation=args.isolation,
-            timeout=args.timeout, journal_path=args.journal,
+            workers=args.workers, timeout=args.timeout,
+            journal_path=args.journal,
             resume_from=args.resume, oracle=args.oracle,
             oracle_depth=args.oracle_depth, oracle_nodes=args.oracle_nodes,
             oracle_kernel=args.oracle_kernel, repair=args.repair,
@@ -593,13 +580,9 @@ def _cmd_explore(system, args) -> int:
         except OSError as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
-    if args.no_symmetry and args.symmetry not in (None, "off"):
-        print("repro: error: --no-symmetry contradicts "
-              f"--symmetry {args.symmetry}", file=sys.stderr)
-        return 2
-    # ``True`` (not "quad") when neither flag is given, so journal
+    # ``True`` (not "quad") when the flag is not given, so journal
     # headers written by older versions keep resuming cleanly.
-    symmetry = "off" if args.no_symmetry else (args.symmetry or True)
+    symmetry = args.symmetry or True
     explorer = None
     try:
         # The member is pinned in the config (and thus the journal
@@ -900,8 +883,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command in _NO_SYSTEM_COMMANDS:
         return _NO_SYSTEM_COMMANDS[args.command](args)
-    collect = bool(args.profile or args.trace_out or args.report_out
-                   or args.metrics_out)
+    collect = bool(args.profile or args.trace_out or args.report_out)
     if collect:
         try:
             if args.report_out:
@@ -910,7 +892,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 open(args.report_out, "a", encoding="utf-8").close()
             tracer = telemetry.configure(
                 trace_path=args.trace_out,
-                metrics_path=args.metrics_out,
                 trace_flush=not args.trace_buffered)
         except OSError as exc:
             print(f"repro: error: {exc}", file=sys.stderr)

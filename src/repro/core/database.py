@@ -49,8 +49,8 @@ DB_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.01,
 BUSY_TIMEOUT_MS = 5000
 
 #: True when the running Python exposes ``sqlite3.Connection.serialize`` /
-#: ``deserialize`` (3.11+); the parallel deadlock workers fall back to
-#: sequential in-database execution without it.
+#: ``deserialize`` (3.11+); :meth:`ProtocolDatabase.snapshot` falls back
+#: to the portable SQL-dump format without it.
 SNAPSHOT_SUPPORTED = hasattr(sqlite3.Connection, "serialize")
 
 #: Prefix tagging the portable snapshot format: a full SQL dump of the
@@ -224,7 +224,8 @@ class ProtocolDatabase:
 
     def snapshot(self, portable: bool = False) -> bytes:
         """The whole database serialized to bytes, cheap to hand to
-        worker threads that :meth:`deserialize` into private copies.
+        campaign units or child processes that :meth:`deserialize` into
+        private copies.
 
         Uses ``sqlite3.Connection.serialize`` when available (Python
         3.11+, :data:`SNAPSHOT_SUPPORTED`).  Without it — or when

@@ -731,14 +731,21 @@ class ReachabilityExplorer:
             header["variant"] = c.variant
         return header
 
-    def _load_resume(self, path: str) -> dict[int, dict]:
+    def _load_resume(self, path: str) -> tuple[dict, dict[int, dict]]:
         header, units = load_journal(path)
         expected = self._journal_header()
         for key, value in expected.items():
-            if header.get(key) != value:
+            theirs = header.get(key)
+            if key == "symmetry":
+                # ``True`` and "quad" spell the same mode; compare modes
+                # as the successor-store fingerprint does.
+                same = symmetry_mode(theirs) == symmetry_mode(value)
+            else:
+                same = theirs == value
+            if not same:
                 raise JournalError(
                     f"cannot resume: journal {path!r} was written by an "
-                    f"exploration with {key}={header.get(key)!r}, this run "
+                    f"exploration with {key}={theirs!r}, this run "
                     f"has {key}={value!r}")
         if "quads" not in expected and header.get("quads") is not None:
             raise JournalError(
@@ -750,7 +757,7 @@ class ReachabilityExplorer:
                 f"cannot resume: journal {path!r} was written by an "
                 f"exploration of variant={header['variant']!r}, this run "
                 f"explores the MESI baseline")
-        return {int(d): data for d, data in units.items()}
+        return header, {int(d): data for d, data in units.items()}
 
     # -- the BFS --------------------------------------------------------------
     def run(self) -> ExploreResult:
@@ -778,9 +785,14 @@ class ReachabilityExplorer:
         resumed = 0
 
         journal_path = cfg.journal_path
+        journal_header = self._journal_header()
         if cfg.resume_from is not None:
             journal_path = journal_path or cfg.resume_from
-            completed = self._load_resume(cfg.resume_from)
+            resumed_header, completed = self._load_resume(cfg.resume_from)
+            if journal_path == cfg.resume_from:
+                # Keep appending under the journal's own spelling of the
+                # symmetry mode, so the open below accepts its header.
+                journal_header["symmetry"] = resumed_header["symmetry"]
             frontier, start_depth, resumed = self._restore(
                 completed, violations, deadlocks, per_depth)
 
@@ -803,8 +815,7 @@ class ReachabilityExplorer:
             per_depth.append(DepthStats(0, 0, 1, 0, 0, len(violations), 0))
             _emit_depth(per_depth[-1])
 
-        journal = (CheckpointJournal.open(journal_path,
-                                          self._journal_header())
+        journal = (CheckpointJournal.open(journal_path, journal_header)
                    if journal_path else None)
         try:
             if journal is not None and start_depth == 0:

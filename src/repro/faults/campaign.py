@@ -31,14 +31,14 @@ that a previous campaign caught at some layer must never be caught later
 Campaigns run through the crash-safe runtime (:mod:`repro.runtime`, see
 ``docs/RESILIENCE.md``): each completed mutant is checkpointed to a
 durable JSONL journal (``journal_path``) so an interrupted run resumes
-(``resume_from``) exactly after the last completed mutant; workers can
-be isolated in child processes (``isolation="process"``) with a
-per-mutant wall-clock ``timeout`` enforced by a watchdog; a worker
-exception outside the detection taxonomy becomes a ``crashed`` report
-for that mutant instead of aborting the campaign; and when the batched
-invariant sweep or the SQL deadlock engine fails on a mutant, the layer
-reruns on the unbatched / Python fallback path with ``degraded=True``
-rather than giving up.
+(``resume_from``) exactly after the last completed mutant; with more
+than one worker (or a ``timeout``) every mutant runs in its own child
+process, with a per-mutant wall-clock ``timeout`` enforced by a
+watchdog; a worker exception outside the detection taxonomy becomes a
+``crashed`` report for that mutant instead of aborting the campaign;
+and when the batched invariant sweep or the SQL deadlock engine fails on
+a mutant, the layer reruns on the unbatched / Python fallback path with
+``degraded=True`` rather than giving up.
 """
 
 from __future__ import annotations
@@ -588,7 +588,7 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
 
 def _mutant_unit(payload: tuple) -> DetectionReport:
     """Module-level unit adapter for :func:`repro.runtime.run_units`
-    (must be picklable for ``isolation="process"``)."""
+    (must be picklable for child-process workers)."""
     (snapshot, mutation, assignment, clean_cycles, sim_ops, oracle,
      repair) = payload
     return _run_mutant(snapshot, mutation, assignment, clean_cycles,
@@ -620,7 +620,6 @@ def run_campaign(
     variant: Optional[str] = None,
     workers: Optional[int] = None,
     sim_ops: int = 40,
-    isolation: str = "thread",
     timeout: Optional[float] = None,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
@@ -648,12 +647,11 @@ def run_campaign(
 
     ``system`` defaults to a freshly generated one; when supplied it must
     be clean (the campaign verifies this) and gains the audit reference
-    tables as a side effect.  ``workers`` > 1 fans mutants across
-    ``isolation`` workers — threads by default, or one child process per
-    mutant (``"process"``), which is what makes the per-mutant wall-clock
-    ``timeout`` enforceable (the watchdog kills and reports hung units as
-    ``timeout`` outcomes).  With telemetry collection enabled the
-    campaign runs sequentially, because the tracer is not thread-safe.
+    tables as a side effect.  ``workers=1`` runs the mutants inline;
+    ``workers`` > 1, or any per-mutant wall-clock ``timeout``, runs each
+    mutant in its own child process (the watchdog kills and reports hung
+    units as ``timeout`` outcomes).  Child processes relay their
+    telemetry to the parent, so tracing keeps every worker.
 
     ``journal_path`` checkpoints every completed mutant to a durable
     JSONL journal; ``resume_from`` restores completions from such a
@@ -681,10 +679,6 @@ def run_campaign(
 
     t0 = time.perf_counter()
     tracer = get_tracer()
-    if timeout is not None and isolation != "process":
-        raise ValueError(
-            "a per-mutant timeout requires isolation='process' "
-            "(hung threads cannot be killed)")
     if oracle is not None and oracle != "explore":
         raise ValueError(f"unknown oracle {oracle!r} (expected 'explore')")
     if oracle_kernel not in ("compiled", "interpreted"):
@@ -700,7 +694,7 @@ def run_campaign(
     repair_cfg = ({"rounds": repair_rounds,
                    "oracle_depth": repair_oracle_depth} if repair else None)
     with span("mutate.campaign", count=count, seed=seed,
-              assignment=assignment, isolation=isolation):
+              assignment=assignment):
         if system is None:
             system = build_variant(variant or "mesi")
         else:
@@ -784,12 +778,6 @@ def run_campaign(
 
         if workers is None:
             workers = 4
-        if tracer.enabled and isolation == "thread":
-            # The tracer is not thread-safe, so thread workers sharing it
-            # must serialize.  Process workers each get a private relay
-            # tracer (merged in the single-threaded parent), so process
-            # isolation keeps its parallelism under telemetry.
-            workers = 1
 
         restored = [DetectionReport.from_dict(completed[m.mutant_id])
                     for m in mutations if m.mutant_id in completed]
@@ -805,12 +793,11 @@ def run_campaign(
         tracer.emit("campaign.started", run_id=run_id, kind=JOURNAL_KIND,
                     seed=seed, assignment=assignment,
                     total=len(mutations), pending=len(pending),
-                    resumed=len(restored), workers=workers,
-                    isolation=isolation)
+                    resumed=len(restored), workers=workers)
         try:
             def _progress(report: DetectionReport) -> None:
                 # Lifecycle events for live observers (``repro watch``,
-                # --metrics-out): one ``campaign.unit`` verdict per
+                # --trace-out): one ``campaign.unit`` verdict per
                 # mutant plus the running partial detection matrix.
                 nonlocal done
                 done += 1
@@ -852,8 +839,8 @@ def run_campaign(
                        unit_oracle, repair_cfg))
                      for m in pending]
             unit_results = run_units(
-                units, _mutant_unit, workers=workers, isolation=isolation,
-                timeout=timeout, on_result=on_result, run_id=run_id)
+                units, _mutant_unit, workers=workers, timeout=timeout,
+                on_result=on_result, run_id=run_id)
             executed = [_coerce_report(u) for u in unit_results]
         finally:
             if journal is not None:

@@ -10,9 +10,10 @@ through:
 * :mod:`~repro.runtime.journal` — a durable append-only JSONL
   checkpoint journal; an interrupted campaign resumes exactly after the
   last completed unit.
-* :mod:`~repro.runtime.workers` — thread or per-process unit isolation
-  with a watchdog that reaps hung units as ``timeout`` outcomes and
-  turns worker exceptions into ``crashed`` results instead of lost runs.
+* :mod:`~repro.runtime.workers` — units run inline, or one child
+  process each under a watchdog that reaps hung units as ``timeout``
+  outcomes; worker exceptions become ``crashed`` results instead of
+  lost runs.
 * :mod:`~repro.runtime.retry` — an error taxonomy (transient vs fatal)
   plus exponential backoff with jitter, applied inside
   :class:`~repro.core.database.ProtocolDatabase` for lock contention.
@@ -43,13 +44,13 @@ from .retry import (
     classify_error,
 )
 from .watch import render_snapshot, run_watch, watch_once
-from .workers import ISOLATION_MODES, UnitResult, run_units
+from .workers import UnitResult, run_units
 
 __all__ = [
     "atomic_write_json", "atomic_write_text",
     "JOURNAL_SCHEMA", "CheckpointJournal", "JournalError", "load_journal",
     "TRANSIENT", "FATAL", "RetryPolicy",
     "call_with_retry", "classify_error",
-    "ISOLATION_MODES", "UnitResult", "run_units",
+    "UnitResult", "run_units",
     "watch_once", "render_snapshot", "run_watch",
 ]

@@ -1,37 +1,38 @@
-"""Isolated execution of independent work units, with a watchdog.
+"""Execution of independent work units: inline, or in watchdogged children.
 
-Two isolation levels for fanning a campaign's units out:
+:func:`run_units` picks the mode from its inputs:
 
-* ``thread`` — the existing :class:`~concurrent.futures.ThreadPoolExecutor`
-  fan-out.  Cheap, shares memory, but a hung unit cannot be reclaimed
-  (Python threads are not killable), so wall-clock timeouts are rejected.
-* ``process`` — one child process per unit, bounded to ``workers``
+* ``workers == 1`` and no ``timeout`` — every unit runs inline in the
+  caller, one after another.  No fork, no pickling; an ``Exception``
+  raised by a unit becomes a ``crashed`` outcome, while
+  ``KeyboardInterrupt`` still stops the run (a journaled campaign
+  resumes from its last checkpoint).
+* otherwise — one child process per unit, bounded to ``workers``
   concurrent children.  A watchdog polls the children; a unit that
   exceeds its per-unit ``timeout`` is killed and recorded as a
-  ``timeout`` outcome (optionally requeued ``timeout_retries`` times
-  first), and a child that dies without reporting — segfault, OOM kill,
-  ``os._exit`` — becomes a ``crashed`` outcome.  Either way the rest of
-  the run keeps going.
+  ``timeout`` outcome, and a child that dies without reporting —
+  segfault, OOM kill, ``os._exit`` — becomes a ``crashed`` outcome.
+  Either way the rest of the run keeps going.
 
 In both modes an exception raised by the unit function is captured as a
 ``crashed`` :class:`UnitResult` instead of propagating and discarding
-every in-flight sibling.  Results come back in submission order;
-``on_result`` fires in completion order as each unit finishes, which is
-where checkpoint journaling hooks in.
+every sibling.  Results come back in submission order; ``on_result``
+fires in completion order as each unit finishes, which is where
+checkpoint journaling hooks in.
 
 **Telemetry relay.**  When the parent's tracer is recording, every unit
 runs under a :class:`~repro.telemetry.context.TraceContext`
 (``run_id``/``unit_id``/``worker_id``) so its events arrive attributed.
-Thread workers share the parent tracer directly; process workers each
-install a :class:`~repro.telemetry.relay.RelayTracer` spooling their
-spans, SQL statements, and metric mutations to a private append-only
-JSONL file, which the parent merges into the main tracer as each unit
-finishes (:func:`~repro.telemetry.relay.merge_spool`) — including the
-partial spools of crashed, SIGKILLed, and timed-out workers, whose
-events up to the moment of death survive because the spool is flushed
-per event.  The pool also emits ``unit.started`` / ``unit.finished`` /
-``unit.retried`` / ``unit.timeout`` lifecycle events, which is what
-``repro watch`` and the metrics exporter consume live.
+Inline units record straight into the parent tracer (``worker_id``
+``"inline"``); process workers each install a
+:class:`~repro.telemetry.relay.RelayTracer` spooling their spans, SQL
+statements, and metric mutations to a private append-only JSONL file,
+which the parent merges into the main tracer as each unit finishes
+(:func:`~repro.telemetry.relay.merge_spool`) — including the partial
+spools of crashed, SIGKILLed, and timed-out workers, whose events up to
+the moment of death survive because the spool is flushed per event.
+Both modes emit ``unit.started`` / ``unit.finished`` / ``unit.timeout``
+lifecycle events, which is what ``repro watch`` consumes live.
 """
 
 from __future__ import annotations
@@ -40,18 +41,16 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Optional, Sequence
 
-__all__ = ["UnitResult", "run_units", "ISOLATION_MODES"]
+__all__ = ["UnitResult", "run_units"]
 
-#: supported isolation levels.
-ISOLATION_MODES = ("thread", "process")
+#: the ``worker_id`` of units run inline in the caller.
+INLINE_WORKER = "inline"
 
 #: seconds the watchdog grants a terminated child to exit before
 #: escalating to SIGKILL, and a reporting child to finish exiting.
@@ -69,11 +68,15 @@ class UnitResult:
     value: Any = None
     error: Optional[str] = None
     seconds: float = 0.0
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
         return self.outcome == "ok"
+
+
+def _describe(exc: BaseException) -> str:
+    """The one-line ``crashed`` error string for an exception."""
+    return f"{type(exc).__name__}: {exc}".splitlines()[0]
 
 
 def _child_main(conn, fn, payload, relay: Optional[dict] = None) -> None:
@@ -102,8 +105,7 @@ def _child_main(conn, fn, payload, relay: Optional[dict] = None) -> None:
         set_tracer(tracer)
         set_context(TraceContext(
             run_id=relay["run_id"], unit_id=relay["unit_id"],
-            worker_id=relay["worker_id"],
-            attempt=relay.get("attempt", 1)))
+            worker_id=relay["worker_id"]))
     t0 = time.perf_counter()
     try:
         value = fn(payload)
@@ -115,8 +117,7 @@ def _child_main(conn, fn, payload, relay: Optional[dict] = None) -> None:
         except Exception:
             pass
         try:
-            conn.send(("crashed", None,
-                       f"{type(exc).__name__}: {exc}".splitlines()[0],
+            conn.send(("crashed", None, _describe(exc),
                        time.perf_counter() - t0))
         except Exception:
             pass
@@ -130,8 +131,6 @@ class _Running:
     conn: Any
     index: int
     unit_id: Any
-    payload: Any
-    attempts: int
     started: float
     deadline: Optional[float]
     worker_id: Optional[str] = None
@@ -144,7 +143,7 @@ class _Relay:
     Inactive (every method a no-op) when the parent tracer is not
     recording, so the disabled-telemetry path stays allocation-free."""
 
-    def __init__(self, run_id: Optional[str], isolation: str) -> None:
+    def __init__(self, run_id: Optional[str], spool: bool) -> None:
         from ..telemetry import get_tracer, new_run_id
 
         self.tracer = get_tracer()
@@ -152,23 +151,20 @@ class _Relay:
         self.run_id = run_id or (new_run_id() if self.enabled else None)
         self._spool_dir: Optional[str] = None
         self._spawned = 0
-        if self.enabled and isolation == "process":
+        if self.enabled and spool:
             self._spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
 
-    def child_relay(self, unit_id: Any, index: int,
-                    attempt: int) -> Optional[dict]:
+    def child_relay(self, unit_id: Any, index: int) -> Optional[dict]:
         """The pickled relay arrangement for one child, or ``None``."""
         if self._spool_dir is None:
             return None
         self._spawned += 1
         worker_id = f"proc-{self._spawned - 1}"
         return {
-            "spool": os.path.join(self._spool_dir,
-                                  f"u{index}-a{attempt}.jsonl"),
+            "spool": os.path.join(self._spool_dir, f"u{index}.jsonl"),
             "run_id": self.run_id,
             "unit_id": unit_id,
             "worker_id": worker_id,
-            "attempt": attempt,
             "slow_sql_seconds": self.tracer.slow_sql_seconds,
         }
 
@@ -191,51 +187,34 @@ class _Relay:
             self._spool_dir = None
 
 
-def _run_units_threaded(
+def _run_units_inline(
     units: Sequence[tuple[Any, Any]],
     fn: Callable[[Any], Any],
-    workers: int,
     on_result: Optional[Callable[[UnitResult], None]],
     relay: _Relay,
 ) -> list[UnitResult]:
     from ..telemetry import TraceContext, use_context
 
-    def guarded(unit_id: Any, payload: Any) -> UnitResult:
-        context = TraceContext(
-            run_id=relay.run_id or "",
-            unit_id=unit_id,
-            worker_id=threading.current_thread().name)
-        relay.emit("unit.started", unit_id=unit_id,
-                   worker_id=context.worker_id)
+    results: list[UnitResult] = []
+    for unit_id, payload in units:
+        relay.emit("unit.started", unit_id=unit_id, worker_id=INLINE_WORKER)
         t0 = time.perf_counter()
-        with use_context(context):
+        with use_context(TraceContext(run_id=relay.run_id or "",
+                                      unit_id=unit_id,
+                                      worker_id=INLINE_WORKER)):
             try:
-                value = fn(payload)
-                result = UnitResult(unit_id, "ok", value=value,
+                result = UnitResult(unit_id, "ok", value=fn(payload),
                                     seconds=time.perf_counter() - t0)
-            except BaseException as exc:
-                result = UnitResult(
-                    unit_id, "crashed",
-                    error=f"{type(exc).__name__}: {exc}".splitlines()[0],
-                    seconds=time.perf_counter() - t0)
+            except Exception as exc:  # KeyboardInterrupt stops the run
+                result = UnitResult(unit_id, "crashed", error=_describe(exc),
+                                    seconds=time.perf_counter() - t0)
         relay.emit("unit.finished", unit_id=unit_id,
-                   worker_id=context.worker_id, outcome=result.outcome,
-                   seconds=result.seconds, attempts=result.attempts)
-        return result
-
-    results: list[Optional[UnitResult]] = [None] * len(units)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(guarded, unit_id, payload): i
-                   for i, (unit_id, payload) in enumerate(units)}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                result = fut.result()
-                results[futures[fut]] = result
-                if on_result is not None:
-                    on_result(result)
-    return [r for r in results if r is not None]
+                   worker_id=INLINE_WORKER, outcome=result.outcome,
+                   seconds=result.seconds)
+        results.append(result)
+        if on_result is not None:
+            on_result(result)
+    return results
 
 
 def _reap(rec: _Running) -> None:
@@ -262,15 +241,12 @@ def _run_units_processes(
     fn: Callable[[Any], Any],
     workers: int,
     timeout: Optional[float],
-    timeout_retries: int,
     on_result: Optional[Callable[[UnitResult], None]],
     relay: _Relay,
-    mp_context=None,
 ) -> list[UnitResult]:
-    ctx = mp_context or multiprocessing.get_context()
+    ctx = multiprocessing.get_context()
     queue: deque = deque(
-        (i, unit_id, payload, 1)
-        for i, (unit_id, payload) in enumerate(units))
+        (i, unit_id, payload) for i, (unit_id, payload) in enumerate(units))
     running: dict[Any, _Running] = {}  # keyed by proc.sentinel
     results: list[Optional[UnitResult]] = [None] * len(units)
 
@@ -280,16 +256,21 @@ def _run_units_processes(
         relay.merge(rec.spool)
         relay.emit("unit.finished", unit_id=result.unit_id,
                    worker_id=rec.worker_id, outcome=result.outcome,
-                   seconds=result.seconds, attempts=result.attempts)
+                   seconds=result.seconds)
         results[rec.index] = result
         if on_result is not None:
             on_result(result)
 
+    def finish_reported(report: tuple, rec: _Running) -> None:
+        outcome, value, error, seconds = report
+        finish(UnitResult(rec.unit_id, outcome, value=value, error=error,
+                          seconds=seconds), rec)
+
     try:
         while queue or running:
             while queue and len(running) < workers:
-                index, unit_id, payload, attempts = queue.popleft()
-                child_relay = relay.child_relay(unit_id, index, attempts)
+                index, unit_id, payload = queue.popleft()
+                child_relay = relay.child_relay(unit_id, index)
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_child_main,
@@ -302,13 +283,12 @@ def _run_units_processes(
                              if child_relay else None)
                 running[proc.sentinel] = _Running(
                     proc=proc, conn=parent_conn, index=index,
-                    unit_id=unit_id, payload=payload, attempts=attempts,
-                    started=now,
+                    unit_id=unit_id, started=now,
                     deadline=now + timeout if timeout is not None else None,
                     worker_id=worker_id,
                     spool=child_relay["spool"] if child_relay else None)
                 relay.emit("unit.started", unit_id=unit_id,
-                           worker_id=worker_id, attempt=attempts)
+                           worker_id=worker_id)
 
             # Wake on the earlier of: a child reporting/exiting, or the
             # nearest watchdog deadline.
@@ -336,19 +316,16 @@ def _run_units_processes(
             for rec in finished:
                 running.pop(rec.proc.sentinel, None)
                 elapsed = time.monotonic() - rec.started
-                payload_result = _try_recv(rec.conn)
+                report = _try_recv(rec.conn)
                 _reap(rec)
-                if payload_result is not None:
-                    outcome, value, error, seconds = payload_result
-                    finish(UnitResult(rec.unit_id, outcome, value=value,
-                                      error=error, seconds=seconds,
-                                      attempts=rec.attempts), rec)
+                if report is not None:
+                    finish_reported(report, rec)
                 else:
                     finish(UnitResult(
                         rec.unit_id, "crashed",
                         error=(f"worker exited without reporting "
                                f"(exit code {rec.proc.exitcode})"),
-                        seconds=elapsed, attempts=rec.attempts), rec)
+                        seconds=elapsed), rec)
 
             # The watchdog: kill anything past its deadline.
             now = time.monotonic()
@@ -359,37 +336,20 @@ def _run_units_processes(
                 # The unit may have reported in the window between
                 # mp_connection.wait returning and this check — a
                 # completed verdict beats a timeout.
-                payload_result = _try_recv(rec.conn)
-                if payload_result is not None:
+                report = _try_recv(rec.conn)
+                if report is not None:
                     _reap(rec)
-                    outcome, value, error, seconds = payload_result
-                    finish(UnitResult(rec.unit_id, outcome, value=value,
-                                      error=error, seconds=seconds,
-                                      attempts=rec.attempts), rec)
+                    finish_reported(report, rec)
                     continue
                 rec.proc.terminate()
                 _reap(rec)
-                if rec.attempts <= timeout_retries:
-                    # The killed attempt's partial spool still merges —
-                    # its events carry the attempt number, so the rerun
-                    # stays distinguishable in the stream.
-                    relay.merge(rec.spool)
-                    relay.emit("unit.retried", unit_id=rec.unit_id,
-                               worker_id=rec.worker_id,
-                               attempt=rec.attempts)
-                    queue.append((rec.index, rec.unit_id, rec.payload,
-                                  rec.attempts + 1))
-                else:
-                    relay.emit("unit.timeout", unit_id=rec.unit_id,
-                               worker_id=rec.worker_id,
-                               seconds=now - rec.started,
-                               attempts=rec.attempts)
-                    finish(UnitResult(
-                        rec.unit_id, "timeout",
-                        error=(f"unit exceeded its {timeout:g}s wall-clock "
-                               f"timeout (attempt {rec.attempts})"),
-                        seconds=now - rec.started,
-                        attempts=rec.attempts), rec)
+                relay.emit("unit.timeout", unit_id=rec.unit_id,
+                           worker_id=rec.worker_id,
+                           seconds=now - rec.started)
+                finish(UnitResult(
+                    rec.unit_id, "timeout",
+                    error=f"unit exceeded its {timeout:g}s wall-clock timeout",
+                    seconds=now - rec.started), rec)
     finally:
         # An exception (or KeyboardInterrupt) must not leak children.
         for rec in running.values():
@@ -402,42 +362,33 @@ def run_units(
     units: Sequence[tuple[Any, Any]],
     fn: Callable[[Any], Any],
     workers: int = 4,
-    isolation: str = "thread",
     timeout: Optional[float] = None,
-    timeout_retries: int = 0,
     on_result: Optional[Callable[[UnitResult], None]] = None,
-    mp_context=None,
     run_id: Optional[str] = None,
 ) -> list[UnitResult]:
     """Run ``fn(payload)`` for every ``(unit_id, payload)`` in ``units``.
 
     Returns one :class:`UnitResult` per unit, in submission order.  With
-    ``isolation="process"``, ``fn`` and each payload must be picklable
+    ``workers == 1`` and no ``timeout`` the units run inline in the
+    caller; otherwise each runs in its own child process, at most
+    ``workers`` at a time, so ``fn`` and each payload must be picklable
     (``fn`` a module-level function) and ``timeout`` bounds each unit's
-    wall clock; with ``isolation="thread"`` a timeout is rejected because
-    a hung thread cannot be reclaimed.
+    wall clock.
 
     When the active tracer is recording, every unit executes under a
     trace context and process workers spool their telemetry for the
     parent-side merge (see the module docstring); ``run_id`` overrides
     the generated fan-out identifier so callers can correlate the pool's
     events with their own."""
-    if isolation not in ISOLATION_MODES:
-        raise ValueError(
-            f"unknown isolation {isolation!r}; choose from {ISOLATION_MODES}")
     if not units:
         return []
-    workers = max(1, min(workers, len(units)))
-    relay = _Relay(run_id, isolation)
+    inline = workers <= 1 and timeout is None
+    relay = _Relay(run_id, spool=not inline)
     try:
-        if isolation == "thread":
-            if timeout is not None:
-                raise ValueError(
-                    "per-unit timeouts require isolation='process' "
-                    "(a hung thread cannot be killed)")
-            return _run_units_threaded(units, fn, workers, on_result, relay)
-        return _run_units_processes(units, fn, workers, timeout,
-                                    timeout_retries, on_result, relay,
-                                    mp_context)
+        if inline:
+            return _run_units_inline(units, fn, on_result, relay)
+        return _run_units_processes(
+            units, fn, max(1, min(workers, len(units))), timeout,
+            on_result, relay)
     finally:
         relay.close()

@@ -36,11 +36,6 @@ from .context import (
     set_context,
     use_context,
 )
-from .export import (
-    MetricsSnapshotSink,
-    parse_openmetrics,
-    render_openmetrics,
-)
 from .metrics import Histogram, MetricsRegistry
 from .relay import RelayTracer, SpoolSink, merge_spool, read_spool
 from .sinks import (
@@ -70,7 +65,6 @@ __all__ = [
     "TraceContext", "current_context", "set_context", "use_context",
     "new_run_id",
     "RelayTracer", "SpoolSink", "merge_spool", "read_spool",
-    "MetricsSnapshotSink", "render_openmetrics", "parse_openmetrics",
     "get_tracer", "set_tracer", "use_tracer",
     "configure", "shutdown", "span",
     "build_report", "write_report", "render_summary", "read_jsonl",
@@ -81,25 +75,20 @@ def configure(
     trace_path: Optional[str] = None,
     slow_sql_seconds: Optional[float] = 0.05,
     sinks: Optional[list] = None,
-    metrics_path: Optional[str] = None,
     trace_flush: bool = True,
 ) -> Tracer:
     """Install (and return) a recording tracer as the active tracer.
 
     ``trace_path`` attaches a :class:`JsonlSink` streaming every event to
     that file (flushed per event unless ``trace_flush=False``);
-    ``metrics_path`` attaches a :class:`MetricsSnapshotSink` keeping an
-    OpenMetrics snapshot current at that path; ``slow_sql_seconds`` is
-    the threshold above which SQL statements get their ``EXPLAIN QUERY
-    PLAN`` captured (``None`` disables plan capture).  Call
-    :func:`shutdown` when the run ends.
+    ``slow_sql_seconds`` is the threshold above which SQL statements get
+    their ``EXPLAIN QUERY PLAN`` captured (``None`` disables plan
+    capture).  Call :func:`shutdown` when the run ends.
     """
     all_sinks = list(sinks or ())
     if trace_path is not None:
         all_sinks.append(JsonlSink(trace_path, flush_each=trace_flush))
     tracer = Tracer(sinks=all_sinks, slow_sql_seconds=slow_sql_seconds)
-    if metrics_path is not None:
-        tracer.sinks.append(MetricsSnapshotSink(tracer, metrics_path))
     set_tracer(tracer)
     return tracer
 

@@ -1,18 +1,19 @@
 """Trace context: correlating telemetry across workers and processes.
 
-A long campaign fans units out across threads or child processes; an
-event stream where every record looks the same is useless for debugging
-unit #37's hang.  A :class:`TraceContext` names the run (``run_id``, one
-random identifier per fan-out), the unit of work (``unit_id``, the
-campaign's mutant id or the explorer's batch index), and the worker
-executing it (``worker_id``, a thread name or child-process ordinal).
+A long campaign fans units out across child processes; an event stream
+where every record looks the same is useless for debugging unit #37's
+hang.  A :class:`TraceContext` names the run (``run_id``, one random
+identifier per fan-out), the unit of work (``unit_id``, the campaign's
+mutant id or the explorer's batch index), and the worker executing it
+(``worker_id``: ``"inline"`` for units run in the caller, or a
+child-process ordinal such as ``"proc-3"``).
 
-The active context lives in a :class:`contextvars.ContextVar`, so each
-worker thread carries its own, and the tracer stamps the context's
-fields onto every event it emits (see :meth:`Tracer.emit`).  In child
-processes the context is installed once at startup by the relay (see
-:mod:`repro.telemetry.relay`), so every spooled span/SQL/metric event
-arrives in the parent already attributed.
+The active context lives in a :class:`contextvars.ContextVar`, and the
+tracer stamps the context's fields onto every event it emits (see
+:meth:`Tracer.emit`).  Inline units scope it to the unit with
+:func:`use_context`; in child processes the context is installed once
+at startup by the relay (see :mod:`repro.telemetry.relay`), so every
+spooled span/SQL/metric event arrives in the parent already attributed.
 """
 
 from __future__ import annotations
@@ -44,20 +45,15 @@ class TraceContext:
     run_id: str
     unit_id: Any = None
     worker_id: Optional[str] = None
-    #: retry ordinal (1 = first attempt); present so a requeued unit's
-    #: partial first-attempt events stay distinguishable from the rerun.
-    attempt: int = 1
 
     def as_fields(self) -> dict[str, Any]:
-        """The event fields this context stamps (``None`` values and
-        first attempts are omitted to keep the stream lean)."""
+        """The event fields this context stamps (``None`` values are
+        omitted to keep the stream lean)."""
         fields: dict[str, Any] = {"run_id": self.run_id}
         if self.unit_id is not None:
             fields["unit_id"] = self.unit_id
         if self.worker_id is not None:
             fields["worker_id"] = self.worker_id
-        if self.attempt != 1:
-            fields["attempt"] = self.attempt
         return fields
 
 
@@ -66,19 +62,19 @@ _current: contextvars.ContextVar[Optional[TraceContext]] = \
 
 
 def current_context() -> Optional[TraceContext]:
-    """The active trace context of this thread, if any."""
+    """The active trace context, if any."""
     return _current.get()
 
 
 def set_context(context: Optional[TraceContext]) -> None:
-    """Install ``context`` for the rest of this thread/process's life —
-    the child-process form, where nothing outlives the context."""
+    """Install ``context`` for the rest of this process's life — the
+    child-process form, where nothing outlives the context."""
     _current.set(context)
 
 
 @contextlib.contextmanager
 def use_context(context: TraceContext) -> Iterator[TraceContext]:
-    """Scope ``context`` to a block (the thread-worker form)."""
+    """Scope ``context`` to a block (the inline-unit form)."""
     token = _current.set(context)
     try:
         yield context

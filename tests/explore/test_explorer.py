@@ -17,7 +17,7 @@ from repro.explore import (
     SUMMARY_TABLE,
     explore_system,
 )
-from repro.runtime import JournalError
+from repro.runtime import JournalError, load_journal
 
 
 class TestCleanExploration:
@@ -190,6 +190,26 @@ class TestJournaling:
         explore_system(system, nodes=2, depth=3, journal_path=journal)
         with pytest.raises(JournalError, match="nodes"):
             explore_system(system, nodes=3, depth=5, resume_from=journal)
+
+    def test_resume_compares_symmetry_modes(self, system, tmp_path):
+        # ``True`` is the historical spelling of "quad": a default run's
+        # journal resumes under an explicit --symmetry quad.
+        journal = str(tmp_path / "explore.jsonl")
+        explore_system(system, nodes=2, depth=3, journal_path=journal)
+        resumed = explore_system(system, nodes=2, depth=5,
+                                 symmetry="quad", resume_from=journal)
+        straight = explore_system(system, nodes=2, depth=5, symmetry="quad")
+        assert resumed.to_dict() == straight.to_dict()
+        header, _ = load_journal(journal)
+        assert header["symmetry"] is True
+
+    def test_resume_rejects_other_symmetry_mode(self, system, tmp_path):
+        journal = str(tmp_path / "explore.jsonl")
+        explore_system(system, nodes=2, depth=3, symmetry="full",
+                       journal_path=journal)
+        with pytest.raises(JournalError, match="symmetry"):
+            explore_system(system, nodes=2, depth=5, symmetry="quad",
+                           resume_from=journal)
 
     def test_config_validation(self, system):
         for bad in (dict(nodes=0), dict(depth=-1), dict(lines=0),

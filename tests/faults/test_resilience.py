@@ -20,6 +20,7 @@ fork_only = pytest.mark.skipif(
 
 
 class TestCrashedWorkers:
+    @fork_only
     def test_one_crash_keeps_the_campaign_going(self, system, monkeypatch):
         orig = campaign_mod._run_mutant
 
@@ -133,7 +134,8 @@ class TestJournalAndResume:
                         sim_ops)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", counting)
-        resumed = run_campaign(system=system, seed=0, count=6, workers=2,
+        # Inline, so the calls are recorded in this process.
+        resumed = run_campaign(system=system, seed=0, count=6, workers=1,
                                resume_from=path)
         # Only the three un-journaled mutants ran, each exactly once...
         assert sorted(executed) == [3, 4, 5]
@@ -165,16 +167,23 @@ class TestJournalAndResume:
 
 
 class TestProcessIsolation:
-    def test_timeout_requires_process_isolation(self, system):
-        with pytest.raises(ValueError, match="process"):
-            run_campaign(system=system, seed=0, count=1, timeout=5.0)
+    def test_inline_matches_process_results(self, system):
+        inline = run_campaign(system=system, seed=0, count=4, workers=1)
+        isolated = run_campaign(system=system, seed=0, count=4, workers=2)
+        assert isolated.to_dict() == inline.to_dict()
 
-    @fork_only
-    def test_process_isolation_matches_thread_results(self, system):
-        threaded = run_campaign(system=system, seed=0, count=4, workers=2)
-        isolated = run_campaign(system=system, seed=0, count=4, workers=2,
-                                isolation="process")
-        assert isolated.to_dict() == threaded.to_dict()
+    def test_traced_campaign_keeps_its_workers(self, system):
+        sink = telemetry.ListSink()
+        with telemetry.use_tracer(telemetry.Tracer(sinks=[sink])):
+            result = run_campaign(system=system, seed=0, count=3,
+                                  workers=2)
+        assert result.count == 3
+        (started,) = sink.of_type("campaign.started")
+        assert started["workers"] == 2
+        spans = sink.of_type("span")
+        unit_spans = [e for e in spans if "unit_id" in e]
+        assert unit_spans
+        assert all(e["worker_id"].startswith("proc-") for e in unit_spans)
 
     @fork_only
     def test_watchdog_reaps_hung_mutant(self, system, monkeypatch):
@@ -190,7 +199,7 @@ class TestProcessIsolation:
         monkeypatch.setattr(campaign_mod, "_run_mutant", hanging)
         t0 = time.monotonic()
         result = run_campaign(system=system, seed=0, count=3, workers=3,
-                              isolation="process", timeout=5.0)
+                              timeout=5.0)
         assert time.monotonic() - t0 < 60
         hung = result.reports[0]
         assert hung.outcome == "timeout"

@@ -123,7 +123,7 @@ class TestKillAndResume:
 
     def test_sigkilled_worker_leaves_attributed_partial_telemetry(
             self, tmp_path):
-        """A process-isolation worker SIGKILLed mid-unit still contributes
+        """A process worker SIGKILLed mid-unit still contributes
         its partial spool to the merged trace, attributed to its unit."""
         if not os.path.isdir("/proc"):
             pytest.skip("needs /proc to find worker children")
@@ -135,7 +135,7 @@ class TestKillAndResume:
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
                    TMPDIR=str(tmp_path))
         victim = subprocess.Popen(
-            mutate_cmd("--isolation", "process", "--workers", "2",
+            mutate_cmd("--workers", "2",
                        "--journal", journal, "--trace-out", trace,
                        "--matrix-out", str(matrix_path)),
             env=env, cwd=REPO,

@@ -158,8 +158,7 @@ class TestRunUnitsRelay:
         sink = ListSink()
         with use_tracer(Tracer(sinks=[sink])) as tracer:
             results = run_units([("a", 1), ("b", 2)], emit_telemetry,
-                                workers=2, isolation="process",
-                                run_id="RID")
+                                workers=2, run_id="RID")
             assert [r.value for r in results] == [10, 20]
             assert tracer.span_stats["unit.work"].count == 2
             assert tracer.registry.counter("relay.calls") == 2
@@ -173,22 +172,21 @@ class TestRunUnitsRelay:
         assert lifecycle.count("unit.started") == 2
         assert lifecycle.count("unit.finished") == 2
 
-    def test_thread_workers_share_tracer_with_context(self):
+    def test_inline_units_share_tracer_with_context(self):
         sink = ListSink()
         with use_tracer(Tracer(sinks=[sink])) as tracer:
-            run_units([("a", 1)], emit_telemetry, workers=1,
-                      isolation="thread", run_id="RID")
+            run_units([("a", 1)], emit_telemetry, workers=1, run_id="RID")
             assert tracer.span_stats["unit.work"].count == 1
         (span,) = sink.of_type("span")
         assert span["unit_id"] == "a" and span["run_id"] == "RID"
-        # Thread- and process-isolated runs produce the same span names.
+        assert span["worker_id"] == "inline"
+        # Inline and process runs produce the same span names.
         assert span["name"] == "unit.work"
 
     def test_sigkilled_worker_leaves_attributed_partial_telemetry(self):
         sink = ListSink()
         with use_tracer(Tracer(sinks=[sink])) as tracer:
-            (result,) = run_units([("doomed", 0)], emit_then_die,
-                                  isolation="process")
+            (result,) = run_units([("doomed", 0)], emit_then_die)
             assert result.outcome == "crashed"
             # The span written before the SIGKILL survived in the spool
             # and merged, attributed to its unit.
@@ -205,7 +203,7 @@ class TestRunUnitsRelay:
         tempfile.tempdir = None
         try:
             set_tracer(NULL_TRACER)
-            results = run_units([("a", 1)], silent, isolation="process")
+            results = run_units([("a", 1)], silent)
             assert results[0].ok
             assert not [p for p in tmp_path.iterdir()
                         if p.name.startswith("repro-spool-")]

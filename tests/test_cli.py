@@ -100,8 +100,6 @@ class TestTelemetryFlags:
         assert "repro: error:" in capsys.readouterr().err
         assert main(["stats", "--trace-out", "/nonexistent/t.jsonl"]) == 2
         assert "repro: error:" in capsys.readouterr().err
-        assert main(["stats", "--metrics-out", "/nonexistent/m.prom"]) == 2
-        assert "repro: error:" in capsys.readouterr().err
 
     def test_check_report_out_emits_valid_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -293,21 +291,21 @@ class TestMutateCommand:
 class TestMutateResilienceFlags:
     def test_resilience_flags_parse(self):
         args = build_parser().parse_args(
-            ["mutate", "--isolation", "process", "--timeout", "30",
+            ["mutate", "--timeout", "30",
              "--journal", "j.jsonl", "--resume", "j.jsonl"])
-        assert args.isolation == "process"
         assert args.timeout == 30.0
         assert args.journal == "j.jsonl" and args.resume == "j.jsonl"
 
-    def test_isolation_defaults_to_thread(self):
+    def test_resilience_flags_default_off(self):
         args = build_parser().parse_args(["mutate"])
-        assert args.isolation == "thread"
-        assert args.timeout is None
+        assert args.workers is None and args.timeout is None
         assert args.journal is None and args.resume is None
 
-    def test_unknown_isolation_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["mutate", "--isolation", "fiber"])
+    def test_isolation_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", "--isolation", "process"])
+        assert exc.value.code == 2
+        assert "--isolation" in capsys.readouterr().err
 
     def test_journal_then_resume_round_trip(self, tmp_path, capsys):
         journal = tmp_path / "campaign.jsonl"
@@ -335,9 +333,10 @@ class TestMutateResilienceFlags:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "Traceback" not in err
 
-    def test_timeout_with_thread_isolation_exits_2(self, capsys):
-        assert main(["mutate", "--count", "1", "--timeout", "5"]) == 2
-        assert "repro: error:" in capsys.readouterr().err
+    def test_timeout_with_one_worker_runs_watchdogged(self, capsys):
+        assert main(["mutate", "--count", "1", "--workers", "1",
+                     "--timeout", "60"]) == 0
+        assert "caught before simulation: 1/1" in capsys.readouterr().out
 
 
 class TestExploreCommand:
@@ -345,7 +344,7 @@ class TestExploreCommand:
         args = build_parser().parse_args(["explore"])
         assert args.nodes == 2 and args.depth == 10 and args.lines == 1
         assert args.assignment == "v5d" and args.workers == 1
-        assert args.capacity == 1 and not args.no_symmetry
+        assert args.capacity == 1 and args.symmetry is None
         assert args.journal is None and args.resume is None
         assert args.out is None
 
@@ -382,6 +381,12 @@ class TestExploreCommand:
         assert "resumed from journal" in capsys.readouterr().out
         assert json.loads(straight.read_text()) == \
             json.loads(resumed.read_text())
+
+    def test_no_symmetry_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--no-symmetry"])
+        assert exc.value.code == 2
+        assert "--no-symmetry" in capsys.readouterr().err
 
     def test_resume_with_conflicting_journal_exits_2(self, capsys):
         assert main(["explore", "--resume", "a.jsonl",
