@@ -7,9 +7,9 @@ same runs reproduce the paper's section 4.2 point: exhaustive search
 grows super-linearly with the depth bound and the topology, while the
 SQL analysis in ``bench_deadlock`` is a fixed-cost database job.
 These benchmarks pin the explorer's throughput on the clean tables —
-state growth per depth, kernel dispatch vs SQL lookups, the warm
-successor-store sweep, symmetry-reduction payoff, worker scaling — and
-the end-to-end price of one oracle verdict inside the campaign loop.
+state growth per depth, kernel dispatch vs SQL lookups,
+symmetry-reduction payoff, worker scaling — and the end-to-end price of
+one oracle verdict inside the campaign loop.
 
 Throughput lands in the run report as ``explore.rate.*_states_per_sec``
 gauges; ``bench_compare`` gates them as higher-is-better rates.
@@ -58,34 +58,6 @@ def test_explore_kernel_throughput(benchmark, system, module_telemetry,
     result = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert result.ok and result.depth == 10
     module_telemetry.gauge(f"explore.rate.{kernel}_states_per_sec",
-                           round(result.states / min(times)))
-
-
-def test_explore_warm_sweep(benchmark, system, module_telemetry,
-                            tmp_path_factory):
-    """The set-based sweep over a warm successor store: each BFS level
-    is a handful of SQL joins over precomputed edges — no simulator, no
-    decoding, no invariant re-evaluation.  The recorded gauge is the
-    headline states/sec of the compiled+store pipeline."""
-    frontier_dir = str(tmp_path_factory.mktemp("frontier"))
-    cfg = dict(nodes=2, lines=2, depth=16, frontier_dir=frontier_dir)
-    explorer = ReachabilityExplorer(system, ExploreConfig(**cfg))
-    cold = explorer.run()          # populate the successor store once
-    explorer.close()
-    times = []
-
-    def run():
-        t0 = time.perf_counter()
-        warm = ReachabilityExplorer(system, ExploreConfig(**cfg))
-        result = warm.run()
-        times.append(time.perf_counter() - t0)
-        warm.close()
-        return result
-
-    result = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    assert result.ok
-    assert result.to_dict() == cold.to_dict()   # warm/cold parity
-    module_telemetry.gauge("explore.rate.warm_states_per_sec",
                            round(result.states / min(times)))
 
 

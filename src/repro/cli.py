@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.2, metavar="P",
                    help="exploration rate of the guided policy "
                         "(default 0.2)")
-    p.add_argument("--frontier-dir", metavar="DIR", default=None,
-                   help="with --guided: start from an explorer frontier "
-                        "state sampled out of DIR's successor store "
-                        "(fingerprint must match)")
 
     p = sub.add_parser("repair", parents=[common],
                        help="search for channel-assignment fixes")
@@ -210,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-nodes", type=int, default=2, metavar="N",
                    help="node count for --oracle exploration "
                         "(default: %(default)s)")
-    p.add_argument("--oracle-kernel", choices=("compiled", "interpreted"),
-                   default="compiled",
-                   help="transition backend for --oracle exploration: "
-                        "codegen dispatch kernels or the interpreted "
-                        "parity oracle (default: %(default)s)")
     p.add_argument("--repair", action="store_true",
                    help="close the loop: propose and re-verify channel-"
                         "assignment fixes for every deadlock-caught "
@@ -254,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transition backend: integer-indexed codegen "
                         "dispatch kernels, or the SQL-interpreted tables "
                         "kept as the parity oracle (default: %(default)s)")
-    p.add_argument("--frontier-dir", metavar="DIR", default=None,
-                   help="disk-back the frontier and memoize the successor "
-                        "relation in DIR/frontier.sqlite; re-runs over an "
-                        "unchanged system expand whole BFS levels with "
-                        "set-based joins instead of the simulator")
     p.add_argument("--quads", type=int, default=None, metavar="N",
                    help="number of quads hosting the nodes (default: "
                         "topology-derived; >2 enables quad-interchange "
@@ -391,8 +377,7 @@ def _cmd_simulate(system, args) -> int:
     if args.guided:
         workload = guided_workload(system, assignment=args.assignment,
                                    seed=args.seed, n_ops=args.ops,
-                                   epsilon=args.epsilon,
-                                   frontier_dir=args.frontier_dir)
+                                   epsilon=args.epsilon)
     elif args.workload == "fig2":
         workload = figure2_scenario(system, assignment=args.assignment)
     elif args.workload == "fig4":
@@ -543,7 +528,7 @@ def _cmd_mutate(system, args) -> int:
             journal_path=args.journal,
             resume_from=args.resume, oracle=args.oracle,
             oracle_depth=args.oracle_depth, oracle_nodes=args.oracle_nodes,
-            oracle_kernel=args.oracle_kernel, repair=args.repair,
+            repair=args.repair,
             repair_rounds=args.repair_rounds,
             repair_oracle_depth=args.repair_oracle_depth)
     except (ValueError, JournalError, OSError) as exc:
@@ -593,8 +578,7 @@ def _cmd_explore(system, args) -> int:
             nodes=args.nodes, depth=args.depth, lines=args.lines,
             assignment=args.assignment, workers=args.workers,
             capacity=args.capacity, symmetry=symmetry,
-            kernel=args.kernel, frontier_dir=args.frontier_dir,
-            quads=args.quads,
+            kernel=args.kernel, quads=args.quads,
             variant=spec_key if spec_key != "mesi" else None,
             journal_path=args.journal, resume_from=args.resume)
         explorer = ReachabilityExplorer(system, config)

@@ -43,13 +43,6 @@ from .state import (
     restore_state,
     symmetry_mode,
 )
-from .store import (
-    DiskStateMap,
-    SuccessorStore,
-    peek_fingerprint,
-    sample_frontier_states,
-    system_fingerprint,
-)
 
 __all__ = [
     "ExplorationError",
@@ -62,11 +55,6 @@ __all__ = [
     "OracleVerdict",
     "oracle_check",
     "KernelPool",
-    "DiskStateMap",
-    "SuccessorStore",
-    "system_fingerprint",
-    "peek_fingerprint",
-    "sample_frontier_states",
     "canonicalize",
     "decode_state",
     "encode_state",

@@ -50,18 +50,11 @@ Two kernels execute the moves (``--kernel``):
   oracle: both kernels must produce identical reached-state digest
   sets, identical violations, and identical hole messages.  It always
   expands inline.
-
-With ``--frontier-dir`` the successor relation itself is memoized into
-an indexed SQLite store (:mod:`repro.explore.store`): a warm sweep
-expands each BFS level with two set-based queries and pure digest
-bookkeeping — no simulator, no decoding, no invariant re-evaluation.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -83,12 +76,6 @@ from .state import (
     restore_state,
     snapshot_state,
     symmetry_mode,
-)
-from .store import (
-    _ORD_RADIX,
-    DiskStateMap,
-    SuccessorStore,
-    system_fingerprint,
 )
 
 __all__ = [
@@ -170,15 +157,12 @@ class ExploreConfig:
     #: (the parity oracle, and the only mode that sees in-memory table
     #: mutations made *after* explorer construction).
     kernel: str = "compiled"
-    #: directory for the successor-relation store + disk-backed frontier;
-    #: None keeps everything in memory and uncached.
-    frontier_dir: Optional[str] = None
     #: quad count override (default: 1 quad for 1 node, else 2).  Three
     #: or more quads give "full" symmetry non-trivial orbits.
     quads: Optional[int] = None
     #: protocol-family variant key (``repro.protocols.family``); None
     #: means "whatever the database holds" — this knob only pins
-    #: journals/stores to one family member.
+    #: journals to one family member.
     variant: Optional[str] = None
     journal_path: Optional[str] = None
     resume_from: Optional[str] = None
@@ -458,17 +442,6 @@ def _moves_for(state: tuple, addrs: Sequence[str]) -> list[tuple]:
     return moves
 
 
-def _move_tuple(move):
-    """Moves from the set-based sweep stay JSON-encoded until used."""
-    return tuple(json.loads(move)) if isinstance(move, str) else move
-
-
-def _move_list(move):
-    if move is None:
-        return None
-    return json.loads(move) if isinstance(move, str) else list(move)
-
-
 def _fire(sim: Simulator, move: tuple) -> bool:
     """Fire one move on the (already restored) simulator; True iff it
     committed.  Raises the hole errors for missing table rows."""
@@ -630,10 +603,10 @@ class ReachabilityExplorer:
         #: remote-request path, requests from quad 0 the local one.
         self.home_map = {a: 0 for a in self.addrs}
         self.quad_classes = _quad_classes(self.config)
-        # Kernels and the simulator are built on first use: a fully warm
-        # store sweep never fires a transition, so it should not pay for
-        # dispatch compilation.  The root state is backend-independent
-        # (nothing has fired yet), so any simulator may produce it.
+        # Kernels and the simulator are built on first use, from the
+        # tables as they stand then.  The root state is
+        # backend-independent (nothing has fired yet), so any simulator
+        # may produce it.
         self._kernels: Optional[dict] = None
         self._sim: Optional[Simulator] = None
         self._pool: Optional[KernelPool] = None
@@ -643,27 +616,10 @@ class ReachabilityExplorer:
         root = canonicalize(snapshot_state(root_sim), self.config.symmetry,
                             self.quad_classes)
         self.root_digest = hash_state(root)
-        #: the successor-relation store; None without ``frontier_dir``.
-        self.store: Optional[SuccessorStore] = None
-        if self.config.frontier_dir:
-            os.makedirs(self.config.frontier_dir, exist_ok=True)
-            self.store = SuccessorStore(
-                os.path.join(self.config.frontier_dir, "frontier.sqlite"),
-                system_fingerprint(system, self.config))
-            #: digest -> canonical state, disk-backed.
-            self.states = DiskStateMap(self.store, self._state_flags)
-        else:
-            #: digest -> canonical state, for every reached state.
-            self.states = {}
-        self.states[self.root_digest] = root
+        #: digest -> canonical state, for every reached state.
+        self.states: dict[str, tuple] = {self.root_digest: root}
         #: digest -> (predecessor digest, move); root maps to None.
-        #: Sweep runs keep the full chain in the store instead (see
-        #: :meth:`_pred_entry`) and only mirror journaled depths here.
         self.pred: dict[str, Optional[tuple]] = {self.root_digest: None}
-        #: reached-state count maintained by the set-based sweep, which
-        #: does not mirror digests into Python; None on the merge path.
-        self._reached: Optional[int] = None
-        self._sweep_detail = False
 
     @property
     def kernels(self) -> Optional[dict]:
@@ -699,12 +655,10 @@ class ReachabilityExplorer:
         return self._sim
 
     def close(self) -> None:
-        """Release the worker pool and flush/close the frontier store."""
+        """Release the worker pool."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self.store is not None:
-            self.store.close()
 
     # -- journaling -----------------------------------------------------------
     def _journal_header(self) -> dict:
@@ -737,8 +691,7 @@ class ReachabilityExplorer:
         for key, value in expected.items():
             theirs = header.get(key)
             if key == "symmetry":
-                # ``True`` and "quad" spell the same mode; compare modes
-                # as the successor-store fingerprint does.
+                # ``True`` and "quad" spell the same mode.
                 same = symmetry_mode(theirs) == symmetry_mode(value)
             else:
                 same = theirs == value
@@ -806,7 +759,7 @@ class ReachabilityExplorer:
             # One live progress event per completed BFS level — what
             # ``repro watch`` renders between journal flushes.
             tracer.emit("explore.depth", run_id=run_id,
-                        states=self._states_total(), **stats.to_dict())
+                        states=len(self.states), **stats.to_dict())
 
         # Depth 0: the root is a reached state and is checked like any
         # other (an empty initial state is trivially coherent).
@@ -824,21 +777,6 @@ class ReachabilityExplorer:
                     stats=per_depth[-1], violations=violations,
                     deadlocks=[]))
 
-            # The set-based sweep advances the reached set inside the
-            # store's SQLite — per depth: one join over the edge table,
-            # one fetch of just the *new* states.  It owns the whole run
-            # or none of it (a resumed reached-set would have to be
-            # rebuilt row by row, forfeiting the point), so resumed runs
-            # take the per-state merge path.
-            sweep = self.store is not None and cfg.resume_from is None
-            if sweep:
-                self.store.sweep_begin(self.root_digest)
-                self._reached = len(self.states)
-                # Only a journal needs the per-state rows back in
-                # Python; otherwise each depth is pure bookkeeping.
-                self._sweep_detail = journal is not None
-            expand = self._expand_depth_sweep if sweep else self._expand_depth
-
             depth = start_depth
             for depth in range(start_depth + 1, cfg.depth + 1):
                 if not frontier:
@@ -848,7 +786,7 @@ class ReachabilityExplorer:
                     depth -= 1
                     break
                 stats, new_frontier, new_records, depth_violations, \
-                    depth_deadlocks = expand(depth, frontier)
+                    depth_deadlocks = self._expand_depth(depth, frontier)
                 violations.extend(depth_violations)
                 deadlocks.extend(depth_deadlocks)
                 per_depth.append(stats)
@@ -865,8 +803,6 @@ class ReachabilityExplorer:
             if self._pool is not None:
                 self._pool.close()
                 self._pool = None
-            if self.store is not None:
-                self.store.flush()
 
         return ExploreResult(
             nodes=cfg.nodes,
@@ -875,7 +811,7 @@ class ReachabilityExplorer:
             depth_bound=cfg.depth,
             assignment=cfg.assignment,
             symmetry=cfg.symmetry,
-            states=self._states_total(),
+            states=len(self.states),
             transitions=sum(s.transitions for s in per_depth),
             dedup_hits=sum(s.dedup_hits for s in per_depth),
             violations=violations,
@@ -889,23 +825,6 @@ class ReachabilityExplorer:
     def _expand_depth(self, depth: int, frontier: list[str]):
         """Expand one whole BFS level, in parallel batches."""
         expansions = self._expand_frontier(frontier)
-
-        # Warm (store-cached) expansions carry no state payloads; their
-        # successors' invariant verdicts are prefetched set-wise here so
-        # the merge loop below emits violations in exactly the order the
-        # cold path would.
-        flag_map: dict[str, tuple] = {}
-        if self.store is not None:
-            unseen: list[str] = []
-            queued: set[str] = set()
-            for _, expansion in expansions:
-                for _, payload, sd in expansion["successors"]:
-                    if (payload is None and sd not in self.states
-                            and sd not in queued):
-                        unseen.append(sd)
-                        queued.add(sd)
-            flag_map = self.store.fetch_flags(unseen)
-
         stats = DepthStats(depth, len(frontier), 0, 0, 0, 0, 0)
         new_frontier: list[str] = []
         new_records: list[list] = []
@@ -913,8 +832,6 @@ class ReachabilityExplorer:
         deadlocks: list[str] = []
         for digest, expansion in expansions:
             for hole in expansion["holes"]:
-                # tuple(): cached holes round-trip through JSON as
-                # lists; the detail string must match a live expansion.
                 violations.append(Violation(
                     kind="hole", digest=digest, depth=depth - 1,
                     detail=f"move {tuple(hole['move'])}: {hole['error']}"))
@@ -923,115 +840,24 @@ class ReachabilityExplorer:
                 violations.append(Violation(
                     kind="deadlock", digest=digest, depth=depth - 1,
                     detail=self._deadlock_detail(digest)))
-            for move, payload, succ_digest in expansion["successors"]:
+            for move, succ, succ_digest in expansion["successors"]:
                 stats.transitions += 1
                 if succ_digest in self.states:
                     stats.dedup_hits += 1
                     continue
-                if payload is None:
-                    # Warm path: the state stays on disk, undecoded.
-                    self.states.add_ref(succ_digest)
-                    flags = flag_map[succ_digest]
-                else:
-                    self.states[succ_digest] = payload
-                    flags = None
+                self.states[succ_digest] = succ
                 self.pred[succ_digest] = (digest, tuple(move))
                 new_frontier.append(succ_digest)
                 new_records.append([succ_digest, digest, move])
                 stats.new_states += 1
-                self._check_state(succ_digest, depth, violations,
-                                  flags=flags)
+                self._check_state(succ_digest, depth, violations)
         stats.violations = len(violations)
         stats.deadlocks = len(deadlocks)
         return stats, new_frontier, new_records, violations, deadlocks
 
-    def _expand_depth_sweep(self, depth: int, frontier):
-        """Expand one BFS level with set-based joins in the store.
-
-        Frontier states without a cached expansion are simulated first
-        (and their expansions recorded), then one INSERT..SELECT join
-        against the edge table advances the reached set: dedup,
-        transition counting, and first-reach ordering all happen in
-        SQLite.  Python gets back *counts* — on a warm store the whole
-        level costs a handful of queries, no simulator work, no state
-        decoding, no invariant re-evaluation, and no per-state loop.
-        Only a journaling run pulls the new-state rows back (the
-        ``frontier`` handed around the run loop is then the count).
-
-        Violations are reassembled in exactly the cold path's merge
-        order: per frontier position — holes, then deadlock, then each
-        new successor's coherence/directory checks in move order.  The
-        ``ordkey`` column carries that (position, move) pair.
-        """
-        store = self.store
-        missing = store.sweep_missing(depth - 1)
-        if missing:
-            for digest, expansion in self._expand_frontier_live(missing):
-                # Successor states must land in the states table before
-                # the join below looks up their invariant flags.
-                for _, succ, sd in expansion["successors"]:
-                    store.put_state(sd, succ, self._state_flags(succ))
-                store.put_succ(
-                    digest,
-                    [[list(move), sd]
-                     for move, _, sd in expansion["successors"]],
-                    expansion["holes"], expansion["deadlocked"])
-        step = store.sweep_step(depth, detail=self._sweep_detail)
-        new_count = step["new_count"]
-        self._reached += new_count
-
-        new_records: list[list] = []
-        if self._sweep_detail:
-            new_frontier: Any = []
-            add_ref = self.states.add_ref
-            for d, pd, mv in step["new"]:
-                add_ref(d)
-                # Moves stay JSON-encoded until someone (trace_to, the
-                # journal) actually wants them.
-                self.pred[d] = (pd, mv)
-                new_frontier.append(d)
-                new_records.append([d, pd, mv])
-        else:
-            new_frontier = new_count  # the run loop only needs emptiness
-
-        deadlocks: list[str] = []
-        events: list[tuple] = []
-        for d, ordkey, coh, quiescent, dirv in step["flagged"]:
-            fo, ordinal = divmod(ordkey, _ORD_RADIX)
-            if coh is not None:
-                events.append(((fo, 2, ordinal, 0),
-                               Violation("coherence", d, depth, coh)))
-            if quiescent and dirv is not None:
-                events.append(((fo, 2, ordinal, 1),
-                               Violation("directory", d, depth, dirv)))
-        for fo, d, holes, deadlocked in step["trouble"]:
-            for i, hole in enumerate(json.loads(holes)):
-                events.append(((fo, 0, i, 0), Violation(
-                    kind="hole", digest=d, depth=depth - 1,
-                    detail=f"move {tuple(hole['move'])}: {hole['error']}")))
-            if deadlocked:
-                deadlocks.append(d)
-                events.append(((fo, 1, 0, 0), Violation(
-                    kind="deadlock", digest=d, depth=depth - 1,
-                    detail=self._deadlock_detail(d))))
-        events.sort(key=lambda e: e[0])
-        violations = [v for _, v in events]
-
-        nfront = frontier if isinstance(frontier, int) else len(frontier)
-        stats = DepthStats(
-            depth, nfront, new_count, step["trans"],
-            step["trans"] - new_count, len(violations), len(deadlocks))
-        return stats, new_frontier, new_records, violations, deadlocks
-
     def _expand_frontier(self, frontier: list[str]) -> list:
         """``(digest, expansion)`` for every frontier state, in frontier
-        order.  Successor payloads are state tuples from a live
-        expansion, or ``None`` when served from the successor store."""
-        if self.store is not None:
-            return self._expand_frontier_store(frontier)
-        return self._expand_frontier_live(frontier)
-
-    def _expand_frontier_live(self, frontier: list[str]) -> list:
+        order."""
         cfg = self.config
         workers = cfg.workers
         if get_tracer().enabled:
@@ -1045,12 +871,9 @@ class ReachabilityExplorer:
         # table mutations made after explorer construction (with the
         # interpreted kernel), hence the oracle path.  A compiled kernel
         # that fell back to the interpreted one also lands here.
-        states = (self.states.get_many(frontier)
-                  if isinstance(self.states, DiskStateMap)
-                  else self.states)
         return [
             (digest,
-             _expand_state(self.sim, states[digest], self.addrs,
+             _expand_state(self.sim, self.states[digest], self.addrs,
                            cfg.symmetry, self.quad_classes))
             for digest in frontier
         ]
@@ -1065,11 +888,8 @@ class ReachabilityExplorer:
             self._pool = KernelPool(self.kernels, channels, cfg,
                                     self.home_map, workers)
         chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
-        states = (self.states.get_many(frontier)
-                  if isinstance(self.states, DiskStateMap)
-                  else self.states)
         batches = [
-            [(d, states[d]) for d in frontier[i:i + chunk]]
+            [(d, self.states[d]) for d in frontier[i:i + chunk]]
             for i in range(0, len(frontier), chunk)
         ]
         out: list = []
@@ -1078,85 +898,21 @@ class ReachabilityExplorer:
                        for digest, expansion in batch_result)
         return out
 
-    def _expand_frontier_store(self, frontier: list[str]) -> list:
-        """Serve cached expansions set-wise; live-expand only the rest.
-
-        On a warm store this is the whole depth: one ``IN`` query for
-        the successor lists (plus the flag prefetch in
-        :meth:`_expand_depth`) and zero simulator work.
-        """
-        cached = self.store.fetch_succ(frontier)
-        fresh: dict[str, dict] = {}
-        missing = [d for d in frontier if d not in cached]
-        if missing:
-            for digest, expansion in self._expand_frontier_live(missing):
-                fresh[digest] = expansion
-                # Persist the expansion.  Successor *states* are
-                # persisted by DiskStateMap the moment the merge loop
-                # first sees them (and were already persisted earlier if
-                # they dedup) — so the succ lists only reference digests
-                # the states table is guaranteed to hold.
-                self.store.put_succ(
-                    digest,
-                    [[list(move), sd]
-                     for move, _, sd in expansion["successors"]],
-                    expansion["holes"], expansion["deadlocked"])
-        out: list = []
-        for digest in frontier:
-            if digest in fresh:
-                out.append((digest, fresh[digest]))
-            else:
-                hit = cached[digest]
-                out.append((digest, {
-                    "successors": [(move, None, sd)
-                                   for move, sd in hit["successors"]],
-                    "holes": hit["holes"],
-                    "deadlocked": hit["deadlocked"],
-                }))
-        return out
-
-    def _state_flags(self, state: tuple) -> tuple:
-        """The precomputed invariant verdicts of one canonical state:
-        ``(coherence_detail, quiescent, directory_detail)``."""
+    def _check_state(self, digest: str, depth: int,
+                     violations: list[Violation]) -> None:
+        state = self.states[digest]
         spec = getattr(self.system, "spec", None)
         coh = _coherence_violation(
             state, spec.forward_state if spec is not None else None)
-        quiescent = _quiescent(state)
-        dirv = (_directory_violation(state, self.home_map)
-                if quiescent else None)
-        return (coh, quiescent, dirv)
-
-    def _states_total(self) -> int:
-        """Reached states so far — the sweep's counter, or the map."""
-        if self._reached is not None:
-            return self._reached
-        return len(self.states)
-
-    def _state_of(self, digest: str) -> tuple:
-        """A reached state's tuple; falls back to the store for sweep
-        runs, which do not mirror the reached set into Python."""
-        try:
-            return self.states[digest]
-        except KeyError:
-            if self.store is not None:
-                fetched = self.store.fetch_states([digest])
-                if digest in fetched:
-                    return fetched[digest]
-            raise
-
-    def _check_state(self, digest: str, depth: int,
-                     violations: list[Violation],
-                     flags: Optional[tuple] = None) -> None:
-        if flags is None:
-            flags = self._state_flags(self.states[digest])
-        coh, quiescent, dirv = flags
         if coh is not None:
             violations.append(Violation("coherence", digest, depth, coh))
-        if quiescent and dirv is not None:
-            violations.append(Violation("directory", digest, depth, dirv))
+        if _quiescent(state):
+            dirv = _directory_violation(state, self.home_map)
+            if dirv is not None:
+                violations.append(Violation("directory", digest, depth, dirv))
 
     def _deadlock_detail(self, digest: str) -> str:
-        channels = self._state_of(digest)[0]
+        channels = self.states[digest][0]
         stuck = [f"{vc}@q{dq}:" + "/".join(msg for msg, *_ in envs)
                  for (vc, dq), envs in channels]
         if stuck:
@@ -1167,12 +923,10 @@ class ReachabilityExplorer:
     def _depth_record(self, new, stats, violations, deadlocks) -> dict:
         # ``new`` holds (digest, pred_digest, move) triples; encodings
         # are materialized only here, when a journal actually wants them.
-        states = (self.states.get_many([d for d, _, _ in new])
-                  if isinstance(self.states, DiskStateMap)
-                  else self.states)
         return {
             "new": [
-                [d, encode_state(states[d]), pd, _move_list(mv)]
+                [d, encode_state(self.states[d]), pd,
+                 None if mv is None else list(mv)]
                 for d, pd, mv in new
             ],
             "stats": stats.to_dict(),
@@ -1210,27 +964,16 @@ class ReachabilityExplorer:
     # -- counterexamples ------------------------------------------------------
     def trace_to(self, digest: str) -> list[tuple]:
         """The move sequence from the initial state to ``digest``."""
+        if digest not in self.pred:
+            raise ExplorationError(f"state {digest!r} was not reached")
         moves: list[tuple] = []
-        entry = self._pred_entry(digest)
+        entry = self.pred[digest]
         while entry is not None:
             digest, move = entry
-            moves.append(_move_tuple(move))
-            entry = self._pred_entry(digest)
+            moves.append(move)
+            entry = self.pred[digest]
         moves.reverse()
         return moves
-
-    def _pred_entry(self, digest: str) -> Optional[tuple]:
-        """One predecessor-chain entry — from the in-memory map, or
-        from the sweep's reached-set for set-based runs, which keep the
-        chain in SQLite rather than in a Python dict."""
-        if digest in self.pred:
-            return self.pred[digest]
-        if self.store is not None:
-            row = self.store.sweep_pred(digest)
-            if row is not None:
-                pd, mv = row
-                return None if pd is None else (pd, mv)
-        raise ExplorationError(f"state {digest!r} was not reached")
 
     def replay(self, moves: Sequence[tuple]) -> tuple[list[TraceEvent], str]:
         """Re-execute a move sequence through the simulator.

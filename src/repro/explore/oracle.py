@@ -58,7 +58,6 @@ def oracle_check(
     lines: int = 1,
     capacity: int = 1,
     stop_on_violation: bool = True,
-    kernel: str = "compiled",
 ) -> OracleVerdict:
     """Run the bounded explorer over ``system`` and condense the result.
 
@@ -66,11 +65,12 @@ def oracle_check(
     a mutant whose tables are broken enough to crash a lookup is a
     *detection* (kind ``hole``), not an error.
 
-    ``kernel`` picks the transition backend.  Both see every mutation:
-    the compiled kernels are built from the already-mutated tables at
-    explorer construction, and channel reassignments live on the shared
-    :class:`~repro.core.deadlock.ChannelAssignment` object either way.
-    ``interpreted`` remains available as the parity oracle.
+    The compiled kernels see every mutation: they are built from the
+    already-mutated tables when the first transition fires, and channel
+    reassignments live on the shared
+    :class:`~repro.core.deadlock.ChannelAssignment` object.  A table the
+    dispatch compiler cannot handle falls back to the interpreted
+    kernel.
     """
     config = ExploreConfig(
         nodes=nodes,
@@ -79,7 +79,6 @@ def oracle_check(
         assignment=assignment,
         capacity=capacity,
         workers=1,
-        kernel=kernel,
         stop_on_violation=stop_on_violation,
     )
     tracer = get_tracer()

@@ -573,8 +573,7 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
                 verdict = oracle_check(
                     system, assignment=assignment,
                     depth=oracle["depth"], nodes=oracle["nodes"],
-                    lines=oracle.get("lines", 1),
-                    kernel=oracle.get("kernel", "compiled"))
+                    lines=oracle.get("lines", 1))
             if verdict.caught:
                 fixed = (_repaired() if verdict.kind == "deadlock"
                          else None)
@@ -627,7 +626,6 @@ def run_campaign(
     oracle_depth: int = 8,
     oracle_nodes: int = 2,
     oracle_lines: int = 1,
-    oracle_kernel: str = "compiled",
     repair: bool = False,
     repair_rounds: int = 4,
     repair_oracle_depth: int = 0,
@@ -637,9 +635,7 @@ def run_campaign(
     ``oracle="explore"`` adds a fourth, ground-truth stage: every mutant
     that survives the three production layers is re-scored by bounded
     exhaustive exploration (``oracle_depth``/``oracle_nodes``/
-    ``oracle_lines``; ``oracle_kernel`` picks the compiled dispatch
-    backend or the interpreted parity oracle — verdicts are identical
-    either way), the matrix gains an ``oracle`` column, and the
+    ``oracle_lines``), the matrix gains an ``oracle`` column, and the
     totals gain a measured false-negative rate.  The clean system must
     explore violation-free under the same bounds (verified up front —
     its exploration summary is written to the ``__explore_summary``
@@ -681,16 +677,8 @@ def run_campaign(
     tracer = get_tracer()
     if oracle is not None and oracle != "explore":
         raise ValueError(f"unknown oracle {oracle!r} (expected 'explore')")
-    if oracle_kernel not in ("compiled", "interpreted"):
-        raise ValueError(f"unknown oracle kernel {oracle_kernel!r} "
-                         f"(expected 'compiled' or 'interpreted')")
     oracle_cfg = ({"depth": oracle_depth, "nodes": oracle_nodes,
                    "lines": oracle_lines} if oracle else None)
-    # The kernel backend is *not* part of oracle_cfg: the compiled and
-    # interpreted kernels are parity-identical, so the choice cannot
-    # change a verdict and must not invalidate journals or baselines.
-    # It travels to the workers in the unit payload only.
-    unit_oracle = dict(oracle_cfg, kernel=oracle_kernel) if oracle_cfg else None
     repair_cfg = ({"rounds": repair_rounds,
                    "oracle_depth": repair_oracle_depth} if repair else None)
     with span("mutate.campaign", count=count, seed=seed,
@@ -765,7 +753,7 @@ def run_campaign(
             from ..explore import ReachabilityExplorer, ExploreConfig
             clean_explorer = ReachabilityExplorer(system, ExploreConfig(
                 nodes=oracle_nodes, depth=oracle_depth, lines=oracle_lines,
-                assignment=assignment, workers=1, kernel=oracle_kernel))
+                assignment=assignment, workers=1))
             clean_explore = clean_explorer.run()
             if not clean_explore.ok:
                 first = clean_explore.violations[0]
@@ -836,7 +824,7 @@ def run_campaign(
 
             units = [(m.mutant_id,
                       (snapshot, m, assignment, clean_cycles, sim_ops,
-                       unit_oracle, repair_cfg))
+                       oracle_cfg, repair_cfg))
                      for m in pending]
             unit_results = run_units(
                 units, _mutant_unit, workers=workers, timeout=timeout,

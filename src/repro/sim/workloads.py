@@ -17,9 +17,7 @@
   persisted row-coverage ledger (``__coverage_ledger``) out of the
   protocol database and synthesizes a seeded greedy/ε-random schedule
   biased toward controller tables with unvisited rows — including the
-  device-initiated IO operations no fixed scenario issues — optionally
-  starting from an explorer frontier state sampled out of a
-  ``SuccessorStore``.
+  device-initiated IO operations no fixed scenario issues.
 """
 
 from __future__ import annotations
@@ -205,33 +203,6 @@ def ensure_recorder(sim: Simulator) -> CoverageRecorder:
     return sim.recorder
 
 
-def _frontier_preset(system, frontier_dir: str, assignment: str,
-                     seed: int, nodes: int, lines: int, capacity: int,
-                     symmetry, quads: Optional[int]):
-    """Build an explorer-topology simulator restored into one sampled
-    frontier state, or ``None`` when the store is absent or was built
-    for a different protocol/topology fingerprint."""
-    import os
-
-    from ..explore.explorer import ExploreConfig, _build_simulator
-    from ..explore.state import restore_state
-    from ..explore.store import sample_frontier_states, system_fingerprint
-
-    config = ExploreConfig(nodes=nodes, lines=lines, assignment=assignment,
-                           capacity=capacity, symmetry=symmetry, quads=quads)
-    path = os.path.join(frontier_dir, "frontier.sqlite")
-    samples = sample_frontier_states(
-        path, k=1, seed=seed,
-        fingerprint=system_fingerprint(system, config))
-    if not samples:
-        return None
-    home_map = {f"L{i}": 0 for i in range(lines)}
-    sim = _build_simulator(system, config, home_map)
-    digest, state = samples[0]
-    restore_state(sim, state)
-    return sim, home_map, digest
-
-
 def guided_workload(
     system: AsuraSystem,
     assignment: str = "v5d",
@@ -243,12 +214,6 @@ def guided_workload(
     capacity: int = 2,
     epsilon: float = 0.2,
     ledger: Optional[CoverageRecorder] = None,
-    frontier_dir: Optional[str] = None,
-    frontier_nodes: int = 2,
-    frontier_lines: int = 1,
-    frontier_capacity: int = 1,
-    frontier_symmetry=True,
-    frontier_quads: Optional[int] = None,
 ) -> Workload:
     """Coverage-guided traffic: ops biased toward unvisited table rows.
 
@@ -260,44 +225,23 @@ def guided_workload(
     unvisited rows (greedy), decaying the estimate as picks accumulate.
     Device-initiated IO transactions participate on equal footing with
     processor ops — the coverage gap every fixed scenario leaves open.
-
-    With ``frontier_dir`` the simulator additionally starts from an
-    explorer frontier state sampled out of the ``SuccessorStore`` there
-    (when its fingerprint matches the ``frontier_*`` topology), so the
-    schedule continues from the edge of what exhaustive search reached
-    instead of from the reset state.
     """
     rng = random.Random(seed)
     if ledger is None:
         ledger = read_ledger(system.db)
 
-    preset = None
-    if frontier_dir is not None:
-        preset = _frontier_preset(
-            system, frontier_dir, assignment, seed, frontier_nodes,
-            frontier_lines, frontier_capacity, frontier_symmetry,
-            frontier_quads)
-        get_tracer().incr("coverage.guided.frontier_hit" if preset
-                          else "coverage.guided.frontier_miss")
-
-    if preset is not None:
-        sim, home_map, digest = preset
-        origin = f"frontier state {digest[:12]}"
-    else:
-        config = SimConfig(
-            n_quads=n_quads,
-            nodes_per_quad=nodes_per_quad,
-            default_capacity=capacity,
-            home_map={f"L{i}": i % n_quads for i in range(n_lines)},
-            reissue_delay=6,
-        )
-        sim = Simulator(system, assignment=assignment, config=config)
-        home_map = config.home_map
-        origin = "reset state"
+    config = SimConfig(
+        n_quads=n_quads,
+        nodes_per_quad=nodes_per_quad,
+        default_capacity=capacity,
+        home_map={f"L{i}": i % n_quads for i in range(n_lines)},
+        reissue_delay=6,
+    )
+    sim = Simulator(system, assignment=assignment, config=config)
     ensure_recorder(sim)
 
     nodes = sorted(sim.nodes)
-    addrs = list(home_map)
+    addrs = list(config.home_map)
     quads = list(range(sim.config.n_quads))
     kinds = list(_OP_TABLES)
 
@@ -349,5 +293,5 @@ def guided_workload(
         simulator=sim,
         ops=ops,
         description=(f"guided workload (seed={seed}, {n_ops} ops, "
-                     f"epsilon={epsilon}, from {origin})"),
+                     f"epsilon={epsilon}, from reset state)"),
     )

@@ -18,6 +18,7 @@ from repro.explore import (
     explore_system,
 )
 from repro.runtime import JournalError, load_journal
+from repro.telemetry.tracer import Tracer, use_tracer
 
 
 class TestCleanExploration:
@@ -85,6 +86,21 @@ class TestWorkerParity:
         serial = explore_system(system, nodes=3, depth=5, workers=1)
         parallel = explore_system(system, nodes=3, depth=5, workers=4)
         assert parallel.to_dict() == serial.to_dict()
+
+
+class TestTelemetryParity:
+    """Recording a run must not change what it finds."""
+
+    def test_traced_run_matches_untraced_and_counts_its_work(self, system):
+        cfg = dict(nodes=2, lines=2, depth=10, workers=2)
+        untraced = explore_system(system, **cfg)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = explore_system(system, **cfg)
+        assert traced.to_dict() == untraced.to_dict()
+        counters = tracer.registry.snapshot()["counters"]
+        assert counters["explore.states"] == traced.states
+        assert counters["explore.transitions"] == traced.transitions
 
 
 class TestDifferentialParity:

@@ -1,12 +1,10 @@
 """Differential tests: compiled kernels vs the interpreted SQL path.
 
-The compiled dispatch kernels (``repro.core.kernel``) and the successor
-store's set-based sweep (``repro.explore.store``) are performance paths;
-the SQL-backed interpreter is the semantics oracle.  Everything here
-pins the fast paths byte-identical to the oracle: lookup results *and*
-error messages, per-state expansions, whole-run results on clean and
-mutated tables across every fault class, and warm-store sweeps against
-their own cold runs.
+The compiled dispatch kernels (``repro.core.kernel``) are the
+performance path; the SQL-backed interpreter is the semantics oracle.
+Everything here pins the fast path byte-identical to the oracle: lookup
+results *and* error messages, per-state expansions, and whole-run
+results on clean and mutated tables across every fault class.
 """
 
 import pytest
@@ -29,7 +27,6 @@ from repro.explore.explorer import (
 from repro.explore.state import canonicalize, hash_state, permute_quads
 from repro.faults.mutations import FAULT_CLASSES, MutationEngine
 from repro.protocols.asura import build_system
-from repro.telemetry.tracer import Tracer, use_tracer
 
 _LOOKUP_ERRORS = (NoMatchError, AmbiguousMatchError, SchemaError)
 
@@ -184,78 +181,6 @@ class TestMutantParity:
         assert res_c.ok and res_i.ok
         assert states_c == states_i
         assert res_c.to_dict() == res_i.to_dict()
-
-
-class TestSuccessorStore:
-    """The warm sweep replays a cold run entirely in SQL; cold and warm
-    must agree on everything a caller can observe."""
-
-    @pytest.fixture()
-    def frontier_dir(self, tmp_path):
-        return str(tmp_path / "frontier")
-
-    def test_warm_sweep_matches_cold_run(self, system, frontier_dir):
-        cfg = dict(nodes=2, depth=8, frontier_dir=frontier_dir)
-        cold, _ = _run(system, **cfg)
-        warm, _ = _run(system, **cfg)
-        assert warm.to_dict() == cold.to_dict()
-
-    def test_warm_sweep_matches_memory_run(self, system, frontier_dir):
-        cfg = dict(nodes=2, depth=8)
-        plain, plain_states = _run(system, **cfg)
-        _run(system, frontier_dir=frontier_dir, **cfg)       # cold fill
-        warm, _ = _run(system, frontier_dir=frontier_dir, **cfg)
-        assert warm.to_dict() == plain.to_dict()
-
-    def test_warm_trace_matches_plain_trace(self, system, frontier_dir):
-        """``trace_to`` after a count-only sweep falls back to the store's
-        predecessor table and must replay to the same digest."""
-        cfg = dict(nodes=2, depth=6, frontier_dir=frontier_dir)
-        _run(system, **cfg)                                  # cold fill
-        warm = ReachabilityExplorer(system, ExploreConfig(**cfg))
-        plain = ReachabilityExplorer(system, ExploreConfig(nodes=2, depth=6))
-        try:
-            warm.run()
-            plain.run()
-            for digest in plain.states:
-                assert warm.trace_to(digest) == plain.trace_to(digest)
-        finally:
-            warm.close()
-            plain.close()
-
-    def test_extending_depth_reuses_then_extends(self, system, frontier_dir):
-        _run(system, nodes=2, depth=6, frontier_dir=frontier_dir)
-        deeper, _ = _run(system, nodes=2, depth=9,
-                         frontier_dir=frontier_dir)
-        plain, _ = _run(system, nodes=2, depth=9)
-        assert deeper.to_dict() == plain.to_dict()
-
-    def test_fingerprint_invalidation_on_mutated_tables(self, system,
-                                                        frontier_dir):
-        """A store built from clean tables must not serve successors for
-        a mutated system — the fingerprint mismatch forces a rebuild,
-        and the rebuilt run matches a storeless run on the mutant."""
-        _run(system, nodes=2, depth=6, frontier_dir=frontier_dir)
-        mutated = build_system()
-        MutationEngine(mutated, seed=3,
-                       classes=["drop-row"]).sample(1)[0].apply_to(mutated)
-        got, _ = _run(mutated, nodes=2, depth=6, frontier_dir=frontier_dir)
-        want, _ = _run(mutated, nodes=2, depth=6)
-        assert got.to_dict() == want.to_dict()
-        assert not got.ok  # the drop-row mutant does violate
-
-    def test_warm_sweep_queries_not_linear_in_transitions(self, system,
-                                                          frontier_dir):
-        """The tentpole's SQL criterion: a warm sweep costs a handful of
-        set-based queries per depth, not one per transition."""
-        cfg = dict(nodes=2, depth=10, frontier_dir=frontier_dir)
-        _run(system, **cfg)                                  # cold fill
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result, _ = _run(system, **cfg)
-        queries = tracer.registry.snapshot()["counters"]["sql.queries"]
-        assert result.transitions > 500
-        assert queries < result.transitions / 4
 
 
 class TestFullSymmetry:

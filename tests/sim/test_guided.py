@@ -6,8 +6,6 @@ distinct controller-table rows than the fixed fig2+random pair, for
 every seed the committed ``BENCH_repair.json`` records.
 """
 
-import os
-
 import pytest
 
 from repro.analysis.closedloop import guided_coverage_delta
@@ -70,33 +68,6 @@ def test_guided_beats_fixed_coverage(system, seed):
     run = guided_coverage_delta(system, seed=seed, **BUDGET)
     assert run["delta"] > 0, run
     assert run["guided_rows"] > run["fixed_rows"]
-
-
-class TestFrontierOrigin:
-    def test_missing_frontier_falls_back(self, system, tmp_path):
-        w = guided_workload(system, seed=0, n_ops=10,
-                            ledger=CoverageRecorder(),
-                            frontier_dir=str(tmp_path))
-        assert "frontier" not in w.description
-        assert w.run(max_steps=400).status == "quiescent"
-
-    def test_resumes_from_explorer_frontier(self, system, tmp_path):
-        from repro.explore import ExploreConfig, ReachabilityExplorer
-
-        frontier = str(tmp_path / "frontier")
-        os.makedirs(frontier)
-        explorer = ReachabilityExplorer(system, ExploreConfig(
-            nodes=2, depth=4, lines=1, assignment="v5d", workers=1,
-            frontier_dir=frontier))
-        try:
-            assert explorer.run().ok
-        finally:
-            explorer.close()
-        w = guided_workload(system, seed=0, n_ops=12,
-                            ledger=CoverageRecorder(),
-                            frontier_dir=frontier)
-        assert "from frontier state" in w.description
-        assert w.run(max_steps=600).status == "quiescent"
 
 
 class TestGuidedCli:

@@ -388,6 +388,16 @@ class TestExploreCommand:
         assert exc.value.code == 2
         assert "--no-symmetry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--frontier-dir", "d"],
+        ["simulate", "--guided", "--frontier-dir", "d"],
+    ])
+    def test_frontier_dir_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--frontier-dir" in capsys.readouterr().err
+
     def test_resume_with_conflicting_journal_exits_2(self, capsys):
         assert main(["explore", "--resume", "a.jsonl",
                      "--journal", "b.jsonl"]) == 2
@@ -441,6 +451,12 @@ class TestMutateOracleFlags:
     def test_unknown_oracle_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mutate", "--oracle", "bdd"])
+
+    def test_oracle_kernel_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", "--oracle-kernel", "compiled"])
+        assert exc.value.code == 2
+        assert "--oracle-kernel" in capsys.readouterr().err
 
     def test_oracle_campaign_prints_false_negatives(self, capsys):
         assert main(["mutate", "--count", "2", "--workers", "1",
