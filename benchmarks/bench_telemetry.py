@@ -16,12 +16,12 @@ import pytest
 
 from repro.telemetry import (
     NULL_TRACER,
+    JsonlSink,
     RelayTracer,
-    SpoolSink,
     TraceContext,
     Tracer,
     merge_spool,
-    read_spool,
+    read_jsonl,
     set_context,
 )
 
@@ -32,7 +32,7 @@ EVENTS_PER_ROUND = 200
 def _fill_spool(path, events=EVENTS_PER_ROUND):
     """Write a worker-shaped spool: spans, slow SQL, and counters under
     a unit/worker trace context, exactly as ``_child_main`` would."""
-    tracer = RelayTracer(sinks=[SpoolSink(path)], slow_sql_seconds=0.05)
+    tracer = RelayTracer(sinks=[JsonlSink(path)], slow_sql_seconds=0.05)
     set_context(TraceContext(run_id="bench", unit_id=7, worker_id="proc-1"))
     try:
         for i in range(events):
@@ -57,7 +57,7 @@ def test_worker_spool_append(benchmark, tmp_path):
     path = benchmark.pedantic(
         spool_batch, rounds=ROUNDS, iterations=1, warmup_rounds=1,
     )
-    events = read_spool(path)
+    events = read_jsonl(path)
     assert sum(1 for e in events if e["type"] == "span") == EVENTS_PER_ROUND
     assert all(e.get("worker_id") == "proc-1" for e in events)
 

@@ -16,9 +16,9 @@
 
 Every subcommand (except ``watch``, which only observes) also accepts
 the telemetry flags ``--profile`` (human text summary), ``--trace-out
-events.jsonl`` (JSONL event stream, flushed per event unless
-``--trace-buffered``), ``--report-out report.json`` (machine-readable
-run report), and ``--quiet`` (suppress the normal human output) — see
+events.jsonl`` (JSONL event stream, flushed per event so ``repro watch``
+sees it live), ``--report-out report.json`` (machine-readable run
+report), and ``--quiet`` (suppress the normal human output) — see
 ``docs/OBSERVABILITY.md`` — plus the database flags ``--db PATH``
 (attach to an existing generated database file) and ``--save-db PATH``
 (generate into a file for later ``--db`` runs).
@@ -58,10 +58,6 @@ def _telemetry_parent() -> argparse.ArgumentParser:
                    help="print a telemetry summary (spans, SQL, counters)")
     g.add_argument("--trace-out", metavar="PATH", default=None,
                    help="stream every telemetry event to PATH as JSONL")
-    g.add_argument("--trace-buffered", action="store_true",
-                   help="buffer the --trace-out stream instead of flushing "
-                        "per event (fewer syscalls; tail -f and repro watch "
-                        "lose liveness)")
     g.add_argument("--report-out", metavar="PATH", default=None,
                    help="write the machine-readable JSON run report to PATH")
     g.add_argument("--quiet", action="store_true",
@@ -412,20 +408,10 @@ def _cmd_simulate(system, args) -> int:
 
 
 def _cmd_repair(system, args) -> int:
-    import json
-
     from .core.repair import DeadlockRepairer
     from .runtime import JournalError, atomic_write_json
 
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro: error: cannot read baseline "
-                  f"{args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
+    baseline = _read_baseline(args.baseline)
     # ``for_system`` binds the repairer to the loaded system — under
     # --variant that is the family member's own tables, deadlock specs,
     # and V, and re-verification (invariants, oracle) runs against the
@@ -490,8 +476,6 @@ def _cmd_codegen(system, args) -> int:
 
 
 def _cmd_mutate(system, args) -> int:
-    import json
-
     from .faults import compare_to_baseline, run_campaign
     from .runtime import JournalError, atomic_write_json
 
@@ -504,22 +488,8 @@ def _cmd_mutate(system, args) -> int:
               "continue; --journal must be omitted or identical",
               file=sys.stderr)
         return 2
-    if args.matrix_out:
-        try:
-            # Fail fast on an unwritable matrix path, before the campaign.
-            open(args.matrix_out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro: error: cannot read baseline "
-                  f"{args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
+    _check_writable(args.matrix_out)
+    baseline = _read_baseline(args.baseline)
     try:
         result = run_campaign(
             system=system, seed=args.seed, count=args.count,
@@ -558,13 +528,7 @@ def _cmd_explore(system, args) -> int:
               "continue; --journal must be omitted or identical",
               file=sys.stderr)
         return 2
-    if args.out:
-        try:
-            # Fail fast on an unwritable result path, before the search.
-            open(args.out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+    _check_writable(args.out)
     # ``True`` (not "quad") when the flag is not given, so journal
     # headers written by older versions keep resuming cleanly.
     symmetry = args.symmetry or True
@@ -700,8 +664,6 @@ def _cmd_family(args) -> int:
     """The cross-family differential pipeline.  Self-loading: generates
     one fresh system per member instead of taking the single system the
     other subcommands get from :func:`_load_system`."""
-    import json
-
     from .faults import compare_to_baseline
     from .protocols.family import SPECS, build_variant
     from .runtime import atomic_write_json
@@ -710,22 +672,8 @@ def _cmd_family(args) -> int:
         print("repro: error: family generates its own databases; "
               "--db/--save-db do not apply", file=sys.stderr)
         return 2
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro: error: cannot read baseline "
-                  f"{args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
-    if args.matrix_out:
-        try:
-            # Fail fast on an unwritable matrix path, before the runs.
-            open(args.matrix_out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+    baseline = _read_baseline(args.baseline)
+    _check_writable(args.matrix_out)
 
     keys = tuple(SPECS) if args.all else (args.variant or "mesi",)
     members: dict = {}
@@ -804,9 +752,33 @@ _COMMANDS = {
 }
 
 
-class _SystemLoadError(RuntimeError):
-    """A --db/--save-db path could not be used; the message is the
-    user-facing diagnostic (printed without a traceback)."""
+class _UsageError(RuntimeError):
+    """A path or flag combination given on the command line cannot be
+    used; the message is the user-facing diagnostic (printed without a
+    traceback, exit 2)."""
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Fail fast on an unwritable output path, before the work starts."""
+    if path:
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _UsageError(str(exc)) from exc
+
+
+def _read_baseline(path: Optional[str]):
+    """The parsed JSON ``--baseline`` file, or ``None`` without one."""
+    import json
+
+    if not path:
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(
+            f"cannot read baseline {path!r}: {exc}") from exc
 
 
 def _load_system(args):
@@ -829,22 +801,22 @@ def _load_system(args):
     save_path = getattr(args, "save_db", None)
     variant = getattr(args, "variant", None)
     if db_path and save_path:
-        raise _SystemLoadError("--db and --save-db are mutually exclusive")
+        raise _UsageError("--db and --save-db are mutually exclusive")
     if db_path:
         if not os.path.exists(db_path):
-            raise _SystemLoadError(
+            raise _UsageError(
                 f"database file {db_path!r} does not exist "
                 f"(generate one with --save-db)")
         try:
             db = ProtocolDatabase(db_path)
             marker = read_variant_marker(db)
             if variant is not None and variant != marker:
-                raise _SystemLoadError(
+                raise _UsageError(
                     f"--variant {variant} conflicts with the {marker!r} "
                     f"member recorded in {db_path!r}")
             return attach_variant(db, marker)
         except (DatabaseError, SchemaError, sqlite3.Error) as exc:
-            raise _SystemLoadError(
+            raise _UsageError(
                 f"cannot load protocol database {db_path!r}: "
                 f"{str(exc).splitlines()[0]}") from exc
     if save_path:
@@ -852,10 +824,26 @@ def _load_system(args):
             return build_variant(variant or "mesi",
                                  ProtocolDatabase(save_path))
         except (DatabaseError, sqlite3.Error) as exc:
-            raise _SystemLoadError(
+            raise _UsageError(
                 f"cannot generate a database at {save_path!r}: "
                 f"{str(exc).splitlines()[0]}") from exc
     return build_variant(variant or "mesi")
+
+
+def _dispatch(args, command, *command_args) -> int:
+    """Run one subcommand, swallowing its output under ``--quiet``."""
+    try:
+        sink = io.StringIO() if args.quiet else None
+        with contextlib.redirect_stdout(sink) if sink \
+                else contextlib.nullcontext():
+            return command(*command_args)
+    except BrokenPipeError:
+        # Output piped into a pager/head that exited early; not an error.
+        try:
+            sys.stdout.close()
+        except Exception:
+            pass
+        return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -870,14 +858,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collect = bool(args.profile or args.trace_out or args.report_out)
     if collect:
         try:
-            if args.report_out:
-                # Fail fast on an unwritable report path — before the
-                # build, not after the run's work is already done.
-                open(args.report_out, "a", encoding="utf-8").close()
-            tracer = telemetry.configure(
-                trace_path=args.trace_out,
-                trace_flush=not args.trace_buffered)
-        except OSError as exc:
+            # Before the build, not after the run's work is already done.
+            _check_writable(args.report_out)
+            tracer = telemetry.configure(trace_path=args.trace_out)
+        except (_UsageError, OSError) as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -885,35 +869,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command in _SELF_SYSTEM_COMMANDS:
-            try:
-                sink = io.StringIO() if args.quiet else None
-                with contextlib.redirect_stdout(sink) if sink \
-                        else contextlib.nullcontext():
-                    return _SELF_SYSTEM_COMMANDS[args.command](args)
-            except BrokenPipeError:
-                try:
-                    sys.stdout.close()
-                except Exception:
-                    pass
-                return 0
+            return _dispatch(args, _SELF_SYSTEM_COMMANDS[args.command], args)
+        system = _load_system(args)
         try:
-            system = _load_system(args)
-        except _SystemLoadError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            sink = io.StringIO() if args.quiet else None
-            with contextlib.redirect_stdout(sink) if sink else contextlib.nullcontext():
-                return _COMMANDS[args.command](system, args)
-        except BrokenPipeError:
-            # Output piped into a pager/head that exited early; not an error.
-            try:
-                sys.stdout.close()
-            except Exception:
-                pass
-            return 0
+            return _dispatch(args, _COMMANDS[args.command], system, args)
         finally:
             system.db.close()
+    except _UsageError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if collect:
             try:

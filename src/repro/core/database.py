@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
@@ -92,40 +91,6 @@ class IndexSpec:
         )
 
 
-class _LRUCache:
-    """A tiny bounded LRU map for metadata probe results."""
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        self._data: OrderedDict[Any, Any] = OrderedDict()
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        try:
-            self._data.move_to_end(key)
-            return self._data[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def put(self, key: Any, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-#: first SQL keyword -> which metadata caches the statement can invalidate.
-#: DML changes row counts; DDL can change schema *and* counts.  Unknown
-#: verbs conservatively invalidate everything.
-_READ_VERBS = frozenset({"SELECT", "WITH", "PRAGMA", "EXPLAIN", "ANALYZE"})
-_DML_VERBS = frozenset({"INSERT", "UPDATE", "DELETE", "REPLACE"})
-
-
 #: statement prefixes whose plans ``EXPLAIN QUERY PLAN`` can prepare even
 #: after the original ran (a second CREATE would fail on "already exists").
 _PLANNABLE = ("SELECT", "WITH", "INSERT", "UPDATE", "DELETE")
@@ -159,14 +124,13 @@ class ProtocolDatabase:
     #: rows per ``executemany`` batch in :meth:`insert_rows`.
     INSERT_CHUNK = 512
 
-    def __init__(self, path: str = ":memory:", cache_metadata: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         # A generous prepared-statement cache: the pipelines re-issue the
         # same parameterized probes (row counts, lookups) thousands of
         # times per run.
         self._conn = sqlite3.connect(path, cached_statements=256)
         self._conn.row_factory = _dict_factory
-        self._retry_policy = retry_policy or DB_RETRY_POLICY
+        self._retry_policy = DB_RETRY_POLICY
         if ":memory:" in path or "mode=memory" in path:
             # The workloads are bulk inserts + analytical reads; classic
             # journaling adds nothing for an in-memory scratch database.
@@ -179,13 +143,6 @@ class ProtocolDatabase:
             self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
             self._conn.execute("PRAGMA synchronous = NORMAL")
-        self._cache_metadata = cache_metadata
-        # Schema-level facts (table existence, column lists) survive DML;
-        # row counts survive only reads.  Both are invalidated from
-        # execute()/executemany(), so callers issuing writes through this
-        # class never observe a stale probe.
-        self._schema_cache = _LRUCache()
-        self._count_cache = _LRUCache()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -251,7 +208,7 @@ class ProtocolDatabase:
         return PORTABLE_SNAPSHOT_MAGIC + script.encode("utf-8")
 
     @classmethod
-    def deserialize(cls, data: bytes, cache_metadata: bool = True) -> "ProtocolDatabase":
+    def deserialize(cls, data: bytes) -> "ProtocolDatabase":
         """A new in-memory database restored from :meth:`snapshot` bytes.
 
         Accepts both snapshot formats (raw ``sqlite3.serialize`` image and
@@ -259,7 +216,7 @@ class ProtocolDatabase:
         including :class:`IndexSpec` indexes, so a restored clone keeps the
         query plans the analysis engines were tuned for.  Raw images
         require Python 3.11+; the portable format restores anywhere."""
-        db = cls(cache_metadata=cache_metadata)
+        db = cls()
         if data.startswith(PORTABLE_SNAPSHOT_MAGIC):
             script = data[len(PORTABLE_SNAPSHOT_MAGIC):].decode("utf-8")
             db._conn.executescript(script)
@@ -275,35 +232,7 @@ class ProtocolDatabase:
                 "(serialize()/deserialize() need 3.11+); create the "
                 "snapshot with snapshot(portable=True) instead"
             )
-        db.invalidate_caches()
         return db
-
-    # -- metadata cache -----------------------------------------------------------
-    def invalidate_caches(self) -> None:
-        """Drop every cached metadata probe (automatic for writes issued
-        through this class; call manually after raw ``connection`` writes)."""
-        self._schema_cache.clear()
-        self._count_cache.clear()
-
-    def _note_statement(self, sql: str) -> None:
-        """Invalidate metadata caches according to the statement verb."""
-        verb = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
-        if verb in _READ_VERBS:
-            return
-        self._count_cache.clear()
-        if verb not in _DML_VERBS:
-            self._schema_cache.clear()
-
-    def _cached_probe(self, cache: _LRUCache, key: Any, compute) -> Any:
-        if not self._cache_metadata:
-            return compute()
-        if key in cache:
-            get_tracer().incr("db.cache.hits")
-            return cache.get(key)
-        get_tracer().incr("db.cache.misses")
-        value = compute()
-        cache.put(key, value)
-        return value
 
     # -- raw access -----------------------------------------------------------
     def _explain(self, sql: str, params: Sequence) -> Optional[list]:
@@ -329,7 +258,6 @@ class ProtocolDatabase:
         if self._closed:
             raise DatabaseError(
                 f"database is closed; cannot execute:\n{sql}")
-        self._note_statement(sql)
         tracer = get_tracer()
         if not tracer.enabled:
             try:
@@ -400,7 +328,6 @@ class ProtocolDatabase:
         if self._closed:
             raise DatabaseError(
                 f"database is closed; cannot execute:\n{sql}")
-        self._note_statement(sql)
         # Materialize before the first attempt: ``rows`` may be a
         # one-shot iterator that a failed attempt would have partially
         # consumed, which is what used to make retrying unsafe here.
@@ -465,36 +392,23 @@ class ProtocolDatabase:
 
     # -- table management -------------------------------------------------------
     def table_exists(self, name: str) -> bool:
-        return self._cached_probe(
-            self._schema_cache,
-            ("exists", name),
-            lambda: self.scalar(
-                "SELECT COUNT(*) FROM sqlite_master WHERE type IN ('table','view') AND name = ?",
-                (name,),
-            )
-            > 0,
-        )
+        return self.scalar(
+            "SELECT COUNT(*) FROM sqlite_master WHERE type IN ('table','view') AND name = ?",
+            (name,),
+        ) > 0
 
     def drop_table(self, name: str) -> None:
         self.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
         self.execute(f"DROP VIEW IF EXISTS {quote_ident(name)}")
 
     def row_count(self, name: str) -> int:
-        return self._cached_probe(
-            self._count_cache,
-            name,
-            lambda: int(self.scalar(f"SELECT COUNT(*) FROM {quote_ident(name)}")),
-        )
+        return int(self.scalar(f"SELECT COUNT(*) FROM {quote_ident(name)}"))
 
     def table_columns(self, name: str) -> list[str]:
-        return self._cached_probe(
-            self._schema_cache,
-            ("columns", name),
-            lambda: [
-                r["name"]
-                for r in self.query(f"PRAGMA table_info({quote_ident(name)})")
-            ],
-        )
+        return [
+            r["name"]
+            for r in self.query(f"PRAGMA table_info({quote_ident(name)})")
+        ]
 
     # -- indexes and planner statistics ------------------------------------------
     def create_index(

@@ -54,8 +54,6 @@ from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
     JournalError,
-    RetryPolicy,
-    call_with_retry,
     load_journal,
     run_units,
 )
@@ -78,12 +76,6 @@ MATRIX_SCHEMA = "repro.faults.matrix/v1"
 
 #: ``kind`` stamped into campaign checkpoint-journal headers.
 JOURNAL_KIND = "mutation-campaign"
-
-#: retry policy for the per-mutant clone (snapshot -> deserialize):
-#: cloning races the other workers' page cache only transiently, so a
-#: couple of quick backoffs beat failing the whole mutant.
-CLONE_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02,
-                                 max_delay=0.5, jitter=0.5)
 
 #: detection layers, earliest first; ESCAPED sorts after all of them.
 LAYERS = ("invariants", "deadlock", "simulation")
@@ -459,9 +451,7 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
 
     t0 = time.perf_counter()
     degraded = False
-    db = call_with_retry(
-        lambda: ProtocolDatabase.deserialize(snapshot),
-        CLONE_RETRY_POLICY, metric="mutate.clone_retries")
+    db = ProtocolDatabase.deserialize(snapshot)
     try:
         # The variant marker inside the snapshot recovers the right
         # family member; an unmarked (MESI) snapshot attaches as before.

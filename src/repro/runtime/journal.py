@@ -8,11 +8,14 @@ a journal from a different seed/assignment can never be silently merged
 into the wrong campaign.
 
 The tail of a journal written up to the moment of a SIGKILL may end in a
-partial line; :func:`load_journal` tolerates exactly that (a malformed
-*final* line) and rejects corruption anywhere else.  Reopening such a
-journal with :meth:`CheckpointJournal.open` truncates the torn tail
-before appending, so the resumed run's records start on a fresh line
-instead of concatenating onto the partial one.
+partial line; :func:`scan_journal` tolerates exactly that (a final line
+that is malformed or lacks its newline) and rejects corruption anywhere
+else — the rule :func:`~repro.telemetry.sinks.scan_jsonl` applies to
+every JSONL file in the package.  Reopening such a journal with
+:meth:`CheckpointJournal.open` truncates the torn tail before
+appending, so the resumed run's records start on a fresh line instead
+of concatenating onto the partial one.  A run that re-records a unit
+appends it again; readers keep the latest record per unit id.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ import os
 import time
 from typing import Any, Optional
 
-from .atomic import atomic_write_text
+from ..telemetry.sinks import scan_jsonl
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "JournalError",
     "CheckpointJournal",
     "load_journal",
+    "scan_journal",
 ]
 
 #: schema tag stamped into every journal header record.
@@ -55,15 +59,14 @@ class CheckpointJournal:
         self.header = header
 
     @classmethod
-    def open(cls, path: str, header: dict[str, Any],
-             fsync: bool = True) -> "CheckpointJournal":
+    def open(cls, path: str, header: dict[str, Any]) -> "CheckpointJournal":
         """Create ``path`` with ``header``, or append to an existing
         journal after checking every header key matches (``count``-style
         keys the caller wants to allow to differ simply stay out of
         ``header``)."""
         existing: Optional[dict[str, Any]] = None
         if os.path.exists(path) and os.path.getsize(path) > 0:
-            existing, _, durable_end = _scan_journal(path)
+            existing, _, durable_end = _scan_for_resume(path)
             if existing is None:
                 raise JournalError(
                     f"journal {path!r} has no header record")
@@ -80,65 +83,20 @@ class CheckpointJournal:
                 os.truncate(path, durable_end)
         fh = open(path, "a", encoding="utf-8")
         journal = cls(path, fh, dict(existing or header))
-        journal._fsync = fsync
         if existing is None:
             journal._append({"type": "header", "schema": JOURNAL_SCHEMA,
                              **header})
         return journal
 
-    _fsync = True
-
     def _append(self, record: dict[str, Any]) -> None:
         self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
         self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def record(self, unit_id: Any, data: Any) -> None:
         """Durably append one completed unit's result."""
         self._append({"type": "unit", "id": unit_id, "data": data,
                       "ts": time.time()})
-
-    def compact(self) -> int:
-        """Atomically rewrite the journal keeping only live records.
-
-        A journal that re-records units (a campaign or exploration run
-        again on the same ``--journal`` without ``--resume`` appends
-        every unit a second time) keeps every superseded record;
-        compaction rewrites it down to the header plus the *latest*
-        record per unit id — exactly what :func:`load_journal` would
-        have surfaced anyway — and reopens the append handle on the new
-        file.  It is the one way to shrink a journal without a window in
-        which a kill could lose it, so it stays even though no run
-        compacts on its own.  The rewrite is a fully-written, fsync'd
-        sibling temp file swapped in with ``os.replace``, so a crash at
-        any instant leaves either the old complete journal or the new
-        complete journal on disk, never a prefix and never a lost
-        record.  Returns the number of superseded records dropped."""
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-        raw_header, latest, order, total_records = _scan_live_records(
-            self.path)
-        if raw_header is None:
-            raise JournalError(
-                f"cannot compact journal {self.path!r}: no header record")
-        lines = [json.dumps(raw_header, sort_keys=True, default=str)]
-        lines.extend(json.dumps(latest[unit_id], sort_keys=True, default=str)
-                     for unit_id in order)
-        # Close before the swap: the old handle points at the old inode,
-        # and an append there after the replace would be silently lost.
-        self._fh.close()
-        self._fh = None
-        try:
-            atomic_write_text(self.path, "\n".join(lines) + "\n")
-        finally:
-            # Reopen even if the swap failed: either file is a complete,
-            # consistent journal, and the caller's handle must keep
-            # working (crash-during-compaction is survivable, a dead
-            # handle afterwards is not).
-            self._fh = open(self.path, "a", encoding="utf-8")
-        return total_records - len(order)
 
     def close(self) -> None:
         """Close the underlying file (idempotent)."""
@@ -153,99 +111,48 @@ class CheckpointJournal:
         self.close()
 
 
-def _scan_raw(
+def scan_journal(
     path: str,
-) -> tuple[Optional[dict[str, Any]], dict[Any, dict[str, Any]],
-           list[Any], int, int]:
-    """Parse a journal, returning ``(header_record, latest, order,
-    total_units, durable_end)``.
+) -> tuple[Optional[dict[str, Any]], dict[Any, dict[str, Any]], int]:
+    """Parse a journal: ``(header, latest, durable_end)``.
 
-    ``header_record`` is the raw header line (``type``/``schema`` keys
-    included); ``latest`` maps each unit id to its *latest* raw record;
-    ``order`` lists unit ids by first appearance; ``total_units`` counts
-    every durable unit record including superseded duplicates.
-    ``durable_end`` is the byte offset just past the last durable record
-    — well-formed JSON terminated by a newline.  A final line that is
-    malformed *or* missing its newline is the tear a kill mid-append
-    leaves behind: its record never became durable, so it is excluded
-    everywhere (a resume re-runs that unit).  Malformed lines anywhere
-    before the tail mean real corruption and raise
-    :class:`JournalError`."""
+    ``header`` is the header record without its ``type``/``schema``
+    bookkeeping keys (``None`` when there is none); ``latest`` maps each
+    unit id, in order of first appearance, to its *latest* raw unit
+    record (``id``/``data``/``ts``); ``durable_end`` is the byte offset
+    just past the last durable record.  The durability rule is
+    :func:`~repro.telemetry.sinks.scan_jsonl`'s: a torn final line is
+    dropped (a resume re-runs that unit), corruption anywhere before it
+    raises :class:`JournalError`.  A missing file raises ``OSError``."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path!r}: {exc}") from exc
-    header_record: Optional[dict[str, Any]] = None
+        records, durable_end = scan_jsonl(path)
+    except ValueError as exc:
+        raise JournalError(f"journal {exc}") from exc
+    header: Optional[dict[str, Any]] = None
     latest: dict[Any, dict[str, Any]] = {}
-    order: list[Any] = []
-    total_units = 0
-    durable_end = 0
-    offset = 0
-    lineno = 0
-    total = len(raw)
-    while offset < total:
-        newline = raw.find(b"\n", offset)
-        terminated = newline != -1
-        end = newline + 1 if terminated else total
-        chunk = raw[offset:newline if terminated else total]
-        lineno += 1
-        if not chunk.strip():
-            if terminated:
-                durable_end = end
-            offset = end
-            continue
-        try:
-            record = json.loads(chunk.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if end >= total:
-                break  # torn tail write from a kill mid-append
-            raise JournalError(
-                f"journal {path!r} is corrupt at line {lineno}: "
-                f"{exc}") from exc
-        if not terminated:
-            break  # complete JSON whose newline never hit the disk
+    for record in records:
         kind = record.get("type")
         if kind == "header":
             if record.get("schema") != JOURNAL_SCHEMA:
                 raise JournalError(
                     f"journal {path!r} has schema "
                     f"{record.get('schema')!r}, expected {JOURNAL_SCHEMA!r}")
-            header_record = record
+            header = {k: v for k, v in record.items()
+                      if k not in ("type", "schema")}
         elif kind == "unit":
-            unit_id = record.get("id")
-            if unit_id not in latest:
-                order.append(unit_id)
-            latest[unit_id] = record
-            total_units += 1
-        durable_end = end
-        offset = end
-    return header_record, latest, order, total_units, durable_end
+            latest[record.get("id")] = record
+    return header, latest, durable_end
 
 
-def _scan_journal(
+def _scan_for_resume(
     path: str,
-) -> tuple[Optional[dict[str, Any]], dict[Any, Any], int]:
-    """Parse a journal, returning ``(header, units, durable_end)`` —
-    the :func:`_scan_raw` view with the header's bookkeeping keys
-    stripped and each unit reduced to its latest ``data``."""
-    header_record, latest, order, _, durable_end = _scan_raw(path)
-    header = None
-    if header_record is not None:
-        header = {k: v for k, v in header_record.items()
-                  if k not in ("type", "schema")}
-    units = {unit_id: latest[unit_id].get("data") for unit_id in order}
-    return header, units, durable_end
-
-
-def _scan_live_records(
-    path: str,
-) -> tuple[Optional[dict[str, Any]], dict[Any, dict[str, Any]],
-           list[Any], int]:
-    """The compaction view: ``(raw_header_record, latest_raw_records,
-    order, total_unit_records)``."""
-    header_record, latest, order, total_units, _ = _scan_raw(path)
-    return header_record, latest, order, total_units
+) -> tuple[Optional[dict[str, Any]], dict[Any, dict[str, Any]], int]:
+    """:func:`scan_journal` for a run about to resume, where a journal
+    that cannot be read is a :class:`JournalError` like any other."""
+    try:
+        return scan_journal(path)
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path!r}: {exc}") from exc
 
 
 def load_journal(path: str) -> tuple[dict[str, Any], dict[Any, Any]]:
@@ -255,7 +162,8 @@ def load_journal(path: str) -> tuple[dict[str, Any], dict[Any, Any]]:
     killed — malformed, or valid JSON missing its newline) is discarded;
     malformed lines anywhere else mean real corruption and raise
     :class:`JournalError`.  Duplicate unit ids keep the latest record."""
-    header, units, _ = _scan_journal(path)
+    header, latest, _ = _scan_for_resume(path)
     if header is None:
         raise JournalError(f"journal {path!r} has no header record")
-    return header, units
+    return header, {unit_id: record.get("data")
+                    for unit_id, record in latest.items()}

@@ -10,10 +10,12 @@ itself — and renders what the run has done so far: per-stage progress,
 throughput and ETA, the partial detection matrix, in-flight units.
 
 Both inputs are append-only files that may be mid-write when read, so
-both readers tolerate a torn final line (the same discipline as
-:func:`~repro.runtime.journal.load_journal` and
-:func:`~repro.telemetry.relay.read_spool`).  A snapshot is therefore
-always a consistent prefix of the run, never an error.
+both go through the package's one JSONL reader
+(:func:`~repro.telemetry.sinks.scan_jsonl`), which drops a torn final
+line — malformed, or complete JSON whose newline is not on disk yet.
+The journal is read by :func:`~repro.runtime.journal.scan_journal`,
+the same scanner a resume uses, so a snapshot counts exactly the units
+a resume would restore: always a consistent prefix of the run.
 
 ``watch_once`` produces one snapshot dict — the machine interface
 (``--json``) and what CI asserts against; :func:`render_snapshot` turns
@@ -27,10 +29,10 @@ import sys
 import time
 from typing import Any, Optional
 
-from ..telemetry.relay import read_spool
+from ..telemetry.sinks import read_jsonl
+from .journal import JournalError, scan_journal
 
 __all__ = [
-    "read_journal_tail",
     "watch_once",
     "render_snapshot",
     "run_watch",
@@ -42,47 +44,6 @@ _KINDS = {"mutation-campaign": "mutants", "explore": "depths"}
 #: detection layers in pipeline order, as rendered in the matrix row.
 _MATRIX_COLUMNS = ("invariants", "deadlock", "simulation", "oracle",
                    "escaped")
-
-
-def read_journal_tail(path: str) -> tuple[dict, list[dict]]:
-    """Read a (possibly in-flight) checkpoint journal, keeping record
-    timestamps.
-
-    Returns ``(header, records)`` where each record is the raw
-    ``{"id", "data", "ts"}`` journal line, in append order with
-    duplicates preserved (a resumed run legitimately re-records units;
-    the caller dedupes).  The torn final line a concurrent append (or a
-    kill) leaves behind is dropped.  A missing file raises ``OSError``
-    — the caller decides whether to wait or fail."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header: dict = {}
-    records: list[dict] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail: the append in flight right now
-            raise
-        if not isinstance(record, dict):
-            continue
-        if record.get("type") == "header":
-            header = {k: v for k, v in record.items()
-                      if k not in ("type", "schema")}
-        elif record.get("type") == "unit":
-            records.append(record)
-    return header, records
-
-
-def _dedupe(records: list[dict]) -> dict[Any, dict]:
-    """Latest record per unit id, preserving journal semantics."""
-    out: dict[Any, dict] = {}
-    for record in records:
-        out[record.get("id")] = record
-    return out
 
 
 def _throughput(records: dict[Any, dict],
@@ -181,16 +142,18 @@ def watch_once(journal_path: str, events_path: Optional[str] = None,
 
     Reads the checkpoint journal at ``journal_path`` and, when given,
     the ``--trace-out`` event stream at ``events_path``.  Raises
-    ``OSError`` when the journal does not exist (yet) and ``ValueError``
-    for a journal kind this watcher does not understand."""
+    ``OSError`` when the journal does not exist (yet),
+    :class:`~repro.runtime.journal.JournalError` when it is corrupt
+    before its tail, and ``ValueError`` for a journal kind this watcher
+    does not understand."""
     now = time.time() if now is None else now
-    header, raw_records = read_journal_tail(journal_path)
+    header, records, _ = scan_journal(journal_path)
+    header = header or {}
     kind = header.get("kind")
     if kind is not None and kind not in _KINDS:
         raise ValueError(
             f"journal {journal_path!r} has kind {kind!r}; "
             f"watch understands {sorted(_KINDS)}")
-    records = _dedupe(raw_records)
     rate, age = _throughput(records, now)
     snap: dict[str, Any] = {
         "journal": journal_path,
@@ -208,7 +171,7 @@ def watch_once(journal_path: str, events_path: Optional[str] = None,
     elif kind == "explore":
         _explore_snapshot(snap, records)
     if events_path is not None:
-        _apply_events(snap, read_spool(events_path))
+        _apply_events(snap, read_jsonl(events_path))
     total = snap.get("total")
     if total and rate and total > snap["done"]:
         snap["eta_seconds"] = (total - snap["done"]) / rate
@@ -303,7 +266,7 @@ def run_watch(journal_path: str, events_path: Optional[str] = None,
             print(f"waiting for journal {journal_path!r} …", file=stream,
                   flush=True)
             snap = None
-        except ValueError as exc:
+        except (JournalError, ValueError) as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
         if snap is not None:

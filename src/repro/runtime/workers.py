@@ -26,7 +26,8 @@ runs under a :class:`~repro.telemetry.context.TraceContext`
 Inline units record straight into the parent tracer (``worker_id``
 ``"inline"``); process workers each install a
 :class:`~repro.telemetry.relay.RelayTracer` spooling their spans, SQL
-statements, and metric mutations to a private append-only JSONL file,
+statements, and metric mutations through a
+:class:`~repro.telemetry.sinks.JsonlSink` to a private JSONL file,
 which the parent merges into the main tracer as each unit finishes
 (:func:`~repro.telemetry.relay.merge_spool`) — including the partial
 spools of crashed, SIGKILLed, and timed-out workers, whose events up to
@@ -88,8 +89,8 @@ def _child_main(conn, fn, payload, relay: Optional[dict] = None) -> None:
     everything to the spool for the parent-side merge."""
     from ..telemetry import (
         NULL_TRACER,
+        JsonlSink,
         RelayTracer,
-        SpoolSink,
         TraceContext,
         set_context,
         set_tracer,
@@ -100,7 +101,7 @@ def _child_main(conn, fn, payload, relay: Optional[dict] = None) -> None:
         set_tracer(NULL_TRACER)
     else:
         tracer = RelayTracer(
-            sinks=[SpoolSink(relay["spool"])],
+            sinks=[JsonlSink(relay["spool"])],
             slow_sql_seconds=relay.get("slow_sql_seconds", 0.05))
         set_tracer(tracer)
         set_context(TraceContext(

@@ -37,13 +37,14 @@ from .context import (
     use_context,
 )
 from .metrics import Histogram, MetricsRegistry
-from .relay import RelayTracer, SpoolSink, merge_spool, read_spool
+from .relay import RelayTracer, merge_spool
 from .sinks import (
     JsonlSink,
     ListSink,
     build_report,
     read_jsonl,
     render_summary,
+    scan_jsonl,
     write_report,
 )
 from .spans import Span, SpanStats
@@ -64,31 +65,24 @@ __all__ = [
     "JsonlSink", "ListSink",
     "TraceContext", "current_context", "set_context", "use_context",
     "new_run_id",
-    "RelayTracer", "SpoolSink", "merge_spool", "read_spool",
+    "RelayTracer", "merge_spool",
     "get_tracer", "set_tracer", "use_tracer",
     "configure", "shutdown", "span",
     "build_report", "write_report", "render_summary", "read_jsonl",
+    "scan_jsonl",
 ]
 
 
-def configure(
-    trace_path: Optional[str] = None,
-    slow_sql_seconds: Optional[float] = 0.05,
-    sinks: Optional[list] = None,
-    trace_flush: bool = True,
-) -> Tracer:
+def configure(trace_path: Optional[str] = None) -> Tracer:
     """Install (and return) a recording tracer as the active tracer.
 
     ``trace_path`` attaches a :class:`JsonlSink` streaming every event to
-    that file (flushed per event unless ``trace_flush=False``);
-    ``slow_sql_seconds`` is the threshold above which SQL statements get
-    their ``EXPLAIN QUERY PLAN`` captured (``None`` disables plan
-    capture).  Call :func:`shutdown` when the run ends.
+    that file, flushed per event.  Statements slower than the tracer's
+    default threshold get their ``EXPLAIN QUERY PLAN`` captured.  Call
+    :func:`shutdown` when the run ends.
     """
-    all_sinks = list(sinks or ())
-    if trace_path is not None:
-        all_sinks.append(JsonlSink(trace_path, flush_each=trace_flush))
-    tracer = Tracer(sinks=all_sinks, slow_sql_seconds=slow_sql_seconds)
+    sinks = [JsonlSink(trace_path)] if trace_path is not None else []
+    tracer = Tracer(sinks=sinks)
     set_tracer(tracer)
     return tracer
 

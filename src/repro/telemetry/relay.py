@@ -7,10 +7,11 @@ detection layer, every SQL statement, every counter — vanished from
 shared-memory coordination:
 
 * Each child installs a :class:`RelayTracer` writing every event to a
-  private, append-only, flush-per-event JSONL **spool** file
-  (:class:`SpoolSink`).  Because metric mutations do not produce events
-  on a plain tracer, the relay tracer additionally emits one ``metric``
-  event per ``incr``/``gauge``/``observe``, making the spool a complete
+  private, flush-per-event JSONL **spool** file through the same
+  :class:`~repro.telemetry.sinks.JsonlSink` that writes
+  ``--trace-out``.  Because metric mutations do not produce events on a
+  plain tracer, the relay tracer additionally emits one ``metric`` event
+  per ``incr``/``gauge``/``observe``, making the spool a complete
   replayable record of everything the worker's tracer saw.
 * The parent merges each unit's spool as the unit finishes
   (:func:`merge_spool`): events are re-emitted to the parent's sinks
@@ -20,56 +21,29 @@ shared-memory coordination:
   events replayed into the registry — so the merged tracer's report is
   what a single-process run would have produced, plus attribution.
 
-The spool is append-only and flushed per event, so a worker that is
-SIGKILLed mid-unit (watchdog timeout, OOM kill) still leaves every
-event up to the kill on disk; :func:`read_spool` tolerates the torn
-final line such a death leaves behind.  Partial work from crashed
-workers is therefore *visible*, attributed to its ``unit_id``, instead
-of silently discarded.
+The spool is flushed per event, so a worker that is SIGKILLed mid-unit
+(watchdog timeout, OOM kill) still leaves every event up to the kill on
+disk; :func:`~repro.telemetry.sinks.read_jsonl` drops the torn final
+line such a death leaves behind, and reads a spool the worker never
+created (it died before its first event) as no events.  Partial work
+from crashed workers is therefore *visible*, attributed to its
+``unit_id``, instead of silently discarded.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Optional
+from typing import Any
 
+from .sinks import read_jsonl
 from .spans import SpanStats
 from .tracer import Tracer, SqlStatementStats
 
 __all__ = [
-    "SpoolSink",
     "RelayTracer",
-    "read_spool",
     "merge_spool",
     "merge_event",
 ]
-
-
-class SpoolSink:
-    """Append-only JSONL sink for one worker's events.
-
-    Every write flushes, so the OS page cache holds the full event
-    stream the instant ``write`` returns — a SIGKILL later cannot lose
-    already-written events (durability across *machine* crashes is the
-    checkpoint journal's job, not the spool's).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def write(self, event: dict[str, Any]) -> None:
-        """Append one event as a JSON line and flush it."""
-        if self._fh is not None:
-            self._fh.write(json.dumps(event, default=str) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        """Close the spool file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class RelayTracer(Tracer):
@@ -91,33 +65,6 @@ class RelayTracer(Tracer):
         """Record a histogram sample and spool the mutation."""
         super().observe(name, value)
         self.emit("metric", op="observe", name=name, value=value)
-
-
-def read_spool(path: str) -> list[dict[str, Any]]:
-    """Load a worker spool, tolerating the torn tail a kill leaves.
-
-    A missing file yields ``[]`` (the worker died before its first
-    event).  A final line that fails to parse is the event being
-    written when the worker was killed: it is dropped, like the
-    checkpoint journal's torn-tail handling."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return []
-    events: list[dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail: the write the kill interrupted
-            raise
-        if isinstance(event, dict):
-            events.append(event)
-    return events
 
 
 def merge_event(tracer: Tracer, event: dict[str, Any]) -> None:
@@ -190,7 +137,7 @@ def merge_spool(tracer: Tracer, path: str,
     """Merge one worker spool file into ``tracer``; returns the number
     of events merged.  ``remove`` deletes the spool afterwards (the
     parent's per-unit cleanup)."""
-    events = read_spool(path)
+    events = read_jsonl(path)
     for event in events:
         merge_event(tracer, event)
     if remove:

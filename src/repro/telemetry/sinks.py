@@ -1,10 +1,16 @@
 """Telemetry sinks: JSONL event stream, text summary, JSON run report.
 
-Three export formats for one :class:`~repro.telemetry.tracer.Tracer`:
+Three export formats for one :class:`~repro.telemetry.tracer.Tracer`,
+and the package's one JSONL reader:
 
 * :class:`JsonlSink` — every event (spans, SQL queries, simulator
   messages) appended as one JSON object per line while the run executes;
   the format round-trips through :func:`read_jsonl`.
+* :func:`scan_jsonl` — the one reader of every append-only JSONL file
+  in the package: ``--trace-out`` streams, worker spools, and (through
+  :mod:`repro.runtime.journal`) checkpoint journals.  A final line that
+  is malformed or lacks its newline was never written durably and is
+  dropped; corruption anywhere before the tail raises.
 * :func:`render_summary` — the human ``--profile`` text: where the time
   went, which statements dominated, what the counters say.
 * :func:`build_report` / :func:`write_report` — the machine-readable
@@ -26,6 +32,7 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "read_jsonl",
+    "scan_jsonl",
     "render_summary",
     "build_report",
     "write_report",
@@ -36,28 +43,25 @@ REPORT_SCHEMA = "repro.telemetry.report/v1"
 
 
 class JsonlSink:
-    """Appends each event as one JSON line to a file (``--trace-out``).
+    """Appends each event as one JSON line to a file (``--trace-out``
+    streams and worker spools).
 
-    By default every event is flushed as it is written, so ``tail -f``
-    and ``repro watch`` observe events as they happen instead of on
-    8 KiB stdio-buffer boundaries.  Pass ``flush_each=False`` (the CLI's
-    ``--trace-buffered``) to trade liveness for fewer syscalls on runs
-    nobody is watching."""
+    Every event is flushed as it is written, so ``tail -f`` and
+    ``repro watch`` observe events as they happen, and a worker killed
+    mid-unit leaves every event up to the kill on disk."""
 
-    def __init__(self, path: str, flush_each: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.flush_each = flush_each
         self._fh: Optional[io.TextIOBase] = open(path, "w", encoding="utf-8")
 
     def write(self, event: dict[str, Any]) -> None:
         """Serialize one event; non-JSON values fall back to ``str``."""
         if self._fh is not None:
             self._fh.write(json.dumps(event, default=str) + "\n")
-            if self.flush_each:
-                self._fh.flush()
+            self._fh.flush()
 
     def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
+        """Close the underlying file (idempotent)."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -81,15 +85,48 @@ class ListSink:
         return [e for e in self.events if e.get("type") == event_type]
 
 
+def scan_jsonl(path: str) -> tuple[list[dict[str, Any]], int]:
+    """Parse an append-only JSONL file: ``(records, durable_end)``.
+
+    ``records`` holds every JSON object on a complete line, in file
+    order; ``durable_end`` is the byte offset just past the last durable
+    line.  A final line that is malformed *or* missing its newline is
+    the tear a kill mid-append leaves behind: it was never durable and
+    is dropped.  A malformed line anywhere before the tail is real
+    corruption and raises ``ValueError`` naming the line.  A missing
+    file raises ``OSError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    records: list[dict[str, Any]] = []
+    durable_end = 0
+    lineno = 0
+    while durable_end < len(raw):
+        newline = raw.find(b"\n", durable_end)
+        if newline == -1:
+            break  # the newline never hit the disk: not durable
+        chunk = raw[durable_end:newline]
+        lineno += 1
+        if chunk.strip():
+            try:
+                record = json.loads(chunk.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                if newline + 1 >= len(raw):
+                    break  # torn tail write from a kill mid-append
+                raise ValueError(
+                    f"{path!r} is corrupt at line {lineno}: {exc}") from exc
+            if isinstance(record, dict):
+                records.append(record)
+        durable_end = newline + 1
+    return records, durable_end
+
+
 def read_jsonl(path: str) -> list[dict[str, Any]]:
-    """Load a JSONL event stream back into dicts (skips blank lines)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """The durable events of a JSONL stream (see :func:`scan_jsonl`);
+    a file that does not exist yet reads as no events."""
+    try:
+        return scan_jsonl(path)[0]
+    except FileNotFoundError:
+        return []
 
 
 # -- text summary -------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the checkpoint journal and the atomic write helpers."""
 
 import json
-import os
 
 import pytest
 
@@ -52,9 +51,11 @@ class TestJournalRoundTrip:
         path = str(tmp_path / "j.jsonl")
         with CheckpointJournal.open(path, {"kind": "t"}) as j:
             j.record(0, "first")
+            j.record(1, "other")
             j.record(0, "second")
         _, units = load_journal(path)
-        assert units == {0: "second"}
+        assert units == {0: "second", 1: "other"}
+        assert list(units) == [0, 1]  # first-appearance order
 
 
 class TestJournalFailureModes:
@@ -182,109 +183,3 @@ class TestAtomicWrites:
         assert json.load(open(path)) == {"ok": True}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
-
-class TestCompaction:
-    def _journal_with_history(self, path):
-        j = CheckpointJournal.open(path, {"kind": "t", "seed": 3})
-        for unit in range(4):
-            j.record(unit, {"state": "queued"})
-        for unit in range(4):
-            j.record(unit, {"state": "running"})
-        j.record(0, {"state": "done"})
-        return j
-
-    def test_compact_drops_superseded_keeps_latest(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with self._journal_with_history(path) as j:
-            dropped = j.compact()
-        assert dropped == 5  # 9 records, 4 live units
-        header, units = load_journal(path)
-        assert header == {"kind": "t", "seed": 3}
-        assert units[0] == {"state": "done"}
-        assert all(units[u] == {"state": "running"} for u in (1, 2, 3))
-        with open(path, encoding="utf-8") as fh:
-            assert len(fh.read().splitlines()) == 5  # header + 4 units
-
-    def test_appends_after_compact_land_in_new_file(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with self._journal_with_history(path) as j:
-            j.compact()
-            j.record(9, {"state": "queued"})
-        _, units = load_journal(path)
-        assert units[9] == {"state": "queued"}
-        assert set(units) == {0, 1, 2, 3, 9}
-
-    def test_compact_preserves_record_order(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with self._journal_with_history(path) as j:
-            j.compact()
-        with open(path, encoding="utf-8") as fh:
-            ids = [json.loads(line)["id"]
-                   for line in fh.read().splitlines()[1:]]
-        assert ids == [0, 1, 2, 3]  # first-seen order survives the rewrite
-
-    def test_double_crash_during_compaction_loses_nothing(
-            self, tmp_path, monkeypatch):
-        """Two successive crashes at different instants inside
-        ``compact()`` — before the swap, then during the temp-file
-        write — must each leave a complete journal behind."""
-        path = str(tmp_path / "j.jsonl")
-        self._journal_with_history(path).close()
-
-        def crash_replace(src, dst):
-            raise OSError("simulated power loss before rename")
-
-        # Crash 1: the fully-written temp file never gets swapped in.
-        j = CheckpointJournal.open(path, {"kind": "t", "seed": 3})
-        monkeypatch.setattr("repro.runtime.atomic.os.replace",
-                            crash_replace)
-        with pytest.raises(OSError, match="before rename"):
-            j.compact()
-        monkeypatch.undo()
-        j.close()  # the "process" dies; handle goes with it
-        _, units = load_journal(path)
-        assert units[0] == {"state": "done"}
-        assert set(units) == {0, 1, 2, 3}
-
-        # Crash 2 (after restart): dies mid temp-file write, before
-        # the content is even complete.
-        j = CheckpointJournal.open(path, {"kind": "t", "seed": 3})
-        j.record(4, {"state": "queued"})
-
-        def crash_fsync(fd):
-            raise OSError("simulated power loss during temp write")
-
-        monkeypatch.setattr("repro.runtime.atomic.os.fsync", crash_fsync)
-        with pytest.raises(OSError, match="during temp write"):
-            j.compact()
-        monkeypatch.undo()
-        j.close()
-        _, units = load_journal(path)
-        assert set(units) == {0, 1, 2, 3, 4}
-
-        # Third time's the charm: a clean compaction over the survivor.
-        with CheckpointJournal.open(path, {"kind": "t", "seed": 3}) as j:
-            j.compact()
-            j.record(5, {"state": "queued"})
-        _, units = load_journal(path)
-        assert set(units) == {0, 1, 2, 3, 4, 5}
-        assert units[0] == {"state": "done"}
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-        assert leftovers == []
-
-    def test_crashed_compaction_handle_still_appends(self, tmp_path,
-                                                     monkeypatch):
-        """If the process *survives* a failed compaction, its reopened
-        handle must keep appending durably."""
-        path = str(tmp_path / "j.jsonl")
-        j = self._journal_with_history(path)
-        monkeypatch.setattr(
-            "repro.runtime.atomic.os.replace",
-            lambda src, dst: (_ for _ in ()).throw(OSError("no swap")))
-        with pytest.raises(OSError, match="no swap"):
-            j.compact()
-        monkeypatch.undo()
-        j.record(7, {"state": "queued"})
-        j.close()
-        _, units = load_journal(path)
-        assert set(units) == {0, 1, 2, 3, 7}

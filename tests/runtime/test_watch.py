@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from repro.runtime import load_journal
+from repro.runtime.journal import scan_journal
 from repro.runtime.watch import (
-    read_journal_tail,
     render_snapshot,
     run_watch,
     watch_once,
@@ -16,7 +17,7 @@ HEADER = {"type": "header", "schema": "repro.runtime.journal/v1",
           "kind": "mutation-campaign", "seed": 0, "assignment": "v5d"}
 
 
-def _campaign_journal(path, n=4, t0=1000.0, torn=False):
+def _campaign_journal(path, n=4, t0=1000.0, tail=""):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(HEADER) + "\n")
         for i in range(n):
@@ -27,8 +28,7 @@ def _campaign_journal(path, n=4, t0=1000.0, torn=False):
                 data["degraded"] = True
             fh.write(json.dumps({"type": "unit", "id": i, "data": data,
                                  "ts": t0 + i * 10}) + "\n")
-        if torn:
-            fh.write('{"type": "unit", "id": 99')  # mid-append tear
+        fh.write(tail)
 
 
 def _events_file(path, total=10):
@@ -48,23 +48,26 @@ def _events_file(path, total=10):
 
 
 class TestJournalTail:
+    """watch's view of a journal, from the journal scanner; the line-level
+    durability rule itself is pinned in ``test_sinks.py::TestScanJsonl``."""
+
     def test_reads_header_and_records(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         _campaign_journal(path, n=3)
-        header, records = read_journal_tail(path)
+        header, records, _ = scan_journal(path)
         assert header["kind"] == "mutation-campaign"
-        assert [r["id"] for r in records] == [0, 1, 2]
-        assert all("ts" in r for r in records)  # watch needs throughput
+        assert list(records) == [0, 1, 2]
+        assert all("ts" in r for r in records.values())  # for throughput
 
     def test_torn_tail_dropped(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        _campaign_journal(path, n=2, torn=True)
-        _, records = read_journal_tail(path)
-        assert [r["id"] for r in records] == [0, 1]
+        _campaign_journal(path, n=2, tail='{"type": "unit", "id": 99')
+        _, records, _ = scan_journal(path)
+        assert list(records) == [0, 1]
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(OSError):
-            read_journal_tail(str(tmp_path / "nope.jsonl"))
+            watch_once(str(tmp_path / "nope.jsonl"))
 
 
 class TestWatchOnce:
@@ -136,6 +139,21 @@ class TestWatchOnce:
         assert snap["matrix"]["invariants"] == 1
 
 
+    @pytest.mark.parametrize("tail", [
+        '{"type": "unit", "id": 99',  # torn mid-append
+        json.dumps({"type": "unit", "id": 99, "ts": 1050.0,
+                    "data": {"detected_by": "deadlock"}}),  # no newline
+    ], ids=["torn", "unterminated"])
+    def test_counts_only_what_a_resume_restores(self, tmp_path, tail):
+        path = str(tmp_path / "j.jsonl")
+        _campaign_journal(path, n=1, t0=1000.0, tail=tail)
+        _, units = load_journal(path)
+        snap = watch_once(path, now=1060.0)
+        assert snap["done"] == len(units) == 1
+        assert sum(snap["matrix"].values()) == 1
+        assert snap["matrix"]["deadlock"] == 0
+
+
 class TestRender:
     def test_campaign_block(self, tmp_path):
         journal = str(tmp_path / "j.jsonl")
@@ -161,6 +179,20 @@ class TestRunWatch:
 
     def test_once_missing_journal_fails_loudly(self, tmp_path):
         assert run_watch(str(tmp_path / "nope.jsonl"), once=True) == 2
+
+    @pytest.mark.parametrize("once", [True, False])
+    def test_corrupt_journal_is_a_one_line_error(self, tmp_path, capsys,
+                                                 once):
+        path = tmp_path / "j.jsonl"
+        _campaign_journal(str(path), n=2)
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        lines.insert(1, "NOT JSON\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run_watch(str(path), once=once, interval=0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: journal ")
+        assert "corrupt at line 2" in err
+        assert len(err.splitlines()) == 1
 
     def test_cli_wiring(self, tmp_path, capsys):
         from repro.cli import main

@@ -8,17 +8,14 @@ import json
 import os
 import signal
 
-import pytest
-
 from repro.runtime import run_units
 from repro.telemetry import (
+    JsonlSink,
     ListSink,
     RelayTracer,
-    SpoolSink,
     TraceContext,
     Tracer,
     merge_spool,
-    read_spool,
     set_tracer,
     use_context,
     use_tracer,
@@ -51,36 +48,35 @@ def silent(payload):
     return payload
 
 
-# -- SpoolSink / read_spool ----------------------------------------------------
+# -- worker spools: written by JsonlSink, merged by merge_spool ---------------
 class TestSpool:
+    """The relay's side of a spool; the line-level durability rule itself
+    is pinned once, in ``test_sinks.py::TestScanJsonl``."""
+
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "spool.jsonl")
-        sink = SpoolSink(path)
-        sink.write({"type": "span", "name": "a"})
+        sink = JsonlSink(path)
         sink.write({"type": "metric", "op": "incr", "name": "x", "value": 1})
+        sink.write({"type": "metric", "op": "incr", "name": "x", "value": 2})
         sink.close()
         sink.close()  # idempotent
-        events = read_spool(path)
-        assert [e["type"] for e in events] == ["span", "metric"]
+        parent = Tracer()
+        assert merge_spool(parent, path) == 2
+        assert parent.registry.counter("x") == 3
 
     def test_missing_spool_is_empty(self, tmp_path):
-        assert read_spool(str(tmp_path / "nope.jsonl")) == []
+        # a worker that died before its first event leaves no spool
+        assert merge_spool(Tracer(), str(tmp_path / "nope.jsonl")) == 0
 
     def test_torn_tail_dropped(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "span", "name": "ok"}) + "\n")
-            fh.write('{"type": "span", "na')  # the write the kill cut
-        events = read_spool(path)
-        assert [e["name"] for e in events] == ["ok"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = str(tmp_path / "corrupt.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json\n")
-            fh.write(json.dumps({"type": "span"}) + "\n")
-        with pytest.raises(json.JSONDecodeError):
-            read_spool(path)
+            fh.write(json.dumps({"type": "metric", "op": "incr",
+                                 "name": "ok", "value": 1}) + "\n")
+            fh.write('{"type": "metric", "na')  # the write the kill cut
+        parent = Tracer()
+        assert merge_spool(parent, path) == 1
+        assert parent.registry.counter("ok") == 1
 
 
 # -- RelayTracer + merge_spool -------------------------------------------------
@@ -88,7 +84,7 @@ class TestMerge:
     def _spooled(self, tmp_path, record):
         """Run ``record(relay_tracer)`` and return the spool path."""
         path = str(tmp_path / "worker.jsonl")
-        relay = RelayTracer(sinks=[SpoolSink(path)], slow_sql_seconds=0.05)
+        relay = RelayTracer(sinks=[JsonlSink(path)], slow_sql_seconds=0.05)
         record(relay)
         relay.close()
         return path

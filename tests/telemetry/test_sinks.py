@@ -1,9 +1,18 @@
-"""JSONL sink round-trip, run report assembly, and the text summary."""
+"""JSONL sink round-trip, the shared JSONL reader, run report assembly,
+and the text summary."""
 
 import json
 
+import pytest
+
 from repro import telemetry
-from repro.telemetry import JsonlSink, Tracer, use_tracer
+from repro.telemetry import (
+    JsonlSink,
+    Tracer,
+    read_jsonl,
+    scan_jsonl,
+    use_tracer,
+)
 
 
 class TestJsonlRoundTrip:
@@ -32,6 +41,48 @@ class TestJsonlRoundTrip:
         sink.close()
         sink.close()
         sink.write({"dropped": True})  # after close: silently ignored
+
+
+HEADER = '{"type": "header", "kind": "k"}\n'
+UNIT = '{"type": "unit", "id": 0, "data": "x", "ts": 1.5}\n'
+
+
+class TestScanJsonl:
+    """The one reader behind journal resume, ``repro watch``, the relay's
+    spool merge and :func:`read_jsonl`: ``(content, records,
+    durable_end)``, where ``content=None`` is a file that does not exist
+    and ``records=ValueError`` is corruption before the tail."""
+
+    @pytest.mark.parametrize("content, records, durable_end", [
+        (HEADER + UNIT, [json.loads(HEADER), json.loads(UNIT)],
+         len(HEADER + UNIT)),
+        ("\n" + UNIT + "\n", [json.loads(UNIT)], len(UNIT) + 2),
+        (None, [], None),
+        (HEADER + '{"type": "unit", "id": 1, "da', [json.loads(HEADER)],
+         len(HEADER)),
+        (HEADER + '{"type": "unit", "id": 1, "da\n', [json.loads(HEADER)],
+         len(HEADER)),
+        (HEADER + UNIT.rstrip("\n"), [json.loads(HEADER)], len(HEADER)),
+        ("not json\n" + UNIT, ValueError, None),
+    ], ids=["complete-lines-keep-every-field", "blank-lines-skipped",
+            "missing-file-is-no-events", "torn-tail-dropped",
+            "torn-terminated-tail-dropped", "unterminated-tail-dropped",
+            "mid-file-corruption-raises"])
+    def test_durability_rule(self, tmp_path, content, records, durable_end):
+        path = tmp_path / "f.jsonl"
+        if content is None:
+            assert read_jsonl(str(path)) == []
+            with pytest.raises(OSError):
+                scan_jsonl(str(path))
+            return
+        path.write_text(content, encoding="utf-8")
+        if records is ValueError:
+            for reader in (read_jsonl, scan_jsonl):
+                with pytest.raises(ValueError, match="corrupt at line 1"):
+                    reader(str(path))
+            return
+        assert read_jsonl(str(path)) == records
+        assert scan_jsonl(str(path)) == (records, durable_end)
 
 
 class TestRunReport:

@@ -101,6 +101,12 @@ class TestTelemetryFlags:
         assert main(["stats", "--trace-out", "/nonexistent/t.jsonl"]) == 2
         assert "repro: error:" in capsys.readouterr().err
 
+    def test_trace_buffered_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--trace-buffered"])
+        assert exc.value.code == 2
+        assert "--trace-buffered" in capsys.readouterr().err
+
     def test_check_report_out_emits_valid_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert main(["check", "--report-out", str(path), "--quiet"]) == 0
