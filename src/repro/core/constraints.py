@@ -147,6 +147,12 @@ class ConstraintSet:
         self.set(column, expr)
         return previous
 
+    def copy(self) -> "ConstraintSet":
+        """An independent copy (the constraints themselves are immutable)."""
+        other = ConstraintSet(self.schema)
+        other._by_column = dict(self._by_column)
+        return other
+
     def get(self, column: str) -> ColumnConstraint:
         """The constraint for ``column``; TRUE if unconstrained."""
         self.schema.column(column)  # raises on unknown columns

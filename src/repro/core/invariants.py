@@ -22,7 +22,8 @@ Two execution strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..telemetry import get_tracer, span
@@ -102,15 +103,24 @@ class InvariantChecker:
         self.db = db
         self.batch = batch
         self.invariants: list[Invariant] = []
-        # violation_sql -> output column names (None = not batchable),
-        # probed once with a LIMIT 0 prepare; purely schema-dependent.
-        self._sql_columns: dict[str, Optional[list[str]]] = {}
+        # "plan" -> the sweep of self.invariants, shared via bound_to().
+        self._compiled: dict[str, tuple] = {}
 
     def add(self, invariant: Invariant) -> None:
-        self.invariants.append(invariant)
+        self.extend((invariant,))
 
     def extend(self, invariants: Sequence[Invariant]) -> None:
-        self.invariants.extend(invariants)
+        # A new list and plan: bound copies keep sharing the old ones.
+        self.invariants = [*self.invariants, *invariants]
+        self._compiled = {}
+
+    def bound_to(self, db: Optional[ProtocolDatabase]) -> "InvariantChecker":
+        """The same invariants over ``db``, a database with this one's
+        schema (None detaches, e.g. to pickle), sharing the compiled
+        batched sweep."""
+        other = copy.copy(self)
+        other.db = db
+        return other
 
     def check(self, invariant: Invariant, max_violations: int = 50) -> CheckResult:
         with span("invariant.check", invariant=invariant.name) as sp:
@@ -145,19 +155,15 @@ class InvariantChecker:
             if inv.report_columns:
                 return list(inv.report_columns)
             return self.db.table_columns(inv.table)
-        sql = inv.violation_sql
-        if sql not in self._sql_columns:
-            try:
-                cursor = self.db.execute(
-                    f'SELECT * FROM ({sql}) AS "__probe__" LIMIT 0'
-                )
-                cols = [d[0] for d in cursor.description]
-            except DatabaseError:
-                cols = None  # query shape does not nest; run it standalone
-            if cols is not None and len(set(cols)) != len(cols):
-                cols = None  # ambiguous duplicate output names
-            self._sql_columns[sql] = cols
-        return self._sql_columns[sql]
+        try:
+            cursor = self.db.execute(
+                f'SELECT * FROM ({inv.violation_sql}) AS "__probe__" LIMIT 0'
+            )
+        except DatabaseError:
+            return None  # query shape does not nest; run it standalone
+        cols = [d[0] for d in cursor.description]
+        # Ambiguous duplicate output names cannot be projected back.
+        return cols if len(set(cols)) == len(cols) else None
 
     def _batch_sql(self, chunk: Sequence[tuple[int, Invariant, list[str]]], width: int) -> str:
         """One UNION ALL query over ``chunk``; every branch is padded to
@@ -179,24 +185,35 @@ class InvariantChecker:
             )
         return "\nUNION ALL\n".join(branches)
 
+    def _plan(self, invariants: Sequence[Invariant]) -> tuple:
+        """``({index: report columns} of the batchable invariants,
+        [(indexes, UNION ALL sql)] per chunk)`` for ``invariants``."""
+        batchable = [(idx, inv, cols) for idx, inv in enumerate(invariants)
+                     if (cols := self._violation_columns(inv)) is not None]
+        chunks = []
+        for start in range(0, len(batchable), MAX_BATCH_BRANCHES):
+            chunk = batchable[start:start + MAX_BATCH_BRANCHES]
+            width = max(len(cols) for _, _, cols in chunk)
+            chunks.append(([idx for idx, _, _ in chunk],
+                           self._batch_sql(chunk, width)))
+        return {idx: cols for idx, _, cols in batchable}, chunks
+
     def _check_batched(
         self, invariants: Sequence[Invariant], max_violations: int = 50
     ) -> list[CheckResult]:
         """Check ``invariants`` with batched UNION ALL sweeps, returning
         results in input order and identical in content to the
         per-invariant path (raw-SQL invariants still run individually)."""
-        batchable = []
-        for idx, inv in enumerate(invariants):
-            cols = self._violation_columns(inv)
-            if cols is not None:
-                batchable.append((idx, inv, cols))
-        violations: dict[int, list[dict]] = {idx: [] for idx, _, _ in batchable}
+        if invariants is not self.invariants:  # a check_table subset
+            columns_of, chunks = self._plan(invariants)
+        elif "plan" in self._compiled:
+            columns_of, chunks = self._compiled["plan"]
+        else:
+            columns_of, chunks = self._compiled["plan"] = self._plan(invariants)
+        violations: dict[int, list[dict]] = {idx: [] for idx in columns_of}
         seconds: dict[int, float] = {}
         tracer = get_tracer()
-        for start in range(0, len(batchable), MAX_BATCH_BRANCHES):
-            chunk = batchable[start:start + MAX_BATCH_BRANCHES]
-            width = max(len(cols) for _, _, cols in chunk)
-            sql = self._batch_sql(chunk, width)
+        for chunk, sql in chunks:
             with span("invariant.check_batch", invariants=len(chunk)) as sp:
                 rows = self.db.query(sql)
             if tracer.enabled:
@@ -207,10 +224,9 @@ class InvariantChecker:
             # Attribute the sweep's wall time evenly across its branches
             # so Report.total_seconds still sums to real time spent.
             share = sp.seconds / len(chunk)
-            for idx, _, _ in chunk:
+            for idx in chunk:
                 seconds[idx] = share
 
-        columns_of = {idx: cols for idx, _, cols in batchable}
         results: list[CheckResult] = []
         for idx, inv in enumerate(invariants):
             if idx not in columns_of:

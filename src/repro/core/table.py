@@ -190,26 +190,18 @@ class ControllerTable:
         for name in input_names:
             q = quote_ident(name)
             conds.append(f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)")
+        # One query: row a's columns, then row b's, by position.
+        names = self.schema.column_names
+        selected = ", ".join(f"{side}.{quote_ident(c)}"
+                             for side in "ab" for c in names)
         t = quote_ident(self.table_name)
         sql = (
-            f"SELECT a.rowid AS __ra, b.rowid AS __rb FROM {t} a JOIN {t} b "
+            f"SELECT {selected} FROM {t} a JOIN {t} b "
             f"ON a.rowid < b.rowid AND " + " AND ".join(conds)
         )
-        pairs = []
-        for hit in self.db.query(sql):
-            ra = self.db.query(
-                f"SELECT * FROM {t} WHERE rowid = ?", (hit["__ra"],)
-            )[0]
-            rb = self.db.query(
-                f"SELECT * FROM {t} WHERE rowid = ?", (hit["__rb"],)
-            )[0]
-            pairs.append(
-                (
-                    {c: ra[c] for c in self.schema.column_names},
-                    {c: rb[c] for c in self.schema.column_names},
-                )
-            )
-        return pairs
+        n = len(names)
+        return [(dict(zip(names, hit[:n])), dict(zip(names, hit[n:])))
+                for hit in self.db.query_tuples(sql)]
 
     def is_deterministic(self) -> bool:
         return not self.find_overlapping_rows()

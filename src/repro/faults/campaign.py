@@ -1,8 +1,9 @@
 """The mutation campaign: every mutant through the full detection pipeline.
 
-Each sampled mutation is applied to a private clone of the generated
-system (database snapshot → :meth:`ProtocolDatabase.deserialize` →
-:meth:`AsuraSystem.from_database`) and pushed through the three detection
+What no mutation changes is derived once per campaign into a
+:class:`MutantTemplate`.  Each sampled mutation is applied to a private
+clone (the template's snapshot → :meth:`ProtocolDatabase.deserialize` →
+:meth:`FamilySystem.attach`) and pushed through the three detection
 layers in the paper's order:
 
 1. **invariants** — the behavioral suite + per-table determinism checks
@@ -64,6 +65,7 @@ from .mutations import FAULT_CLASSES, Mutation, MutationEngine
 __all__ = [
     "DetectionReport",
     "CampaignResult",
+    "MutantTemplate",
     "run_campaign",
     "compare_to_baseline",
     "MATRIX_SCHEMA",
@@ -424,11 +426,29 @@ def _failure_report(mutation: Mutation, outcome: str, error: str,
     )
 
 
-def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
-                clean_cycles: frozenset, sim_ops: int,
+@dataclass(frozen=True)
+class MutantTemplate:
+    """What every mutant shares, derived once from the clean system: its
+    ``snapshot``, the database-free ``system`` (:meth:`FamilySystem.attach`
+    of None) and the clean structural ``audits``.  Picklable."""
+
+    snapshot: bytes
+    system: object
+    audits: InvariantChecker
+
+    @classmethod
+    def of(cls, system) -> "MutantTemplate":
+        """The template of a clean system with prepared reference tables."""
+        audits = InvariantChecker(None)
+        audits.extend(structural_invariants(system))
+        return cls(system.db.snapshot(), system.attach(None), audits)
+
+
+def _run_mutant(template: MutantTemplate, mutation: Mutation,
+                assignment: str, clean_cycles: frozenset, sim_ops: int,
                 oracle: Optional[dict] = None,
                 repair: Optional[dict] = None) -> DetectionReport:
-    """Clone the system, apply one mutation, and run the three layers
+    """Clone the template, apply one mutation, and run the three layers
     (four with ``oracle``: bounded exhaustive exploration re-scores a
     mutant that survived everything else, turning "escaped" into either
     a ground-truth miss or a confirmed false negative; five with
@@ -444,29 +464,23 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
     really did corrupt the tables, while a mutant that merely trips the
     optimized path still gets a genuine verdict (tagged
     ``degraded=True``)."""
-    from ..protocols.family import attach_variant
     from ..sim import figure2_scenario, random_workload
     from ..sim.models import SimProtocolError
     from ..sim.system import CoherenceError
 
     t0 = time.perf_counter()
     degraded = False
-    db = ProtocolDatabase.deserialize(snapshot)
+    db = ProtocolDatabase.deserialize(template.snapshot)
     try:
-        # The variant marker inside the snapshot recovers the right
-        # family member; an unmarked (MESI) snapshot attaches as before.
-        system = attach_variant(db)
-        # Audits must capture the *clean* constraints, so build them
-        # before the mutation lands (relax-constraint edits them).
-        audits = structural_invariants(system)
+        system = template.system.attach(db)
         mutation.apply_to(system)
 
-        # Layer 1: invariant sweep + determinism + structural audits.
+        # Layer 1: invariant sweep + determinism + structural audits
+        # (of the clean constraints, which relax-constraint edits).
         def _invariant_sweep(batch: bool):
             report = system.check_invariants(batch=batch)
-            checker = InvariantChecker(db, batch=batch)
-            checker.extend(audits)
-            return report, checker.check_all("structural audits")
+            return report, template.audits.bound_to(db).check_all(
+                "structural audits", batch=batch)
 
         with span("mutate.invariants", mutant=mutation.mutant_id):
             try:
@@ -578,10 +592,7 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
 def _mutant_unit(payload: tuple) -> DetectionReport:
     """Module-level unit adapter for :func:`repro.runtime.run_units`
     (must be picklable for child-process workers)."""
-    (snapshot, mutation, assignment, clean_cycles, sim_ops, oracle,
-     repair) = payload
-    return _run_mutant(snapshot, mutation, assignment, clean_cycles,
-                       sim_ops, oracle, repair)
+    return _run_mutant(*payload)
 
 
 def _load_resume_state(resume_from: str, header: dict) -> dict[int, dict]:
@@ -719,12 +730,12 @@ def run_campaign(
             if journal_path is None:
                 journal_path = resume_from
 
-        # The clean system anchors every comparison; refuse to measure
-        # detection against a baseline that is already failing.
+        # The clean checks anchor every comparison (and compile the
+        # template's sweeps); refuse a baseline that already fails.
+        template = MutantTemplate.of(system)
         clean = system.check_invariants()
-        checker = InvariantChecker(system.db)
-        checker.extend(structural_invariants(system))
-        clean_audits = checker.check_all("clean audits")
+        clean_audits = template.audits.bound_to(system.db).check_all(
+            "clean audits")
         if not (clean.passed and clean_audits.passed):
             raise ValueError(
                 "the clean system already fails its invariants/audits; "
@@ -733,12 +744,10 @@ def run_campaign(
             tuple(c) for c in system.analyze_deadlocks(
                 assignment, engine="sql", table_name="__mut_clean_dep").cycles())
 
-        snapshot = system.db.snapshot()
-
         if oracle_cfg:
             # The oracle is only ground truth if the clean system is
             # violation-free under the same bounds; its exploration
-            # summary lands in ``__explore_summary`` (after the mutant
+            # summary lands in ``__explore_summary`` (after the template's
             # snapshot, so clones stay lean) for --save-db round-trips.
             from ..explore import ReachabilityExplorer, ExploreConfig
             clean_explorer = ReachabilityExplorer(system, ExploreConfig(
@@ -813,7 +822,7 @@ def run_campaign(
                 _progress(report)
 
             units = [(m.mutant_id,
-                      (snapshot, m, assignment, clean_cycles, sim_ops,
+                      (template, m, assignment, clean_cycles, sim_ops,
                        oracle_cfg, repair_cfg))
                      for m in pending]
             unit_results = run_units(

@@ -21,9 +21,10 @@ system deterministically: the same seed yields the same mutants, and the
 first ``n`` draws of a longer campaign are exactly the shorter campaign
 (``--count 25`` is a prefix of ``--count 50``), which is what lets CI run
 a cheap smoke slice against the committed full baseline.  Mutations are
-applied to cloned systems (snapshot + :meth:`ProtocolDatabase.deserialize`
-+ :func:`repro.protocols.family.attach_variant`), never to the system
-they were sampled from.
+applied to cloned systems (the campaign's per-campaign template attached
+to a :meth:`ProtocolDatabase.deserialize` of its snapshot), never to the
+system they were sampled from.  Clones share their constraint sets, so
+``relax-constraint`` edits a copy of the one it relaxes.
 
 Every fault class derives its targets from the *live* system — schemas,
 deadlock-spec message triples, constraint sets, and the variant's own
@@ -93,7 +94,9 @@ class Mutation:
                 dict(self.channel_moves),
             )
         if self.relaxed_column is not None:
-            cs = system.constraint_sets[self.target]
+            # Copy-on-write: clones share their constraint sets.
+            cs = system.constraint_sets[self.target].copy()
+            system.constraint_sets[self.target] = cs
             cs.replace(self.relaxed_column, TRUE)
             result = TableGenerator(
                 system.db, cs, table_name=self.target

@@ -99,6 +99,7 @@ class FamilySystem:
             spec = get_spec(spec)
         self.spec = spec
         self.db = db or ProtocolDatabase()
+        self._suite: Optional[InvariantChecker] = None
         self.constraint_sets: dict[str, ConstraintSet] = {}
         self.generation_results: dict[str, GenerationResult] = {}
         self.tables: dict[str, ControllerTable] = {}
@@ -127,32 +128,39 @@ class FamilySystem:
         variant marker (absent marker = the MESI baseline).  Raises
         :class:`~repro.core.schema.SchemaError` when the database lacks a
         controller table or its columns, so callers get a clean
-        diagnostic for a wrong or corrupt file.  This is the fast path
-        the mutation-campaign workers use: each worker clones the
-        generated system from a snapshot in milliseconds instead of
-        re-solving the constraints."""
+        diagnostic for a wrong or corrupt file."""
         if spec is None:
             spec = read_variant_marker(db)
         if isinstance(spec, str):
             spec = get_spec(spec)
-        self = cls.__new__(cls)
-        self.spec = spec
-        self.db = db
-        self.constraint_sets = {}
-        self.generation_results = {}
-        self.tables = {}
+        template = cls.__new__(cls)
+        template.spec, template.db, template._suite = spec, None, None
         builders = controller_builders(spec)
         with span("system.attach", controllers=len(builders),
                   variant=spec.key):
-            for name, builder in builders.items():
-                cs = builder()
-                self.constraint_sets[name] = cs
-                self.tables[name] = ControllerTable(db, cs.schema, name)
-            self.generation_seconds = 0.0
+            template.constraint_sets = {
+                name: builder() for name, builder in builders.items()}
+            template.channel_assignments = channels.channel_assignments(spec)
+            self = template.attach(db)
             if not db.table_exists(family_invariants.BUSY_STATE_HELPER_TABLE):
                 self._create_helper_tables()
-            self.channel_assignments = channels.channel_assignments(spec)
         return self
+
+    def attach(self, db: Optional[ProtocolDatabase]) -> "FamilySystem":
+        """This system over ``db`` (a snapshot of its database; None gives a
+        picklable template), sharing the constraint sets, channel
+        assignments and compiled invariant suite: a mutation replaces a
+        dict entry, never edits one.  Tables are checked as on attach."""
+        self.invariant_checker()  # build the suite once, for every clone
+        other = type(self).__new__(type(self))
+        other.spec, other.db, other._suite = self.spec, db, self._suite
+        other.constraint_sets = dict(self.constraint_sets)
+        other.channel_assignments = dict(self.channel_assignments)
+        other.generation_results, other.generation_seconds = {}, 0.0
+        other.tables = {} if db is None else {
+            name: ControllerTable(db, cs.schema, name)
+            for name, cs in other.constraint_sets.items()}
+        return other
 
     def _create_helper_tables(self) -> None:
         self.db.create_table_from_rows(
@@ -171,8 +179,14 @@ class FamilySystem:
 
     # -- static checks ----------------------------------------------------------
     def invariant_checker(self, batch: bool = True) -> InvariantChecker:
-        checker = InvariantChecker(self.db, batch=batch)
-        checker.extend(family_invariants.build_invariants(self.spec))
+        """The member's invariant suite over this system's database, built
+        and compiled once and shared with every clone :meth:`attach`
+        makes."""
+        if self._suite is None:
+            self._suite = InvariantChecker(None)
+            self._suite.extend(family_invariants.build_invariants(self.spec))
+        checker = self._suite.bound_to(self.db)
+        checker.batch = batch
         return checker
 
     def check_invariants(self, batch: bool = True) -> Report:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.schema import Column, Role, SchemaError, TableSchema
 from repro.core.table import (
     AmbiguousMatchError,
@@ -112,6 +113,17 @@ class TestDeterminism:
     def test_duplicate_rows_detected(self, db, schema):
         t = ControllerTable.from_rows(db, schema, [ROWS[0], ROWS[0]])
         assert not t.is_deterministic()
+
+    @pytest.mark.parametrize("copies", [1, 2, 6])
+    def test_one_statement_whatever_the_pair_count(self, db, schema,
+                                                   copies):
+        t = ControllerTable.from_rows(db, schema, [ROWS[0]] * copies)
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            pairs = t.find_overlapping_rows()
+        assert len(pairs) == copies * (copies - 1) // 2
+        assert all(a == b == ROWS[0] for a, b in pairs)
+        assert tracer.registry.counter("sql.queries") == 1
 
     def test_two_wildcards_overlap(self, db, schema):
         t = ControllerTable.from_rows(db, schema, [

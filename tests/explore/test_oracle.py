@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.sqlgen import quote_ident, quote_value
 from repro.explore import ORACLE_LAYER, oracle_check
-from repro.faults.campaign import _run_mutant
+from repro.faults.campaign import MutantTemplate, _run_mutant
 from repro.faults.mutations import Mutation
 
 #: the pinned flip-next-state witness (see module docstring).
@@ -69,14 +69,14 @@ def clean_cycles(system):
 
 
 @pytest.fixture(scope="module")
-def campaign_snapshot():
-    """A clean snapshot carrying the audit reference tables — exactly
-    what :func:`run_campaign` hands each mutant worker."""
+def campaign_template():
+    """The template of a clean system carrying the audit reference
+    tables — exactly what :func:`run_campaign` hands each mutant worker."""
     from repro.faults.audits import prepare_reference_tables
     from repro.protocols.asura import build_system
     prepared = build_system()
     prepare_reference_tables(prepared)
-    return prepared.db.snapshot()
+    return MutantTemplate.of(prepared)
 
 
 class TestOracleOnCleanSystem:
@@ -141,26 +141,26 @@ class TestReassignChannelWitness:
     """Satellite/acceptance: a mutant that every production layer passes
     and only the oracle catches."""
 
-    def test_escapes_all_three_layers(self, campaign_snapshot,
+    def test_escapes_all_three_layers(self, campaign_template,
                                       clean_cycles):
-        report = _run_mutant(campaign_snapshot, _reassign_mutation(),
+        report = _run_mutant(campaign_template, _reassign_mutation(),
                              "v5d", clean_cycles, 40)
         assert report.detected_by is None and report.outcome == "ok"
 
-    def test_oracle_stage_catches_it(self, campaign_snapshot, clean_cycles):
+    def test_oracle_stage_catches_it(self, campaign_template, clean_cycles):
         report = _run_mutant(
-            campaign_snapshot, _reassign_mutation(), "v5d",
+            campaign_template, _reassign_mutation(), "v5d",
             clean_cycles, 40,
             oracle={"depth": 12, "nodes": 2, "lines": 1})
         assert report.detected_by == ORACLE_LAYER
         assert "deadlock" in report.detail
 
-    def test_depth_bound_below_the_witness_misses_it(self, campaign_snapshot,
+    def test_depth_bound_below_the_witness_misses_it(self, campaign_template,
                                                      clean_cycles):
         """The witness needs 10 moves + the expansion that proves the
         stall; a depth-8 oracle is honestly bounded and reports clean."""
         report = _run_mutant(
-            campaign_snapshot, _reassign_mutation(), "v5d",
+            campaign_template, _reassign_mutation(), "v5d",
             clean_cycles, 40,
             oracle={"depth": 8, "nodes": 2, "lines": 1})
         assert report.detected_by is None

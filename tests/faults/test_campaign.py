@@ -6,13 +6,15 @@ import types
 import pytest
 
 import repro.faults.campaign as campaign_mod
+from repro import telemetry
 from repro.faults import (
     FAULT_CLASSES,
+    MutationEngine,
     compare_to_baseline,
     prepare_reference_tables,
     run_campaign,
 )
-from repro.faults.campaign import MATRIX_SCHEMA, _run_mutant
+from repro.faults.campaign import MATRIX_SCHEMA, MutantTemplate, _run_mutant
 from repro.faults.mutations import Mutation
 
 
@@ -56,20 +58,23 @@ class TestDetectionExpectations:
             run_campaign(system=fresh_system, seed=0, count=1, workers=1)
 
 
-class TestDetectionLayers:
-    def _snapshot_and_cycles(self, system, clone_of):
-        clone = clone_of(system)
-        prepare_reference_tables(clone)
-        cycles = frozenset(
-            tuple(c) for c in clone.analyze_deadlocks(
-                "v5d", engine="sql", table_name="__t_clean_dep").cycles())
-        return clone.db.snapshot(), cycles
+def _template_and_cycles(system, clone_of):
+    """A campaign template of a clone of ``system``, and its clean
+    cycles, as :func:`run_campaign` prepares them."""
+    clone = clone_of(system)
+    prepare_reference_tables(clone)
+    cycles = frozenset(
+        tuple(c) for c in clone.analyze_deadlocks(
+            "v5d", engine="sql", table_name="__t_clean_dep").cycles())
+    return MutantTemplate.of(clone), cycles
 
+
+class TestDetectionLayers:
     def test_noop_mutation_escapes(self, system, clone_of):
-        snapshot, cycles = self._snapshot_and_cycles(system, clone_of)
+        template, cycles = _template_and_cycles(system, clone_of)
         noop = Mutation(mutant_id=0, fault_class="drop-row", target="D",
                         description="no-op")
-        report = _run_mutant(snapshot, noop, "v5d", cycles, sim_ops=10)
+        report = _run_mutant(template, noop, "v5d", cycles, sim_ops=10)
         assert report.detected_by is None
         assert not report.caught
         assert not report.caught_pre_sim
@@ -80,18 +85,82 @@ class TestDetectionLayers:
         # be caught when the simulator tries to look transitions up.
         from repro.protocols.asura.system import AsuraSystem
 
-        snapshot, cycles = self._snapshot_and_cycles(system, clone_of)
         passing = types.SimpleNamespace(results=(), passed=True)
         monkeypatch.setattr(AsuraSystem, "check_invariants",
                             lambda self, *a, **kw: passing)
         monkeypatch.setattr(campaign_mod, "structural_invariants",
                             lambda s: [])
+        template, cycles = _template_and_cycles(system, clone_of)
         gut = Mutation(mutant_id=1, fault_class="drop-row", target="C",
                        description="all C rows deleted",
                        statements=("DELETE FROM C",))
-        report = _run_mutant(snapshot, gut, "v5d", cycles, sim_ops=10)
+        report = _run_mutant(template, gut, "v5d", cycles, sim_ops=10)
         assert report.detected_by == "simulation"
         assert report.caught and not report.caught_pre_sim
+
+
+class TestSharedDerivation:
+    """Mutants share one template derived from the clean system; only a
+    relax-constraint mutant copies (and then edits) a constraint set."""
+
+    def test_constraint_sets_survive_relax_mutants(self, fresh_system,
+                                                   monkeypatch):
+        from repro.core.sqlgen import to_sql
+        from repro.protocols.asura.system import CONTROLLER_BUILDERS
+
+        templates = []
+        orig = campaign_mod._run_mutant
+
+        def capturing(template, *args):
+            templates.append(template)
+            return orig(template, *args)
+
+        monkeypatch.setattr(campaign_mod, "_run_mutant", capturing)
+        result = run_campaign(system=fresh_system, seed=0, count=8,
+                              workers=1)
+        assert [r.fault_class for r in result.reports[:2]] == [
+            "relax-constraint"] * 2
+        fresh = {name: to_sql(build().conjunction())
+                 for name, build in CONTROLLER_BUILDERS.items()}
+        for owner in (fresh_system, templates[0].system):
+            assert {name: to_sql(cs.conjunction()) for name, cs
+                    in owner.constraint_sets.items()} == fresh
+
+    @pytest.mark.parametrize("second", ["flip-next-state",
+                                        "relax-constraint"])
+    def test_relax_mutant_leaves_the_next_mutant_alone(self, system,
+                                                       clone_of, second):
+        relax, *others = MutationEngine(
+            system, seed=0, classes=("relax-constraint",),
+            tables=("C",)).sample(8)
+        if second == "relax-constraint":
+            # Another column of the same table.
+            nxt = next(m for m in others
+                       if m.relaxed_column != relax.relaxed_column)
+        else:
+            nxt = MutationEngine(system, seed=0, classes=(second,),
+                                 tables=("C",)).sample(1)[0]
+        template, cycles = _template_and_cycles(system, clone_of)
+        _run_mutant(template, relax, "v5d", cycles, sim_ops=10)
+        after_relax = _run_mutant(template, nxt, "v5d", cycles, sim_ops=10)
+        template, cycles = _template_and_cycles(system, clone_of)
+        alone = _run_mutant(template, nxt, "v5d", cycles, sim_ops=10)
+        assert after_relax.to_dict() == alone.to_dict()
+
+    def test_campaign_work_is_pinned(self, fresh_system):
+        """The exact SQL statement count of a seed-0 8-mutant campaign.
+        Before the shared template the campaign issued 1,542 statements
+        (it re-derived per mutant and fetched each overlapping row
+        separately); a change that derives per mutant again fails here.
+        The checks run and the violations found must not move: 972 and
+        404, as before the template."""
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            run_campaign(system=fresh_system, seed=0, count=8, workers=1)
+        counters = tracer.registry.counters
+        assert counters["sql.queries"] == 514
+        assert counters["invariant.checks"] == 972
+        assert counters["invariant.violations"] == 404
 
 
 class TestMatrixReport:

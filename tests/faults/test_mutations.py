@@ -3,6 +3,7 @@ class/table filtering, and the apply path of every fault class."""
 
 import pytest
 
+from repro.core.sqlgen import quote_ident
 from repro.faults import FAULT_CLASSES, MutationEngine
 
 
@@ -104,6 +105,44 @@ class TestApply:
             mutation.apply_to(clone_of(system))
         assert {n: system.db.row_count(n) for n in system.tables} == before
         assert system.check_invariants().passed
+
+
+class TestOverlapCheck:
+    """The determinism check's single self-join returns the pairs the
+    former rowid-fetch loop did, pair for pair and in order."""
+
+    @pytest.mark.parametrize("fault_class, tables", [
+        ("duplicate-row", ("D",)),
+        ("relax-constraint", None),
+    ])
+    def test_pairs_match_rowid_fetch_reference(self, system, clone_of,
+                                               fault_class, tables):
+        mutation = MutationEngine(system, seed=0, classes=(fault_class,),
+                                  tables=tables).sample(1)[0]
+        clone = clone_of(system)
+        mutation.apply_to(clone)
+        table = clone.tables[mutation.target]
+        pairs = table.find_overlapping_rows()
+        assert pairs  # both mutants make the table non-deterministic
+        assert pairs == _rowid_fetch_overlaps(table)
+
+
+def _rowid_fetch_overlaps(table):
+    """The former algorithm: the same self-join for the rowid pairs,
+    then one ``SELECT *`` per row of each pair."""
+    t = quote_ident(table.table_name)
+    conds = " AND ".join(
+        f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)"
+        for q in map(quote_ident, table.schema.input_names))
+    hits = table.db.query(
+        f"SELECT a.rowid AS ra, b.rowid AS rb FROM {t} a JOIN {t} b "
+        f"ON a.rowid < b.rowid AND {conds}")
+
+    def fetch(rid):
+        row = table.db.query(f"SELECT * FROM {t} WHERE rowid = ?", (rid,))[0]
+        return {c: row[c] for c in table.schema.column_names}
+
+    return [(fetch(h["ra"]), fetch(h["rb"])) for h in hits]
 
 
 def _same_rows(db_a, db_b, table, cols):
