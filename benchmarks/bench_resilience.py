@@ -3,8 +3,7 @@
 The checkpoint journal fsyncs after every completed mutant so a SIGKILL
 never loses a finished verdict (docs/RESILIENCE.md).  That durability
 has a price per record; these benchmarks pin it down, together with the
-no-failure overhead of the retry wrapper that now guards every
-``ProtocolDatabase.execute`` — both must stay negligible next to the
+atomic report writes — both must stay negligible next to the
 milliseconds a single mutant verification costs.
 
 Fixed pedantic rounds keep the recorded numbers comparable across
@@ -13,16 +12,10 @@ commits, matching the other benchmark modules.
 
 import pytest
 
-from repro.runtime import (
-    CheckpointJournal,
-    RetryPolicy,
-    atomic_write_json,
-    call_with_retry,
-    load_journal,
-)
+from repro.runtime import CheckpointJournal, atomic_write_json, load_journal
 
 ROUNDS_JOURNAL = 20
-ROUNDS_RETRY = 50
+ROUNDS_WRITE = 50
 RECORDS_PER_ROUND = 50
 
 
@@ -59,22 +52,6 @@ def test_journal_replay(benchmark, tmp_path):
     assert len(units) == 500
 
 
-def test_retry_wrapper_no_failure_overhead(benchmark):
-    """The happy path through call_with_retry — pure wrapper cost."""
-    policy = RetryPolicy()
-
-    def guarded_batch():
-        total = 0
-        for _ in range(1000):
-            total += call_with_retry(lambda: 1, policy)
-        return total
-
-    total = benchmark.pedantic(
-        guarded_batch, rounds=ROUNDS_RETRY, iterations=1, warmup_rounds=2,
-    )
-    assert total == 1000
-
-
 def test_atomic_matrix_write(benchmark, tmp_path):
     """Temp-and-rename cost for a 50-mutant detection matrix."""
     path = str(tmp_path / "matrix.json")
@@ -86,7 +63,7 @@ def test_atomic_matrix_write(benchmark, tmp_path):
 
     benchmark.pedantic(
         lambda: atomic_write_json(path, matrix),
-        rounds=ROUNDS_RETRY, iterations=1, warmup_rounds=1,
+        rounds=ROUNDS_WRITE, iterations=1, warmup_rounds=1,
     )
     import json
     assert json.load(open(path))["schema"] == "repro.faults.matrix/v1"

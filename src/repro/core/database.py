@@ -12,17 +12,15 @@ SQL NULL.
 
 from __future__ import annotations
 
-import itertools
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..runtime.retry import RetryPolicy, call_with_retry
 from ..telemetry import get_tracer
 from .expr import Row, Value
 from .schema import Column, TableSchema
-from .sqlgen import quote_ident, quote_value
+from .sqlgen import quote_ident
 
 __all__ = [
     "ProtocolDatabase",
@@ -30,22 +28,7 @@ __all__ = [
     "IndexSpec",
     "SNAPSHOT_SUPPORTED",
     "PORTABLE_SNAPSHOT_MAGIC",
-    "DB_RETRY_POLICY",
-    "BUSY_TIMEOUT_MS",
 ]
-
-#: default retry policy for transient sqlite errors ("database is
-#: locked" et al., see :func:`repro.runtime.retry.classify_error`):
-#: three attempts with short exponential backoff — enough to ride out a
-#: concurrent reader/writer on a ``--db`` file without stalling the
-#: in-memory pipelines (which never hit a transient error).
-DB_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.01,
-                              max_delay=0.25, jitter=0.5)
-
-#: ``PRAGMA busy_timeout`` for file-backed databases: how long sqlite
-#: itself blocks on a locked database before surfacing the error that
-#: the retry policy then backs off on.
-BUSY_TIMEOUT_MS = 5000
 
 #: True when the running Python exposes ``sqlite3.Connection.serialize`` /
 #: ``deserialize`` (3.11+); :meth:`ProtocolDatabase.snapshot` falls back
@@ -68,12 +51,11 @@ class DatabaseError(RuntimeError):
 @dataclass(frozen=True)
 class IndexSpec:
     """A declarative index request: ``columns`` of ``table``, optionally
-    named (a stable name is derived otherwise) and UNIQUE."""
+    named (a stable name is derived otherwise)."""
 
     table: str
     columns: tuple[str, ...]
     name: Optional[str] = None
-    unique: bool = False
 
     @property
     def index_name(self) -> str:
@@ -84,9 +66,8 @@ class IndexSpec:
     def sql(self) -> str:
         """The ``CREATE INDEX IF NOT EXISTS`` statement for this spec."""
         cols = ", ".join(quote_ident(c) for c in self.columns)
-        unique = "UNIQUE " if self.unique else ""
         return (
-            f"CREATE {unique}INDEX IF NOT EXISTS {quote_ident(self.index_name)} "
+            f"CREATE INDEX IF NOT EXISTS {quote_ident(self.index_name)} "
             f"ON {quote_ident(self.table)} ({cols})"
         )
 
@@ -116,13 +97,13 @@ def _dict_factory(cursor: sqlite3.Cursor, row: tuple) -> dict[str, Value]:
 
 
 class ProtocolDatabase:
-    """A central database holding column tables and controller tables."""
+    """A central database holding column tables and controller tables.
 
-    #: suffix used for per-column domain tables
-    COLUMN_TABLE_PREFIX = "col_"
-
-    #: rows per ``executemany`` batch in :meth:`insert_rows`.
-    INSERT_CHUNK = 512
+    Each instance owns one private ``sqlite3`` connection: campaign
+    children work on in-memory clones, and a ``--db``/``--save-db`` file
+    is opened by one process at a time, so there is no concurrent writer
+    to wait out.  A failing statement raises :class:`DatabaseError` on
+    its first occurrence."""
 
     def __init__(self, path: str = ":memory:") -> None:
         # A generous prepared-statement cache: the pipelines re-issue the
@@ -130,19 +111,10 @@ class ProtocolDatabase:
         # times per run.
         self._conn = sqlite3.connect(path, cached_statements=256)
         self._conn.row_factory = _dict_factory
-        self._retry_policy = DB_RETRY_POLICY
         if ":memory:" in path or "mode=memory" in path:
             # The workloads are bulk inserts + analytical reads; classic
             # journaling adds nothing for an in-memory scratch database.
             self._conn.execute("PRAGMA synchronous = OFF")
-        else:
-            # File-backed (--db/--save-db): WAL lets concurrent readers
-            # proceed while a writer holds the log, and the busy timeout
-            # turns instant "database is locked" failures into bounded
-            # waits before the retry policy even sees them.
-            self._conn.execute("PRAGMA journal_mode = WAL")
-            self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
-            self._conn.execute("PRAGMA synchronous = NORMAL")
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -247,119 +219,46 @@ class ProtocolDatabase:
         except sqlite3.Error:
             return None
 
-    def _retried(self, op):
-        """Run one connection call, retrying transient sqlite errors
-        ("database is locked" and friends) with backoff + jitter; fatal
-        errors and exhausted retries propagate for the callers' normal
-        :class:`DatabaseError` wrapping."""
-        return call_with_retry(op, self._retry_policy, metric="db.retries")
-
-    def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+    def _run(self, sql: str, call: Callable[[], sqlite3.Cursor],
+             params: Optional[Sequence] = None) -> sqlite3.Cursor:
+        """Run ``call()``, the one connection call behind ``sql``: a
+        sqlite error becomes :class:`DatabaseError`, and the statement is
+        recorded when tracing is on.  ``params`` is None for
+        ``executemany``, whose plan is not captured."""
         if self._closed:
             raise DatabaseError(
                 f"database is closed; cannot execute:\n{sql}")
         tracer = get_tracer()
-        if not tracer.enabled:
-            try:
-                return self._retried(lambda: self._conn.execute(sql, params))
-            except sqlite3.Error as e:
-                raise DatabaseError(
-                    f"{type(e).__name__}: {e}\nSQL was:\n{sql}"
-                ) from e
+        n_params = len(params) if params is not None else 0
         t0 = time.perf_counter()
         try:
-            cursor = self._retried(lambda: self._conn.execute(sql, params))
+            cursor = call()
         except sqlite3.Error as e:
-            tracer.record_sql(
-                sql,
-                n_params=len(params),
-                seconds=time.perf_counter() - t0,
-                status="error",
-                error=type(e).__name__,
-            )
+            if tracer.enabled:
+                tracer.record_sql(
+                    sql, n_params=n_params, seconds=time.perf_counter() - t0,
+                    status="error", error=type(e).__name__,
+                )
             raise DatabaseError(
                 f"{type(e).__name__}: {e}\nSQL was:\n{sql}"
             ) from e
-        dt = time.perf_counter() - t0
-        plan = self._explain(sql, params) if tracer.wants_plan(dt) else None
-        changed = cursor.rowcount if cursor.rowcount >= 0 else None
-        tracer.record_sql(
-            sql, n_params=len(params), seconds=dt, plan=plan, changed=changed,
-        )
+        if tracer.enabled:
+            dt = time.perf_counter() - t0
+            plan = (self._explain(sql, params)
+                    if params is not None and tracer.wants_plan(dt) else None)
+            changed = cursor.rowcount if cursor.rowcount >= 0 else None
+            tracer.record_sql(sql, n_params=n_params, seconds=dt, plan=plan,
+                              changed=changed)
         return cursor
 
-    _EXECUTEMANY_SAVEPOINT = "repro_executemany"
+    def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+        return self._run(sql, lambda: self._conn.execute(sql, params), params)
 
-    def _executemany_attempt(self, sql: str, chunk: Sequence) -> sqlite3.Cursor:
-        """One retryable ``executemany`` attempt.
-
-        A transient error can land mid-batch with a prefix of the chunk
-        already applied inside the open transaction; rolling that prefix
-        back — to a savepoint when a transaction was already open,
-        otherwise the implicit transaction the batch itself began —
-        makes a retry insert the chunk exactly once instead of
-        double-applying the survived prefix."""
-        if self._conn.in_transaction:
-            self._conn.execute(f"SAVEPOINT {self._EXECUTEMANY_SAVEPOINT}")
-            try:
-                cursor = self._conn.executemany(sql, chunk)
-            except sqlite3.Error:
-                try:
-                    self._conn.execute(
-                        f"ROLLBACK TO {self._EXECUTEMANY_SAVEPOINT}")
-                    self._conn.execute(
-                        f"RELEASE {self._EXECUTEMANY_SAVEPOINT}")
-                except sqlite3.Error:
-                    pass  # surface the original failure, not the cleanup's
-                raise
-            self._conn.execute(f"RELEASE {self._EXECUTEMANY_SAVEPOINT}")
-            return cursor
-        try:
-            return self._conn.executemany(sql, chunk)
-        except sqlite3.Error:
-            if self._conn.in_transaction:
-                try:
-                    self._conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-            raise
-
-    def executemany(self, sql: str, rows: Iterable[Sequence]) -> None:
-        if self._closed:
-            raise DatabaseError(
-                f"database is closed; cannot execute:\n{sql}")
-        # Materialize before the first attempt: ``rows`` may be a
-        # one-shot iterator that a failed attempt would have partially
-        # consumed, which is what used to make retrying unsafe here.
-        if not isinstance(rows, (list, tuple)):
-            rows = list(rows)
-        tracer = get_tracer()
-        if not tracer.enabled:
-            try:
-                self._retried(lambda: self._executemany_attempt(sql, rows))
-            except sqlite3.Error as e:
-                raise DatabaseError(
-                    f"{type(e).__name__}: {e}\nSQL was:\n{sql}"
-                ) from e
-            return
-        t0 = time.perf_counter()
-        try:
-            cursor = self._retried(
-                lambda: self._executemany_attempt(sql, rows))
-        except sqlite3.Error as e:
-            tracer.record_sql(
-                sql,
-                seconds=time.perf_counter() - t0,
-                status="error",
-                error=type(e).__name__,
-            )
-            raise DatabaseError(
-                f"{type(e).__name__}: {e}\nSQL was:\n{sql}"
-            ) from e
-        changed = cursor.rowcount if cursor.rowcount >= 0 else None
-        tracer.record_sql(
-            sql, seconds=time.perf_counter() - t0, changed=changed,
-        )
+    def executemany(self, sql: str, rows: Iterable[Sequence]) -> int:
+        """Run ``sql`` once per row of ``rows`` (any iterable, consumed
+        once) and return the number of rows it changed."""
+        cursor = self._run(sql, lambda: self._conn.executemany(sql, rows))
+        return max(cursor.rowcount, 0)
 
     def query(self, sql: str, params: Sequence = ()) -> list[dict[str, Value]]:
         rows = self.execute(sql, params).fetchall()
@@ -416,7 +315,6 @@ class ProtocolDatabase:
         spec_or_table: "IndexSpec | str",
         columns: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
-        unique: bool = False,
     ) -> str:
         """Create an index (``IF NOT EXISTS``) from an :class:`IndexSpec`
         or from ``(table, columns)``; returns the index name."""
@@ -425,15 +323,10 @@ class ProtocolDatabase:
         else:
             if not columns:
                 raise ValueError("create_index needs columns when given a table name")
-            spec = IndexSpec(spec_or_table, tuple(columns), name=name, unique=unique)
+            spec = IndexSpec(spec_or_table, tuple(columns), name=name)
         self.execute(spec.sql())
         get_tracer().incr("db.indexes_created")
         return spec.index_name
-
-    def analyze(self, table: Optional[str] = None) -> None:
-        """Run ``ANALYZE`` (optionally scoped to one table) so the query
-        planner has cardinality statistics for the new indexes."""
-        self.execute(f"ANALYZE {quote_ident(table)}" if table else "ANALYZE")
 
     def rows(self, name: str, order_by: Optional[Sequence[str]] = None) -> list[dict[str, Value]]:
         sql = f"SELECT * FROM {quote_ident(name)}"
@@ -442,13 +335,10 @@ class ProtocolDatabase:
         return self.query(sql)
 
     # -- column (domain) tables --------------------------------------------------
-    def column_table_name(self, table: str, column: str) -> str:
-        return f"{self.COLUMN_TABLE_PREFIX}{table}__{column}"
-
     def create_column_table(self, table: str, column: Column) -> str:
-        """Create the paper's *column table*: one row per legal value,
-        including NULL for nullable columns."""
-        name = self.column_table_name(table, column.name)
+        """Create the paper's *column table* ``col_<table>__<column>``: one
+        row per legal value, including NULL for nullable columns."""
+        name = f"col_{table}__{column.name}"
         self.drop_table(name)
         self.execute(f"CREATE TABLE {quote_ident(name)} ({quote_ident(column.name)} TEXT)")
         self.executemany(
@@ -462,9 +352,8 @@ class ProtocolDatabase:
         return {c.name: self.create_column_table(schema.name, c) for c in schema.columns}
 
     # -- data tables ---------------------------------------------------------------
-    def create_table(self, name: str, columns: Sequence[str], replace: bool = True) -> None:
-        if replace:
-            self.drop_table(name)
+    def create_table(self, name: str, columns: Sequence[str]) -> None:
+        self.drop_table(name)
         cols = ", ".join(f"{quote_ident(c)} TEXT" for c in columns)
         self.execute(f"CREATE TABLE {quote_ident(name)} ({cols})")
 
@@ -472,16 +361,10 @@ class ProtocolDatabase:
         cols = ", ".join(quote_ident(c) for c in columns)
         marks = ", ".join("?" for _ in columns)
         sql = f"INSERT INTO {quote_ident(name)} ({cols}) VALUES ({marks})"
-        # Stream in bounded chunks instead of materializing the whole row
-        # list: generators of any size insert in O(chunk) memory.
-        tuples = (tuple(r[c] for c in columns) for r in rows)
-        total = 0
-        while True:
-            chunk = list(itertools.islice(tuples, self.INSERT_CHUNK))
-            if not chunk:
-                return total
-            self.executemany(sql, chunk)
-            total += len(chunk)
+        # sqlite3 pulls the rows one at a time, so a generator of any
+        # size streams in without being materialized.
+        return self.executemany(
+            sql, (tuple(r[c] for c in columns) for r in rows))
 
     def create_table_from_rows(
         self, name: str, columns: Sequence[str], rows: Iterable[Row]
@@ -489,29 +372,12 @@ class ProtocolDatabase:
         self.create_table(name, columns)
         return self.insert_rows(name, columns, rows)
 
-    def create_table_as(self, name: str, select_sql: str, replace: bool = True) -> None:
+    def create_table_as(self, name: str, select_sql: str) -> None:
         """The workhorse: ``CREATE TABLE name AS SELECT …`` (paper section 5
-        uses exactly this form to carve implementation tables out of ED)."""
-        if replace:
-            self.drop_table(name)
+        uses exactly this form to carve implementation tables out of ED),
+        replacing any table or view of that name."""
+        self.drop_table(name)
         self.execute(f"CREATE TABLE {quote_ident(name)} AS {select_sql}")
-
-    # -- set operations ---------------------------------------------------------------
-    def difference_count(self, left: str, right: str, columns: Sequence[str]) -> int:
-        """``|left EXCEPT right|`` over the named columns — 0 means every
-        row of ``left`` appears in ``right`` (containment)."""
-        cols = ", ".join(quote_ident(c) for c in columns)
-        sql = (
-            f"SELECT COUNT(*) FROM (SELECT {cols} FROM {quote_ident(left)} "
-            f"EXCEPT SELECT {cols} FROM {quote_ident(right)})"
-        )
-        return int(self.scalar(sql))
-
-    def tables_equal(self, left: str, right: str, columns: Sequence[str]) -> bool:
-        return (
-            self.difference_count(left, right, columns) == 0
-            and self.difference_count(right, left, columns) == 0
-        )
 
     def distinct_values(self, table: str, column: str) -> list[Value]:
         return [

@@ -122,9 +122,6 @@ class TableSchema:
         except KeyError:
             raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 

@@ -69,11 +69,6 @@ class FamilySpec:
 
     # -- derived state sets (ordering follows ``cache_states``) -------------
     @property
-    def exclusive_states(self) -> tuple:
-        """States granting write permission — M/E across the whole family."""
-        return ("M", "E")
-
-    @property
     def upgrade_states(self) -> tuple:
         """Cache states from which a store upgrades in place (vs readex)."""
         return ("S",) + ((self.forward_state,) if self.forward_state else ())

@@ -92,23 +92,6 @@ class TestDataTables:
 
 
 class TestSetOperations:
-    def test_difference_count(self, db):
-        db.create_table_from_rows("l", ("a",), [{"a": "1"}, {"a": "2"}])
-        db.create_table_from_rows("r", ("a",), [{"a": "1"}])
-        assert db.difference_count("l", "r", ("a",)) == 1
-        assert db.difference_count("r", "l", ("a",)) == 0
-
-    def test_tables_equal(self, db):
-        rows = [{"a": "1"}, {"a": "2"}]
-        db.create_table_from_rows("l", ("a",), rows)
-        db.create_table_from_rows("r", ("a",), list(reversed(rows)))
-        assert db.tables_equal("l", "r", ("a",))
-
-    def test_tables_not_equal(self, db):
-        db.create_table_from_rows("l", ("a",), [{"a": "1"}])
-        db.create_table_from_rows("r", ("a",), [{"a": "2"}])
-        assert not db.tables_equal("l", "r", ("a",))
-
     def test_distinct_values(self, db):
         db.create_table_from_rows(
             "d", ("a",), [{"a": "1"}, {"a": "1"}, {"a": None}]
@@ -129,11 +112,6 @@ class TestIndexSpec:
         assert sql.startswith("CREATE INDEX IF NOT EXISTS")
         assert '"dep"' in sql and '"m", "s"' in sql
 
-    def test_unique_spec(self):
-        assert IndexSpec("dep", ("m",), unique=True).sql().startswith(
-            "CREATE UNIQUE INDEX"
-        )
-
     def test_create_index_registers_in_sqlite_master(self, db):
         db.create_table("d", ("a", "b"))
         name = db.create_index("d", ("a", "b"))
@@ -149,12 +127,6 @@ class TestIndexSpec:
         with pytest.raises(ValueError, match="columns"):
             db.create_index("d")
 
-    def test_analyze_accepts_indexed_table(self, db):
-        db.create_table("d", ("a",))
-        db.insert_rows("d", ("a",), [{"a": "1"}, {"a": "2"}])
-        db.create_index("d", ("a",))
-        db.analyze("d")
-        db.analyze()
 
 
 class TestMetadataCache:
@@ -184,12 +156,27 @@ class TestMetadataCache:
 
 class TestChunkedInsert:
     def test_generator_larger_than_chunk_inserts_every_row(self, db):
-        n = ProtocolDatabase.INSERT_CHUNK * 2 + 7
+        n = 1031
         db.create_table("d", ("a",))
         inserted = db.insert_rows("d", ("a",), ({"a": str(i)} for i in range(n)))
         assert inserted == n
         assert db.row_count("d") == n
         assert db.scalar("SELECT COUNT(DISTINCT a) FROM d") == n
+
+    def test_one_shot_generator_is_one_statement(self, db):
+        # insert_rows hands its generator straight to one executemany:
+        # every row lands, and the tracer sees a single sql event.
+        n = 1031
+        db.create_table("d", ("a",))
+        tracer = telemetry.Tracer(sinks=[telemetry.ListSink()],
+                                  slow_sql_seconds=None)
+        with telemetry.use_tracer(tracer):
+            inserted = db.insert_rows(
+                "d", ("a",), ({"a": str(i)} for i in range(n)))
+        assert inserted == n
+        assert db.row_count("d") == n
+        (event,) = tracer.sinks[0].of_type("sql")
+        assert event["statement"].startswith('INSERT INTO "d"')
 
     def test_empty_iterable(self, db):
         db.create_table("d", ("a",))
@@ -298,7 +285,7 @@ class TestDeserializeRoundTrip:
             [{"a": "1", "b": "x"}, {"a": "2", "b": "y"},
              {"a": "3", "b": None}])
         db.create_index(IndexSpec("d", ("a", "b"), name="d_ab"))
-        db.create_index(IndexSpec("d", ("b",), unique=False))
+        db.create_index(IndexSpec("d", ("b",)))
 
     def index_names(self, db):
         return {r["name"] for r in db.query(
@@ -367,21 +354,25 @@ class TestFileDatabasePersistence:
 
 
 class TestFileDatabaseResilience:
-    def test_file_backed_connections_use_wal(self, tmp_path):
-        db = ProtocolDatabase(str(tmp_path / "x.sqlite"))
+    def test_file_backed_connections_use_rollback_journal(self, tmp_path):
+        # One process owns a --db/--save-db file at a time, so it keeps
+        # sqlite's default rollback journal: no -wal/-shm sidecars.
+        path = tmp_path / "x.sqlite"
+        db = ProtocolDatabase(str(path))
         try:
-            assert db.scalar("PRAGMA journal_mode") == "wal"
-            assert db.scalar("PRAGMA busy_timeout") == 5000
+            db.create_table_from_rows("d", ("a",), [{"a": "1"}])
+            assert db.scalar("PRAGMA journal_mode") == "delete"
         finally:
             db.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.sqlite"]
 
     def test_in_memory_keeps_scratch_settings(self, db):
-        # No WAL for scratch databases: journaling buys nothing there.
+        # Journaling buys nothing for scratch databases.
         assert db.scalar("PRAGMA journal_mode") == "memory"
 
     def test_concurrent_reader_during_write_transaction(self, tmp_path):
-        # The WAL satellite's whole point: a second --db reader must not
-        # fail with "database is locked" while a writer is mid-commit.
+        # A second reader of a --db file (a monitoring query) still sees
+        # the last committed rows while a writer holds a transaction.
         path = str(tmp_path / "shared.sqlite")
         writer = ProtocolDatabase(path)
         writer.create_table_from_rows("d", ("a",), [{"a": "1"}])
@@ -390,7 +381,6 @@ class TestFileDatabaseResilience:
         try:
             writer.execute("BEGIN")
             writer.execute("INSERT INTO d VALUES ('2')")
-            # Under WAL the reader sees the last committed snapshot.
             assert reader.row_count("d") == 1
         finally:
             writer.close()
@@ -399,7 +389,7 @@ class TestFileDatabaseResilience:
 
 class _FlakyConnection:
     """Delegates to a real connection, failing the first ``failures``
-    execute() calls with a transient lock error."""
+    execute() calls with a "database is locked" error."""
 
     def __init__(self, real, failures):
         self._real = real
@@ -418,30 +408,18 @@ class _FlakyConnection:
 
 
 class TestTransientRetry:
-    def test_execute_retries_through_transient_locks(self, db, monkeypatch):
-        from repro.runtime import RetryPolicy
+    """There is no retry, not even for a lock error: the connection is
+    private, so a sqlite error is a real error on its first occurrence."""
 
-        db.create_table_from_rows("d", ("a",), [{"a": "1"}])
-        flaky = _FlakyConnection(db.connection, failures=2)
+    def test_locked_error_raises_on_first_occurrence(self, db, monkeypatch):
+        flaky = _FlakyConnection(db.connection, failures=1)
         monkeypatch.setattr(db, "_conn", flaky)
-        monkeypatch.setattr(
-            db, "_retry_policy",
-            RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-        rows = db.query("SELECT * FROM d")
-        assert rows == [{"a": "1"}]
-        assert flaky.calls == 3
-
-    def test_exhausted_transient_raises_database_error(self, db, monkeypatch):
-        from repro.runtime import RetryPolicy
-
-        flaky = _FlakyConnection(db.connection, failures=99)
-        monkeypatch.setattr(db, "_conn", flaky)
-        monkeypatch.setattr(
-            db, "_retry_policy",
-            RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0))
-        with pytest.raises(DatabaseError, match="database is locked"):
-            db.execute("SELECT 1")
-        assert flaky.calls == 2
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            with pytest.raises(DatabaseError, match="database is locked"):
+                db.execute("SELECT 1")
+        assert flaky.calls == 1
+        assert tracer.registry.counter("db.retries") == 0
 
     def test_fatal_error_fails_immediately(self, db, monkeypatch):
         flaky = _FlakyConnection(db.connection, failures=0)
@@ -449,101 +427,3 @@ class TestTransientRetry:
         with pytest.raises(DatabaseError, match="syntax"):
             db.execute("SELEKT broken")
         assert flaky.calls == 1
-
-    def test_retry_counter_visible_in_telemetry(self, db, monkeypatch):
-        from repro.runtime import RetryPolicy
-
-        monkeypatch.setattr(
-            db, "_retry_policy",
-            RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-        tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
-            flaky = _FlakyConnection(db.connection, failures=1)
-            monkeypatch.setattr(db, "_conn", flaky)
-            db.execute("SELECT 1")
-        assert tracer.registry.counter("db.retries") == 1
-
-
-class _MidBatchFlakyConnection:
-    """Delegates to a real connection; the first ``failures`` calls to
-    ``executemany`` apply a *prefix* of the batch and then raise a
-    transient lock error — what an interrupted bulk insert actually
-    looks like from inside an open transaction."""
-
-    def __init__(self, real, fail_after, failures=1):
-        self._real = real
-        self.fail_after = fail_after
-        self.remaining = failures
-        self.attempts = 0
-
-    def executemany(self, sql, rows):
-        self.attempts += 1
-        if self.remaining > 0:
-            self.remaining -= 1
-            for row in list(rows)[: self.fail_after]:
-                self._real.execute(sql, row)
-            raise sqlite3.OperationalError("database is locked")
-        return self._real.executemany(sql, rows)
-
-    def __getattr__(self, name):
-        return getattr(self._real, name)
-
-
-class TestExecutemanyRetry:
-    """A transient error landing mid-batch must not double-apply the
-    surviving prefix on retry, and one-shot row iterators must not be
-    half-eaten by the failed attempt."""
-
-    @pytest.fixture(autouse=True)
-    def _fast_retries(self, db, monkeypatch):
-        from repro.runtime import RetryPolicy
-
-        monkeypatch.setattr(
-            db, "_retry_policy",
-            RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-
-    def test_midbatch_transient_inserts_exactly_once(self, db, monkeypatch):
-        db.create_table("d", ("a",))
-        flaky = _MidBatchFlakyConnection(db.connection, fail_after=3)
-        monkeypatch.setattr(db, "_conn", flaky)
-        db.executemany(
-            "INSERT INTO d (a) VALUES (?)",
-            [(str(i),) for i in range(6)])
-        assert flaky.attempts == 2
-        values = [r["a"] for r in db.rows("d", order_by=("a",))]
-        assert values == [str(i) for i in range(6)]  # prefix not doubled
-
-    def test_midbatch_transient_inside_open_transaction(self, db,
-                                                        monkeypatch):
-        db.create_table("d", ("a",))
-        db.execute("INSERT INTO d (a) VALUES ('seed')")
-        assert db.connection.in_transaction  # savepoint path, not rollback
-        flaky = _MidBatchFlakyConnection(db.connection, fail_after=2)
-        monkeypatch.setattr(db, "_conn", flaky)
-        db.executemany(
-            "INSERT INTO d (a) VALUES (?)", [("x",), ("y",), ("z",)])
-        db.connection.commit()
-        values = sorted(r["a"] for r in db.rows("d"))
-        assert values == ["seed", "x", "y", "z"]
-
-    def test_one_shot_iterator_survives_failed_attempt(self, db,
-                                                       monkeypatch):
-        db.create_table("d", ("a",))
-        flaky = _MidBatchFlakyConnection(
-            db.connection, fail_after=2, failures=1)
-        monkeypatch.setattr(db, "_conn", flaky)
-        rows = ((str(i),) for i in range(5))  # consumable exactly once
-        db.executemany("INSERT INTO d (a) VALUES (?)", rows)
-        assert sorted(r["a"] for r in db.rows("d")) == [
-            "0", "1", "2", "3", "4"]
-
-    def test_exhausted_midbatch_retries_leave_no_partial_rows(
-            self, db, monkeypatch):
-        db.create_table("d", ("a",))
-        flaky = _MidBatchFlakyConnection(
-            db.connection, fail_after=2, failures=99)
-        monkeypatch.setattr(db, "_conn", flaky)
-        with pytest.raises(DatabaseError, match="database is locked"):
-            db.executemany(
-                "INSERT INTO d (a) VALUES (?)", [("x",), ("y",), ("z",)])
-        assert db.row_count("d") == 0

@@ -89,11 +89,6 @@ def _emitted_counters():
                 name = re.sub(r"\{[^}]*\}", _VAR, sm.group(2))
                 if "." in name.replace(_VAR, ""):
                     names.add(name)
-        # call_with_retry(metric="x") counts retries on x and gives up
-        # on x.exhausted — both are emitted counters at that call site.
-        for rm in re.finditer(r'metric="([^"]+)"', text):
-            names.add(rm.group(1))
-            names.add(rm.group(1) + ".exhausted")
     return names
 
 
@@ -111,9 +106,9 @@ def _documented_counters():
         for part in parts:
             if part.startswith("."):
                 if base is not None:
-                    # `db.retries` / `.exhausted` appends a component;
-                    # `db.cache.hits` / `.misses` swaps the last one.
-                    # Expand both readings of the shorthand.
+                    # `invariant.checks` / `.passed` swaps the last
+                    # component; the shorthand could also append one.
+                    # Expand both readings.
                     names.add(base + part)
                     names.add(base.rsplit(".", 1)[0] + part)
                 continue
