@@ -15,6 +15,7 @@ sweep is batched (one UNION ALL query for the whole suite); see
 ``docs/PERFORMANCE.md``.
 """
 
+from repro.core.invariants import InvariantChecker
 from repro.protocols.family import MESI
 from repro.protocols.family.invariants import build_invariants
 
@@ -43,8 +44,10 @@ def test_paper_four_invariants(benchmark, system):
         "serialize-retry-when-busy",
         "serialize-dealloc-on-completion",
     }
-    checker = system.invariant_checker()
-    checker.invariants = [i for i in checker.invariants if i.name in names]
+    # A checker of its own: assigning a bound checker's invariants would
+    # reuse the full suite's compiled sweep.
+    checker = InvariantChecker(system.db)
+    checker.extend([i for i in build_invariants(MESI) if i.name in names])
     assert len(checker.invariants) == 4
 
     report = benchmark.pedantic(

@@ -17,27 +17,39 @@ Two execution strategies:
   invariants over different tables batch together; violating rows are
   projected back to each invariant's own columns afterwards, which makes
   the two strategies produce identical :class:`~repro.core.report.Report`
-  contents.  Raw-SQL invariants keep their private queries.
+  contents.  A raw-SQL invariant joins the batch as a subquery; one
+  whose query does not nest runs on its own.
+
+``check_all(tables=...)`` scopes a sweep to the invariants that read one
+of the named tables: an edit re-runs only what it can have broken.  An
+expression invariant reads its own table; sqlite's authorizer reports
+what a raw-SQL query reads while its shape is probed.
 """
 
 from __future__ import annotations
 
 import copy
+import sqlite3
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from ..telemetry import get_tracer, span
 from .database import DatabaseError, ProtocolDatabase
 from .expr import BoolExpr
 from .report import CheckResult, Report
 from .sqlgen import quote_ident, quote_value, to_sql
-from .table import ControllerTable
 
 __all__ = ["Invariant", "InvariantChecker", "InvariantViolation"]
 
 #: compound-SELECT branches per batched query, comfortably below
 #: SQLite's default 500-term compound limit.
 MAX_BATCH_BRANCHES = 100
+
+#: what removes an authorizer: None from Python 3.11 on, before that a
+#: callback that allows everything.
+NO_AUTHORIZER = (None if sys.version_info >= (3, 11)
+                 else lambda *_: sqlite3.SQLITE_OK)
 
 
 @dataclass
@@ -93,18 +105,20 @@ class Invariant:
 class InvariantChecker:
     """Runs invariants against the central database.
 
-    ``batch=True`` (the default) lets :meth:`check_all` /
-    :meth:`check_table` compile expression invariants into combined
-    ``UNION ALL`` sweeps; ``batch=False`` is the escape hatch that
-    restores the one-query-per-invariant behaviour everywhere.
+    ``batch=True`` (the default) lets :meth:`check_all` compile
+    expression invariants into combined ``UNION ALL`` sweeps;
+    ``batch=False`` is the escape hatch that restores the
+    one-query-per-invariant behaviour everywhere.
     """
 
     def __init__(self, db: ProtocolDatabase, batch: bool = True) -> None:
         self.db = db
         self.batch = batch
         self.invariants: list[Invariant] = []
-        # "plan" -> the sweep of self.invariants, shared via bound_to().
-        self._compiled: dict[str, tuple] = {}
+        # "probes" -> each invariant's report columns and tables read;
+        # ("plan", tables) -> a sweep of the invariants reading one of
+        # tables (None: all).  Shared via bound_to().
+        self._compiled: dict = {}
 
     def add(self, invariant: Invariant) -> None:
         self.extend((invariant,))
@@ -147,23 +161,41 @@ class InvariantChecker:
             if rows:
                 tracer.incr("invariant.violations", len(rows))
 
-    def _violation_columns(self, inv: Invariant) -> Optional[list[str]]:
-        """The columns a violating row of ``inv`` reports (``SELECT *``
-        order when no explicit report columns are given), or None when
-        the invariant cannot join a batch."""
+    def _probe(self, inv: Invariant) -> tuple[Optional[list[str]], Optional[frozenset[str]]]:
+        """``(report columns, tables read)`` of ``inv``.  The columns
+        (``SELECT *`` order when no explicit report columns are given) are
+        None when the invariant cannot join a batch.  sqlite's authorizer
+        reports the tables a raw-SQL query reads; they are None when the
+        query does not nest, and such an invariant runs in every scoped
+        sweep."""
         if inv.violation is not None:
-            if inv.report_columns:
-                return list(inv.report_columns)
-            return self.db.table_columns(inv.table)
+            cols = list(inv.report_columns) or self.db.table_columns(inv.table)
+            return cols, frozenset((inv.table,))
+        reads: set[str] = set()
+
+        def record(action: int, table: Optional[str], *_) -> int:
+            if action == sqlite3.SQLITE_READ:
+                reads.add(table)
+            return sqlite3.SQLITE_OK
+
+        self.db.connection.set_authorizer(record)
         try:
             cursor = self.db.execute(
                 f'SELECT * FROM ({inv.violation_sql}) AS "__probe__" LIMIT 0'
             )
         except DatabaseError:
-            return None  # query shape does not nest; run it standalone
+            return None, None  # query shape does not nest; run it standalone
+        finally:
+            self.db.connection.set_authorizer(NO_AUTHORIZER)
         cols = [d[0] for d in cursor.description]
         # Ambiguous duplicate output names cannot be projected back.
-        return cols if len(set(cols)) == len(cols) else None
+        return (cols if len(set(cols)) == len(cols) else None), frozenset(reads)
+
+    def _probes(self) -> list[tuple[Optional[list[str]], Optional[frozenset[str]]]]:
+        """:meth:`_probe` of every invariant, run once and shared."""
+        if "probes" not in self._compiled:
+            self._compiled["probes"] = [self._probe(inv) for inv in self.invariants]
+        return self._compiled["probes"]
 
     def _batch_sql(self, chunk: Sequence[tuple[int, Invariant, list[str]]], width: int) -> str:
         """One UNION ALL query over ``chunk``; every branch is padded to
@@ -185,11 +217,12 @@ class InvariantChecker:
             )
         return "\nUNION ALL\n".join(branches)
 
-    def _plan(self, invariants: Sequence[Invariant]) -> tuple:
+    def _plan(self, indexes: Sequence[int]) -> tuple:
         """``({index: report columns} of the batchable invariants,
-        [(indexes, UNION ALL sql)] per chunk)`` for ``invariants``."""
-        batchable = [(idx, inv, cols) for idx, inv in enumerate(invariants)
-                     if (cols := self._violation_columns(inv)) is not None]
+        [(indexes, UNION ALL sql)] per chunk)`` for ``indexes``."""
+        probes = self._probes()
+        batchable = [(idx, self.invariants[idx], cols) for idx in indexes
+                     if (cols := probes[idx][0]) is not None]
         chunks = []
         for start in range(0, len(batchable), MAX_BATCH_BRANCHES):
             chunk = batchable[start:start + MAX_BATCH_BRANCHES]
@@ -199,17 +232,16 @@ class InvariantChecker:
         return {idx: cols for idx, _, cols in batchable}, chunks
 
     def _check_batched(
-        self, invariants: Sequence[Invariant], max_violations: int = 50
+        self, indexes: Sequence[int], key: Optional[frozenset[str]],
+        max_violations: int = 50,
     ) -> list[CheckResult]:
-        """Check ``invariants`` with batched UNION ALL sweeps, returning
-        results in input order and identical in content to the
+        """Check the invariants at ``indexes`` with batched UNION ALL
+        sweeps, compiled once per ``key`` (the scoping tables), returning
+        results in index order and identical in content to the
         per-invariant path (raw-SQL invariants still run individually)."""
-        if invariants is not self.invariants:  # a check_table subset
-            columns_of, chunks = self._plan(invariants)
-        elif "plan" in self._compiled:
-            columns_of, chunks = self._compiled["plan"]
-        else:
-            columns_of, chunks = self._compiled["plan"] = self._plan(invariants)
+        if ("plan", key) not in self._compiled:
+            self._compiled["plan", key] = self._plan(indexes)
+        columns_of, chunks = self._compiled["plan", key]
         violations: dict[int, list[dict]] = {idx: [] for idx in columns_of}
         seconds: dict[int, float] = {}
         tracer = get_tracer()
@@ -228,7 +260,8 @@ class InvariantChecker:
                 seconds[idx] = share
 
         results: list[CheckResult] = []
-        for idx, inv in enumerate(invariants):
+        for idx in indexes:
+            inv = self.invariants[idx]
             if idx not in columns_of:
                 results.append(self.check(inv, max_violations))
                 continue
@@ -250,32 +283,22 @@ class InvariantChecker:
             ))
         return results
 
-    def _sweep(self, invariants: Sequence[Invariant], batch: Optional[bool]) -> list[CheckResult]:
-        use_batch = self.batch if batch is None else batch
-        if use_batch and invariants:
-            return self._check_batched(invariants)
-        return [self.check(inv) for inv in invariants]
-
     def check_all(
-        self, title: str = "protocol invariants", batch: Optional[bool] = None
+        self, title: str = "protocol invariants", batch: Optional[bool] = None,
+        tables: Optional[Iterable[str]] = None,
     ) -> Report:
-        """Run every invariant; ``batch`` overrides the checker default."""
+        """Run every invariant, or with ``tables`` only those that read
+        one of those tables, in suite order; ``batch`` overrides the
+        checker default."""
+        key = None if tables is None else frozenset(tables)
+        if key is None:
+            indexes = range(len(self.invariants))
+        else:
+            indexes = [idx for idx, (_, reads) in enumerate(self._probes())
+                       if reads is None or reads & key]
         report = Report(title)
-        report.extend(self._sweep(self.invariants, batch))
-        return report
-
-    def check_table(
-        self,
-        table: ControllerTable,
-        title: Optional[str] = None,
-        batch: Optional[bool] = None,
-    ) -> Report:
-        """Run only the invariants that target ``table``."""
-        report = Report(title or f"invariants on {table.schema.name}")
-        selected = [
-            inv
-            for inv in self.invariants
-            if inv.table == table.table_name or inv.table == table.schema.name
-        ]
-        report.extend(self._sweep(selected, batch))
+        if (self.batch if batch is None else batch) and indexes:
+            report.extend(self._check_batched(indexes, key))
+        else:
+            report.extend(self.check(self.invariants[idx]) for idx in indexes)
         return report

@@ -181,27 +181,42 @@ class ControllerTable:
         Two rows overlap when for every input column their stored values
         are equal or at least one is a dontcare NULL; an overlap means some
         concrete input matches both rows.  A deterministic controller has
-        no overlaps.
+        no overlaps.  Pairs come in rowid order.
         """
         input_names = self.schema.input_names
         if not input_names:
             return []
-        conds = []
-        for name in input_names:
+
+        def overlap(name: str, plain: bool) -> str:
             q = quote_ident(name)
-            conds.append(f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)")
-        # One query: row a's columns, then row b's, by position.
-        names = self.schema.column_names
-        selected = ", ".join(f"{side}.{quote_ident(c)}"
-                             for side in "ab" for c in names)
+            if plain:
+                return f"a.{q} = b.{q}"
+            return f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)"
+
+        # Columns declared non-nullable join on plain equality, which lets
+        # sqlite build an automatic index.  A NULL edited into one of them
+        # switches to the all-dontcare branch instead; one branch runs.
         t = quote_ident(self.table_name)
-        sql = (
-            f"SELECT {selected} FROM {t} a JOIN {t} b "
-            f"ON a.rowid < b.rowid AND " + " AND ".join(conds)
-        )
+        names = self.schema.column_names
+        strict = [c for c in input_names if not self.schema.column(c).nullable]
+        edited = " OR ".join(f"{quote_ident(c)} IS NULL" for c in strict) or "0"
+        selected = "a.rowid, b.rowid, " + ", ".join(
+            f"{side}.{quote_ident(c)}" for side in "ab" for c in names)
+        branches = []
+        for fast in (True, False):
+            conds = " AND ".join(overlap(c, fast and c in strict)
+                                 for c in input_names)
+            guard = "NOT EXISTS" if fast else "EXISTS"
+            branches.append(
+                f"SELECT {selected} FROM {t} a JOIN {t} b "
+                f"ON a.rowid < b.rowid AND {conds} "
+                f"WHERE {guard} (SELECT 1 FROM {t} WHERE {edited})")
+        hits = self.db.query_tuples(
+            " UNION ALL ".join(branches) + " ORDER BY 1, 2")
+        # After the rowids: row a's columns, then row b's, by position.
         n = len(names)
-        return [(dict(zip(names, hit[:n])), dict(zip(names, hit[n:])))
-                for hit in self.db.query_tuples(sql)]
+        return [(dict(zip(names, hit[2:2 + n])), dict(zip(names, hit[2 + n:])))
+                for hit in hits]
 
     def is_deterministic(self) -> bool:
         return not self.find_overlapping_rows()

@@ -8,7 +8,8 @@ layers in the paper's order:
 
 1. **invariants** — the behavioral suite + per-table determinism checks
    + the structural audits (conformance/completeness, see
-   :mod:`repro.faults.audits`);
+   :mod:`repro.faults.audits`), only those reading a table the mutation
+   wrote (:attr:`Mutation.tables`);
 2. **deadlock** — the SQL VCG analysis; a mutant is caught when the cycle
    set differs from the clean system's or the V lookup fails;
 3. **simulation** — Figure 2 plus a short random workload; protocol
@@ -476,11 +477,14 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
         mutation.apply_to(system)
 
         # Layer 1: invariant sweep + determinism + structural audits
-        # (of the clean constraints, which relax-constraint edits).
+        # (of the clean constraints, which relax-constraint edits), only
+        # the checks that read a table the mutation wrote: every other
+        # check passed on the clean template.
         def _invariant_sweep(batch: bool):
-            report = system.check_invariants(batch=batch)
+            report = system.check_invariants(batch=batch,
+                                             tables=mutation.tables)
             return report, template.audits.bound_to(db).check_all(
-                "structural audits", batch=batch)
+                "structural audits", batch=batch, tables=mutation.tables)
 
         with span("mutate.invariants", mutant=mutation.mutant_id):
             try:

@@ -79,6 +79,12 @@ class Mutation:
     assignment: Optional[str] = None
     relaxed_column: Optional[str] = None
 
+    @property
+    def tables(self) -> tuple[str, ...]:
+        """The controller tables this mutation writes: its target, or
+        none for a channel move (which edits V in memory)."""
+        return () if self.channel_moves else (self.target,)
+
     def apply_to(self, system) -> None:
         """Apply this mutation to ``system`` in place.
 

@@ -189,13 +189,17 @@ class FamilySystem:
         checker.batch = batch
         return checker
 
-    def check_invariants(self, batch: bool = True) -> Report:
+    def check_invariants(self, batch: bool = True,
+                         tables: Optional[Sequence[str]] = None) -> Report:
         """Run the full invariant suite plus per-table determinism checks
-        (no two rows of any controller match the same concrete input)."""
+        (no two rows of any controller match the same concrete input);
+        with ``tables``, only the checks that read one of those tables."""
         report = self.invariant_checker(batch=batch).check_all(
-            f"{self.spec.title} protocol invariants")
+            f"{self.spec.title} protocol invariants", tables=tables)
         tracer = get_tracer()
         for name, table in self.tables.items():
+            if tables is not None and name not in tables:
+                continue
             with span("invariant.determinism", table=name) as sp:
                 overlaps = table.find_overlapping_rows()
             if tracer.enabled:

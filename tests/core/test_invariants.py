@@ -91,10 +91,27 @@ class TestChecking:
         report = checker.check_all()
         assert report.passed and len(report.results) == 1
 
-    def test_check_table_filters(self, db, table):
+    def test_tables_scope_check_all(self, db, table):
+        db.create_table_from_rows("E", ("x",), [{"x": "I"}, {"x": None}])
         checker = InvariantChecker(db)
         checker.add(pv_invariant())
         checker.add(Invariant(name="other", description="", table="E",
                               violation=C("x").is_null()))
-        report = checker.check_table(table)
-        assert [r.name for r in report.results] == ["pv"]
+        # A raw-SQL invariant joining two tables reads both of them.
+        checker.add(Invariant(
+            name="joined", description="",
+            violation_sql="SELECT dirst FROM D "
+                          "WHERE dirst NOT IN (SELECT x FROM E)"))
+        for batch in (True, False):
+            def ran(tables):
+                return [r.name for r in
+                        checker.check_all(batch=batch, tables=tables).results]
+
+            assert ran(["D"]) == ["pv", "joined"]
+            assert ran(["E"]) == ["other", "joined"]
+            assert ran(["E", "D"]) == ran(None) == ["pv", "other", "joined"]
+            assert ran(["F"]) == ran([]) == []
+            full = checker.check_all(batch=batch)
+            scoped = checker.check_all(batch=batch, tables=["E"])
+            assert ([(r.name, r.details) for r in scoped.results]
+                    == [(r.name, r.details) for r in full.results[1:]])

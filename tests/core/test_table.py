@@ -4,6 +4,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.schema import Column, Role, SchemaError, TableSchema
+from repro.core.sqlgen import quote_ident
 from repro.core.table import (
     AmbiguousMatchError,
     ControllerTable,
@@ -125,12 +126,43 @@ class TestDeterminism:
         assert all(a == b == ROWS[0] for a, b in pairs)
         assert tracer.registry.counter("sql.queries") == 1
 
+    @pytest.mark.parametrize("i1_values, i2_values", [
+        (("a", "b"), ("p", "q")),              # NULL in no input column
+        (("a", "b", None), ("p", "q")),        # in the nullable one
+        (("a", "b"), ("p", "q", None)),        # edited into i2 alone
+        (("a", "b", None), ("p", "q", None)),  # in every input column
+    ], ids=["none", "some", "edited", "every"])
+    def test_pairs_match_or_join_reference(self, db, schema, i1_values,
+                                           i2_values):
+        rows = [{"i1": i1, "i2": i2, "o": o} for i1 in i1_values
+                for i2 in i2_values for o in ("x", "y")]
+        t = ControllerTable.from_rows(db, schema, rows, validate=False)
+        pairs = t.find_overlapping_rows()
+        assert pairs and pairs == _or_join_overlaps(t)
+
     def test_two_wildcards_overlap(self, db, schema):
         t = ControllerTable.from_rows(db, schema, [
             {"i1": None, "i2": "p", "o": "x"},
             {"i1": None, "i2": "p", "o": "y"},
         ])
         assert len(t.find_overlapping_rows()) == 1
+
+
+def _or_join_overlaps(table):
+    """The determinism check before its equality join: one self-join
+    reading every input NULL as a dontcare, in rowid order."""
+    t = quote_ident(table.table_name)
+    names = table.schema.column_names
+    conds = " AND ".join(
+        f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)"
+        for q in map(quote_ident, table.schema.input_names))
+    selected = ", ".join(f"{side}.{quote_ident(c)}"
+                         for side in "ab" for c in names)
+    hits = table.db.query_tuples(
+        f"SELECT {selected} FROM {t} a JOIN {t} b "
+        f"ON a.rowid < b.rowid AND {conds} ORDER BY a.rowid, b.rowid")
+    n = len(names)
+    return [(dict(zip(names, h[:n])), dict(zip(names, h[n:]))) for h in hits]
 
 
 class TestDerivation:

@@ -2,11 +2,14 @@
 the baseline-comparison gate used by CI."""
 
 import types
+from collections import Counter
 
 import pytest
 
 import repro.faults.campaign as campaign_mod
 from repro import telemetry
+from repro.core.database import ProtocolDatabase
+from repro.core.sqlgen import quote_ident
 from repro.faults import (
     FAULT_CLASSES,
     MutationEngine,
@@ -16,6 +19,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import MATRIX_SCHEMA, MutantTemplate, _run_mutant
 from repro.faults.mutations import Mutation
+from repro.protocols.asura.system import AsuraSystem
 
 
 @pytest.fixture(scope="module")
@@ -148,19 +152,101 @@ class TestSharedDerivation:
         assert after_relax.to_dict() == alone.to_dict()
 
     def test_campaign_work_is_pinned(self, fresh_system):
-        """The exact SQL statement count of a seed-0 8-mutant campaign.
-        Before the shared template the campaign issued 1,542 statements
+        """The exact SQL statement and check counts of a seed-0 8-mutant
+        campaign.  Before the shared template it issued 1,542 statements
         (it re-derived per mutant and fetched each overlapping row
-        separately); a change that derives per mutant again fails here.
-        The checks run and the violations found must not move: 972 and
-        404, as before the template."""
+        separately), and 514 with every check on every mutant (972
+        checks).  Each mutant now runs only the checks that read a table
+        it wrote; a change that re-derives per mutant or sweeps untouched
+        tables again fails here.  The violations found must not move:
+        404, as with the full sweep."""
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
             run_campaign(system=fresh_system, seed=0, count=8, workers=1)
         counters = tracer.registry.counters
-        assert counters["sql.queries"] == 514
-        assert counters["invariant.checks"] == 972
+        assert counters["sql.queries"] == 458
+        assert counters["invariant.checks"] == 376
         assert counters["invariant.violations"] == 404
+
+
+SEED0_MUTANTS = 50
+
+
+@pytest.fixture(scope="module")
+def seed0(system):
+    """The committed seed-0 campaign's template and its 50 mutations,
+    derived as :func:`run_campaign` derives them."""
+    db = ProtocolDatabase.deserialize(system.db.snapshot())
+    clean = AsuraSystem.from_database(db)
+    prepare_reference_tables(clean)
+    template = MutantTemplate.of(clean)
+    mutations = MutationEngine(clean, seed=0).sample(SEED0_MUTANTS)
+    yield template, mutations
+    db.close()
+
+
+def _failures(report):
+    return [(r.name, r.details) for r in report.results if not r.passed]
+
+
+class TestTableScopedChecks:
+    """A mutant re-runs only the checks that read a table it wrote; the
+    full sweep over all eight tables is the oracle."""
+
+    @pytest.mark.parametrize("mutant", range(SEED0_MUTANTS))
+    def test_scoped_layer_one_matches_full_sweep(self, seed0, mutant):
+        template, mutations = seed0
+        mutation = mutations[mutant]
+        with ProtocolDatabase.deserialize(template.snapshot) as db:
+            system = template.system.attach(db)
+            mutation.apply_to(system)
+            audits = template.audits.bound_to(db)
+            for batch in (True, False):
+                full = (system.check_invariants(batch=batch),
+                        audits.check_all(batch=batch))
+                scoped = (system.check_invariants(batch=batch,
+                                                  tables=mutation.tables),
+                          audits.check_all(batch=batch,
+                                           tables=mutation.tables))
+                for whole, part in zip(full, scoped):
+                    assert _failures(part) == _failures(whole)
+                    ran = [r.name for r in part.results]
+                    assert ran == [r.name for r in whole.results
+                                   if r.name in ran]
+
+    @pytest.mark.parametrize("mutant", range(SEED0_MUTANTS))
+    def test_declared_tables_are_the_changed_tables(self, seed0, mutant):
+        template, mutations = seed0
+        mutation = mutations[mutant]
+        with ProtocolDatabase.deserialize(template.snapshot) as clean, \
+                ProtocolDatabase.deserialize(template.snapshot) as db:
+            mutation.apply_to(template.system.attach(db))
+            names = _table_names(clean) | _table_names(db)
+            changed = {name for name in names
+                       if _row_multiset(clean, name) != _row_multiset(db, name)}
+        assert changed == set(mutation.tables)
+
+    def test_full_campaign_violations_are_pinned(self, fresh_system):
+        """Scoping skips only checks that pass: the committed campaign
+        still finds the 13,313 violations the full sweep found."""
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            run_campaign(system=fresh_system, seed=0, count=SEED0_MUTANTS,
+                         workers=1)
+        assert tracer.registry.counters["invariant.violations"] == 13_313
+
+
+def _table_names(db):
+    return {r["name"] for r in db.query(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+
+
+def _row_multiset(db, name):
+    """The rows of ``name`` with multiplicity (a duplicated row counts),
+    or None when the table is absent."""
+    if not db.table_exists(name):
+        return None
+    return Counter(db.query_tuples(f"SELECT * FROM {quote_ident(name)}"))
 
 
 class TestMatrixReport:

@@ -76,10 +76,10 @@ class TestGracefulDegradation:
             self, system, monkeypatch):
         orig = AsuraSystem.check_invariants
 
-        def flaky(self, batch=True):
+        def flaky(self, batch=True, **kw):
             if batch and self is not system:  # clean baseline untouched
                 raise DatabaseError("OperationalError: batch sweep failed")
-            return orig(self, batch=batch)
+            return orig(self, batch=batch, **kw)
 
         monkeypatch.setattr(AsuraSystem, "check_invariants", flaky)
         result = run_campaign(system=system, seed=0, count=2,
@@ -90,10 +90,10 @@ class TestGracefulDegradation:
     def test_double_failure_counts_as_detection(self, system, monkeypatch):
         orig = AsuraSystem.check_invariants
 
-        def broken(self, batch=True):
+        def broken(self, batch=True, **kw):
             if self is not system:  # batched AND unbatched both fail
                 raise DatabaseError("OperationalError: checker gone")
-            return orig(self, batch=batch)
+            return orig(self, batch=batch, **kw)
 
         monkeypatch.setattr(AsuraSystem, "check_invariants", broken)
         result = run_campaign(system=system, seed=0, count=1,

@@ -199,7 +199,7 @@ class TestQueryPlans:
         checker = system.invariant_checker()
         batchable = []
         for idx, inv in enumerate(checker.invariants):
-            cols = checker._violation_columns(inv)
+            cols = checker._probe(inv)[0]
             if cols is not None:
                 batchable.append((idx, inv, cols))
         assert len(batchable) >= 50

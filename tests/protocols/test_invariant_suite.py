@@ -1,6 +1,8 @@
 """The full invariant suite: it passes on the clean protocol, and — the
 paper's whole point — it *catches* seeded specification errors."""
 
+import re
+
 import pytest
 
 from repro.core.invariants import InvariantChecker
@@ -29,6 +31,19 @@ class TestCleanProtocol:
     def test_invariant_names_unique(self):
         names = [inv.name for inv in build_invariants(MESI)]
         assert len(names) == len(set(names))
+
+    def test_each_table_selects_every_invariant_naming_it(self, system):
+        """A table-scoped sweep runs every invariant whose SQL names the
+        table, whichever table of a join it is (sqlite reports what a
+        raw-SQL query reads; nothing is declared by hand)."""
+        checker = system.invariant_checker()
+        for name in system.tables:
+            named = re.compile(rf'\b(?:FROM|JOIN)\s+"?{name}"?(?:\s|\)|$)')
+            expected = [inv.name for inv in checker.invariants
+                        if inv.table == name
+                        or named.search(inv.violation_sql or "")]
+            ran = [r.name for r in checker.check_all(tables=[name]).results]
+            assert ran == expected, name
 
 
 def _checker(sys_):
