@@ -44,8 +44,7 @@ def test_paper_four_invariants(benchmark, system):
         "serialize-retry-when-busy",
         "serialize-dealloc-on-completion",
     }
-    # A checker of its own: assigning a bound checker's invariants would
-    # reuse the full suite's compiled sweep.
+    # A checker of its own, holding just these four.
     checker = InvariantChecker(system.db)
     checker.extend([i for i in build_invariants(MESI) if i.name in names])
     assert len(checker.invariants) == 4

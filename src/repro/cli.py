@@ -92,10 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("stats", parents=[common],
                    help="protocol statistics vs the paper's")
 
-    p = sub.add_parser("check", parents=[common],
-                       help="run all invariants and determinism checks")
-    p.add_argument("--no-batch", action="store_true",
-                   help="one query per invariant instead of batched sweeps")
+    sub.add_parser("check", parents=[common],
+                   help="run all invariants and determinism checks")
 
     p = sub.add_parser("deadlock", parents=[common],
                        help="static deadlock analysis")
@@ -104,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transitive closure instead of one pairwise round")
     p.add_argument("--strict", action="store_true",
                    help="require message equality when composing")
-    p.add_argument("--engine", choices=("sql", "python"), default="sql",
-                   help="set-based SQL pipeline or the Python oracle")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="run the table-driven simulator")
@@ -335,7 +331,7 @@ def _cmd_stats(system, args) -> int:
 
 
 def _cmd_check(system, args) -> int:
-    report = system.check_invariants(batch=not args.no_batch)
+    report = system.check_invariants()
     print(report.render())
     return 0 if report.passed else 1
 
@@ -345,7 +341,6 @@ def _cmd_deadlock(system, args) -> int:
         args.assignment,
         ignore_messages=not args.strict,
         closure=args.closure,
-        engine=args.engine,
     )
     cycles = analysis.cycles()
     print(f"V = {args.assignment}: {len(analysis.vcg.nodes)} channels, "

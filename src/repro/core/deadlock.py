@@ -277,15 +277,13 @@ class DeadlockAnalyzer:
     """Builds the protocol dependency table and the VCG for one channel
     assignment over a set of controller tables.
 
-    Two interchangeable engines build the table:
-
-    * ``engine="sql"`` (default) — steps 2–4 run entirely inside the
-      database: direct dependencies are extracted by joining each
-      controller table against V, placements are derived with CASE
-      substitutions, and composition is an indexed self-join.  Rows never
-      round-trip through Python.
-    * ``engine="python"`` — the original row-at-a-time extraction loops,
-      kept as the oracle the parity tests compare against.
+    :meth:`analyze` runs steps 2–4 entirely inside the database: direct
+    dependencies are extracted by joining each controller table against
+    V, placements are derived with CASE substitutions, and composition is
+    an indexed self-join.  Rows never round-trip through Python.
+    ``analyze(engine="python")`` runs the original row-at-a-time
+    extraction loops instead; it is the parity oracle that the engine
+    tests and repair's re-verification compare the SQL engine against.
     """
 
     def __init__(
@@ -293,14 +291,10 @@ class DeadlockAnalyzer:
         db: ProtocolDatabase,
         specs: Sequence[ControllerMessageSpec],
         channels: ChannelAssignment,
-        engine: str = "sql",
     ) -> None:
-        if engine not in ("sql", "python"):
-            raise ValueError(f"unknown deadlock engine {engine!r}")
         self.db = db
         self.specs = tuple(specs)
         self.channels = channels
-        self.engine = engine
 
     # -- step 2: individual controller dependency tables -----------------------
     def controller_dependency_rows(
@@ -623,9 +617,10 @@ class DeadlockAnalyzer:
         ignore_messages: bool = True,
         closure: bool = False,
         table_name: Optional[str] = None,
-        engine: Optional[str] = None,
+        engine: str = "sql",
     ) -> "DeadlockAnalysis":
-        engine = engine or self.engine
+        """Build the protocol dependency table and its VCG; ``engine``
+        is ``"sql"`` (the product) or ``"python"`` (the parity oracle)."""
         if engine not in ("sql", "python"):
             raise ValueError(f"unknown deadlock engine {engine!r}")
         table = table_name or f"pdt_{self.channels.name}"

@@ -6,19 +6,17 @@ nothing.  An :class:`Invariant` carries that violation condition either as
 a constraint expression over one controller table's columns or as a raw
 SQL query (for invariants spanning several tables).
 
-Two execution strategies:
-
-* **per-invariant** — one SELECT per invariant, the paper's literal form.
-* **batched** (default for :meth:`InvariantChecker.check_all`) — every
-  expression invariant is compiled into one branch of a single
-  ``UNION ALL`` query tagged with the invariant's identity, so a whole
-  sweep costs a handful of database round trips instead of one per
-  invariant.  Branches are padded to a common width with NULLs so
-  invariants over different tables batch together; violating rows are
-  projected back to each invariant's own columns afterwards, which makes
-  the two strategies produce identical :class:`~repro.core.report.Report`
-  contents.  A raw-SQL invariant joins the batch as a subquery; one
-  whose query does not nest runs on its own.
+:meth:`InvariantChecker.check_all` compiles every invariant into one
+branch of a single ``UNION ALL`` query tagged with the invariant's
+identity, so a whole sweep costs a handful of database round trips
+instead of one per invariant.  Branches are padded to a common width with
+NULLs so invariants over different tables batch together; violating rows
+are projected back to each invariant's own columns afterwards.  A raw-SQL
+invariant joins the batch as a subquery; one whose query does not nest
+runs on its own through :meth:`InvariantChecker.check`, the paper's
+literal one-SELECT form, which the parity tests also use as the sweep's
+oracle: ``[checker.check(inv) for inv in checker.invariants]`` gives the
+same :class:`~repro.core.report.CheckResult` contents.
 
 ``check_all(tables=...)`` scopes a sweep to the invariants that read one
 of the named tables: an edit re-runs only what it can have broken.  An
@@ -105,27 +103,30 @@ class Invariant:
 class InvariantChecker:
     """Runs invariants against the central database.
 
-    ``batch=True`` (the default) lets :meth:`check_all` compile
-    expression invariants into combined ``UNION ALL`` sweeps;
-    ``batch=False`` is the escape hatch that restores the
-    one-query-per-invariant behaviour everywhere.
+    The suite is read-only (:attr:`invariants` is a tuple);
+    :meth:`add` and :meth:`extend` are its only mutators, so the
+    compiled sweep always matches it.
     """
 
-    def __init__(self, db: ProtocolDatabase, batch: bool = True) -> None:
+    def __init__(self, db: ProtocolDatabase) -> None:
         self.db = db
-        self.batch = batch
-        self.invariants: list[Invariant] = []
+        self._invariants: tuple[Invariant, ...] = ()
         # "probes" -> each invariant's report columns and tables read;
         # ("plan", tables) -> a sweep of the invariants reading one of
         # tables (None: all).  Shared via bound_to().
         self._compiled: dict = {}
 
+    @property
+    def invariants(self) -> tuple[Invariant, ...]:
+        """The suite, in the order :meth:`check_all` reports it."""
+        return self._invariants
+
     def add(self, invariant: Invariant) -> None:
         self.extend((invariant,))
 
     def extend(self, invariants: Sequence[Invariant]) -> None:
-        # A new list and plan: bound copies keep sharing the old ones.
-        self.invariants = [*self.invariants, *invariants]
+        # A new suite and plan: bound copies keep sharing the old ones.
+        self._invariants = (*self._invariants, *invariants)
         self._compiled = {}
 
     def bound_to(self, db: Optional[ProtocolDatabase]) -> "InvariantChecker":
@@ -237,8 +238,8 @@ class InvariantChecker:
     ) -> list[CheckResult]:
         """Check the invariants at ``indexes`` with batched UNION ALL
         sweeps, compiled once per ``key`` (the scoping tables), returning
-        results in index order and identical in content to the
-        per-invariant path (raw-SQL invariants still run individually)."""
+        results in index order and identical in content to :meth:`check`
+        (raw-SQL invariants that do not nest still run individually)."""
         if ("plan", key) not in self._compiled:
             self._compiled["plan", key] = self._plan(indexes)
         columns_of, chunks = self._compiled["plan", key]
@@ -284,12 +285,11 @@ class InvariantChecker:
         return results
 
     def check_all(
-        self, title: str = "protocol invariants", batch: Optional[bool] = None,
+        self, title: str = "protocol invariants",
         tables: Optional[Iterable[str]] = None,
     ) -> Report:
         """Run every invariant, or with ``tables`` only those that read
-        one of those tables, in suite order; ``batch`` overrides the
-        checker default."""
+        one of those tables, in suite order."""
         key = None if tables is None else frozenset(tables)
         if key is None:
             indexes = range(len(self.invariants))
@@ -297,8 +297,5 @@ class InvariantChecker:
             indexes = [idx for idx, (_, reads) in enumerate(self._probes())
                        if reads is None or reads & key]
         report = Report(title)
-        if (self.batch if batch is None else batch) and indexes:
-            report.extend(self._check_batched(indexes, key))
-        else:
-            report.extend(self.check(self.invariants[idx]) for idx in indexes)
+        report.extend(self._check_batched(indexes, key))
         return report

@@ -211,8 +211,7 @@ class DeadlockRepairer:
                    system=system)
 
     # -- analysis ----------------------------------------------------------------
-    def _cycles(self, assignment: ChannelAssignment,
-                engine: Optional[str] = None):
+    def _cycles(self, assignment: ChannelAssignment, engine: str = "sql"):
         """The cycles of one full analysis (``engine`` as in
         :meth:`DeadlockAnalyzer.analyze`), its table dropped after."""
         try:

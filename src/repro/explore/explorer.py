@@ -628,6 +628,8 @@ class ReachabilityExplorer:
         Compiled lazily from the tables as they stand when a transition
         first needs firing — mutations applied before the run (the
         oracle path) are therefore always part of what gets compiled.
+        A table the dispatch compiler cannot handle raises
+        :class:`ExplorationError`.
         """
         if self.config.kernel != "compiled":
             return None
@@ -635,16 +637,9 @@ class ReachabilityExplorer:
             try:
                 self._kernels = compile_system_kernels(self.system)
             except Exception as exc:
-                # A table shape the dispatch compiler cannot handle (an
-                # exotic family member / topology) degrades to the SQL
-                # lookup path instead of failing the run; the counter
-                # makes the silent downgrade visible in telemetry.
-                get_tracer().incr("explore.kernel_fallback")
-                get_tracer().emit(
-                    "explore.kernel_fallback",
-                    error=f"{type(exc).__name__}: {exc}".splitlines()[0])
-                self.config.kernel = "interpreted"
-                return None
+                raise ExplorationError(
+                    f"kernel compilation failed: {type(exc).__name__}: "
+                    f"{exc}".splitlines()[0]) from exc
         return self._kernels
 
     @property

@@ -68,9 +68,7 @@ def oracle_check(
     The compiled kernels see every mutation: they are built from the
     already-mutated tables when the first transition fires, and channel
     reassignments live on the shared
-    :class:`~repro.core.deadlock.ChannelAssignment` object.  A table the
-    dispatch compiler cannot handle falls back to the interpreted
-    kernel.
+    :class:`~repro.core.deadlock.ChannelAssignment` object.
     """
     config = ExploreConfig(
         nodes=nodes,

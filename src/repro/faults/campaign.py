@@ -36,11 +36,12 @@ durable JSONL journal (``journal_path``) so an interrupted run resumes
 (``resume_from``) exactly after the last completed mutant; with more
 than one worker (or a ``timeout``) every mutant runs in its own child
 process, with a per-mutant wall-clock ``timeout`` enforced by a
-watchdog; a worker exception outside the detection taxonomy becomes a
-``crashed`` report for that mutant instead of aborting the campaign;
-and when the batched invariant sweep or the SQL deadlock engine fails on
-a mutant, the layer reruns on the unbatched / Python fallback path with
-``degraded=True`` rather than giving up.
+watchdog; and a worker exception outside the detection taxonomy
+becomes a ``crashed`` report for that mutant instead of aborting the
+campaign.  A :class:`DatabaseError` inside the invariant or deadlock
+layer is that layer's detection ("checker error" / "analysis error"):
+each check has one engine, and a mutant that breaks it corrupted the
+tables.
 """
 
 from __future__ import annotations
@@ -107,9 +108,6 @@ class DetectionReport:
     #: outside the detection taxonomy; "timeout" when the watchdog
     #: reaped a hung worker.  Neither failure outcome is a detection.
     outcome: str = "ok"
-    #: True when a layer had to fall back (batched invariants ->
-    #: unbatched, SQL deadlock engine -> Python) to produce the verdict.
-    degraded: bool = False
     #: repair-stage outcome (``RepairResult.to_dict()`` shape, or
     #: ``{"success": False, "error": ...}``) for deadlock-caught mutants
     #: when the campaign ran with ``repair=True``; None otherwise.
@@ -129,8 +127,8 @@ class DetectionReport:
     def to_dict(self) -> dict:
         """JSON-friendly form; timing is excluded so the report is
         byte-for-byte deterministic for a given seed and code version.
-        ``outcome``/``degraded`` appear only when non-default, keeping
-        healthy-run matrices byte-identical across code versions."""
+        ``outcome`` appears only when non-default, keeping healthy-run
+        matrices byte-identical across code versions."""
         d = {
             "mutant_id": self.mutant_id,
             "fault_class": self.fault_class,
@@ -141,8 +139,6 @@ class DetectionReport:
         }
         if self.outcome != "ok":
             d["outcome"] = self.outcome
-        if self.degraded:
-            d["degraded"] = True
         if self.repair is not None:
             # Only stamped under --repair, so plain matrices stay
             # byte-identical to pre-repair code versions.
@@ -161,7 +157,6 @@ class DetectionReport:
             detected_by=d.get("detected_by"),
             detail=d.get("detail", ""),
             outcome=d.get("outcome", "ok"),
-            degraded=bool(d.get("degraded", False)),
             repair=d.get("repair"),
         )
 
@@ -233,7 +228,6 @@ class CampaignResult:
                            if r.outcome == "crashed"),
             "timeout": sum(1 for r in self.reports
                            if r.outcome == "timeout"),
-            "degraded": sum(1 for r in self.reports if r.degraded),
             "pre_sim_rate": round(pre_sim / n, 4) if n else 0.0,
             "detection_rate": round((n - escaped) / n, 4) if n else 0.0,
         } | (
@@ -337,10 +331,6 @@ class CampaignResult:
         if self.resumed:
             lines.append(f"resumed from journal: {self.resumed} mutants "
                          f"restored, {t['count'] - self.resumed} executed")
-        degraded = t["degraded"]
-        if degraded:
-            lines.append(f"degraded verdicts: {degraded} mutants fell back "
-                         f"to the unbatched/python path")
         escaped = [r for r in self.reports
                    if not r.caught and r.outcome == "ok"]
         if escaped:
@@ -365,8 +355,7 @@ def _repair_ok(repair: Optional[dict]) -> bool:
 
 
 def _detected(mutation: Mutation, layer: Optional[str], detail: str,
-              t0: float, degraded: bool = False,
-              repair: Optional[dict] = None) -> DetectionReport:
+              t0: float, repair: Optional[dict] = None) -> DetectionReport:
     return DetectionReport(
         mutant_id=mutation.mutant_id,
         fault_class=mutation.fault_class,
@@ -375,7 +364,6 @@ def _detected(mutation: Mutation, layer: Optional[str], detail: str,
         detected_by=layer,
         detail=detail,
         seconds=time.perf_counter() - t0,
-        degraded=degraded,
         repair=repair,
     )
 
@@ -457,20 +445,14 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
     an oracle deadlock — additionally get candidate fixes proposed,
     re-verified, and ranked by cost via :func:`_attempt_repair`).
 
-    Each static layer degrades before it detects: a
-    :class:`DatabaseError` from the batched invariant sweep retries the
-    whole sweep unbatched, and one from the SQL deadlock engine retries
-    on the Python oracle.  Only when the fallback path *also* fails does
-    the error count as a detection — a mutant that breaks both engines
-    really did corrupt the tables, while a mutant that merely trips the
-    optimized path still gets a genuine verdict (tagged
-    ``degraded=True``)."""
+    A :class:`DatabaseError` from the invariant sweep or the deadlock
+    analysis is that layer's detection, reported the first time it
+    occurs."""
     from ..sim import figure2_scenario, random_workload
     from ..sim.models import SimProtocolError
     from ..sim.system import CoherenceError
 
     t0 = time.perf_counter()
-    degraded = False
     db = ProtocolDatabase.deserialize(template.snapshot)
     try:
         system = template.system.attach(db)
@@ -480,38 +462,23 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
         # (of the clean constraints, which relax-constraint edits), only
         # the checks that read a table the mutation wrote: every other
         # check passed on the clean template.
-        def _invariant_sweep(batch: bool):
-            report = system.check_invariants(batch=batch,
-                                             tables=mutation.tables)
-            return report, template.audits.bound_to(db).check_all(
-                "structural audits", batch=batch, tables=mutation.tables)
-
         with span("mutate.invariants", mutant=mutation.mutant_id):
             try:
-                report, audit_report = _invariant_sweep(batch=True)
-            except DatabaseError:
-                try:
-                    report, audit_report = _invariant_sweep(batch=False)
-                    degraded = True
-                except DatabaseError as exc:
-                    return _detected(
-                        mutation, "invariants",
-                        f"checker error: {exc}".splitlines()[0], t0,
-                        degraded=True)
+                report = system.check_invariants(tables=mutation.tables)
+                audit_report = template.audits.bound_to(db).check_all(
+                    "structural audits", tables=mutation.tables)
+            except DatabaseError as exc:
+                return _detected(
+                    mutation, "invariants",
+                    f"checker error: {exc}".splitlines()[0], t0)
         failed = [r.name for r in (*report.results, *audit_report.results)
                   if not r.passed]
         if failed:
             return _detected(
                 mutation, "invariants",
-                f"{len(failed)} checks failed: {', '.join(failed[:4])}", t0,
-                degraded=degraded)
+                f"{len(failed)} checks failed: {', '.join(failed[:4])}", t0)
 
         # Layer 2: VCG deadlock analysis against the clean cycle set.
-        def _deadlock_cycles(engine: str):
-            analysis = system.analyze_deadlocks(
-                assignment, engine=engine, table_name="__mut_dep")
-            return frozenset(tuple(c) for c in analysis.cycles())
-
         def _repaired() -> Optional[dict]:
             # Stage 5, attached to every deadlock-layer detection (and
             # to oracle deadlocks below) when the campaign asked for it.
@@ -520,24 +487,18 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
 
         with span("mutate.deadlock", mutant=mutation.mutant_id):
             try:
-                cycles = _deadlock_cycles("sql")
+                analysis = system.analyze_deadlocks(
+                    assignment, table_name="__mut_dep")
+                cycles = frozenset(tuple(c) for c in analysis.cycles())
             except MissingAssignmentError as exc:
                 return _detected(mutation, "deadlock",
                                  f"missing V entry: {exc}", t0,
-                                 degraded=degraded, repair=_repaired())
-            except DatabaseError:
-                try:
-                    cycles = _deadlock_cycles("python")
-                    degraded = True
-                except MissingAssignmentError as exc:
-                    return _detected(mutation, "deadlock",
-                                     f"missing V entry: {exc}", t0,
-                                     degraded=True, repair=_repaired())
-                except DatabaseError as exc:
-                    return _detected(
-                        mutation, "deadlock",
-                        f"analysis error: {exc}".splitlines()[0], t0,
-                        degraded=True, repair=_repaired())
+                                 repair=_repaired())
+            except DatabaseError as exc:
+                return _detected(
+                    mutation, "deadlock",
+                    f"analysis error: {exc}".splitlines()[0], t0,
+                    repair=_repaired())
         if cycles != clean_cycles:
             new = sorted(cycles - clean_cycles)
             gone = len(clean_cycles - cycles)
@@ -547,7 +508,7 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
             if gone:
                 detail += f"; {gone} clean cycles vanished"
             return _detected(mutation, "deadlock", detail, t0,
-                             degraded=degraded, repair=_repaired())
+                             repair=_repaired())
 
         # Layer 3: short simulation workloads.
         with span("mutate.simulate", mutant=mutation.mutant_id):
@@ -562,15 +523,13 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
                         return _detected(
                             mutation, "simulation",
                             f"{workload.description}: {result.status} "
-                            f"after {result.steps} steps", t0,
-                            degraded=degraded)
+                            f"after {result.steps} steps", t0)
                     workload.simulator.check_directory_agreement()
             except (LookupError_, SimProtocolError, CoherenceError,
                     DatabaseError) as exc:
                 return _detected(
                     mutation, "simulation",
-                    f"{type(exc).__name__}: {exc}".splitlines()[0], t0,
-                    degraded=degraded)
+                    f"{type(exc).__name__}: {exc}".splitlines()[0], t0)
 
         # Layer 4 (optional): the exploration oracle.  Runs on the same
         # live system object so in-memory mutations (channel moves) are
@@ -586,9 +545,9 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
                 fixed = (_repaired() if verdict.kind == "deadlock"
                          else None)
                 return _detected(mutation, ORACLE_LAYER, verdict.detail,
-                                 t0, degraded=degraded, repair=fixed)
+                                 t0, repair=fixed)
 
-        return _detected(mutation, None, "", t0, degraded=degraded)
+        return _detected(mutation, None, "", t0)
     finally:
         db.close()
 
@@ -746,7 +705,7 @@ def run_campaign(
                 "mutation detection would be meaningless")
         clean_cycles = frozenset(
             tuple(c) for c in system.analyze_deadlocks(
-                assignment, engine="sql", table_name="__mut_clean_dep").cycles())
+                assignment, table_name="__mut_clean_dep").cycles())
 
         if oracle_cfg:
             # The oracle is only ground truth if the clean system is
@@ -793,17 +752,12 @@ def run_campaign(
                 nonlocal done
                 done += 1
                 matrix[report.detected_by or "escaped"] += 1
-                if report.degraded:
-                    tracer.emit("unit.degraded", run_id=run_id,
-                                unit_id=report.mutant_id,
-                                fault_class=report.fault_class)
                 tracer.emit("campaign.unit", run_id=run_id,
                             unit_id=report.mutant_id,
                             fault_class=report.fault_class,
                             detected_by=report.detected_by,
                             outcome=report.outcome,
-                            seconds=report.seconds,
-                            degraded=report.degraded)
+                            seconds=report.seconds)
                 tracer.emit("campaign.progress", run_id=run_id,
                             done=done, total=len(mutations), **matrix)
 
@@ -846,8 +800,6 @@ def run_campaign(
         for r in executed:
             if r.outcome != "ok":
                 tracer.incr(f"runtime.{r.outcome}")
-            if r.degraded:
-                tracer.incr("runtime.degraded")
         for r in reports:
             tracer.incr(f"mutate.detected.{r.detected_by}"
                         if r.caught else "mutate.escaped")

@@ -178,23 +178,21 @@ class FamilySystem:
         return self.tables[name]
 
     # -- static checks ----------------------------------------------------------
-    def invariant_checker(self, batch: bool = True) -> InvariantChecker:
+    def invariant_checker(self) -> InvariantChecker:
         """The member's invariant suite over this system's database, built
         and compiled once and shared with every clone :meth:`attach`
         makes."""
         if self._suite is None:
             self._suite = InvariantChecker(None)
             self._suite.extend(family_invariants.build_invariants(self.spec))
-        checker = self._suite.bound_to(self.db)
-        checker.batch = batch
-        return checker
+        return self._suite.bound_to(self.db)
 
-    def check_invariants(self, batch: bool = True,
+    def check_invariants(self,
                          tables: Optional[Sequence[str]] = None) -> Report:
         """Run the full invariant suite plus per-table determinism checks
         (no two rows of any controller match the same concrete input);
         with ``tables``, only the checks that read one of those tables."""
-        report = self.invariant_checker(batch=batch).check_all(
+        report = self.invariant_checker().check_all(
             f"{self.spec.title} protocol invariants", tables=tables)
         tracer = get_tracer()
         for name, table in self.tables.items():
@@ -260,16 +258,13 @@ class FamilySystem:
         placements: Sequence[Placement] = ALL_PLACEMENTS,
         ignore_messages: bool = True,
         closure: bool = False,
-        engine: str = "sql",
         table_name: Optional[str] = None,
     ) -> DeadlockAnalysis:
         """Run the section 4.1 analysis for one channel assignment
-        (``v4``, ``v5`` or ``v5d``).  ``engine`` picks the set-based SQL
-        pipeline (default) or the row-at-a-time Python oracle."""
+        (``v4``, ``v5`` or ``v5d``) on the set-based SQL engine."""
         channels_ = self.channel_assignments[assignment]
         analyzer = DeadlockAnalyzer(
-            self.db, self.deadlock_specs(), channels_, engine=engine,
-        )
+            self.db, self.deadlock_specs(), channels_)
         return analyzer.analyze(
             placements=placements,
             ignore_messages=ignore_messages,

@@ -62,10 +62,9 @@ def _throughput(records: dict[Any, dict],
 
 def _campaign_snapshot(snap: dict, records: dict[Any, dict]) -> None:
     """Fold campaign unit records into the snapshot: the partial
-    detection matrix, failure outcomes, degraded verdicts."""
+    detection matrix and failure outcomes."""
     matrix = {column: 0 for column in _MATRIX_COLUMNS}
     outcomes: dict[str, int] = {}
-    degraded = 0
     for record in records.values():
         data = record.get("data") or {}
         layer = data.get("detected_by") or "escaped"
@@ -73,11 +72,8 @@ def _campaign_snapshot(snap: dict, records: dict[Any, dict]) -> None:
             matrix[layer] += 1
         outcome = data.get("outcome", "ok")
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        if data.get("degraded"):
-            degraded += 1
     snap["matrix"] = matrix
     snap["outcomes"] = outcomes
-    snap["degraded"] = degraded
 
 
 def _explore_snapshot(snap: dict, records: dict[Any, dict]) -> None:
@@ -220,8 +216,6 @@ def render_snapshot(snap: dict) -> str:
         if failures:
             lines.append("  failures: " + "  ".join(
                 f"{k}={v}" for k, v in sorted(failures.items())))
-        if snap.get("degraded"):
-            lines.append(f"  degraded verdicts: {snap['degraded']}")
     if "states" in snap:
         lines.append(
             f"  depth {snap.get('depth', 0)}: {snap['states']} states, "

@@ -91,6 +91,21 @@ class TestChecking:
         report = checker.check_all()
         assert report.passed and len(report.results) == 1
 
+    def test_suite_is_read_only(self, db, table):
+        """An assigned suite would run the old suite's compiled sweep
+        under the new names; add/extend are the only mutators."""
+        checker = InvariantChecker(db)
+        checker.add(pv_invariant())
+        assert checker.check_all().passed  # compiles the sweep
+        gone = Invariant(name="no-gone", description="", table="D",
+                         violation=C("dirpv").eq("gone"))
+        with pytest.raises(AttributeError):
+            checker.invariants = [gone]
+        assert [inv.name for inv in checker.invariants] == ["pv"]
+        checker.extend([gone])
+        assert [(r.name, r.passed) for r in checker.check_all().results] \
+            == [("pv", True), ("no-gone", False)]
+
     def test_tables_scope_check_all(self, db, table):
         db.create_table_from_rows("E", ("x",), [{"x": "I"}, {"x": None}])
         checker = InvariantChecker(db)
@@ -102,16 +117,20 @@ class TestChecking:
             name="joined", description="",
             violation_sql="SELECT dirst FROM D "
                           "WHERE dirst NOT IN (SELECT x FROM E)"))
-        for batch in (True, False):
-            def ran(tables):
-                return [r.name for r in
-                        checker.check_all(batch=batch, tables=tables).results]
+        def ran(tables):
+            return [r.name for r in checker.check_all(tables=tables).results]
 
-            assert ran(["D"]) == ["pv", "joined"]
-            assert ran(["E"]) == ["other", "joined"]
-            assert ran(["E", "D"]) == ran(None) == ["pv", "other", "joined"]
-            assert ran(["F"]) == ran([]) == []
-            full = checker.check_all(batch=batch)
-            scoped = checker.check_all(batch=batch, tables=["E"])
-            assert ([(r.name, r.details) for r in scoped.results]
-                    == [(r.name, r.details) for r in full.results[1:]])
+        assert ran(["D"]) == ["pv", "joined"]
+        assert ran(["E"]) == ["other", "joined"]
+        assert ran(["E", "D"]) == ran(None) == ["pv", "other", "joined"]
+        assert ran(["F"]) == ran([]) == []
+        full = checker.check_all()
+        scoped = checker.check_all(tables=["E"])
+        assert ([(r.name, r.details) for r in scoped.results]
+                == [(r.name, r.details) for r in full.results[1:]])
+        # Every scoped sweep reports what the per-invariant path does.
+        oracle = {inv.name: checker.check(inv) for inv in checker.invariants}
+        for tables in (["D"], ["E"], ["E", "D"], None):
+            for r in checker.check_all(tables=tables).results:
+                assert ((r.passed, r.details)
+                        == (oracle[r.name].passed, oracle[r.name].details))

@@ -154,8 +154,9 @@ def test_scorer_matches_full_engines_on_every_candidate(variant):
                 scored = scorer.cycles(fix.assignment)
                 for engine in engines:
                     full = DeadlockAnalyzer(
-                        system.db, specs, fix.assignment, engine=engine,
-                    ).analyze(table_name="pdt_scorer_parity").cycles()
+                        system.db, specs, fix.assignment,
+                    ).analyze(table_name="pdt_scorer_parity",
+                              engine=engine).cycles()
                     assert scored == full, (fix.description, engine)
         finally:
             scorer.close()

@@ -64,6 +64,19 @@ class TestCleanExploration:
         _, result = explored_2n8
         assert "no violations" in result.render()
 
+    def test_kernel_compile_failure_raises(self, system, monkeypatch):
+        """A table the dispatch compiler cannot handle stops the run; it
+        does not switch to the interpreted backend."""
+        import repro.explore.explorer as explorer_mod
+
+        def broken(_system):
+            raise SyntaxError("synthetic compile failure")
+
+        monkeypatch.setattr(explorer_mod, "compile_system_kernels", broken)
+        with pytest.raises(ExplorationError,
+                           match="kernel compilation failed: SyntaxError"):
+            explore_system(system, nodes=2, depth=2)
+
 
 class TestWorkerParity:
     """Acceptance: results identical under --workers 4 and --workers 1."""

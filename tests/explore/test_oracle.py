@@ -65,7 +65,7 @@ def _reassign_mutation() -> Mutation:
 def clean_cycles(system):
     return frozenset(
         tuple(c) for c in system.analyze_deadlocks(
-            "v5d", engine="sql", table_name="__oracle_test_dep").cycles())
+            "v5d", table_name="__oracle_test_dep").cycles())
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ class TestSeededBusyFlipWitness:
         # Static check 2: VCG deadlock analysis sees no new cycle.
         cycles = frozenset(
             tuple(c) for c in fresh_system.analyze_deadlocks(
-                "v5d", engine="sql", table_name="__flip_dep").cycles())
+                "v5d", table_name="__flip_dep").cycles())
         assert cycles == clean_cycles
 
     def test_flip_is_caught_by_the_oracle(self, fresh_system):

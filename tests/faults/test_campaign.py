@@ -69,7 +69,7 @@ def _template_and_cycles(system, clone_of):
     prepare_reference_tables(clone)
     cycles = frozenset(
         tuple(c) for c in clone.analyze_deadlocks(
-            "v5d", engine="sql", table_name="__t_clean_dep").cycles())
+            "v5d", table_name="__t_clean_dep").cycles())
     return MutantTemplate.of(clone), cycles
 
 
@@ -185,8 +185,13 @@ def seed0(system):
     db.close()
 
 
-def _failures(report):
-    return [(r.name, r.details) for r in report.results if not r.passed]
+def _failures(results):
+    return [(r.name, r.details) for r in results if not r.passed]
+
+
+def _per_invariant(checker):
+    """A checker's sweep, one SELECT per invariant: its parity oracle."""
+    return [checker.check(inv) for inv in checker.invariants]
 
 
 class TestTableScopedChecks:
@@ -201,18 +206,21 @@ class TestTableScopedChecks:
             system = template.system.attach(db)
             mutation.apply_to(system)
             audits = template.audits.bound_to(db)
-            for batch in (True, False):
-                full = (system.check_invariants(batch=batch),
-                        audits.check_all(batch=batch))
-                scoped = (system.check_invariants(batch=batch,
-                                                  tables=mutation.tables),
-                          audits.check_all(batch=batch,
-                                           tables=mutation.tables))
-                for whole, part in zip(full, scoped):
-                    assert _failures(part) == _failures(whole)
+            suite = system.invariant_checker()
+            full = (system.check_invariants().results,
+                    audits.check_all().results)
+            # The oracle: the per-invariant path, then the determinism
+            # checks check_invariants appends after the suite.
+            oracle = (_per_invariant(suite)
+                      + full[0][len(suite.invariants):],
+                      _per_invariant(audits))
+            scoped = (system.check_invariants(tables=mutation.tables),
+                      audits.check_all(tables=mutation.tables))
+            for wholes in (full, oracle):
+                for whole, part in zip(wholes, scoped):
+                    assert _failures(part.results) == _failures(whole)
                     ran = [r.name for r in part.results]
-                    assert ran == [r.name for r in whole.results
-                                   if r.name in ran]
+                    assert ran == [r.name for r in whole if r.name in ran]
 
     @pytest.mark.parametrize("mutant", range(SEED0_MUTANTS))
     def test_declared_tables_are_the_changed_tables(self, seed0, mutant):

@@ -1,4 +1,4 @@
-"""Campaign-level resilience: crashed workers, degradation, journaling,
+"""Campaign-level resilience: crashed workers, layer errors, journaling,
 resume, and the process watchdog — the acceptance behaviors of the
 crash-safe runtime (docs/RESILIENCE.md)."""
 
@@ -45,65 +45,51 @@ class TestCrashedWorkers:
         assert "worker failures" in result.render()
 
 
-class TestGracefulDegradation:
-    def test_sql_deadlock_engine_failure_degrades_to_python(
-            self, system, monkeypatch):
-        orig = AsuraSystem.analyze_deadlocks
+class TestLayerErrors:
+    """A DatabaseError in a static layer is that layer's detection the
+    first time it occurs: no layer re-runs on another path."""
 
-        def flaky(self, assignment, **kw):
-            # Only the per-mutant analysis fails; the campaign's clean
-            # baseline (table __mut_clean_dep) stays on the SQL engine.
-            if kw.get("engine") == "sql" \
-                    and kw.get("table_name") == "__mut_dep":
-                raise DatabaseError("OperationalError: synthetic failure")
-            return orig(self, assignment, **kw)
-
-        monkeypatch.setattr(AsuraSystem, "analyze_deadlocks", flaky)
-        tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
-            result = run_campaign(system=system, seed=0, count=2,
-                                  classes=("reassign-channel",), workers=1)
-        # Channel faults still get their genuine deadlock verdict from
-        # the python fallback engine — no abort, no lost mutants.
-        assert all(r.detected_by == "deadlock" for r in result.reports)
-        assert all(r.degraded for r in result.reports)
-        assert all(r.outcome == "ok" for r in result.reports)
-        assert result.totals()["degraded"] == 2
-        assert tracer.registry.counter("runtime.degraded") == 2
-        assert all(r.to_dict().get("degraded") for r in result.reports)
-
-    def test_batched_invariant_failure_degrades_to_unbatched(
-            self, system, monkeypatch):
+    def test_invariant_layer_error_is_a_detection(self, system,
+                                                  monkeypatch):
         orig = AsuraSystem.check_invariants
+        calls = []
 
-        def flaky(self, batch=True, **kw):
-            if batch and self is not system:  # clean baseline untouched
-                raise DatabaseError("OperationalError: batch sweep failed")
-            return orig(self, batch=batch, **kw)
-
-        monkeypatch.setattr(AsuraSystem, "check_invariants", flaky)
-        result = run_campaign(system=system, seed=0, count=2,
-                              classes=("drop-row",), workers=1)
-        assert all(r.detected_by == "invariants" for r in result.reports)
-        assert all(r.degraded for r in result.reports)
-
-    def test_double_failure_counts_as_detection(self, system, monkeypatch):
-        orig = AsuraSystem.check_invariants
-
-        def broken(self, batch=True, **kw):
-            if self is not system:  # batched AND unbatched both fail
-                raise DatabaseError("OperationalError: checker gone")
-            return orig(self, batch=batch, **kw)
+        def broken(self, **kw):
+            if self is system:  # the clean baseline runs untouched
+                return orig(self, **kw)
+            calls.append(self)
+            raise DatabaseError("OperationalError: checker gone")
 
         monkeypatch.setattr(AsuraSystem, "check_invariants", broken)
-        result = run_campaign(system=system, seed=0, count=1,
+        result = run_campaign(system=system, seed=0, count=2,
                               classes=("drop-row",), workers=1)
-        (report,) = result.reports
-        # Both the batched and unbatched sweep failed: the mutant really
-        # broke the checker, which is itself an invariants detection.
-        assert report.detected_by == "invariants"
-        assert "checker error" in report.detail
-        assert report.degraded
+        assert [r.detected_by for r in result.reports] == ["invariants"] * 2
+        assert all(r.detail == "checker error: OperationalError: "
+                   "checker gone" for r in result.reports)
+        assert all(r.outcome == "ok" for r in result.reports)
+        assert len(calls) == 2  # once per mutant: nothing retried
+
+    def test_deadlock_layer_error_is_a_detection(self, system,
+                                                 monkeypatch):
+        orig = AsuraSystem.analyze_deadlocks
+        calls = []
+
+        def broken(self, assignment, **kw):
+            # Only the per-mutant analysis fails; the campaign's clean
+            # baseline (table __mut_clean_dep) runs untouched.
+            if kw.get("table_name") != "__mut_dep":
+                return orig(self, assignment, **kw)
+            calls.append(self)
+            raise DatabaseError("OperationalError: analysis gone")
+
+        monkeypatch.setattr(AsuraSystem, "analyze_deadlocks", broken)
+        result = run_campaign(system=system, seed=0, count=2,
+                              classes=("reassign-channel",), workers=1)
+        assert [r.detected_by for r in result.reports] == ["deadlock"] * 2
+        assert all(r.detail == "analysis error: OperationalError: "
+                   "analysis gone" for r in result.reports)
+        assert all(r.outcome == "ok" for r in result.reports)
+        assert len(calls) == 2  # once per mutant: nothing retried
 
 
 class TestJournalAndResume:

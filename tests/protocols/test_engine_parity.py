@@ -38,6 +38,19 @@ def result_key(r):
                   for v in r.details))
 
 
+def per_invariant(checker):
+    """The sweep's parity oracle: one SELECT per invariant."""
+    return [checker.check(inv) for inv in checker.invariants]
+
+
+def python_oracle(system, assignment, **kwargs):
+    """The deadlock engine's parity oracle: the row-at-a-time loops."""
+    return DeadlockAnalyzer(
+        system.db, system.deadlock_specs(),
+        system.channel_assignments[assignment],
+    ).analyze(engine="python", **kwargs)
+
+
 @pytest.fixture(scope="module")
 def analyzer(system):
     return DeadlockAnalyzer(
@@ -47,10 +60,10 @@ def analyzer(system):
 
 class TestInvariantBatchParity:
     def test_full_suite_identical(self, system):
-        batched = system.invariant_checker(batch=True).check_all("b")
-        unbatched = system.invariant_checker(batch=False).check_all("u")
+        checker = system.invariant_checker()
+        batched = checker.check_all("b")
         assert [result_key(r) for r in batched.results] == \
-               [result_key(r) for r in unbatched.results]
+               [result_key(r) for r in per_invariant(checker)]
 
     def test_violations_identical_including_order(self, db):
         schema = TableSchema("D", [
@@ -74,13 +87,11 @@ class TestInvariantBatchParity:
             Invariant(name="raw", description="inv 3",
                       violation_sql="SELECT dirst FROM D WHERE dirst = 'SI'"),
         ]
-        batched = InvariantChecker(db, batch=True)
-        unbatched = InvariantChecker(db, batch=False)
-        batched.extend(invs)
-        unbatched.extend(invs)
-        b, u = batched.check_all("b"), unbatched.check_all("u")
+        checker = InvariantChecker(db)
+        checker.extend(invs)
+        b = checker.check_all("b")
         assert [result_key(r) for r in b.results] == \
-               [result_key(r) for r in u.results]
+               [result_key(r) for r in per_invariant(checker)]
         # And the failing results really carry rows, in table order.
         assert [str(v) for v in b.results[0].details] == [
             "pv: dirst=MESI, dirpv=gone",
@@ -98,10 +109,9 @@ class TestDeadlockEngineParity:
     @pytest.mark.parametrize("assignment", ["v4", "v5", "v5d"])
     def test_sql_matches_python_oracle(self, system, assignment):
         sql = system.analyze_deadlocks(
-            assignment, engine="sql", table_name=f"pdt_par_sql_{assignment}")
-        py = system.analyze_deadlocks(
-            assignment, engine="python",
-            table_name=f"pdt_par_py_{assignment}")
+            assignment, table_name=f"pdt_par_sql_{assignment}")
+        py = python_oracle(
+            system, assignment, table_name=f"pdt_par_py_{assignment}")
         assert rows_of(sql) == rows_of(py)
         assert sql.n_rows == py.n_rows
         assert sql.vcg == py.vcg
@@ -114,9 +124,9 @@ class TestDeadlockEngineParity:
     def test_variant_parity(self, system, kwargs):
         tag = "_".join(kwargs)
         sql = system.analyze_deadlocks(
-            "v5", engine="sql", table_name=f"pdt_var_sql_{tag}", **kwargs)
-        py = system.analyze_deadlocks(
-            "v5", engine="python", table_name=f"pdt_var_py_{tag}", **kwargs)
+            "v5", table_name=f"pdt_var_sql_{tag}", **kwargs)
+        py = python_oracle(
+            system, "v5", table_name=f"pdt_var_py_{tag}", **kwargs)
         assert sorted(rows_of(sql)) == sorted(rows_of(py))
         assert sql.cycles() == py.cycles()
 
@@ -130,9 +140,10 @@ class TestDeadlockEngineParity:
         errors = {}
         for engine in ("python", "sql"):
             analyzer = DeadlockAnalyzer(
-                system.db, system.deadlock_specs(), broken, engine=engine)
+                system.db, system.deadlock_specs(), broken)
             with pytest.raises(MissingAssignmentError) as exc:
-                analyzer.analyze(table_name=f"pdt_broken_{engine}")
+                analyzer.analyze(table_name=f"pdt_broken_{engine}",
+                                 engine=engine)
             errors[engine] = str(exc.value)
         # The repair search's incremental scorer joins V with inner
         # joins; it must raise the same error, not drop the rows.
@@ -146,11 +157,9 @@ class TestDeadlockEngineParity:
         assert errors["python"] == errors["sql"] == errors["scorer"]
         assert "mread" in errors["sql"]
 
-    def test_unknown_engine_rejected(self, system):
+    def test_unknown_engine_rejected(self, analyzer):
         with pytest.raises(ValueError, match="unknown deadlock engine"):
-            DeadlockAnalyzer(system.db, system.deadlock_specs(),
-                             system.channel_assignments["v5"],
-                             engine="pandas")
+            analyzer.analyze(table_name="pdt_pandas", engine="pandas")
 
 
 def plan_lines(db, sql):
@@ -247,9 +256,10 @@ class TestMutatedTableParity:
             results = {}
             for engine in ("sql", "python"):
                 try:
-                    analysis = clone.analyze_deadlocks(
-                        "v5d", engine=engine,
-                        table_name=f"mut_par_{engine}")
+                    analysis = DeadlockAnalyzer(
+                        clone.db, clone.deadlock_specs(),
+                        clone.channel_assignments["v5d"],
+                    ).analyze(table_name=f"mut_par_{engine}", engine=engine)
                     results[engine] = ("ok", rows_of(analysis),
                                        analysis.cycles())
                 except MissingAssignmentError as exc:

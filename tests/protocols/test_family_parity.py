@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import SNAPSHOT_SUPPORTED, ProtocolDatabase
-from repro.core.deadlock import _DEP_COLUMNS
+from repro.core.deadlock import _DEP_COLUMNS, DeadlockAnalyzer
 from repro.faults import MutationEngine, compare_to_baseline, run_campaign
 from repro.faults.mutations import FAULT_CLASSES
 from repro.protocols.family import (
@@ -118,10 +118,11 @@ class TestInvariantBatchParity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batched_matches_unbatched(self, family, variant):
         system = family(variant)
-        batched = system.invariant_checker(batch=True).check_all("b")
-        unbatched = system.invariant_checker(batch=False).check_all("u")
+        checker = system.invariant_checker()
+        batched = checker.check_all("b")
+        unbatched = [checker.check(inv) for inv in checker.invariants]
         assert [result_key(r) for r in batched.results] == \
-               [result_key(r) for r in unbatched.results]
+               [result_key(r) for r in unbatched]
 
 
 def rows_of(analysis):
@@ -140,9 +141,11 @@ class TestDeadlockEngineParity:
         system = family(variant)
         tag = next(_table_counter)
         sql = system.analyze_deadlocks(
-            assignment, engine="sql", table_name=f"fam_par_sql_{tag}")
-        py = system.analyze_deadlocks(
-            assignment, engine="python", table_name=f"fam_par_py_{tag}")
+            assignment, table_name=f"fam_par_sql_{tag}")
+        py = DeadlockAnalyzer(
+            system.db, system.deadlock_specs(),
+            system.channel_assignments[assignment],
+        ).analyze(engine="python", table_name=f"fam_par_py_{tag}")
         assert rows_of(sql) == rows_of(py)
         assert sql.cycles() == py.cycles()
         assert sql.is_deadlock_free() == py.is_deadlock_free()

@@ -24,8 +24,6 @@ def _campaign_journal(path, n=4, t0=1000.0, tail=""):
             layer = "invariants" if i % 2 == 0 else None
             data = {"mutant_id": i, "fault_class": "row-del",
                     "detected_by": layer, "detail": ""}
-            if i == n - 1:
-                data["degraded"] = True
             fh.write(json.dumps({"type": "unit", "id": i, "data": data,
                                  "ts": t0 + i * 10}) + "\n")
         fh.write(tail)
@@ -79,7 +77,7 @@ class TestWatchOnce:
         assert snap["done"] == 4
         assert snap["matrix"]["invariants"] == 2
         assert snap["matrix"]["escaped"] == 2
-        assert snap["degraded"] == 1
+        assert "degraded" not in snap
         # 3 intervals over 30 seconds of record timestamps.
         assert snap["rate_per_second"] == pytest.approx(0.1)
         assert snap["last_record_age_seconds"] == pytest.approx(10.0)

@@ -211,10 +211,17 @@ class TestErrorPaths:
 
     def test_bad_engine_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["deadlock", "--engine", "pandas"])
+            main(["deadlock", "--engine", "python"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "Traceback" not in err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    def test_no_batch_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--no-batch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_missing_database_file_exits_2(self, capsys):
         assert main(["stats", "--db", "/nonexistent/asura.sqlite"]) == 2
