@@ -23,7 +23,7 @@ def _run_covered(system, n_ops: int, seed: int = 3):
         reissue_delay=6, coverage=True,
     ))
     rng = random.Random(seed)
-    nodes = list(sim.nodes)
+    nodes = list(sim.node_ids)
     for _ in range(n_ops):
         if rng.random() < 0.15:
             sim.inject_io(rng.randrange(2),

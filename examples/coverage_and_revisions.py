@@ -72,7 +72,7 @@ def coverage_demo(system) -> None:
         reissue_delay=6, coverage=True,
     ))
     rng = random.Random(7)
-    nodes = list(sim.nodes)
+    nodes = list(sim.node_ids)
     for _ in range(300):
         if rng.random() < 0.15:
             sim.inject_io(rng.randrange(2),

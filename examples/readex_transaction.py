@@ -24,8 +24,8 @@ def main() -> None:
     home = sim.home_quad("X")
     print("Initial state:")
     print(f"  line X homed at quad {home}; directory: "
-          f"{sim.directories[home].line_state('X')}")
-    print(f"  node:0.1 caches X in state {sim.nodes['node:0.1'].line('X')}")
+          f"{sim.directory_line('X')}")
+    print(f"  node:0.1 caches X in state {sim.line('node:0.1', 'X')}")
     print(f"  node:1.0 issues: st X   (a store miss -> readex)\n")
 
     result = workload.run()
@@ -38,10 +38,10 @@ def main() -> None:
     print(render_sequence(result.trace, addr="X"))
 
     print("\nFinal state:")
-    dirst, pv = sim.directories[home].line_state("X")
+    dirst, pv = sim.directory_line("X")
     print(f"  directory: state={dirst}, presence vector={sorted(pv)}")
     for nid in ("node:1.0", "node:0.1"):
-        print(f"  {nid} caches X in state {sim.nodes[nid].line('X')}")
+        print(f"  {nid} caches X in state {sim.line(nid, 'X')}")
     sim.check_directory_agreement()
     print("  directory agrees with the caches. "
           "Ownership transferred, exactly as in Figure 2.")

@@ -11,10 +11,9 @@ and the error classes *and message strings* are the same — the explorer
 pins hole-violation details on those strings, so the compiled and
 interpreted kernels must raise identically.
 
-:func:`compile_system_kernels` compiles the tables a simulator executes;
-:class:`KernelSystem` wraps them in the minimal system shape
-:class:`~repro.sim.system.Simulator` needs, which is how worker pools
-rebuild a simulator from pickled rows without shipping a database.
+:func:`compile_system_kernels` compiles the tables a step executes
+(:func:`repro.sim.models.step` looks rows up through either kind of
+table); worker pools receive them pickled as rows, never a database.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ from .table import AmbiguousMatchError, ControllerTable, NoMatchError
 
 __all__ = [
     "KernelTable",
-    "KernelSystem",
     "SIMULATED_TABLES",
     "compile_system_kernels",
 ]
 
-# The tables a Simulator executes (directory, memory, cache, network, IO).
+# The tables a step executes (directory, memory, cache, network, IO).
 SIMULATED_TABLES = ("D", "M", "C", "N", "IO")
 
 
@@ -148,19 +146,3 @@ def compile_system_kernels(system) -> dict[str, KernelTable]:
         if name in system.tables
     }
 
-
-class KernelSystem:
-    """The minimal system surface a :class:`Simulator` consumes.
-
-    Holds compiled kernel tables plus the channel assignments; worker
-    pools reconstruct one of these from pickled kernels instead of
-    cloning a database-backed :class:`AsuraSystem`.
-    """
-
-    def __init__(
-        self,
-        tables: Mapping[str, KernelTable],
-        channel_assignments: Mapping[str, object],
-    ) -> None:
-        self.tables = dict(tables)
-        self.channel_assignments = dict(channel_assignments)

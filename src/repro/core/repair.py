@@ -327,7 +327,7 @@ class DeadlockRepairer:
         journal replays the recorded fixes (no candidate re-evaluation)
         and continues the search from where the previous process died.
         """
-        from ..runtime import CheckpointJournal, JournalError, load_journal
+        from ..runtime import CheckpointJournal, load_journal
 
         t0 = time.perf_counter()
         evaluated = 0
@@ -347,16 +347,8 @@ class DeadlockRepairer:
             header["variant"] = variant
         if journal_path is not None:
             # Open before replaying: ``open`` rejects a foreign header
-            # before any of its fixes touch this run.  It ignores keys
-            # only the old journal has, so the variant is checked the
-            # other way here (a MESI run must not resume a member's).
+            # before any of its fixes touch this run.
             journal = CheckpointJournal.open(journal_path, header)
-            if journal.header.get("variant") != header.get("variant"):
-                journal.close()
-                raise JournalError(
-                    f"journal {journal_path!r} was written by a different "
-                    f"run: variant={journal.header.get('variant')!r} "
-                    f"there, None here")
             _, units = load_journal(journal_path)
             for round_no in sorted(units):
                 fix = self._replay_fix(current, units[round_no])

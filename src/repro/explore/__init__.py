@@ -39,8 +39,6 @@ from .state import (
     hash_state,
     permute_quads,
     permute_state,
-    snapshot_state,
-    restore_state,
     symmetry_mode,
 )
 
@@ -61,7 +59,5 @@ __all__ = [
     "hash_state",
     "permute_quads",
     "permute_state",
-    "snapshot_state",
-    "restore_state",
     "symmetry_mode",
 ]

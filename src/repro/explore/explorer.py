@@ -5,9 +5,9 @@ enumerates *every* interleaving a small open system can produce, up to a
 depth bound.  A state (see :mod:`repro.explore.state`) is expanded by
 firing each enabled atomic move — delivering one channel head, advancing
 one processor operation, re-issuing one retried transaction, or
-*injecting* a fresh ``ld``/``st``/``evict`` at any node — through the
-exact same :class:`~repro.sim.system.Simulator` planning/commit code the
-workloads use, so a transition exists here iff the generated controller
+*injecting* a fresh ``ld``/``st``/``evict`` at any node — through
+:func:`~repro.sim.models.step`, the transition relation the simulator
+also runs, so a transition exists here iff the generated controller
 tables contain its row.
 
 Exploration is breadth-first and depth-synchronized: the frontier of
@@ -19,10 +19,11 @@ states — results are identical for any worker count.
 Every *new* state is checked on the fly:
 
 * **coherence** — the single-writer/multiple-reader property over all
-  cache states (the simulator's :meth:`check_coherence`, evaluated
-  directly on the state tuple);
+  cache states (:func:`~repro.sim.models.coherence_violation`, which
+  the simulator checks every pass);
 * **directory** at quiescent states — the directory covers the caches
-  and the busy directory is empty;
+  and the busy directory is empty
+  (:func:`~repro.sim.models.directory_violation`);
 * **hole** — a reachable message with no matching table row
   (:class:`~repro.sim.models.SimProtocolError` and friends);
 * **deadlock** — a state with pending work (messages in flight,
@@ -30,25 +31,25 @@ Every *new* state is checked on the fly:
   can commit: nothing already started can ever finish.
 
 Each violating state carries a predecessor chain back to the initial
-state; :meth:`ReachabilityExplorer.replay` re-executes that chain through
-the simulator and returns the message :class:`TraceEvent` list, rendered
+state; :meth:`ReachabilityExplorer.replay` re-executes that chain step
+by step and returns the message :class:`TraceEvent` list, rendered
 as a paper-style sequence chart by :func:`repro.sim.trace.render_sequence`.
 
 Long runs checkpoint one journal record per completed depth
 (``--journal``) and resume exactly after the last completed depth, even
 with a larger ``--depth``.
 
-Two kernels execute the moves (``--kernel``):
+Two kernels answer the steps' row lookups (``--kernel``):
 
 * ``compiled`` (default) — the controller tables are compiled into
-  integer-indexed dispatch kernels (:mod:`repro.core.kernel`) at
-  explorer construction; a lookup is a handful of dict probes instead
+  integer-indexed dispatch kernels (:mod:`repro.core.kernel`) when the
+  first transition fires; a lookup is a handful of dict probes instead
   of an SQL query, and multi-worker runs fan out over a persistent
   :class:`~repro.explore.pool.KernelPool` that received the kernels
   once and thereafter only ships encoded state batches.
-* ``interpreted`` — the original SQL lookup path, kept as the parity
-  oracle: both kernels must produce identical reached-state digest
-  sets, identical violations, and identical hole messages.  It always
+* ``interpreted`` — the SQL lookup path, kept as the parity oracle:
+  both kernels must produce identical reached-state digest sets,
+  identical violations, and identical hole messages.  It always
   expands inline.
 """
 
@@ -62,9 +63,23 @@ from typing import Any, Optional, Sequence
 from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.kernel import compile_system_kernels
 from ..core.table import LookupError_
-from ..runtime import CheckpointJournal, JournalError, load_journal
-from ..sim.models import SimProtocolError
-from ..sim.system import SimConfig, Simulator, TraceEvent
+from ..runtime import (
+    CheckpointJournal,
+    JournalError,
+    check_header,
+    load_journal,
+)
+from ..sim.models import (
+    Network,
+    SimProtocolError,
+    coherence_violation,
+    directory_violation,
+    initial_state,
+    pending_work,
+    quad_of,
+    step,
+)
+from ..sim.system import SimConfig, TraceEvent
 from ..sim.trace import render_sequence
 from ..telemetry import get_tracer, new_run_id, span
 from .pool import KernelPool
@@ -73,8 +88,6 @@ from .state import (
     decode_state,
     encode_state,
     hash_state,
-    restore_state,
-    snapshot_state,
     symmetry_mode,
 )
 
@@ -154,8 +167,8 @@ class ExploreConfig:
     #: permute interchangeable non-home quads, ``False``/"off" = none.
     symmetry: Any = True
     #: "compiled" = dispatch-table kernels, "interpreted" = SQL lookups
-    #: (the parity oracle, and the only mode that sees in-memory table
-    #: mutations made *after* explorer construction).
+    #: (the parity oracle).  Both see every table mutation made before
+    #: the first transition fires.
     kernel: str = "compiled"
     #: quad count override (default: 1 quad for 1 node, else 2).  Three
     #: or more quads give "full" symmetry non-trivial orbits.
@@ -315,17 +328,24 @@ def _n_quads(config: ExploreConfig) -> int:
     return 1 if config.nodes == 1 else 2
 
 
-def _quad_node_counts(config: ExploreConfig) -> dict[int, int]:
-    """Nodes hosted per quad under the round-robin trim of
-    :func:`_build_simulator`."""
+def _node_ids(config: ExploreConfig) -> list[str]:
+    """The explored nodes, kept in round-robin order across quads
+    (``node:0.0``, ``node:1.0``, ``node:0.1``, …) so every quad
+    participates before any quad gets a second node."""
     n_quads = _n_quads(config)
-    nodes_per_quad = math.ceil(config.nodes / n_quads)
     keep = [
-        q for i in range(nodes_per_quad) for q in range(n_quads)
+        f"node:{q}.{i}"
+        for i in range(math.ceil(config.nodes / n_quads))
+        for q in range(n_quads)
     ][:config.nodes]
-    counts = {q: 0 for q in range(n_quads)}
-    for q in keep:
-        counts[q] += 1
+    return sorted(keep)
+
+
+def _quad_node_counts(config: ExploreConfig) -> dict[int, int]:
+    """Nodes hosted per quad."""
+    counts = {q: 0 for q in range(_n_quads(config))}
+    for nid in _node_ids(config):
+        counts[quad_of(nid)] += 1
     return counts
 
 
@@ -352,39 +372,17 @@ def _quad_classes(config: ExploreConfig) -> tuple:
     )
 
 
-def _sim_config(config: ExploreConfig, home_map: dict) -> SimConfig:
+def _network(system, config: ExploreConfig, home_map: dict) -> Network:
+    """Routing and capacities of the explored topology."""
     n_quads = _n_quads(config)
-    nodes_per_quad = math.ceil(config.nodes / n_quads)
-    return SimConfig(
+    sim_config = SimConfig(
         n_quads=n_quads,
-        nodes_per_quad=nodes_per_quad,
+        nodes_per_quad=math.ceil(config.nodes / n_quads),
         default_capacity=config.capacity,
-        reissue_delay=0,         # untimed: a retry is immediately enabled
-        memory_refresh_until=0,  # no DRAM stall window
-        home_map=dict(home_map),
-        check_coherence=False,   # the explorer checks states itself
+        home_map=home_map,
     )
-
-
-def _build_simulator(system, config: ExploreConfig, home_map: dict,
-                     tables=None) -> Simulator:
-    """A simulator trimmed to exactly ``config.nodes`` nodes.
-
-    Nodes are kept in round-robin order across quads (``node:0.0``,
-    ``node:1.0``, ``node:0.1``, …) so every quad participates before any
-    quad gets a second node.  ``tables`` injects compiled kernel tables
-    in place of the SQL-backed ones.
-    """
-    sim = Simulator(system, config.assignment, _sim_config(config, home_map),
-                    tables=tables)
-    n_quads = sim.config.n_quads
-    keep = [
-        f"node:{q}.{i}"
-        for i in range(sim.config.nodes_per_quad)
-        for q in range(n_quads)
-    ][:config.nodes]
-    sim.nodes = {nid: sim.nodes[nid] for nid in sorted(keep)}
-    return sim
+    return sim_config.network(
+        system.channel_assignments[config.assignment], _node_ids(config))
 
 
 def _addrs(config: ExploreConfig) -> list[str]:
@@ -442,53 +440,7 @@ def _moves_for(state: tuple, addrs: Sequence[str]) -> list[tuple]:
     return moves
 
 
-def _fire(sim: Simulator, move: tuple) -> bool:
-    """Fire one move on the (already restored) simulator; True iff it
-    committed.  Raises the hole errors for missing table rows."""
-    kind = move[0]
-    if kind == "deliver":
-        q = sim.fabric.queue(move[1], move[2])
-        env = q.head()
-        if env is None:
-            return False
-        plan = sim._plan_for(env)
-        if plan is None:
-            return False  # endpoint holds the message
-        return sim._try_commit(plan, q)
-    if kind == "cpu":
-        plan = sim.nodes[move[1]].plan_cpu()
-    elif kind == "reissue":
-        plan = sim.nodes[move[1]].plan_reissue(sim.now)
-    elif kind == "reissue_io":
-        plan = sim.ios[move[1]].plan_reissue(sim.now)
-    elif kind == "inject":
-        _, nid, op, addr = move
-        node = sim.nodes[nid]
-        node.cpu_ops.append((op, addr))
-        plan = node.plan_cpu()
-    else:
-        raise ExplorationError(f"unknown move kind {kind!r}")
-    if plan is None:
-        return False  # disabled here (caller discards the dirty state)
-    return sim._try_commit(plan, None)
-
-
-def _pending_work(state: tuple) -> bool:
-    """Whether anything already started still has to finish."""
-    channels, dirs, nodes, ios = state
-    if channels:
-        return True
-    for nid, cache, miss, wb, cpu_ops in nodes:
-        if cpu_ops or miss[0] != "none" or wb[0] != "none" \
-                or miss[4] or wb[4]:
-            return True
-    for quad, iost, pend_op, pend_addr, retry, dev_ops in ios:
-        if iost != "idle" or retry or dev_ops:
-            return True
-    return False
-
-
-def _expand_state(sim: Simulator, state: tuple, addrs: Sequence[str],
+def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
                   symmetry, quad_classes: tuple = ()) -> dict:
     """All successors of one state, plus holes and the deadlock verdict.
 
@@ -500,94 +452,26 @@ def _expand_state(sim: Simulator, state: tuple, addrs: Sequence[str],
     holes: list[dict] = []
     progress = False              # some non-inject move committed
     for move in _moves_for(state, addrs):
-        restore_state(sim, state)
         try:
-            committed = _fire(sim, move)
+            succ, _ = step(state, move, tables, net)
         except _HOLE_ERRORS as exc:
             holes.append({
                 "move": list(move),
                 "error": f"{type(exc).__name__}: {exc}".splitlines()[0],
             })
             continue
-        if not committed:
+        if succ is None:
             continue
         if move[0] != "inject":
             progress = True
-        succ = canonicalize(snapshot_state(sim), symmetry, quad_classes)
+        succ = canonicalize(succ, symmetry, quad_classes)
         successors.append((move, succ, hash_state(succ)))
     # Deadlock: pending work, nothing non-injected can ever commit (new
     # processor operations cannot unstick messages already in flight), and
     # the stall is not explained by a missing table row already reported.
-    deadlocked = _pending_work(state) and not progress and not holes
+    deadlocked = pending_work(state) and not progress and not holes
     return {"successors": successors, "holes": holes,
             "deadlocked": deadlocked}
-
-
-# -- state-level invariants ---------------------------------------------------
-def _coherence_violation(state: tuple, fwd: Optional[str] = None) -> Optional[str]:
-    """Single-writer/multiple-reader over the state's cache contents
-    (mirrors :meth:`Simulator.check_coherence`).
-
-    ``fwd`` is the family member's forwarder state (MOESI ``O``, MESIF
-    ``F``): it counts as a shared copy and is unique per line.
-    """
-    holders: dict[str, list[tuple[str, str]]] = {}
-    for nid, cache, miss, wb, cpu_ops in state[2]:
-        for addr, st in cache:
-            holders.setdefault(addr, []).append((nid, st))
-    for addr, hs in sorted(holders.items()):
-        owners = [nid for nid, st in hs if st in ("M", "E")]
-        sharers = [nid for nid, st in hs
-                   if st == "S" or (fwd is not None and st == fwd)]
-        if len(owners) > 1:
-            return f"line {addr}: multiple owners {sorted(owners)}"
-        if owners and sharers:
-            return (f"line {addr}: owner {owners[0]} coexists with "
-                    f"sharers {sorted(sharers)}")
-        if fwd is not None:
-            forwarders = [nid for nid, st in hs if st == fwd]
-            if len(forwarders) > 1:
-                return (f"line {addr}: multiple forwarders ({fwd}) "
-                        f"{sorted(forwarders)}")
-    return None
-
-
-def _quiescent(state: tuple) -> bool:
-    """No channel contents, no outstanding transactions, no queued work."""
-    return not _pending_work(state)
-
-
-def _directory_violation(state: tuple, home_map: dict) -> Optional[str]:
-    """Directory/cache agreement at a quiescent state (mirrors
-    :meth:`Simulator.check_directory_agreement`, plus: the busy directory
-    must be empty once nothing is in flight)."""
-    channels, dirs, nodes, ios = state
-    dir_lines: dict[str, tuple[str, frozenset]] = {}
-    for quad, lines, busy in dirs:
-        if busy:
-            addrs = sorted(a for a, *_ in busy)
-            return (f"dir:{quad} still busy on {addrs} at quiescence")
-        for addr, st, pv in lines:
-            if home_map.get(addr, 0) == quad:
-                dir_lines[addr] = (st, frozenset(pv))
-    cached: dict[str, dict[str, str]] = {}
-    for nid, cache, miss, wb, cpu_ops in nodes:
-        for addr, st in cache:
-            cached.setdefault(addr, {})[nid] = st
-    for addr in sorted(cached):
-        dirst, pv = dir_lines.get(addr, ("I", frozenset()))
-        holders = set(cached[addr])
-        if not holders <= pv:
-            return (f"line {addr}: directory pv {sorted(pv)} misses cached "
-                    f"copies {sorted(holders - pv)}")
-        owners = [nid for nid, st in cached[addr].items() if st in ("M", "E")]
-        if owners and dirst != "MESI":
-            return (f"line {addr}: owned by {sorted(owners)} but directory "
-                    f"says {dirst}")
-        if dirst == "MESI" and owners and set(owners) != pv:
-            return (f"line {addr}: directory owner {sorted(pv)} != cache "
-                    f"owner {sorted(owners)}")
-    return None
 
 
 # -- the explorer -------------------------------------------------------------
@@ -603,18 +487,14 @@ class ReachabilityExplorer:
         #: remote-request path, requests from quad 0 the local one.
         self.home_map = {a: 0 for a in self.addrs}
         self.quad_classes = _quad_classes(self.config)
-        # Kernels and the simulator are built on first use, from the
-        # tables as they stand then.  The root state is
-        # backend-independent (nothing has fired yet), so any simulator
-        # may produce it.
+        self.net = _network(system, self.config, self.home_map)
+        # Kernels are compiled on first use, from the tables as they
+        # stand then.
         self._kernels: Optional[dict] = None
-        self._sim: Optional[Simulator] = None
         self._pool: Optional[KernelPool] = None
-        root_sim = _build_simulator(system, self.config, self.home_map)
-        if self.config.kernel != "compiled":
-            self._sim = root_sim
-        root = canonicalize(snapshot_state(root_sim), self.config.symmetry,
-                            self.quad_classes)
+        root = canonicalize(
+            initial_state(_node_ids(self.config), _n_quads(self.config)),
+            self.config.symmetry, self.quad_classes)
         self.root_digest = hash_state(root)
         #: digest -> canonical state, for every reached state.
         self.states: dict[str, tuple] = {self.root_digest: root}
@@ -643,11 +523,9 @@ class ReachabilityExplorer:
         return self._kernels
 
     @property
-    def sim(self) -> Simulator:
-        if self._sim is None:
-            self._sim = _build_simulator(self.system, self.config,
-                                         self.home_map, tables=self.kernels)
-        return self._sim
+    def tables(self):
+        """The table mapping the steps look rows up in."""
+        return self.kernels or self.system.tables
 
     def close(self) -> None:
         """Release the worker pool."""
@@ -660,52 +538,23 @@ class ReachabilityExplorer:
         # The depth bound stays out: resuming a depth-8 journal with
         # --depth 12 legitimately continues the same exploration.  The
         # kernel choice stays out too — compiled and interpreted runs
-        # are parity-identical, so either may resume the other.
+        # are parity-identical, so either may resume the other.  The
+        # quad count and the protocol-family variant are stamped only
+        # when set.
         c = self.config
         header = {
             "kind": JOURNAL_KIND,
             "nodes": c.nodes,
             "lines": c.lines,
             "assignment": c.assignment,
-            "symmetry": c.symmetry,
+            "symmetry": symmetry_mode(c.symmetry),
             "capacity": c.capacity,
         }
         if c.quads is not None:
-            # Only stamped when overridden, so pre-override journals
-            # (no "quads" key) still resume under the default topology.
             header["quads"] = c.quads
         if c.variant is not None:
-            # Same rule for the protocol-family variant: absent means
-            # the MESI baseline, keeping historical journals resumable.
             header["variant"] = c.variant
         return header
-
-    def _load_resume(self, path: str) -> tuple[dict, dict[int, dict]]:
-        header, units = load_journal(path)
-        expected = self._journal_header()
-        for key, value in expected.items():
-            theirs = header.get(key)
-            if key == "symmetry":
-                # ``True`` and "quad" spell the same mode.
-                same = symmetry_mode(theirs) == symmetry_mode(value)
-            else:
-                same = theirs == value
-            if not same:
-                raise JournalError(
-                    f"cannot resume: journal {path!r} was written by an "
-                    f"exploration with {key}={theirs!r}, this run "
-                    f"has {key}={value!r}")
-        if "quads" not in expected and header.get("quads") is not None:
-            raise JournalError(
-                f"cannot resume: journal {path!r} was written by an "
-                f"exploration with quads={header['quads']!r}, this run "
-                f"has quads=None")
-        if "variant" not in expected and header.get("variant") is not None:
-            raise JournalError(
-                f"cannot resume: journal {path!r} was written by an "
-                f"exploration of variant={header['variant']!r}, this run "
-                f"explores the MESI baseline")
-        return header, {int(d): data for d, data in units.items()}
 
     # -- the BFS --------------------------------------------------------------
     def run(self) -> ExploreResult:
@@ -736,13 +585,11 @@ class ReachabilityExplorer:
         journal_header = self._journal_header()
         if cfg.resume_from is not None:
             journal_path = journal_path or cfg.resume_from
-            resumed_header, completed = self._load_resume(cfg.resume_from)
-            if journal_path == cfg.resume_from:
-                # Keep appending under the journal's own spelling of the
-                # symmetry mode, so the open below accepts its header.
-                journal_header["symmetry"] = resumed_header["symmetry"]
+            header, units = load_journal(cfg.resume_from)
+            check_header(cfg.resume_from, header, journal_header)
             frontier, start_depth, resumed = self._restore(
-                completed, violations, deadlocks, per_depth)
+                {int(d): data for d, data in units.items()},
+                violations, deadlocks, per_depth)
 
         run_id = new_run_id() if tracer.enabled else None
         tracer.emit("explore.started", run_id=run_id, kind=JOURNAL_KIND,
@@ -862,13 +709,10 @@ class ReachabilityExplorer:
             workers = 1
         if workers > 1 and self.kernels is not None:
             return self._expand_frontier_pool(frontier, workers)
-        # Inline on the live simulator: the only mode that sees in-memory
-        # table mutations made after explorer construction (with the
-        # interpreted kernel), hence the oracle path.  A compiled kernel
-        # that fell back to the interpreted one also lands here.
+        tables = self.tables
         return [
             (digest,
-             _expand_state(self.sim, self.states[digest], self.addrs,
+             _expand_state(self.states[digest], tables, self.net, self.addrs,
                            cfg.symmetry, self.quad_classes))
             for digest in frontier
         ]
@@ -879,9 +723,8 @@ class ReachabilityExplorer:
         at pool creation, each task is only a batch of state tuples."""
         cfg = self.config
         if self._pool is None:
-            channels = self.system.channel_assignments[cfg.assignment]
-            self._pool = KernelPool(self.kernels, channels, cfg,
-                                    self.home_map, workers)
+            self._pool = KernelPool(self.kernels, self.net, self.addrs,
+                                    cfg.symmetry, self.quad_classes, workers)
         chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
         batches = [
             [(d, self.states[d]) for d in frontier[i:i + chunk]]
@@ -897,12 +740,12 @@ class ReachabilityExplorer:
                      violations: list[Violation]) -> None:
         state = self.states[digest]
         spec = getattr(self.system, "spec", None)
-        coh = _coherence_violation(
+        coh = coherence_violation(
             state, spec.forward_state if spec is not None else None)
         if coh is not None:
             violations.append(Violation("coherence", digest, depth, coh))
-        if _quiescent(state):
-            dirv = _directory_violation(state, self.home_map)
+        if not pending_work(state):
+            dirv = directory_violation(state, self.net.home)
             if dirv is not None:
                 violations.append(Violation("directory", digest, depth, dirv))
 
@@ -971,33 +814,31 @@ class ReachabilityExplorer:
         return moves
 
     def replay(self, moves: Sequence[tuple]) -> tuple[list[TraceEvent], str]:
-        """Re-execute a move sequence through the simulator.
+        """Re-execute a move sequence from the initial state.
 
-        Returns the concatenated message events (steps re-stamped with
-        the move index) and the digest of the canonical final state —
-        which, for a trace extracted by :meth:`trace_to`, equals the
-        target state's digest: the differential explorer-vs-simulator
-        parity property.
+        Returns the concatenated message events (steps stamped with the
+        move index) and the digest of the canonical final state — which,
+        for a trace extracted by :meth:`trace_to`, equals the target
+        state's digest.
         """
         state = self.states[self.root_digest]
         events: list[TraceEvent] = []
         for i, move in enumerate(moves):
-            restore_state(self.sim, state)
             try:
-                committed = _fire(self.sim, tuple(move))
+                succ, fx = step(state, tuple(move), self.tables, self.net)
             except _HOLE_ERRORS as exc:
                 raise ExplorationError(
                     f"replay hit a protocol hole at move {i} "
                     f"({move}): {exc}") from exc
-            if not committed:
+            if succ is None:
                 raise ExplorationError(
                     f"replay diverged: move {i} ({move}) did not commit")
             events.extend(
-                TraceEvent(i, e.seq, e.msg, e.src, e.dst, e.addr, e.channel)
-                for e in self.sim.trace
+                TraceEvent(i, len(events) + n, msg, src, dst, addr, vc)
+                for n, (msg, src, dst, addr, (vc, _)) in enumerate(fx.sends, 1)
             )
-            state = canonicalize(snapshot_state(self.sim),
-                                 self.config.symmetry, self.quad_classes)
+            state = canonicalize(succ, self.config.symmetry,
+                                 self.quad_classes)
         return events, hash_state(state)
 
     def counterexample(self, digest: str, width: int = 14) -> str:

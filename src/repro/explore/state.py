@@ -1,13 +1,13 @@
 """Canonical system states: encoding, symmetry reduction, stable hashing.
 
-A *state* is everything that determines future protocol behaviour in a
-small explored configuration: the channel FIFO contents, every
-directory's line and busy entries, every node's cache / transaction
-registers / queued processor operations, and every I/O controller's
-transaction state.  Message sequence numbers, traces, statistics, and
-memory data versions are excluded — they never feed back into a table
-lookup.  Retry timers are abstracted to a boolean ("a re-issue is
-pending"), matching the explorer's untimed semantics.
+A *state* is the tuple :func:`repro.sim.models.step` transforms:
+everything that determines future protocol behaviour — the channel FIFO
+contents, every directory's line and busy entries, every node's cache /
+transaction registers / queued processor operations, and every I/O
+controller's transaction state.  Message sequence numbers, traces,
+statistics, and memory data versions are not part of it — they never
+feed back into a table lookup.  Retry timers are a boolean ("a re-issue
+is pending"), which the explorer treats as immediately due.
 
 Three properties the explorer depends on:
 
@@ -16,8 +16,8 @@ Three properties the explorer depends on:
   protocol automorphism.  :func:`canonicalize` rewrites a state to the
   lexicographically least member of its within-quad permutation orbit,
   collapsing symmetric interleavings into one representative.  The
-  representative is itself a reachable state, so exploration can restore
-  and expand it directly.
+  representative is itself a reachable state, so exploration can expand
+  it directly.
 * **Process-stable hashing** — :func:`hash_state` is SHA-256 over the
   canonical ``repr`` of the tuple, never Python's seeded ``hash``; the
   deduplication seen-set therefore agrees across worker processes and
@@ -41,12 +41,9 @@ import hashlib
 import itertools
 from typing import Iterable, Optional
 
-from ..sim.channel import Envelope
-from ..sim.models import BusyEntry, TxnRegister, quad_of
+from ..sim.models import quad_of
 
 __all__ = [
-    "snapshot_state",
-    "restore_state",
     "state_key",
     "hash_state",
     "encode_state",
@@ -57,102 +54,6 @@ __all__ = [
     "canonicalize",
     "symmetry_mode",
 ]
-
-
-def _reg_tuple(reg: TxnRegister) -> tuple:
-    return (reg.pend, reg.addr, reg.cache_req, reg.issue_linest,
-            reg.retry_at is not None)
-
-
-def snapshot_state(sim) -> tuple:
-    """Capture all behaviour-relevant control state of a simulator.
-
-    The result is a nested tuple ``(channels, dirs, nodes, ios)``, fully
-    deterministic (every unordered collection is sorted) and hashable.
-    """
-    channels = tuple(sorted(
-        (
-            q.key,
-            tuple((e.msg, e.src, e.dst, e.addr, e.src_role, e.dst_role)
-                  for e in q),
-        )
-        for q in sim.fabric.queues()
-        if len(q)
-    ))
-    dirs = tuple(
-        (
-            quad,
-            tuple(sorted(
-                (addr, entry["st"], tuple(sorted(entry["pv"])))
-                for addr, entry in d.lines.items()
-            )),
-            tuple(sorted(
-                (addr, b.state, tuple(sorted(b.pv)), b.requester)
-                for addr, b in d.busy.items()
-            )),
-        )
-        for quad, d in sorted(sim.directories.items())
-    )
-    nodes = tuple(
-        (
-            nid,
-            tuple(sorted(n.cache.items())),
-            _reg_tuple(n.miss),
-            _reg_tuple(n.wb),
-            tuple(n.cpu_ops),
-        )
-        for nid, n in sorted(sim.nodes.items())
-    )
-    ios = tuple(
-        (
-            quad,
-            io.iost,
-            io.pend_op,
-            io.pend_addr,
-            io.retry_at is not None,
-            tuple(io.dev_ops),
-        )
-        for quad, io in sorted(sim.ios.items())
-    )
-    return (channels, dirs, nodes, ios)
-
-
-def restore_state(sim, state: tuple) -> None:
-    """Write a :func:`snapshot_state` tuple back into a simulator.
-
-    The simulator must have the same topology the state was captured
-    from.  Pending re-issues are restored as immediately due (``retry_at
-    = sim.now``), matching the explorer's untimed abstraction.
-    """
-    channels, dirs, nodes, ios = state
-    for q in sim.fabric.queues():
-        q._q.clear()
-    for key, envs in channels:
-        q = sim.fabric.queue(*key)
-        for msg, src, dst, addr, sr, dr in envs:
-            q._q.append(Envelope(msg, src, dst, addr, sr, dr, seq=0))
-    for quad, lines, busy in dirs:
-        d = sim.directories[quad]
-        d.lines = {addr: {"st": st, "pv": set(pv)} for addr, st, pv in lines}
-        d.busy = {
-            addr: BusyEntry(state=st, pv=set(pv), requester=req)
-            for addr, st, pv, req in busy
-        }
-    for nid, cache, miss, wb, cpu_ops in nodes:
-        n = sim.nodes[nid]
-        n.cache = dict(cache)
-        for reg, data in ((n.miss, miss), (n.wb, wb)):
-            reg.pend, reg.addr, reg.cache_req, reg.issue_linest, pending = data
-            reg.retry_at = sim.now if pending else None
-        n.cpu_ops = [tuple(op) for op in cpu_ops]
-    for quad, iost, pend_op, pend_addr, pending, dev_ops in ios:
-        io = sim.ios[quad]
-        io.iost = iost
-        io.pend_op = pend_op
-        io.pend_addr = pend_addr
-        io.retry_at = sim.now if pending else None
-        io.dev_ops = [tuple(op) for op in dev_ops]
-    sim.trace.clear()
 
 
 # -- serialization ------------------------------------------------------------

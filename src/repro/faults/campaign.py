@@ -56,7 +56,7 @@ from ..core.invariants import InvariantChecker
 from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
-    JournalError,
+    check_header,
     load_journal,
     run_units,
 )
@@ -558,22 +558,6 @@ def _mutant_unit(payload: tuple) -> DetectionReport:
     return _run_mutant(*payload)
 
 
-def _load_resume_state(resume_from: str, header: dict) -> dict[int, dict]:
-    """Journaled completions keyed by mutant id, after validating that
-    the journal belongs to this campaign's parameters."""
-    journal_header, units = load_journal(resume_from)
-    # Symmetric comparison: a key present on either side must match, so
-    # a journal written *with* an optional stage (variant/oracle/repair)
-    # cannot seed a run without it any more than the reverse.
-    for key in sorted(set(header) | set(journal_header)):
-        if journal_header.get(key) != header.get(key):
-            raise JournalError(
-                f"cannot resume: journal {resume_from!r} was written by a "
-                f"campaign with {key}={journal_header.get(key)!r}, this "
-                f"run has {key}={header.get(key)!r}")
-    return {int(i): data for i, data in units.items()}
-
-
 def run_campaign(
     system=None,
     seed: int = 0,
@@ -689,7 +673,9 @@ def run_campaign(
             header["repair"] = repair_cfg
         completed: dict[int, dict] = {}
         if resume_from is not None:
-            completed = _load_resume_state(resume_from, header)
+            journal_header, units = load_journal(resume_from)
+            check_header(resume_from, journal_header, header)
+            completed = {int(i): data for i, data in units.items()}
             if journal_path is None:
                 journal_path = resume_from
 

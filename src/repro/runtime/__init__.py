@@ -33,6 +33,7 @@ from .journal import (
     JOURNAL_SCHEMA,
     CheckpointJournal,
     JournalError,
+    check_header,
     load_journal,
 )
 from .watch import render_snapshot, run_watch, watch_once
@@ -40,7 +41,8 @@ from .workers import UnitResult, run_units
 
 __all__ = [
     "atomic_write_json", "atomic_write_text",
-    "JOURNAL_SCHEMA", "CheckpointJournal", "JournalError", "load_journal",
+    "JOURNAL_SCHEMA", "CheckpointJournal", "JournalError", "check_header",
+    "load_journal",
     "UnitResult", "run_units",
     "watch_once", "render_snapshot", "run_watch",
 ]

@@ -5,7 +5,10 @@ returns, so a campaign killed at any instant loses at most the unit that
 was in flight.  The first record is a header carrying the run's
 parameters; resuming validates the header against the new invocation so
 a journal from a different seed/assignment can never be silently merged
-into the wrong campaign.
+into the wrong campaign.  One rule holds for every journal kind: a key
+present in either header must have the same value in both, so a
+parameter stamped only when it is set (a protocol variant, an oracle
+stage) keeps journals written with and without it apart.
 
 The tail of a journal written up to the moment of a SIGKILL may end in a
 partial line; :func:`scan_journal` tolerates exactly that (a final line
@@ -31,6 +34,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalError",
     "CheckpointJournal",
+    "check_header",
     "load_journal",
     "scan_journal",
 ]
@@ -61,20 +65,16 @@ class CheckpointJournal:
     @classmethod
     def open(cls, path: str, header: dict[str, Any]) -> "CheckpointJournal":
         """Create ``path`` with ``header``, or append to an existing
-        journal after checking every header key matches (``count``-style
-        keys the caller wants to allow to differ simply stay out of
-        ``header``)."""
+        journal whose header matches (see :func:`check_header`;
+        ``count``-style parameters the caller wants to allow to differ
+        simply stay out of ``header``)."""
         existing: Optional[dict[str, Any]] = None
         if os.path.exists(path) and os.path.getsize(path) > 0:
             existing, _, durable_end = _scan_for_resume(path)
             if existing is None:
                 raise JournalError(
                     f"journal {path!r} has no header record")
-            for key, value in header.items():
-                if existing.get(key) != value:
-                    raise JournalError(
-                        f"journal {path!r} was written by a different run: "
-                        f"{key}={existing.get(key)!r} there, {value!r} here")
+            check_header(path, existing, header)
             if durable_end < os.path.getsize(path):
                 # A kill mid-append left a torn tail; drop it so the
                 # next record starts on a fresh line instead of being
@@ -109,6 +109,18 @@ class CheckpointJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def check_header(path: str, found: dict[str, Any],
+                 expected: dict[str, Any]) -> None:
+    """Raise :class:`JournalError` unless every key present in either
+    header has the same value in both."""
+    for key in sorted(set(found) | set(expected)):
+        if found.get(key) != expected.get(key):
+            raise JournalError(
+                f"journal {path!r} was written by a different run: "
+                f"{key}={found.get(key)!r} there, "
+                f"{expected.get(key)!r} here")
 
 
 def scan_journal(
@@ -161,7 +173,9 @@ def load_journal(path: str) -> tuple[dict[str, Any], dict[Any, Any]]:
     A torn final line (the record being written when the process was
     killed — malformed, or valid JSON missing its newline) is discarded;
     malformed lines anywhere else mean real corruption and raise
-    :class:`JournalError`.  Duplicate unit ids keep the latest record."""
+    :class:`JournalError`.  Duplicate unit ids keep the latest record.
+    A run about to resume from the journal checks the header against
+    its own with :func:`check_header`."""
     header, latest, _ = _scan_for_resume(path)
     if header is None:
         raise JournalError(f"journal {path!r} has no header record")

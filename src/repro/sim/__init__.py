@@ -1,10 +1,12 @@
 """Table-driven protocol simulator.
 
-The debugged controller tables are executable: the simulator instantiates
-quads, nodes, directories and memories, routes messages over finite
-virtual channels according to a channel assignment V, and drives every
-controller *from its generated table* (the whole point of the paper's
-methodology — the artifact that was verified is the artifact that runs).
+The debugged controller tables are executable: :func:`models.step` fires
+one transition of a quad topology — nodes, directories, memories, I/O
+controllers and finite virtual channels routed by a channel assignment
+V — driving every controller *from its generated table* (the whole
+point of the paper's methodology — the artifact that was verified is the
+artifact that runs).  The :class:`Simulator` schedules and times those
+steps; the bounded explorer enumerates them.
 
 A controller consumes an input message only when every output channel the
 transition requires has free space; with capacity-1 channels and the

@@ -1,11 +1,14 @@
 """Virtual channels as finite FIFO resources.
 
 Deadlocks in ASURA "arise ... due to cyclic dependencies between finite
-channel resources used by the requests and responses" (section 4.1).  The
-fabric instantiates one FIFO queue per (virtual channel, destination
+channel resources used by the requests and responses" (section 4.1).
+There is one FIFO channel instance per (virtual channel, destination
 quad): every node in a quad shares the channel instances entering that
 quad, which is exactly the sharing the quad-placement relations reason
-about statically.
+about statically.  :meth:`ChannelFabric.channel_for` routes a message
+through V and :meth:`ChannelFabric.capacity` sizes its instance; the
+transition relation (:mod:`repro.sim.models`) keeps the instances'
+contents in its state tuple.
 
 Dedicated channels (the paper's fix) are unbounded and can always accept.
 """
@@ -13,7 +16,7 @@ Dedicated channels (the paper's fix) are unbounded and can always accept.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..core.deadlock import ChannelAssignment
@@ -99,15 +102,17 @@ class ChannelFabric:
         """The virtual channel V assigns to this message/route."""
         return self.assignment.lookup(msg, src_role, dst_role)
 
+    def capacity(self, vc: str) -> Optional[int]:
+        """A channel instance's capacity; None for a dedicated channel."""
+        if vc in self.assignment.dedicated:
+            return None
+        return self.capacities.get(vc, self.default_capacity)
+
     def queue(self, vc: str, dst_quad: int) -> VirtualChannelQueue:
         key = (vc, dst_quad)
         q = self._queues.get(key)
         if q is None:
-            if vc in self.assignment.dedicated:
-                cap: Optional[int] = None
-            else:
-                cap = self.capacities.get(vc, self.default_capacity)
-            q = VirtualChannelQueue(vc, dst_quad, cap)
+            q = VirtualChannelQueue(vc, dst_quad, self.capacity(vc))
             self._queues[key] = q
         return q
 

@@ -1,45 +1,67 @@
-"""Endpoint models: directory, node (cache + node controller), memory.
+"""The transition relation: one table-driven step over a state tuple.
 
-Each model is *table-driven*: it never hard-codes a transition.  It
-computes the input-column values for an incoming message, looks the row
-up in the generated controller table, and applies the row's outputs.  A
-missing row is a protocol hole and raises :class:`SimProtocolError` with
-full context — the dynamic analogue of the paper's static coverage
-checks.
+A *state* is everything that determines future protocol behaviour, as
+one nested tuple ``(channels, dirs, nodes, ios)``:
 
-Models do not touch channels directly: :meth:`plan` returns a
-:class:`TransitionPlan` (output envelopes + a state-apply callback) and
-the scheduler performs the capacity check / commit, so blocking semantics
-live in one place.
+* ``channels`` — ``((vc, dst_quad), envelopes)`` for every non-empty
+  channel instance, sorted by key; an envelope is ``(msg, src, dst,
+  addr, src_role, dst_role)`` and the tuple keeps FIFO order;
+* ``dirs`` — ``(quad, lines, busy)`` per quad in quad order: directory
+  entries ``(addr, st, pv)`` and busy-directory entries ``(addr, st,
+  pv, requester)``, both sorted by address, ``pv`` a sorted tuple of
+  node ids;
+* ``nodes`` — ``(nid, cache, miss, wb, cpu_ops)`` sorted by node id:
+  the cached lines ``(addr, st)`` (``I`` lines absent), the miss
+  register and the writeback buffer ``(pend, addr, cache_req,
+  issue_linest, retry)``, and the queued processor operations;
+* ``ios`` — ``(quad, iost, pend_op, pend_addr, retry, dev_ops)`` per
+  quad in quad order.
+
+:func:`step` fires one move — deliver a channel head, advance a
+processor or device operation, re-issue a retried request, or inject a
+fresh processor operation — and returns the successor state plus the
+step's :class:`Effects`.  Every transition is a row of a generated
+controller table: the step computes a row's input columns, looks the
+row up through whatever table mapping it is given (the SQL-backed
+:class:`~repro.core.table.ControllerTable` or a compiled
+:class:`~repro.core.kernel.KernelTable`) and applies its outputs.  A
+missing row is a protocol hole and raises :class:`SimProtocolError`.
+
+A transition commits only when every output channel instance has room
+for every message it emits; the input message occupies its slot until
+then.  A refused commit returns no successor, and its effects name the
+channels that were full.  Retry timers are a bit per register: the
+explorer treats a set bit as immediately due, the simulator keeps the
+deadlines beside the state.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from ..core.table import ControllerTable, NoMatchError
+from ..core.table import NoMatchError
 from ..protocols import messages as M
 from ..protocols import states as S
-from .channel import Envelope
+from .channel import ChannelFabric
 
 __all__ = [
     "SimProtocolError",
-    "TransitionPlan",
-    "DirectoryModel",
-    "NodeModel",
-    "MemoryModel",
-    "IOModel",
+    "Network",
+    "Effects",
+    "FREE",
+    "step",
+    "initial_state",
+    "preset_line",
+    "queue_op",
+    "queue_dev",
+    "cache_line",
+    "dir_line",
+    "pending_work",
+    "coherence_violation",
+    "directory_violation",
     "quad_of",
     "abstract_pv",
 ]
-
-_seq = itertools.count(1)
-
-
-def next_seq() -> int:
-    return next(_seq)
 
 
 class SimProtocolError(RuntimeError):
@@ -54,7 +76,7 @@ def quad_of(endpoint: str) -> int:
     return int(rest)
 
 
-def abstract_pv(pv: set) -> str:
+def abstract_pv(pv) -> str:
     """Abstract a concrete sharer set to the table encoding zero/one/gone."""
     if not pv:
         return S.PV_ZERO
@@ -63,582 +85,709 @@ def abstract_pv(pv: set) -> str:
     return S.PV_GONE
 
 
-@dataclass
-class TransitionPlan:
-    """What committing one transition requires and does."""
+class Network:
+    """The fixed facts a step reads beside the state: channel routing
+    and capacities (V), the home quad of every line, and where each
+    node's entry sits in the state's node tuple."""
 
-    outputs: list[Envelope]
-    apply: Callable[[], None]
-    label: str = ""
+    def __init__(self, fabric: ChannelFabric, n_quads: int,
+                 node_ids: Iterable[str], home_map=None) -> None:
+        self.fabric = fabric
+        self.n_quads = n_quads
+        self.home_map = dict(home_map or {})
+        self.node_pos = {nid: i for i, nid in enumerate(sorted(node_ids))}
 
-
-@dataclass
-class BusyEntry:
-    state: str
-    pv: set
-    requester: str
-
-
-class DirectoryModel:
-    """The directory + busy directory of one quad, executing table D."""
-
-    def __init__(self, quad: int, table: ControllerTable, recorder=None) -> None:
-        self.quad = quad
-        self.table = table
-        self.recorder = recorder
-        self.endpoint = f"dir:{quad}"
-        self.lines: dict[str, dict] = {}        # addr -> {"st": str, "pv": set}
-        self.busy: dict[str, BusyEntry] = {}
-
-    # -- state helpers -----------------------------------------------------------
-    def line_state(self, addr: str) -> tuple[str, set]:
-        entry = self.lines.get(addr)
-        if entry is None:
-            return S.DIR_I, set()
-        return entry["st"], set(entry["pv"])
-
-    def preset(self, addr: str, dirst: str, pv: set) -> None:
-        """Install an initial directory entry (workload setup)."""
-        if dirst == S.DIR_I:
-            self.lines.pop(addr, None)
-        else:
-            self.lines[addr] = {"st": dirst, "pv": set(pv)}
-
-    # -- table-driven transition ----------------------------------------------------
-    def plan(self, env: Envelope) -> TransitionPlan:
-        addr = env.addr
-        dirst, pv = self.line_state(addr)
-        b = self.busy.get(addr)
-        bdirst = b.state if b else S.DIR_I
-        bpv = set(b.pv) if b else set()
-        is_req = M.is_request(env.msg)
-        try:
-            rowid, row = self.table.lookup_id(
-                inmsg=env.msg,
-                inmsgsrc=env.src_role,
-                inmsgdst="home",
-                inmsgres="reqq" if is_req else "respq",
-                dirst=dirst,
-                dirpv=abstract_pv(pv),
-                dirlookup="miss" if dirst == S.DIR_I else "hit",
-                bdirst=bdirst,
-                bdirpv=abstract_pv(bpv),
-                bdirlookup="miss" if bdirst == S.DIR_I else "hit",
-                reqinpv="yes" if env.src in pv else "no",
-            )
-        except NoMatchError as e:
-            raise SimProtocolError(
-                f"directory {self.quad}: no transition for {env} "
-                f"(dirst={dirst}, pv={sorted(pv)}, bdirst={bdirst}, "
-                f"bpv={sorted(bpv)})"
-            ) from e
-        if self.recorder is not None:
-            self.recorder.record(self.table.schema.name, rowid)
-
-        # The requester a completion/retry is addressed to.
-        if b is not None and row["locmsg"] != "retry":
-            requester = b.requester
-        else:
-            requester = env.src
-
-        outputs: list[Envelope] = []
-        if row["locmsg"] is not None:
-            outputs.append(Envelope(
-                msg=row["locmsg"], src=self.endpoint, dst=requester, addr=addr,
-                src_role=row["locmsgsrc"], dst_role=row["locmsgdst"],
-                seq=next_seq(),
-            ))
-        snoop_targets: list[str] = []
-        if row["remmsg"] is not None:
-            snoop_targets = sorted(pv - {requester})
-            if not snoop_targets:
-                raise SimProtocolError(
-                    f"directory {self.quad}: snoop {row['remmsg']} for {addr} "
-                    f"with no targets (pv={sorted(pv)}, requester={requester})"
-                )
-            for target in snoop_targets:
-                outputs.append(Envelope(
-                    msg=row["remmsg"], src=self.endpoint, dst=target, addr=addr,
-                    src_role=row["remmsgsrc"], dst_role=row["remmsgdst"],
-                    seq=next_seq(),
-                ))
-        if row["memmsg"] is not None:
-            outputs.append(Envelope(
-                msg=row["memmsg"], src=self.endpoint, dst=f"mem:{self.quad}",
-                addr=addr, src_role=row["memmsgsrc"], dst_role=row["memmsgdst"],
-                seq=next_seq(),
-            ))
-
-        def apply() -> None:
-            self._apply_row(env, row, addr, pv, requester)
-
-        return TransitionPlan(outputs=outputs, apply=apply,
-                              label=f"D{self.quad}:{env.msg}({addr})")
-
-    def _apply_row(
-        self, env: Envelope, row: dict, addr: str, old_pv: set, requester: str
-    ) -> None:
-        b = self.busy.get(addr)
-        # Presence-vector operation, applied to the busy entry's saved
-        # sharer set when one exists (the entry migrated to the busy
-        # directory), otherwise to the live directory entry.
-        base = set(b.pv) if b is not None else set(old_pv)
-        op = row["nxtdirpv"]
-        if op == S.PV_INC:
-            base |= {requester}
-        elif op == S.PV_DEC:
-            base -= {env.src}
-        elif op == S.PV_REPL:
-            base = {requester}
-        elif op == S.PV_DREPL:
-            base -= {env.src}
-
-        nxtdirst = row["nxtdirst"]
-        if nxtdirst is not None:
-            if nxtdirst == S.DIR_I:
-                self.lines.pop(addr, None)
-            else:
-                self.lines[addr] = {"st": nxtdirst, "pv": base}
-        elif op is not None and addr in self.lines:
-            self.lines[addr]["pv"] = base
-
-        # Busy-directory update.
-        bop = row["nxtbdirpv"]
-        new_bpv: Optional[set] = None
-        if bop == S.BPV_LOAD:
-            new_bpv = set(old_pv)
-        elif bop == S.BPV_LOADX:
-            new_bpv = set(old_pv) - {requester}
-        elif bop == S.BPV_DEC:
-            new_bpv = (set(b.pv) if b else set()) - {env.src}
-        elif bop == S.BPV_CLR:
-            new_bpv = set()
-
-        nxtb = row["nxtbdirst"]
-        if nxtb is not None:
-            if nxtb == S.DIR_I:
-                self.busy.pop(addr, None)
-            elif b is None:
-                self.busy[addr] = BusyEntry(
-                    state=nxtb,
-                    pv=new_bpv if new_bpv is not None else set(),
-                    requester=env.src,
-                )
-            else:
-                b.state = nxtb
-                if new_bpv is not None:
-                    b.pv = new_bpv
-        elif new_bpv is not None and b is not None:
-            b.pv = new_bpv
+    def home(self, addr: str) -> int:
+        if addr in self.home_map:
+            return self.home_map[addr]
+        return sum(addr.encode()) % self.n_quads
 
 
-@dataclass
-class TxnRegister:
-    """One outstanding-transaction register of the node controller.
+class Effects:
+    """What a step did besides changing the state.
 
-    Real nodes keep the miss status register separate from the victim
-    (writeback) buffer — the paper's local node "concurrently issues
-    wb(B) and readex(A)", which requires both to be outstanding at once.
-    """
+    ``rows`` and the ``stalls`` count are recorded whenever a row is
+    looked up, even if the commit is then refused; everything else only
+    when the step commits."""
 
-    pend: str = "none"
-    addr: Optional[str] = None
-    cache_req: Optional[str] = None   # miss_rd / miss_wr / wb_victim / flush_victim
-    issue_linest: Optional[str] = None  # line state captured at issue time
-    retry_at: Optional[int] = None
+    __slots__ = ("rows", "sends", "blocked", "counts", "retry", "written",
+                 "device")
 
-    @property
-    def free(self) -> bool:
-        return self.pend == "none"
-
-    def clear(self) -> None:
-        self.pend = "none"
-        self.addr = None
-        self.cache_req = None
-        self.issue_linest = None
-        self.retry_at = None
+    def __init__(self) -> None:
+        self.rows: list = []      # (table, rowid) per lookup
+        self.sends: list = []     # (msg, src, dst, addr, (vc, dq)) per output
+        self.blocked: list = []   # channel keys without room for the outputs
+        self.counts: list = []    # (endpoint, statistic) increments
+        #: (endpoint, register) whose retry bit this step set; the
+        #: register is 0 (miss) or 1 (writeback) at a node, 0 at an IO
+        self.retry: Optional[tuple] = None
+        self.written: Optional[str] = None   # line written to memory
+        self.device: Optional[tuple] = None  # (quad, devmsg, addr)
 
 
-#: Cache requests held in the miss register vs the writeback buffer.
+#: a register holding no transaction.
+FREE = ("none", None, None, None, False)
+
+#: cache requests held in the miss register (the rest use the
+#: writeback buffer).
 _MISS_REQS = ("miss_rd", "miss_wr")
-_WB_REQS = ("wb_victim", "flush_victim")
+
+_SNOOPS = ("sinv", "sread")
 
 
-class NodeModel:
-    """One node: a MESI cache driven by table C plus a node controller
-    driven by table N, with a miss register and a writeback buffer."""
-
-    def __init__(
-        self,
-        node_id: str,
-        cache_table: ControllerTable,
-        node_table: ControllerTable,
-        reissue_delay: int = 8,
-        recorder=None,
-    ) -> None:
-        self.endpoint = node_id
-        self.recorder = recorder
-        self.quad = quad_of(node_id)
-        self.cache_table = cache_table
-        self.node_table = node_table
-        self.reissue_delay = reissue_delay
-        self.cache: dict[str, str] = {}          # addr -> MESI (absent = I)
-        self.miss = TxnRegister()
-        self.wb = TxnRegister()
-        self.cpu_ops: list[tuple[str, str]] = []   # (op, addr) FIFO
-        self.stats = {"ops": 0, "hits": 0, "misses": 0,
-                      "retries": 0, "snoops": 0, "writebacks": 0}
-
-    # -- helpers ---------------------------------------------------------------------
-    def line(self, addr: str) -> str:
-        return self.cache.get(addr, "I")
-
-    def preset(self, addr: str, state: str) -> None:
-        if state == "I":
-            self.cache.pop(addr, None)
-        else:
-            self.cache[addr] = state
-
-    def _set_line(self, addr: str, state: Optional[str]) -> None:
-        if state is None:
-            return
-        if state == "I":
-            self.cache.pop(addr, None)
-        else:
-            self.cache[addr] = state
-
-    def _register_for(self, addr: str) -> Optional[TxnRegister]:
-        """The transaction register tracking ``addr``, if any."""
-        if self.miss.addr == addr and not self.miss.free:
-            return self.miss
-        if self.wb.addr == addr and not self.wb.free:
-            return self.wb
-        return None
-
-    def _cache_row(self, op: str, addr: str, fillmode: Optional[str] = None) -> dict:
-        try:
-            rowid, row = self.cache_table.lookup_id(
-                op=op, cachest=self.line(addr), fillmode=fillmode,
-            )
-            if self.recorder is not None:
-                self.recorder.record(self.cache_table.schema.name, rowid)
-            return row
-        except NoMatchError as e:
-            raise SimProtocolError(
-                f"{self.endpoint}: cache has no transition for op={op} "
-                f"state={self.line(addr)} fillmode={fillmode}"
-            ) from e
-
-    def _net_row_for_cache_req(self, cache_req: str, linest: str) -> dict:
-        """Node-controller row for a cache-originated request.
-
-        On re-issue after a retry the pending register is already occupied
-        by this very transaction, so the lookup constrains everything
-        except ``pend``.  Misses re-derive from the *current* line state
-        (an upgrade whose line has since been invalidated must become a
-        readex); writebacks use the state captured into the victim buffer.
-        """
-        matches = self.node_table._match({
-            "inmsg": cache_req,
-            "inmsgsrc": "cache",
-            "inmsgdst": "local",
-            "linest": linest,
-        })
-        if len(matches) != 1:
-            raise SimProtocolError(
-                f"{self.endpoint}: {len(matches)} node rows for cache request "
-                f"{cache_req} with line state {linest}"
-            )
-        rowid, row = matches[0]
-        if self.recorder is not None:
-            self.recorder.record(self.node_table.schema.name, rowid)
-        return row
-
-    def _request_envelope(self, nrow: dict, addr: str) -> Envelope:
-        return Envelope(
-            msg=nrow["netmsg"], src=self.endpoint, dst="dir:{home}", addr=addr,
-            src_role=nrow["netmsgsrc"], dst_role=nrow["netmsgdst"],
-            seq=next_seq(),
-        )
-
-    # -- processor side ---------------------------------------------------------------
-    def plan_cpu(self) -> Optional[TransitionPlan]:
-        """Try to make progress on the oldest processor operation."""
-        if not self.cpu_ops:
-            return None
-        op, addr = self.cpu_ops[0]
-        if op == "evict" and self.line(addr) == "I":
-            # Nothing to victimize (the line left the cache earlier);
-            # workload convenience, not a protocol transition.
-            def drop() -> None:
-                self.cpu_ops.pop(0)
-            return TransitionPlan([], drop, f"{self.endpoint}:evict({addr})noop")
-        if self._register_for(addr) is not None:
-            return None  # a transaction on this line is already in flight
-        crow = self._cache_row(op, addr)
-
-        if crow["nodemsg"] is None:
-            # Pure cache hit (or silent state change).
-            def apply_hit() -> None:
-                self.cpu_ops.pop(0)
-                self._set_line(addr, crow["nxtst"])
-                self.stats["hits"] += 1
-                self.stats["ops"] += 1
-            return TransitionPlan([], apply_hit, f"{self.endpoint}:{op}({addr})hit")
-
-        reg = self.miss if crow["nodemsg"] in _MISS_REQS else self.wb
-        if not reg.free:
-            return None
-        linest = self.line(addr)
-        nrow = self._net_row_for_cache_req(crow["nodemsg"], linest)
-        out = self._request_envelope(nrow, addr)
-
-        def apply_miss() -> None:
-            self.cpu_ops.pop(0)
-            self._set_line(addr, crow["nxtst"])
-            reg.pend = nrow["nxtpend"]
-            reg.addr = addr
-            reg.cache_req = crow["nodemsg"]
-            reg.issue_linest = linest
-            self.stats["ops"] += 1
-            if reg is self.miss:
-                self.stats["misses"] += 1
-            else:
-                self.stats["writebacks"] += 1
-
-        return TransitionPlan([out], apply_miss, f"{self.endpoint}:{op}({addr})miss")
-
-    def plan_reissue(self, now: int) -> Optional[TransitionPlan]:
-        """Re-issue a retried request once its backoff timer expires."""
-        for reg in (self.miss, self.wb):
-            if reg.retry_at is None or now < reg.retry_at:
-                continue
-            linest = (
-                self.line(reg.addr) if reg is self.miss else reg.issue_linest
-            )
-            nrow = self._net_row_for_cache_req(reg.cache_req, linest)
-            out = self._request_envelope(nrow, reg.addr)
-
-            def apply(reg=reg, nrow=nrow) -> None:
-                reg.retry_at = None
-                reg.pend = nrow["nxtpend"]
-
-            return TransitionPlan(
-                [out], apply, f"{self.endpoint}:reissue({reg.addr})"
-            )
-        return None
-
-    # -- network side --------------------------------------------------------------------
-    def plan(self, env: Envelope, now: int) -> TransitionPlan:
-        addr = env.addr
-        reg = self._register_for(addr)
-        pend_val = reg.pend if reg is not None else "none"
-        # Snoops also hit the victim buffer: a line evicted but whose
-        # writeback/flush has not been accepted yet is still this node's
-        # responsibility, answered from the buffered state; the pending
-        # writeback is then cancelled (its data travels with the reply).
-        snooped_buffer = (
-            env.msg in ("sinv", "sread")
-            and reg is self.wb
-            and reg.issue_linest is not None
-        )
-        linest = reg.issue_linest if snooped_buffer else self.line(addr)
-        try:
-            nrowid, nrow = self.node_table.lookup_id(
-                inmsg=env.msg,
-                inmsgsrc=env.src_role,
-                inmsgdst=env.dst_role,
-                pend=pend_val,
-                linest=linest,
-            )
-        except NoMatchError as e:
-            raise SimProtocolError(
-                f"{self.endpoint}: no node transition for {env} "
-                f"(pend={pend_val}, linest={self.line(addr)})"
-            ) from e
-        if self.recorder is not None:
-            self.recorder.record(self.node_table.schema.name, nrowid)
-
-        outputs: list[Envelope] = []
-        if nrow["netmsg"] is not None:
-            outputs.append(self._request_envelope(nrow, addr))
-
-        def apply() -> None:
-            if snooped_buffer:
-                self.stats["snoops"] += 1
-                reg.clear()  # the snoop reply carries/settles the victim
-                return
-            if nrow["cachemsg"] is not None:
-                crow = self._cache_row(nrow["cachemsg"], addr, nrow["fillmode"])
-                self._set_line(addr, crow["nxtst"])
-            if nrow["nxtpend"] is not None and reg is not None:
-                reg.pend = nrow["nxtpend"]
-                if reg.pend == "none":
-                    # Transaction done: replay the processor op that
-                    # missed, so the store performs through the table
-                    # (fill-exclusive lands E; the replayed st drives the
-                    # silent E -> M transition).
-                    if reg is self.miss and reg.cache_req == "miss_rd":
-                        self.cpu_ops.insert(0, ("ld", addr))
-                    elif reg is self.miss and reg.cache_req == "miss_wr":
-                        self.cpu_ops.insert(0, ("st", addr))
-                    reg.clear()
-            if nrow["reissue"] == "yes" and reg is not None:
-                reg.retry_at = now + self.reissue_delay
-                self.stats["retries"] += 1
-            if env.msg in ("sinv", "sread"):
-                self.stats["snoops"] += 1
-
-        return TransitionPlan(outputs, apply, f"{self.endpoint}:{env.msg}({addr})")
+# -- state construction and queries --------------------------------------------
+def initial_state(node_ids: Iterable[str], n_quads: int) -> tuple:
+    """Empty channels, directories, caches and controllers."""
+    return (
+        (),
+        tuple((q, (), ()) for q in range(n_quads)),
+        tuple((nid, (), FREE, FREE, ()) for nid in sorted(node_ids)),
+        tuple((q, "idle", None, None, False, ()) for q in range(n_quads)),
+    )
 
 
-class MemoryModel:
-    """The home memory controller of one quad, executing table M."""
-
-    def __init__(self, quad: int, table: ControllerTable, refresh_until: int = 0,
-                 recorder=None) -> None:
-        self.quad = quad
-        self.table = table
-        self.recorder = recorder
-        self.endpoint = f"mem:{quad}"
-        #: while ``now < refresh_until`` the DRAM bank reports ``refresh``
-        #: and the generated table's stall row holds the request.
-        self.refresh_until = refresh_until
-        self.versions: dict[str, int] = {}
-        self.stats = {"reads": 0, "writes": 0, "stalls": 0}
-
-    def plan(self, env: Envelope, now: int) -> Optional[TransitionPlan]:
-        bankst = "refresh" if now < self.refresh_until else "ready"
-        try:
-            rowid, row = self.table.lookup_id(
-                inmsg=env.msg, inmsgsrc=env.src_role, inmsgdst=env.dst_role,
-                inmsgres="memq", bankst=bankst,
-            )
-        except NoMatchError as e:
-            raise SimProtocolError(
-                f"memory {self.quad}: no transition for {env}"
-            ) from e
-        if self.recorder is not None:
-            self.recorder.record(self.table.schema.name, rowid)
-        if row["stall"] == "yes":
-            self.stats["stalls"] += 1
-            return None  # hold the request while the bank refreshes
-
-        outputs: list[Envelope] = []
-        if row["outmsg"] is not None:
-            outputs.append(Envelope(
-                msg=row["outmsg"], src=self.endpoint, dst=f"dir:{self.quad}",
-                addr=env.addr, src_role=row["outmsgsrc"], dst_role=row["outmsgdst"],
-                seq=next_seq(),
-            ))
-
-        def apply() -> None:
-            if row["arrayop"] == "wr":
-                self.versions[env.addr] = self.versions.get(env.addr, 0) + 1
-                self.stats["writes"] += 1
-            else:
-                self.stats["reads"] += 1
-
-        return TransitionPlan(outputs, apply, f"M{self.quad}:{env.msg}({env.addr})")
+def _find(entries: tuple, addr: str):
+    for entry in entries:
+        if entry[0] == addr:
+            return entry
+    return None
 
 
-class IOModel:
-    """The I/O controller of one quad, executing table IO.
+def _put(entries: tuple, addr: str, entry) -> tuple:
+    """``entries`` with ``addr``'s entry replaced (dropped for None)."""
+    out = [e for e in entries if e[0] != addr]
+    if entry is not None:
+        out.append(entry)
+        out.sort()
+    return tuple(out)
 
-    Device-initiated reads/writes are queued on the (always sinkable)
-    device interface, issued onto the coherence fabric as ior/iow, and
-    completed back to the device.  Retries are absorbed and re-issued,
-    like the node controller's.
+
+def _at(items: tuple, pos: int, item) -> tuple:
+    return items[:pos] + (item,) + items[pos + 1:]
+
+
+def _line(cache: tuple, addr: str) -> str:
+    entry = _find(cache, addr)
+    return entry[1] if entry else "I"
+
+
+def _set_line(cache: tuple, addr: str, st: Optional[str]) -> tuple:
+    if st is None:
+        return cache
+    return _put(cache, addr, None if st == "I" else (addr, st))
+
+
+def cache_line(state: tuple, net: Network, nid: str, addr: str) -> str:
+    """A node's cache state for a line (``I`` when absent)."""
+    return _line(state[2][net.node_pos[nid]][1], addr)
+
+
+def dir_line(state: tuple, quad: int, addr: str) -> tuple[str, set]:
+    """A directory's entry for a line: ``(state, sharer set)``."""
+    entry = _find(state[1][quad][1], addr)
+    return (entry[1], set(entry[2])) if entry else (S.DIR_I, set())
+
+
+def preset_line(state: tuple, net: Network, addr: str, dirst: str,
+                sharers: dict[str, str]) -> tuple:
+    """Install a coherent starting configuration of one line: the
+    directory entry at its home quad and the sharers' cache states."""
+    channels, dirs, nodes, ios = state
+    quad, lines, busy = dirs[net.home(addr)]
+    entry = (None if dirst == S.DIR_I
+             else (addr, dirst, tuple(sorted(sharers))))
+    dirs = _at(dirs, quad, (quad, _put(lines, addr, entry), busy))
+    for nid, st in sharers.items():
+        pos = net.node_pos[nid]
+        n = nodes[pos]
+        nodes = _at(nodes, pos, (n[0], _set_line(n[1], addr, st)) + n[2:])
+    return (channels, dirs, nodes, ios)
+
+
+def queue_op(state: tuple, pos: int, op: str, addr: str) -> tuple:
+    """Append a processor operation to the node at ``pos``."""
+    channels, dirs, nodes, ios = state
+    n = nodes[pos]
+    return (channels, dirs,
+            _at(nodes, pos, n[:4] + (n[4] + ((op, addr),),)), ios)
+
+
+def queue_dev(state: tuple, quad: int, op: str, addr: str) -> tuple:
+    """Append a device-initiated operation to a quad's I/O controller."""
+    channels, dirs, nodes, ios = state
+    io = ios[quad]
+    return (channels, dirs, nodes,
+            _at(ios, quad, io[:5] + (io[5] + ((op, addr),),)))
+
+
+# -- checks ---------------------------------------------------------------------
+def pending_work(state: tuple) -> bool:
+    """Whether anything already started still has to finish: messages
+    in flight, outstanding or retried transactions, queued operations."""
+    channels, dirs, nodes, ios = state
+    if channels:
+        return True
+    for nid, cache, miss, wb, cpu_ops in nodes:
+        if cpu_ops or miss[0] != "none" or wb[0] != "none" \
+                or miss[4] or wb[4]:
+            return True
+    for quad, iost, pend_op, pend_addr, retry, dev_ops in ios:
+        if iost != "idle" or retry or dev_ops:
+            return True
+    return False
+
+
+def coherence_violation(state: tuple,
+                        fwd: Optional[str] = None) -> Optional[str]:
+    """Single-writer/multiple-reader: never two owners of a line, and
+    never an owner coexisting with shared copies.
+
+    ``fwd`` is the family member's forwarder state (MOESI ``O``, MESIF
+    ``F``): it counts as a shared copy, may coexist with ``S`` holders
+    but never with an exclusive owner, and is unique per line.
     """
+    holders: dict[str, list[tuple[str, str]]] = {}
+    for nid, cache, miss, wb, cpu_ops in state[2]:
+        for addr, st in cache:
+            holders.setdefault(addr, []).append((nid, st))
+    for addr, hs in sorted(holders.items()):
+        owners = [nid for nid, st in hs if st in ("M", "E")]
+        sharers = [nid for nid, st in hs
+                   if st == "S" or (fwd is not None and st == fwd)]
+        if len(owners) > 1:
+            return f"line {addr}: multiple owners {sorted(owners)}"
+        if owners and sharers:
+            return (f"line {addr}: owner {owners[0]} coexists with "
+                    f"sharers {sorted(sharers)}")
+        if fwd is not None:
+            forwarders = [nid for nid, st in hs if st == fwd]
+            if len(forwarders) > 1:
+                return (f"line {addr}: multiple forwarders ({fwd}) "
+                        f"{sorted(forwarders)}")
+    return None
 
-    def __init__(self, quad: int, table: ControllerTable,
-                 reissue_delay: int = 8, recorder=None) -> None:
-        self.quad = quad
-        self.table = table
-        self.recorder = recorder
-        self.reissue_delay = reissue_delay
-        self.endpoint = f"io:{quad}"
-        self.iost = "idle"
-        self.pend_addr: Optional[str] = None
-        self.pend_op: Optional[str] = None   # io_read / io_write
-        self.retry_at: Optional[int] = None
-        self.dev_ops: list[tuple[str, str]] = []   # (op, addr) FIFO
-        self.delivered: list[tuple[str, str]] = []  # (devmsg, addr) to device
-        self.stats = {"reads": 0, "writes": 0, "intrs": 0, "retries": 0}
 
-    def _row(self, inmsg: str, src: str, dst: str, iost) -> dict:
-        try:
-            rowid, row = self.table.lookup_id(
-                inmsg=inmsg, inmsgsrc=src, inmsgdst=dst, iost=iost,
-            )
-        except NoMatchError as e:
-            raise SimProtocolError(
-                f"{self.endpoint}: no transition for {inmsg} (iost={iost})"
-            ) from e
-        if self.recorder is not None:
-            self.recorder.record(self.table.schema.name, rowid)
-        return row
+def directory_violation(state: tuple,
+                        home: Callable[[str], int]) -> Optional[str]:
+    """Directory/cache agreement, for a state with nothing in flight.
 
-    def _issue_envelope(self, row: dict, addr: str) -> Envelope:
-        return Envelope(
-            msg=row["netmsg"], src=self.endpoint, dst="dir:{home}",
-            addr=addr, src_role=row["netmsgsrc"], dst_role=row["netmsgdst"],
-            seq=next_seq(),
+    The busy directory must be empty.  The presence vector may
+    *overcount* (a node answering a snoop from its victim buffer stays
+    tracked until the next invalidate — the standard conservative
+    directory) but must never undercount, and ownership must be tracked
+    exactly.
+    """
+    channels, dirs, nodes, ios = state
+    dir_lines: dict[str, tuple[str, frozenset]] = {}
+    for quad, lines, busy in dirs:
+        if busy:
+            addrs = sorted(a for a, *_ in busy)
+            return f"dir:{quad} still busy on {addrs} at quiescence"
+        for addr, st, pv in lines:
+            if home(addr) == quad:
+                dir_lines[addr] = (st, frozenset(pv))
+    cached: dict[str, dict[str, str]] = {}
+    for nid, cache, miss, wb, cpu_ops in nodes:
+        for addr, st in cache:
+            cached.setdefault(addr, {})[nid] = st
+    for addr in sorted(cached):
+        dirst, pv = dir_lines.get(addr, (S.DIR_I, frozenset()))
+        holders = set(cached[addr])
+        if not holders <= pv:
+            return (f"line {addr}: directory pv {sorted(pv)} misses cached "
+                    f"copies {sorted(holders - pv)}")
+        owners = [nid for nid, st in cached[addr].items() if st in ("M", "E")]
+        if owners and dirst != "MESI":
+            return (f"line {addr}: owned by {sorted(owners)} but directory "
+                    f"says {dirst}")
+        if dirst == "MESI" and owners and set(owners) != pv:
+            return (f"line {addr}: directory owner {sorted(pv)} != cache "
+                    f"owner {sorted(owners)}")
+    return None
+
+
+# -- the step -------------------------------------------------------------------
+def step(state: tuple, move: tuple, tables, net: Network,
+         refresh: bool = False) -> tuple[Optional[tuple], Effects]:
+    """Fire one move; ``(successor, effects)``, the successor ``None``
+    when the move is disabled or its commit is refused.
+
+    Moves: ``("deliver", vc, dst_quad)``, ``("cpu", nid)``,
+    ``("inject", nid, op, addr)``, ``("reissue", nid[, register])`` (the
+    first retried register unless one is named), ``("reissue_io",
+    quad)`` and ``("dev", quad)``.  ``refresh`` puts every memory bank
+    in its refresh window, where the table's stall row holds requests.
+    """
+    fx = Effects()
+    kind = move[0]
+    if kind == "deliver":
+        succ = _deliver(state, (move[1], move[2]), tables, net, refresh, fx)
+    elif kind == "cpu":
+        succ = _cpu(state, net.node_pos[move[1]], tables, net, fx)
+    elif kind == "inject":
+        pos = net.node_pos[move[1]]
+        succ = _cpu(queue_op(state, pos, move[2], move[3]), pos, tables,
+                    net, fx)
+    elif kind == "reissue":
+        succ = _reissue(state, net.node_pos[move[1]],
+                        move[2] if len(move) > 2 else None, tables, net, fx)
+    elif kind == "reissue_io":
+        succ = _reissue_io(state, move[1], tables, net, fx)
+    elif kind == "dev":
+        succ = _dev(state, move[1], tables, net, fx)
+    else:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return succ, fx
+
+
+def _commit(channels: tuple, outs: list, fx: Effects, net: Network,
+            pop: Optional[tuple] = None) -> Optional[tuple]:
+    """The channels after popping ``pop``'s head and sending ``outs``,
+    or None (with ``fx.blocked`` set) when an output channel is full."""
+    fabric = net.fabric
+    queued = dict(channels)
+    keyed = []
+    need: dict = {}
+    for env in outs:
+        key = (fabric.channel_for(env[0], env[4], env[5]), quad_of(env[2]))
+        keyed.append((key, env))
+        need[key] = need.get(key, 0) + 1
+        fx.sends.append((env[0], env[1], env[2], env[3], key))
+    for key, n in need.items():
+        cap = fabric.capacity(key[0])
+        if cap is not None and len(queued.get(key, ())) + n > cap:
+            fx.blocked.append(key)
+    if fx.blocked:
+        return None
+    if pop is not None:
+        rest = queued[pop][1:]
+        if rest:
+            queued[pop] = rest
+        else:
+            del queued[pop]
+    for key, env in keyed:
+        queued[key] = queued.get(key, ()) + (env,)
+    return tuple(sorted(queued.items()))
+
+
+def _record(fx: Effects, table, rowid: int) -> None:
+    fx.rows.append((table.schema.name, rowid))
+
+
+def _cache_row(tables, nid: str, op: str, line: str,
+               fillmode: Optional[str], fx: Effects) -> dict:
+    table = tables["C"]
+    try:
+        rowid, row = table.lookup_id(op=op, cachest=line, fillmode=fillmode)
+    except NoMatchError as e:
+        raise SimProtocolError(
+            f"{nid}: cache has no transition for op={op} "
+            f"state={line} fillmode={fillmode}"
+        ) from e
+    _record(fx, table, rowid)
+    return row
+
+
+def _request_row(tables, nid: str, cache_req: str, linest: str,
+                 fx: Effects) -> dict:
+    """Node-controller row for a cache-originated request.
+
+    On re-issue after a retry the pending register is already occupied
+    by this very transaction, so the lookup constrains everything except
+    ``pend``.  Misses re-derive from the *current* line state (an
+    upgrade whose line has since been invalidated must become a
+    readex); writebacks use the state captured into the victim buffer.
+    """
+    table = tables["N"]
+    matches = table._match({
+        "inmsg": cache_req,
+        "inmsgsrc": "cache",
+        "inmsgdst": "local",
+        "linest": linest,
+    })
+    if len(matches) != 1:
+        raise SimProtocolError(
+            f"{nid}: {len(matches)} node rows for cache request "
+            f"{cache_req} with line state {linest}"
         )
+    rowid, row = matches[0]
+    _record(fx, table, rowid)
+    return row
 
-    # -- device side --------------------------------------------------------
-    def plan_dev(self) -> Optional[TransitionPlan]:
-        if not self.dev_ops:
-            return None
-        op, addr = self.dev_ops[0]
-        if op == "dev_intr":
-            row = self._row("dev_intr", "dev", "local", self.iost)
 
-            def apply_intr() -> None:
-                self.dev_ops.pop(0)
-                self.delivered.append((row["devmsg"], addr))
-                self.stats["intrs"] += 1
-            return TransitionPlan([], apply_intr,
-                                  f"{self.endpoint}:dev_intr")
-        if self.iost != "idle":
-            return None  # one outstanding I/O transaction
-        row = self._row(op, "dev", "local", "idle")
-        out = self._issue_envelope(row, addr)
+def _request(row: dict, src: str, addr: str, net: Network) -> tuple:
+    """The request envelope a node or IO row sends to the line's home."""
+    return (row["netmsg"], src, f"dir:{net.home(addr)}", addr,
+            row["netmsgsrc"], row["netmsgdst"])
 
-        def apply() -> None:
-            self.dev_ops.pop(0)
-            self.iost = row["nxtiost"]
-            self.pend_addr = addr
-            self.pend_op = op
-            self.stats["reads" if op == "io_read" else "writes"] += 1
 
-        return TransitionPlan([out], apply, f"{self.endpoint}:{op}({addr})")
+def _io_row(tables, quad: int, inmsg: str, src: str, dst: str, iost,
+            fx: Effects) -> dict:
+    table = tables["IO"]
+    try:
+        rowid, row = table.lookup_id(inmsg=inmsg, inmsgsrc=src,
+                                     inmsgdst=dst, iost=iost)
+    except NoMatchError as e:
+        raise SimProtocolError(
+            f"io:{quad}: no transition for {inmsg} (iost={iost})"
+        ) from e
+    _record(fx, table, rowid)
+    return row
 
-    def plan_reissue(self, now: int) -> Optional[TransitionPlan]:
-        if self.retry_at is None or now < self.retry_at:
-            return None
-        row = self._row(self.pend_op, "dev", "local", "idle")
-        out = self._issue_envelope(row, self.pend_addr)
 
-        def apply() -> None:
-            self.retry_at = None
+def _register_for(miss: tuple, wb: tuple, addr: str) -> Optional[int]:
+    """The register (0 miss, 1 writeback) tracking ``addr``, if any."""
+    if miss[1] == addr and miss[0] != "none":
+        return 0
+    if wb[1] == addr and wb[0] != "none":
+        return 1
+    return None
 
-        return TransitionPlan([out], apply, f"{self.endpoint}:reissue")
 
-    # -- network side ---------------------------------------------------------
-    def plan(self, env: Envelope, now: int) -> TransitionPlan:
-        row = self._row(env.msg, env.src_role, env.dst_role, self.iost)
+def _with_node(state: tuple, pos: int, node: tuple,
+               channels: Optional[tuple] = None) -> tuple:
+    return (state[0] if channels is None else channels, state[1],
+            _at(state[2], pos, node), state[3])
 
-        def apply() -> None:
-            if row["devmsg"] is not None:
-                self.delivered.append((row["devmsg"], env.addr))
-            if row["nxtiost"] is not None:
-                self.iost = row["nxtiost"]
-                if self.iost == "idle":
-                    self.pend_addr = None
-                    self.pend_op = None
-            if row["reissue"] == "yes":
-                self.retry_at = now + self.reissue_delay
-                self.stats["retries"] += 1
 
-        return TransitionPlan([], apply, f"{self.endpoint}:{env.msg}")
+def _with_io(state: tuple, quad: int, io: tuple,
+             channels: Optional[tuple] = None) -> tuple:
+    return (state[0] if channels is None else channels, state[1], state[2],
+            _at(state[3], quad, io))
+
+
+# -- processor and device side ---------------------------------------------------
+def _cpu(state, pos, tables, net, fx) -> Optional[tuple]:
+    """Progress on a node's oldest processor operation."""
+    nid, cache, miss, wb, cpu_ops = state[2][pos]
+    if not cpu_ops:
+        return None
+    op, addr = cpu_ops[0]
+    line = _line(cache, addr)
+    if op == "evict" and line == "I":
+        # Nothing to victimize (the line left the cache earlier): a
+        # workload convenience, not a protocol transition.
+        return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops[1:]))
+    if _register_for(miss, wb, addr) is not None:
+        return None  # a transaction on this line is already in flight
+    crow = _cache_row(tables, nid, op, line, None, fx)
+    nodemsg = crow["nodemsg"]
+    cache = _set_line(cache, addr, crow["nxtst"])
+    if nodemsg is None:
+        # Pure cache hit (or silent state change).
+        fx.counts += [(nid, "hits"), (nid, "ops")]
+        return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops[1:]))
+    idx = 0 if nodemsg in _MISS_REQS else 1
+    reg = (miss, wb)[idx]
+    if reg[0] != "none":
+        return None
+    nrow = _request_row(tables, nid, nodemsg, line, fx)
+    channels = _commit(state[0], [_request(nrow, nid, addr, net)], fx, net)
+    if channels is None:
+        return None
+    reg = (nrow["nxtpend"], addr, nodemsg, line, reg[4])
+    fx.counts += [(nid, "ops"), (nid, "misses" if idx == 0 else "writebacks")]
+    regs = (reg, wb) if idx == 0 else (miss, reg)
+    return _with_node(state, pos, (nid, cache, *regs, cpu_ops[1:]), channels)
+
+
+def _reissue(state, pos, idx, tables, net, fx) -> Optional[tuple]:
+    """Re-issue a retried request."""
+    nid, cache, miss, wb, cpu_ops = state[2][pos]
+    if idx is None:
+        idx = 0 if miss[4] else 1
+    reg = (miss, wb)[idx]
+    if not reg[4]:
+        return None
+    linest = _line(cache, reg[1]) if idx == 0 else reg[3]
+    nrow = _request_row(tables, nid, reg[2], linest, fx)
+    channels = _commit(state[0], [_request(nrow, nid, reg[1], net)], fx, net)
+    if channels is None:
+        return None
+    reg = (nrow["nxtpend"],) + reg[1:4] + (False,)
+    regs = (reg, wb) if idx == 0 else (miss, reg)
+    return _with_node(state, pos, (nid, cache, *regs, cpu_ops), channels)
+
+
+def _reissue_io(state, quad, tables, net, fx) -> Optional[tuple]:
+    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
+    if not retry:
+        return None
+    row = _io_row(tables, quad, pend_op, "dev", "local", "idle", fx)
+    channels = _commit(state[0], [_request(row, f"io:{quad}", pend_addr, net)],
+                       fx, net)
+    if channels is None:
+        return None
+    return _with_io(state, quad,
+                    (q, iost, pend_op, pend_addr, False, dev_ops), channels)
+
+
+def _dev(state, quad, tables, net, fx) -> Optional[tuple]:
+    """Progress on an I/O controller's oldest device operation: one
+    outstanding I/O transaction at a time; interrupts complete locally."""
+    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
+    if not dev_ops:
+        return None
+    op, addr = dev_ops[0]
+    if op == "dev_intr":
+        row = _io_row(tables, quad, "dev_intr", "dev", "local", iost, fx)
+        fx.device = (quad, row["devmsg"], addr)
+        fx.counts.append((f"io:{quad}", "intrs"))
+        return _with_io(state, quad,
+                        (q, iost, pend_op, pend_addr, retry, dev_ops[1:]))
+    if iost != "idle":
+        return None
+    row = _io_row(tables, quad, op, "dev", "local", "idle", fx)
+    channels = _commit(state[0], [_request(row, f"io:{quad}", addr, net)],
+                       fx, net)
+    if channels is None:
+        return None
+    fx.counts.append((f"io:{quad}", "reads" if op == "io_read" else "writes"))
+    return _with_io(state, quad,
+                    (q, row["nxtiost"], op, addr, retry, dev_ops[1:]),
+                    channels)
+
+
+# -- network side ------------------------------------------------------------------
+def _env_str(env: tuple) -> str:
+    return f"{env[0]}({env[3]}) {env[1]}->{env[2]}"
+
+
+def _deliver(state, key, tables, net, refresh, fx) -> Optional[tuple]:
+    """Consume the head of one channel instance at its destination."""
+    for k, envs in state[0]:
+        if k == key:
+            break
+    else:
+        return None
+    env = envs[0]
+    kind, _, rest = env[2].partition(":")
+    if kind == "dir":
+        return _at_directory(state, key, env, int(rest), tables, net, fx)
+    if kind == "node":
+        return _at_node(state, key, env, tables, net, fx)
+    if kind == "mem":
+        return _at_memory(state, key, env, int(rest), tables, net, refresh,
+                          fx)
+    if kind == "io":
+        return _at_io(state, key, env, int(rest), tables, net, fx)
+    raise SimProtocolError(f"unroutable destination {env[2]!r}")
+
+
+def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
+    """Table D at a quad's directory and busy directory."""
+    msg, src, _, addr, src_role, _ = env
+    channels, dirs, nodes, ios = state
+    _, lines, busy = dirs[quad]
+    entry = _find(lines, addr)
+    dirst, pv = (entry[1], entry[2]) if entry else (S.DIR_I, ())
+    b = _find(busy, addr)
+    bdirst, bpv = (b[1], b[2]) if b else (S.DIR_I, ())
+    table = tables["D"]
+    try:
+        rowid, row = table.lookup_id(
+            inmsg=msg,
+            inmsgsrc=src_role,
+            inmsgdst="home",
+            inmsgres="reqq" if M.is_request(msg) else "respq",
+            dirst=dirst,
+            dirpv=abstract_pv(pv),
+            dirlookup="miss" if dirst == S.DIR_I else "hit",
+            bdirst=bdirst,
+            bdirpv=abstract_pv(bpv),
+            bdirlookup="miss" if bdirst == S.DIR_I else "hit",
+            reqinpv="yes" if src in pv else "no",
+        )
+    except NoMatchError as e:
+        raise SimProtocolError(
+            f"directory {quad}: no transition for {_env_str(env)} "
+            f"(dirst={dirst}, pv={sorted(pv)}, bdirst={bdirst}, "
+            f"bpv={sorted(bpv)})"
+        ) from e
+    _record(fx, table, rowid)
+
+    # The requester a completion/retry is addressed to.
+    requester = b[3] if b is not None and row["locmsg"] != "retry" else src
+    me = f"dir:{quad}"
+    outs = []
+    if row["locmsg"] is not None:
+        outs.append((row["locmsg"], me, requester, addr,
+                     row["locmsgsrc"], row["locmsgdst"]))
+    if row["remmsg"] is not None:
+        targets = sorted(set(pv) - {requester})
+        if not targets:
+            raise SimProtocolError(
+                f"directory {quad}: snoop {row['remmsg']} for {addr} "
+                f"with no targets (pv={sorted(pv)}, requester={requester})"
+            )
+        outs.extend((row["remmsg"], me, t, addr, row["remmsgsrc"],
+                     row["remmsgdst"]) for t in targets)
+    if row["memmsg"] is not None:
+        outs.append((row["memmsg"], me, f"mem:{quad}", addr,
+                     row["memmsgsrc"], row["memmsgdst"]))
+    channels = _commit(channels, outs, fx, net, pop=key)
+    if channels is None:
+        return None
+
+    # Presence-vector operation, applied to the busy entry's saved
+    # sharer set when one exists (the entry migrated to the busy
+    # directory), otherwise to the live directory entry.
+    base = set(b[2] if b is not None else pv)
+    op = row["nxtdirpv"]
+    if op == S.PV_INC:
+        base.add(requester)
+    elif op in (S.PV_DEC, S.PV_DREPL):
+        base.discard(src)
+    elif op == S.PV_REPL:
+        base = {requester}
+    nxtdirst = row["nxtdirst"]
+    if nxtdirst is not None:
+        lines = _put(lines, addr, None if nxtdirst == S.DIR_I
+                     else (addr, nxtdirst, tuple(sorted(base))))
+    elif op is not None and entry is not None:
+        lines = _put(lines, addr, (addr, entry[1], tuple(sorted(base))))
+
+    # Busy-directory update.
+    bop = row["nxtbdirpv"]
+    new_bpv: Optional[set] = None
+    if bop == S.BPV_LOAD:
+        new_bpv = set(pv)
+    elif bop == S.BPV_LOADX:
+        new_bpv = set(pv) - {requester}
+    elif bop == S.BPV_DEC:
+        new_bpv = set(bpv) - {src}
+    elif bop == S.BPV_CLR:
+        new_bpv = set()
+    bpv_after = bpv if new_bpv is None else tuple(sorted(new_bpv))
+    nxtb = row["nxtbdirst"]
+    if nxtb is not None:
+        if nxtb == S.DIR_I:
+            busy = _put(busy, addr, None)
+        elif b is None:
+            busy = _put(busy, addr, (addr, nxtb, bpv_after, src))
+        else:
+            busy = _put(busy, addr, (addr, nxtb, bpv_after, b[3]))
+    elif new_bpv is not None and b is not None:
+        busy = _put(busy, addr, (addr, b[1], bpv_after, b[3]))
+    return (channels, _at(dirs, quad, (quad, lines, busy)), nodes, ios)
+
+
+def _at_node(state, key, env, tables, net, fx) -> Optional[tuple]:
+    """Table N at a node controller; a fill or invalidation drives the
+    cache through table C when the transition commits."""
+    msg, _, nid, addr, src_role, dst_role = env
+    pos = net.node_pos[nid]
+    _, cache, miss, wb, cpu_ops = state[2][pos]
+    idx = _register_for(miss, wb, addr)
+    reg = None if idx is None else (miss, wb)[idx]
+    pend = reg[0] if reg is not None else "none"
+    line = _line(cache, addr)
+    # Snoops also hit the victim buffer: a line evicted but whose
+    # writeback/flush has not been accepted yet is still this node's
+    # responsibility, answered from the buffered state; the pending
+    # writeback is then cancelled (its data travels with the reply).
+    snooped_buffer = msg in _SNOOPS and idx == 1 and reg[3] is not None
+    table = tables["N"]
+    try:
+        rowid, nrow = table.lookup_id(
+            inmsg=msg,
+            inmsgsrc=src_role,
+            inmsgdst=dst_role,
+            pend=pend,
+            linest=reg[3] if snooped_buffer else line,
+        )
+    except NoMatchError as e:
+        raise SimProtocolError(
+            f"{nid}: no node transition for {_env_str(env)} "
+            f"(pend={pend}, linest={line})"
+        ) from e
+    _record(fx, table, rowid)
+    outs = ([_request(nrow, nid, addr, net)]
+            if nrow["netmsg"] is not None else [])
+    channels = _commit(state[0], outs, fx, net, pop=key)
+    if channels is None:
+        return None
+
+    if snooped_buffer:
+        fx.counts.append((nid, "snoops"))
+        # The snoop reply carries/settles the victim.
+        return _with_node(state, pos, (nid, cache, miss, FREE, cpu_ops),
+                          channels)
+    if nrow["cachemsg"] is not None:
+        crow = _cache_row(tables, nid, nrow["cachemsg"], line,
+                          nrow["fillmode"], fx)
+        cache = _set_line(cache, addr, crow["nxtst"])
+    if nrow["nxtpend"] is not None and reg is not None:
+        reg = (nrow["nxtpend"],) + reg[1:]
+        if reg[0] == "none":
+            # Transaction done: replay the processor op that missed, so
+            # the store performs through the table (fill-exclusive
+            # lands E; the replayed st drives the silent E -> M
+            # transition).
+            if idx == 0 and reg[2] == "miss_rd":
+                cpu_ops = (("ld", addr),) + cpu_ops
+            elif idx == 0 and reg[2] == "miss_wr":
+                cpu_ops = (("st", addr),) + cpu_ops
+            reg = FREE
+    if nrow["reissue"] == "yes" and reg is not None:
+        reg = reg[:4] + (True,)
+        fx.retry = (nid, idx)
+        fx.counts.append((nid, "retries"))
+    if msg in _SNOOPS:
+        fx.counts.append((nid, "snoops"))
+    if reg is not None:
+        miss, wb = (reg, wb) if idx == 0 else (miss, reg)
+    return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops), channels)
+
+
+def _at_memory(state, key, env, quad, tables, net, refresh,
+               fx) -> Optional[tuple]:
+    """Table M at a quad's home memory controller."""
+    msg, _, _, addr, src_role, dst_role = env
+    table = tables["M"]
+    try:
+        rowid, row = table.lookup_id(
+            inmsg=msg, inmsgsrc=src_role, inmsgdst=dst_role,
+            inmsgres="memq", bankst="refresh" if refresh else "ready",
+        )
+    except NoMatchError as e:
+        raise SimProtocolError(
+            f"memory {quad}: no transition for {_env_str(env)}"
+        ) from e
+    _record(fx, table, rowid)
+    if row["stall"] == "yes":
+        fx.counts.append((f"mem:{quad}", "stalls"))
+        return None  # hold the request while the bank refreshes
+    outs = []
+    if row["outmsg"] is not None:
+        outs.append((row["outmsg"], f"mem:{quad}", f"dir:{quad}", addr,
+                     row["outmsgsrc"], row["outmsgdst"]))
+    channels = _commit(state[0], outs, fx, net, pop=key)
+    if channels is None:
+        return None
+    if row["arrayop"] == "wr":
+        fx.written = addr
+        fx.counts.append((f"mem:{quad}", "writes"))
+    else:
+        fx.counts.append((f"mem:{quad}", "reads"))
+    return (channels,) + state[1:]
+
+
+def _at_io(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
+    """Table IO at a quad's I/O controller: completions and retries."""
+    msg, _, _, addr, src_role, dst_role = env
+    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
+    row = _io_row(tables, quad, msg, src_role, dst_role, iost, fx)
+    channels = _commit(state[0], [], fx, net, pop=key)
+    if row["devmsg"] is not None:
+        fx.device = (quad, row["devmsg"], addr)
+    if row["nxtiost"] is not None:
+        iost = row["nxtiost"]
+        if iost == "idle":
+            pend_addr = pend_op = None
+    if row["reissue"] == "yes":
+        retry = True
+        fx.retry = (f"io:{quad}", 0)
+        fx.counts.append((f"io:{quad}", "retries"))
+    return _with_io(state, quad, (q, iost, pend_op, pend_addr, retry, dev_ops),
+                    channels)

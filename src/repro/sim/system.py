@@ -1,4 +1,14 @@
-"""The simulator: topology, scheduler, deadlock monitor, coherence checks.
+"""The simulator: topology, scheduler, timing, deadlock monitor.
+
+The simulator owns one state tuple and advances it only through
+:func:`~repro.sim.models.step`, the transition relation the explorer
+enumerates.  Around it the simulator adds what a timed run needs and
+the relation leaves out: a scheduler that tries every move once per
+pass (re-issues, then processor and device operations, then channel
+heads with responses first), retry deadlines behind the state's retry
+bits, the memory refresh window, and its observations — message trace,
+sequence numbers, coverage rows, memory versions and statistics — read
+off each step's effects.
 
 The scheduler is conservative about channel resources, matching the
 static model of section 4.1: an input message keeps occupying its channel
@@ -10,6 +20,7 @@ the monitor then extracts the channel wait-for cycle.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,18 +31,25 @@ from ..core.deadlock import ChannelAssignment
 from ..telemetry import get_tracer, span
 from ..protocols import messages as M
 from ..protocols.asura.system import AsuraSystem
-from .channel import ChannelFabric, Envelope, VirtualChannelQueue
+from .channel import ChannelFabric
 from .models import (
-    DirectoryModel,
-    IOModel,
-    MemoryModel,
-    NodeModel,
-    SimProtocolError,
-    TransitionPlan,
-    quad_of,
+    Network,
+    cache_line,
+    coherence_violation,
+    dir_line,
+    directory_violation,
+    initial_state,
+    pending_work,
+    preset_line,
+    queue_dev,
+    queue_op,
+    step,
 )
 
 __all__ = ["SimConfig", "SimResult", "Simulator", "CoherenceError", "TraceEvent"]
+
+#: per-node statistics reported in :attr:`SimResult.node_stats`.
+NODE_STATS = ("ops", "hits", "misses", "retries", "snoops", "writebacks")
 
 
 class CoherenceError(AssertionError):
@@ -72,6 +90,18 @@ class SimConfig:
     #: record which controller-table rows fire (transition coverage)
     coverage: bool = False
 
+    def network(self, channels: ChannelAssignment, node_ids) -> Network:
+        """The routing a step needs for this topology under ``channels``."""
+        capacities = dict(self.capacities)
+        # Invalidations multicast to every sharer in a quad in one
+        # transition; the snoop channel is sized for that worst case, as
+        # real designs size their invalidate buffers to the node count.
+        capacities.setdefault(
+            "VC1", max(self.default_capacity, self.nodes_per_quad))
+        fabric = ChannelFabric(channels, default_capacity=self.default_capacity,
+                               capacities=capacities)
+        return Network(fabric, self.n_quads, node_ids, self.home_map)
+
 
 @dataclass
 class SimResult:
@@ -101,74 +131,53 @@ class Simulator:
     ) -> None:
         self.system = system
         self.config = config or SimConfig()
-        # The models execute self.tables; injecting compiled KernelTables
-        # here swaps the SQL lookup path for the dispatch kernels while
-        # everything else (scheduler, fabric, commit rules) is shared —
-        # the kernel-vs-simulator parity hook.
+        # Steps look rows up in self.tables; injecting compiled
+        # KernelTables here swaps the SQL lookup path for the dispatch
+        # kernels while everything else is shared — the
+        # kernel-vs-simulator parity hook.
         self.tables = dict(tables) if tables is not None else system.tables
         self.channels: ChannelAssignment = system.channel_assignments[assignment]
-        capacities = dict(self.config.capacities)
-        # Invalidations multicast to every sharer in a quad in one
-        # transition; the snoop channel is sized for that worst case, as
-        # real designs size their invalidate buffers to the node count.
-        capacities.setdefault(
-            "VC1", max(self.config.default_capacity,
-                       self.config.nodes_per_quad),
+        self.node_ids = tuple(
+            f"node:{q}.{i}"
+            for q in range(self.config.n_quads)
+            for i in range(self.config.nodes_per_quad)
         )
-        self.fabric = ChannelFabric(
-            self.channels,
-            default_capacity=self.config.default_capacity,
-            capacities=capacities,
-        )
+        self.quads = range(self.config.n_quads)
+        self.net = self.config.network(self.channels, self.node_ids)
+        #: the control state: the only thing a step reads or writes.
+        self.state = initial_state(self.node_ids, self.config.n_quads)
         self.recorder = CoverageRecorder() if self.config.coverage else None
-        self.directories = {
-            q: DirectoryModel(q, self.tables["D"], recorder=self.recorder)
-            for q in range(self.config.n_quads)
-        }
-        self.memories = {
-            q: MemoryModel(q, self.tables["M"],
-                           refresh_until=self.config.memory_refresh_until,
-                           recorder=self.recorder)
-            for q in range(self.config.n_quads)
-        }
-        self.nodes: dict[str, NodeModel] = {}
-        for q in range(self.config.n_quads):
-            for i in range(self.config.nodes_per_quad):
-                nid = f"node:{q}.{i}"
-                self.nodes[nid] = NodeModel(
-                    nid, self.tables["C"], self.tables["N"],
-                    reissue_delay=self.config.reissue_delay,
-                    recorder=self.recorder,
-                )
-        self.ios = {
-            q: IOModel(q, self.tables["IO"],
-                       reissue_delay=self.config.reissue_delay,
-                       recorder=self.recorder)
-            for q in range(self.config.n_quads)
-        }
         self.now = 0
         self.trace: list[TraceEvent] = []
         self.messages_delivered = 0
-        self._blocked_edges: list[tuple[VirtualChannelQueue, VirtualChannelQueue]] = []
+        #: line -> number of memory writes.
+        self.versions: dict[str, int] = {}
+        #: quad -> (devmsg, addr) completions handed to its device.
+        self.delivered: dict[int, list] = {q: [] for q in self.quads}
+        #: endpoint -> statistic -> count.
+        self.stats: dict[str, Counter] = {}
+        # (endpoint, register) -> step at which its retry is due; read
+        # only while the state's retry bit for that register is set.
+        self._retry_at: dict[tuple, int] = {}
+        # Every channel instance a transition has tried to send on: the
+        # scheduler's delivery order ranges over these.
+        self._channels_seen: set = set()
+        self._blocked_edges: list[tuple[tuple, tuple]] = []
+        self._seq = itertools.count(1)
         # Resolved once: the hot paths check a single attribute per message.
         self._tracer = get_tracer()
 
-    # -- setup ------------------------------------------------------------------
+    # -- setup and queries ---------------------------------------------------------
     def home_quad(self, addr: str) -> int:
-        if addr in self.config.home_map:
-            return self.config.home_map[addr]
-        return sum(addr.encode()) % self.config.n_quads
+        return self.net.home(addr)
 
     def preset_line(self, addr: str, dirst: str, sharers: dict[str, str]) -> None:
         """Install an initial coherent configuration: the directory entry
         at the home quad plus cache states at the sharing nodes."""
-        home = self.home_quad(addr)
-        self.directories[home].preset(addr, dirst, set(sharers))
-        for nid, state in sharers.items():
-            self.nodes[nid].preset(addr, state)
+        self.state = preset_line(self.state, self.net, addr, dirst, sharers)
 
     def inject_op(self, node_id: str, op: str, addr: str) -> None:
-        self.nodes[node_id].cpu_ops.append((op, addr))
+        self.state = queue_op(self.state, self.net.node_pos[node_id], op, addr)
         if self._tracer.enabled:
             self._tracer.emit("sim.op", kind="cpu", endpoint=node_id,
                               op=op, addr=addr)
@@ -176,67 +185,64 @@ class Simulator:
     def inject_io(self, quad: int, op: str, addr: str) -> None:
         """Queue a device-initiated operation (io_read/io_write/dev_intr)
         at a quad's I/O controller."""
-        self.ios[quad].dev_ops.append((op, addr))
+        self.state = queue_dev(self.state, quad, op, addr)
         if self._tracer.enabled:
             self._tracer.emit("sim.op", kind="device", endpoint=f"io:{quad}",
                               op=op, addr=addr)
 
-    # -- routing ---------------------------------------------------------------------
-    def _resolve_dst(self, env: Envelope) -> Envelope:
-        if env.dst == "dir:{home}":
-            return Envelope(
-                env.msg, env.src, f"dir:{self.home_quad(env.addr)}", env.addr,
-                env.src_role, env.dst_role, env.seq,
-            )
-        return env
+    def line(self, node_id: str, addr: str) -> str:
+        """A node's cache state for a line."""
+        return cache_line(self.state, self.net, node_id, addr)
 
-    def _queue_for(self, env: Envelope) -> VirtualChannelQueue:
-        vc = self.fabric.channel_for(env.msg, env.src_role, env.dst_role)
-        return self.fabric.queue(vc, quad_of(env.dst))
+    def directory_line(self, addr: str) -> tuple[str, set]:
+        """The home directory's entry for a line: ``(state, sharers)``."""
+        return dir_line(self.state, self.home_quad(addr), addr)
 
-    # -- commit logic -------------------------------------------------------------------
-    def _try_commit(
-        self,
-        plan: TransitionPlan,
-        input_queue: Optional[VirtualChannelQueue],
-    ) -> bool:
-        """Atomically commit a transition if every output fits."""
-        outs = [self._resolve_dst(e) for e in plan.outputs]
-        need = Counter(self._queue_for(e).key for e in outs)
-        queues = {self._queue_for(e).key: self._queue_for(e) for e in outs}
-        blocked = [q for key, q in queues.items() if not q.can_accept(need[key])]
-        if blocked:
-            if input_queue is not None:
-                for q in blocked:
-                    self._blocked_edges.append((input_queue, q))
+    # -- firing moves ------------------------------------------------------------------
+    def _take(self, move: tuple) -> bool:
+        """Step the state through one move and observe its effects; True
+        iff it committed."""
+        succ, fx = step(self.state, move, self.tables, self.net,
+                        self.now < self.config.memory_refresh_until)
+        if self.recorder is not None:
+            for table, rowid in fx.rows:
+                self.recorder.record(table, rowid)
+        for endpoint, name in fx.counts:
+            self.stats.setdefault(endpoint, Counter())[name] += 1
+        self._channels_seen.update(send[4] for send in fx.sends)
+        if succ is None:
+            if move[0] == "deliver":
+                held = (move[1], move[2])
+                self._blocked_edges.extend((held, key) for key in fx.blocked)
             return False
-        if input_queue is not None:
-            input_queue.pop()
-        plan.apply()
-        for e in outs:
-            q = self._queue_for(e)
-            q.push(e)
-            self.trace.append(TraceEvent(
-                self.now, e.seq, e.msg, e.src, e.dst, e.addr, q.name,
-            ))
+        self.state = succ
+        if fx.retry is not None:
+            self._retry_at[fx.retry] = self.now + self.config.reissue_delay
+        if fx.written is not None:
+            self.versions[fx.written] = self.versions.get(fx.written, 0) + 1
+        if fx.device is not None:
+            quad, devmsg, addr = fx.device
+            self.delivered[quad].append((devmsg, addr))
+        for msg, src, dst, addr, (vc, _) in fx.sends:
+            seq = next(self._seq)
+            self.trace.append(TraceEvent(self.now, seq, msg, src, dst, addr,
+                                         vc))
             if self._tracer.enabled:
                 self._tracer.emit(
-                    "sim.message", step=self.now, seq=e.seq, msg=e.msg,
-                    src=e.src, dst=e.dst, addr=e.addr, channel=q.name,
+                    "sim.message", step=self.now, seq=seq, msg=msg,
+                    src=src, dst=dst, addr=addr, channel=vc,
                 )
         return True
 
-    def _plan_for(self, env: Envelope) -> Optional[TransitionPlan]:
-        kind = env.dst.split(":", 1)[0]
-        if kind == "dir":
-            return self.directories[quad_of(env.dst)].plan(env)
-        if kind == "mem":
-            return self.memories[quad_of(env.dst)].plan(env, self.now)
-        if kind == "node":
-            return self.nodes[env.dst].plan(env, self.now)
-        if kind == "io":
-            return self.ios[quad_of(env.dst)].plan(env, self.now)
-        raise SimProtocolError(f"unroutable destination {env.dst!r}")
+    def _retries(self):
+        """``(endpoint, register)`` of every set retry bit."""
+        for nid, cache, miss, wb, cpu_ops in self.state[2]:
+            for idx, reg in enumerate((miss, wb)):
+                if reg[4]:
+                    yield (nid, idx)
+        for quad, iost, pend_op, pend_addr, retry, dev_ops in self.state[3]:
+            if retry:
+                yield (f"io:{quad}", 0)
 
     # -- the step loop -----------------------------------------------------------------------
     def step(self) -> bool:
@@ -245,38 +251,34 @@ class Simulator:
         self._blocked_edges.clear()
 
         # Processor side: re-issues first (they unblock the system), then
-        # new processor and device operations.
-        for node in self.nodes.values():
-            plan = node.plan_reissue(self.now)
-            if plan is not None and self._try_commit(plan, None):
+        # new processor and device operations.  A node re-issues its
+        # first register whose backoff has expired.
+        due = {}
+        for reg in self._retries():
+            if self._retry_at[reg] <= self.now:
+                due.setdefault(reg[0], reg[1])
+        for nid in self.node_ids:
+            if nid in due and self._take(("reissue", nid, due[nid])):
                 progress = True
-        for io in self.ios.values():
-            plan = io.plan_reissue(self.now)
-            if plan is not None and self._try_commit(plan, None):
+        for quad in self.quads:
+            if f"io:{quad}" in due and self._take(("reissue_io", quad)):
                 progress = True
-        for node in self.nodes.values():
-            plan = node.plan_cpu()
-            if plan is not None and self._try_commit(plan, None):
+        for nid in self.node_ids:
+            if self._take(("cpu", nid)):
                 progress = True
-        for io in self.ios.values():
-            plan = io.plan_dev()
-            if plan is not None and self._try_commit(plan, None):
+        for quad in self.quads:
+            if self._take(("dev", quad)):
                 progress = True
 
         # Network side: drain channel heads.  Response-class channels
         # first (the PE arbiter's response priority).
-        queues = sorted(
-            self.fabric.queues(),
-            key=lambda q: (not self._is_response_queue(q), q.name, q.dst_quad),
+        heads = {key: envs[0][0] for key, envs in self.state[0]}
+        order = sorted(
+            self._channels_seen,
+            key=lambda key: (heads.get(key) not in M.RESPONSE_NAMES, key),
         )
-        for q in queues:
-            env = q.head()
-            if env is None:
-                continue
-            plan = self._plan_for(env)
-            if plan is None:
-                continue  # endpoint holds the message (memory refresh)
-            if self._try_commit(plan, q):
+        for key in order:
+            if self._take(("deliver",) + key):
                 progress = True
                 self.messages_delivered += 1
 
@@ -285,26 +287,6 @@ class Simulator:
             self.check_coherence()
         return progress
 
-    @staticmethod
-    def _is_response_queue(q: VirtualChannelQueue) -> bool:
-        env = q.head()
-        return env is not None and env.msg in M.RESPONSE_NAMES
-
-    def _pending_reissues(self) -> list[int]:
-        out = [
-            reg.retry_at
-            for n in self.nodes.values()
-            for reg in (n.miss, n.wb)
-            if reg.retry_at is not None
-        ]
-        out += [io.retry_at for io in self.ios.values()
-                if io.retry_at is not None]
-        return out
-
-    def _pending_cpu_work(self) -> bool:
-        return (any(n.cpu_ops for n in self.nodes.values())
-                or any(io.dev_ops for io in self.ios.values()))
-
     def _wait_cycle(self) -> list:
         """A cycle in the channel wait-for graph of the last step, if any.
 
@@ -312,7 +294,7 @@ class Simulator:
         from one along such successors must repeat a vertex; the walk
         from the first repeat onwards is a cycle.
         """
-        edges = [(q1.key, q2.key) for q1, q2 in self._blocked_edges]
+        edges = self._blocked_edges
         cyclic = cyclic_vertices(edges)
         if not cyclic:
             return []
@@ -353,28 +335,17 @@ class Simulator:
                 return self._deadlock_result(cycle)
             # Otherwise idle until the next timer (retry backoff, DRAM
             # refresh end) — that is latency, not deadlock.
-            wakeups = self._pending_reissues()
-            wakeups += [
-                m.refresh_until
-                for m in self.memories.values()
-                if self.now < m.refresh_until
-            ]
+            wakeups = [self._retry_at[reg] for reg in self._retries()]
+            if self.now < self.config.memory_refresh_until:
+                wakeups.append(self.config.memory_refresh_until)
             wakeups = [w for w in wakeups if w < limit]
             if wakeups:
                 self.now = max(self.now, min(wakeups))
                 continue
-            if (self.fabric.pending_messages() or self._outstanding()
-                    or self._pending_cpu_work()):
+            if pending_work(self.state):
                 return self._deadlock_result([])
             return self._result("quiescent")
         return self._result("maxsteps")
-
-    def _outstanding(self) -> bool:
-        return any(
-            not reg.free
-            for n in self.nodes.values()
-            for reg in (n.miss, n.wb)
-        ) or any(io.iost != "idle" for io in self.ios.values())
 
     # -- results & monitoring -----------------------------------------------------------
     def _result(self, status: str, **kw) -> SimResult:
@@ -383,15 +354,21 @@ class Simulator:
             steps=self.now,
             messages=self.messages_delivered,
             trace=self.trace,
-            node_stats={n: dict(m.stats) for n, m in self.nodes.items()},
+            node_stats={
+                nid: {k: self.stats.get(nid, {}).get(k, 0) for k in NODE_STATS}
+                for nid in self.node_ids
+            },
             **kw,
         )
 
     def _deadlock_result(self, cycle: list) -> SimResult:
         lines = ["dynamic deadlock detected:"]
-        for q in self.fabric.queues():
-            if len(q):
-                lines.append(f"  {q!r}: " + ", ".join(str(e) for e in q))
+        for (vc, dq), envs in self.state[0]:
+            cap = self.net.fabric.capacity(vc)
+            lines.append(
+                f"  VC({vc}->q{dq}, {len(envs)}/"
+                f"{'inf' if cap is None else cap}): "
+                + ", ".join(f"{m}({a}) {s}->{d}" for m, s, d, a, *_ in envs))
         if cycle:
             lines.append(
                 "  wait cycle: " + " -> ".join(f"{vc}@q{qd}" for vc, qd in cycle)
@@ -419,67 +396,18 @@ class Simulator:
 
     # -- coherence ---------------------------------------------------------------------------
     def check_coherence(self) -> None:
-        """Single-writer/multiple-reader: never two owners of a line, and
-        never an owner coexisting with shared copies.
-
-        Family-aware: a forwarder state (MOESI ``O``, MESIF ``F``) counts
-        as a shared copy — it may coexist with ``S`` holders but never
-        with an exclusive owner, and a line has at most one forwarder.
-        """
+        """Raise :class:`CoherenceError` on a single-writer/multiple-reader
+        violation (:func:`~repro.sim.models.coherence_violation`)."""
         spec = getattr(self.system, "spec", None)
-        fwd = spec.forward_state if spec is not None else None
-        holders: dict[str, list[tuple[str, str]]] = {}
-        for nid, node in self.nodes.items():
-            for addr, st in node.cache.items():
-                holders.setdefault(addr, []).append((nid, st))
-        for addr, hs in holders.items():
-            owners = [nid for nid, st in hs if st in ("M", "E")]
-            sharers = [nid for nid, st in hs
-                       if st == "S" or (fwd is not None and st == fwd)]
-            forwarders = [nid for nid, st in hs if st == fwd]
-            if len(owners) > 1:
-                raise CoherenceError(
-                    f"line {addr}: multiple owners {owners} at step {self.now}"
-                )
-            if owners and sharers:
-                raise CoherenceError(
-                    f"line {addr}: owner {owners[0]} coexists with sharers "
-                    f"{sharers} at step {self.now}"
-                )
-            if len(forwarders) > 1:
-                raise CoherenceError(
-                    f"line {addr}: multiple forwarders ({fwd}) "
-                    f"{forwarders} at step {self.now}"
-                )
+        violation = coherence_violation(
+            self.state, spec.forward_state if spec is not None else None)
+        if violation is not None:
+            raise CoherenceError(f"{violation} at step {self.now}")
 
     def check_directory_agreement(self) -> None:
-        """At quiescence the directory must cover the caches.
-
-        The presence vector may *overcount* (a node answering a snoop
-        from its victim buffer stays tracked until the next invalidate —
-        the standard conservative-directory property) but must never
-        undercount, and ownership must be tracked exactly.
-        """
-        for addr in {a for n in self.nodes.values() for a in n.cache}:
-            home = self.home_quad(addr)
-            dirst, pv = self.directories[home].line_state(addr)
-            cached = {
-                nid for nid, n in self.nodes.items() if n.line(addr) != "I"
-            }
-            if not cached <= pv:
-                raise CoherenceError(
-                    f"line {addr}: directory pv {sorted(pv)} misses cached "
-                    f"copies {sorted(cached - pv)}"
-                )
-            owners = [
-                nid for nid, n in self.nodes.items() if n.line(addr) in ("M", "E")
-            ]
-            if owners and dirst != "MESI":
-                raise CoherenceError(
-                    f"line {addr}: owned by {owners} but directory says {dirst}"
-                )
-            if dirst == "MESI" and owners and set(owners) != pv:
-                raise CoherenceError(
-                    f"line {addr}: directory owner {sorted(pv)} != cache "
-                    f"owner {owners}"
-                )
+        """Raise :class:`CoherenceError` if the directories disagree with
+        the caches (:func:`~repro.sim.models.directory_violation`); for a
+        run that reached quiescence."""
+        violation = directory_violation(self.state, self.home_quad)
+        if violation is not None:
+            raise CoherenceError(violation)

@@ -13,7 +13,6 @@ endpoint, one numbered line per message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .system import TraceEvent

@@ -153,7 +153,7 @@ def random_workload(
         reissue_delay=6,
     )
     sim = Simulator(system, assignment=assignment, config=config)
-    nodes = list(sim.nodes)
+    nodes = list(sim.node_ids)
     addrs = [f"L{i}" for i in range(n_lines)]
     ops = []
     for _ in range(n_ops):
@@ -193,12 +193,9 @@ _PRIMARY_DECAY, _SECONDARY_DECAY = 0.90, 0.985
 
 def ensure_recorder(sim: Simulator) -> CoverageRecorder:
     """Attach a coverage recorder to an already-built simulator (coverage
-    is normally decided at construction; this rebuilds the model hooks)."""
+    is normally decided at construction)."""
     if sim.recorder is None:
         sim.recorder = CoverageRecorder()
-        for model in (*sim.directories.values(), *sim.memories.values(),
-                      *sim.nodes.values(), *sim.ios.values()):
-            model.recorder = sim.recorder
         sim.config.coverage = True
     return sim.recorder
 
@@ -240,7 +237,7 @@ def guided_workload(
     sim = Simulator(system, assignment=assignment, config=config)
     ensure_recorder(sim)
 
-    nodes = sorted(sim.nodes)
+    nodes = sorted(sim.node_ids)
     addrs = list(config.home_map)
     quads = list(range(sim.config.n_quads))
     kinds = list(_OP_TABLES)

@@ -76,7 +76,7 @@ class TestSimulatorCoverage:
             sim = _covered_sim(system)
             import random
             rng = random.Random(2)
-            nodes = list(sim.nodes)
+            nodes = list(sim.node_ids)
             for _ in range(n_ops):
                 sim.inject_op(rng.choice(nodes),
                               rng.choices(("ld", "st", "evict"), (5, 3, 1))[0],

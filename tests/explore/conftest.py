@@ -1,9 +1,8 @@
 """Shared exploration fixtures.
 
 Explorations are deterministic, so the expensive ones are module/session
-scoped and shared read-only; tests that need a private explorer (replay
-mutates the embedded simulator, resume rebuilds the seen-set) construct
-their own from the session ``system``.
+scoped and shared read-only; tests that need a private explorer (resume
+rebuilds the seen-set) construct their own from the session ``system``.
 """
 
 from __future__ import annotations

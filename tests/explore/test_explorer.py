@@ -1,8 +1,8 @@
 """The reachability explorer: counts, parity, parallelism, journaling.
 
 The committed state/transition counts pin the explored space of the
-clean tables — any change to the controller generator, the simulator's
-planning/commit rules, or the canonicalizer shows up here first.
+clean tables — any change to the controller generator, the transition
+relation's commit rules, or the canonicalizer shows up here first.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class TestTelemetryParity:
 
 
 class TestDifferentialParity:
-    """Satellite: every reached state's extracted trace, replayed through
-    the simulator, lands in the same canonical state."""
+    """Every reached state's extracted trace, replayed step by step,
+    lands in the same canonical state."""
 
     def test_every_reached_state_replays_to_itself(self, system):
         explorer = ReachabilityExplorer(system,
@@ -221,8 +221,8 @@ class TestJournaling:
             explore_system(system, nodes=3, depth=5, resume_from=journal)
 
     def test_resume_compares_symmetry_modes(self, system, tmp_path):
-        # ``True`` is the historical spelling of "quad": a default run's
-        # journal resumes under an explicit --symmetry quad.
+        # ``True`` spells "quad": the header stores the mode, so a
+        # default run's journal resumes under an explicit --symmetry quad.
         journal = str(tmp_path / "explore.jsonl")
         explore_system(system, nodes=2, depth=3, journal_path=journal)
         resumed = explore_system(system, nodes=2, depth=5,
@@ -230,7 +230,15 @@ class TestJournaling:
         straight = explore_system(system, nodes=2, depth=5, symmetry="quad")
         assert resumed.to_dict() == straight.to_dict()
         header, _ = load_journal(journal)
-        assert header["symmetry"] is True
+        assert header["symmetry"] == "quad"
+
+    def test_resume_rejects_journal_with_extra_key(self, system, tmp_path):
+        # A --quads journal cannot seed a run on the default topology.
+        journal = str(tmp_path / "explore.jsonl")
+        explore_system(system, nodes=2, depth=3, quads=2,
+                       journal_path=journal)
+        with pytest.raises(JournalError, match="quads=2 there"):
+            explore_system(system, nodes=2, depth=5, resume_from=journal)
 
     def test_resume_rejects_other_symmetry_mode(self, system, tmp_path):
         journal = str(tmp_path / "explore.jsonl")

@@ -19,11 +19,7 @@ from repro.core.kernel import (
 from repro.core.schema import SchemaError
 from repro.core.table import AmbiguousMatchError, NoMatchError
 from repro.explore import ExploreConfig, ReachabilityExplorer
-from repro.explore.explorer import (
-    _build_simulator,
-    _expand_state,
-    _quad_classes,
-)
+from repro.explore.explorer import _expand_state, _quad_classes
 from repro.explore.state import canonicalize, hash_state, permute_quads
 from repro.faults.mutations import FAULT_CLASSES, MutationEngine
 from repro.protocols.asura import build_system
@@ -135,15 +131,12 @@ class TestExpansionParity:
                                                      explored_2n8):
         explorer, _ = explored_2n8
         cfg = explorer.config
-        interp = _build_simulator(system, cfg, explorer.home_map)
-        compiled = _build_simulator(system, cfg, explorer.home_map,
-                                    tables=compile_system_kernels(system))
-        addrs = explorer.addrs
+        compiled = compile_system_kernels(system)
+        args = (explorer.net, explorer.addrs, cfg.symmetry,
+                explorer.quad_classes)
         for digest, state in explorer.states.items():
-            a = _expand_state(interp, state, addrs, cfg.symmetry,
-                              explorer.quad_classes)
-            b = _expand_state(compiled, state, addrs, cfg.symmetry,
-                              explorer.quad_classes)
+            a = _expand_state(state, system.tables, *args)
+            b = _expand_state(state, compiled, *args)
             assert a == b, f"expansion diverged at {digest}"
 
 

@@ -166,5 +166,5 @@ def test_no_message_loss(system, ops):
     assert result.status == "quiescent"
     # Every message pushed into a channel (traced) was eventually
     # consumed (counted by the scheduler); nothing remains in flight.
-    assert sim.fabric.pending_messages() == 0
+    assert sim.state[0] == ()
     assert len(result.trace) == result.messages

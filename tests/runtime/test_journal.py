@@ -10,6 +10,7 @@ from repro.runtime import (
     JournalError,
     atomic_write_json,
     atomic_write_text,
+    check_header,
     load_journal,
 )
 
@@ -145,6 +146,17 @@ class TestJournalFailureModes:
         CheckpointJournal.open(path, {"kind": "t", "seed": 1}).close()
         with pytest.raises(JournalError, match="different run"):
             CheckpointJournal.open(path, {"kind": "t", "seed": 2})
+
+    def test_header_keys_compare_both_ways(self, tmp_path):
+        # A key only one side stamps (an optional stage, a variant) is a
+        # mismatch whichever side has it.
+        path = str(tmp_path / "j.jsonl")
+        CheckpointJournal.open(path, {"kind": "t"}).close()
+        with pytest.raises(JournalError, match="variant=None there"):
+            CheckpointJournal.open(path, {"kind": "t", "variant": "x"})
+        with pytest.raises(JournalError, match="variant='x' there"):
+            check_header(path, {"kind": "t", "variant": "x"}, {"kind": "t"})
+        check_header(path, {"kind": "t"}, {"kind": "t"})
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(JournalError, match="cannot read"):

@@ -19,28 +19,28 @@ class TestUncachedIO:
         sim = make_sim(system)
         sim.inject_io(0, "io_read", "A")
         assert sim.run().status == "quiescent"
-        assert sim.ios[0].delivered == [("io_data", "A")]
+        assert sim.delivered[0] == [("io_data", "A")]
 
     def test_io_write_of_idle_line(self, system):
         sim = make_sim(system)
         sim.inject_io(1, "io_write", "A")
         assert sim.run().status == "quiescent"
-        assert sim.ios[1].delivered == [("io_compl", "A")]
+        assert sim.delivered[1] == [("io_compl", "A")]
         home = sim.home_quad("A")
-        assert sim.memories[home].versions.get("A") == 1
+        assert sim.versions.get("A") == 1
 
     def test_interrupt_acknowledged_immediately(self, system):
         sim = make_sim(system)
         sim.inject_io(0, "dev_intr", "-")
         assert sim.run().status == "quiescent"
-        assert sim.ios[0].delivered == [("intr_ack", "-")]
+        assert sim.delivered[0] == [("intr_ack", "-")]
 
     def test_one_outstanding_io_per_controller(self, system):
         sim = make_sim(system)
         sim.inject_io(0, "io_read", "A")
         sim.inject_io(0, "io_read", "B")
         assert sim.run().status == "quiescent"
-        assert [d[1] for d in sim.ios[0].delivered] == ["A", "B"]
+        assert [d[1] for d in sim.delivered[0]] == ["A", "B"]
 
 
 class TestCoherentDMA:
@@ -50,9 +50,9 @@ class TestCoherentDMA:
         sim.inject_io(0, "io_read", "B")
         assert sim.run().status == "quiescent"
         home = sim.home_quad("B")
-        dirst, pv = sim.directories[home].line_state("B")
+        dirst, pv = sim.directory_line("B")
         assert dirst == "SI" and pv == {"node:0.0", "node:1.0"}
-        assert sim.nodes["node:0.0"].line("B") == "S"
+        assert sim.line("node:0.0", "B") == "S"
 
     def test_dma_read_of_owned_line_downgrades_owner(self, system):
         sim = make_sim(system)
@@ -60,30 +60,30 @@ class TestCoherentDMA:
         sim.inject_io(0, "io_read", "A")
         assert sim.run().status == "quiescent"
         # The owner supplied the data, downgraded to S, and stays tracked.
-        assert sim.nodes["node:1.1"].line("A") == "S"
-        dirst, pv = sim.directories[sim.home_quad("A")].line_state("A")
+        assert sim.line("node:1.1", "A") == "S"
+        dirst, pv = sim.directory_line("A")
         assert dirst == "SI" and pv == {"node:1.1"}
         # The dirty data reached memory.
-        assert sim.memories[sim.home_quad("A")].versions.get("A") == 1
+        assert sim.versions.get("A") == 1
 
     def test_dma_write_invalidates_all_sharers(self, system):
         sim = make_sim(system)
         sim.preset_line("B", "SI", {"node:0.0": "S", "node:1.0": "S"})
         sim.inject_io(1, "io_write", "B")
         assert sim.run().status == "quiescent"
-        assert sim.nodes["node:0.0"].line("B") == "I"
-        assert sim.nodes["node:1.0"].line("B") == "I"
+        assert sim.line("node:0.0", "B") == "I"
+        assert sim.line("node:1.0", "B") == "I"
         home = sim.home_quad("B")
-        assert sim.directories[home].line_state("B") == ("I", set())
-        assert sim.memories[home].versions.get("B") == 1
+        assert sim.directory_line("B") == ("I", set())
+        assert sim.versions.get("B") == 1
 
     def test_dma_write_invalidates_owner(self, system):
         sim = make_sim(system)
         sim.preset_line("A", "MESI", {"node:1.1": "M"})
         sim.inject_io(0, "io_write", "A")
         assert sim.run().status == "quiescent"
-        assert sim.nodes["node:1.1"].line("A") == "I"
-        assert sim.directories[sim.home_quad("A")].line_state("A") == ("I", set())
+        assert sim.line("node:1.1", "A") == "I"
+        assert sim.directory_line("A") == ("I", set())
 
     def test_io_retried_while_line_busy(self, system):
         sim = make_sim(system)
@@ -94,7 +94,7 @@ class TestCoherentDMA:
         assert sim.run().status == "quiescent"
         sim.check_directory_agreement()
         # Whoever lost was retried and still completed.
-        assert sim.ios[1].delivered == [("io_compl", "A")]
+        assert sim.delivered[1] == [("io_compl", "A")]
 
 
 class TestMixedSoak:
@@ -105,7 +105,7 @@ class TestMixedSoak:
             home_map={f"L{i}": i % 2 for i in range(4)}, reissue_delay=6,
         ))
         rng = random.Random(seed)
-        nodes = list(sim.nodes)
+        nodes = list(sim.node_ids)
         for _ in range(100):
             if rng.random() < 0.2:
                 sim.inject_io(rng.randrange(2),
@@ -126,5 +126,5 @@ class TestMixedSoak:
         sim.inject_op("node:1.0", "ld", "A")
         assert sim.run().status == "quiescent"
         home = sim.home_quad("A")
-        assert sim.memories[home].versions.get("A", 0) >= 1
+        assert sim.versions.get("A", 0) >= 1
         sim.check_directory_agreement()

@@ -36,10 +36,10 @@ class TestFigure2:
         workload, _ = result
         sim = workload.simulator
         home = sim.home_quad("X")
-        dirst, pv = sim.directories[home].line_state("X")
+        dirst, pv = sim.directory_line("X")
         assert dirst == "MESI" and pv == {"node:1.0"}
-        assert sim.nodes["node:1.0"].line("X") == "M"
-        assert sim.nodes["node:0.1"].line("X") == "I"
+        assert sim.line("node:1.0", "X") == "M"
+        assert sim.line("node:0.1", "X") == "I"
 
     def test_directory_agrees_with_caches(self, result):
         workload, _ = result
@@ -68,8 +68,8 @@ class TestFigure4:
         workload.run()
         sim = workload.simulator
         # B written back (directory idle), A owned by the local node.
-        assert sim.directories[1].line_state("B") == ("I", set())
-        dirst, pv = sim.directories[1].line_state("A")
+        assert sim.directory_line("B") == ("I", set())
+        dirst, pv = sim.directory_line("A")
         assert dirst == "MESI" and pv == {"node:0.0"}
 
     def test_v4_shared_request_channel_also_deadlocks(self, system):
@@ -91,7 +91,7 @@ class TestQuiescence:
         sim.inject_op("node:0.0", "ld", "A")
         res = sim.run()
         assert res.status == "quiescent"
-        assert sim.nodes["node:0.0"].line("A") == "S"
+        assert sim.line("node:0.0", "A") == "S"
 
     def test_store_then_load_hits(self, system):
         sim = Simulator(system, config=SimConfig(n_quads=1, nodes_per_quad=1,
@@ -100,7 +100,7 @@ class TestQuiescence:
         sim.inject_op("node:0.0", "ld", "A")
         res = sim.run()
         assert res.status == "quiescent"
-        assert sim.nodes["node:0.0"].line("A") == "M"
+        assert sim.line("node:0.0", "A") == "M"
 
     def test_two_nodes_contend_for_same_line(self, system):
         sim = Simulator(system, config=SimConfig(n_quads=1, nodes_per_quad=2,
@@ -110,6 +110,6 @@ class TestQuiescence:
         sim.inject_op("node:0.1", "st", "A")
         res = sim.run()
         assert res.status == "quiescent"
-        owners = [n for n in sim.nodes.values() if n.line("A") == "M"]
+        owners = [n for n in sim.node_ids if sim.line(n, "A") == "M"]
         assert len(owners) == 1
         sim.check_directory_agreement()

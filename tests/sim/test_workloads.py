@@ -16,8 +16,8 @@ class TestFigure2Setup:
         w = figure2_scenario(system)
         sim = w.simulator
         assert sim.home_quad("X") == 0
-        assert sim.directories[0].line_state("X") == ("SI", {"node:0.1"})
-        assert sim.nodes["node:0.1"].line("X") == "S"
+        assert sim.directory_line("X") == ("SI", {"node:0.1"})
+        assert sim.line("node:0.1", "X") == "S"
 
     def test_single_store_op(self, system):
         w = figure2_scenario(system)
@@ -48,8 +48,8 @@ class TestFigure4Setup:
 
     def test_preset_states(self, system):
         sim = figure4_scenario(system).simulator
-        assert sim.nodes["node:0.0"].line("B") == "M"
-        assert sim.nodes["node:1.1"].line("A") == "E"  # clean-exclusive
+        assert sim.line("node:0.0", "B") == "M"
+        assert sim.line("node:1.1", "A") == "E"  # clean-exclusive
 
 
 class TestRandomWorkload:
@@ -66,8 +66,8 @@ class TestRandomWorkload:
     def test_respects_topology(self, system):
         w = random_workload(system, seed=0, n_quads=3, nodes_per_quad=3,
                             n_ops=30)
-        assert len(w.simulator.nodes) == 9
-        assert all(op.node in w.simulator.nodes for op in w.ops)
+        assert len(w.simulator.node_ids) == 9
+        assert all(op.node in w.simulator.node_ids for op in w.ops)
 
     def test_addresses_spread_over_homes(self, system):
         w = random_workload(system, seed=0, n_lines=4, n_ops=50)
@@ -77,5 +77,5 @@ class TestRandomWorkload:
     def test_inject_all_idempotent_guard(self, system):
         w = random_workload(system, seed=0, n_ops=10)
         w.inject_all()
-        total = sum(len(n.cpu_ops) for n in w.simulator.nodes.values())
+        total = sum(len(n[4]) for n in w.simulator.state[2])
         assert total == 10
