@@ -39,7 +39,7 @@ import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-DEFAULT_MODULES = ("invariants", "deadlock", "exploration")
+DEFAULT_MODULES = ("invariants", "deadlock", "exploration", "generation")
 
 #: spans faster than this in the baseline are noise, not signal.
 GATE_FLOOR_SECONDS = 0.001

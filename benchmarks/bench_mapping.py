@@ -43,7 +43,7 @@ def test_ed_generation_only(benchmark):
         from repro.core.mapping import ImplementationMapper
         from repro.protocols.asura.hardware import extension_spec
         mapper = ImplementationMapper(db, d, cs)
-        res = mapper.extend(extension_spec())
+        res = mapper.extend(extension_spec(cs))
         rows = res.table.row_count
         db.close()
         return rows

@@ -14,6 +14,12 @@ Two strategies:
   time.  Each step's cross product is |table so far| × |column domain|, so
   cost grows linearly with columns instead of exponentially ("Incremental
   table generation produces the final table within a few minutes").
+
+A step whose constraint is a *guarded case* (``g0 ? b0 : … : default``,
+guards over earlier columns, bodies over the new one) joins each row's
+arm index to the values each arm allows; any other step filters the plain
+cross join.  Both emit rows in working-table, then column-table, rowid
+order.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Optional, Sequence
 from ..telemetry import get_tracer, span
 from .constraints import ConstraintSet
 from .database import ProtocolDatabase
-from .expr import And, BoolExpr, TRUE, TrueExpr
+from .expr import And, BoolExpr, TRUE, Ternary, TrueExpr
 from .schema import TableSchema
 from .sqlgen import quote_ident, to_sql
 from .table import ControllerTable
@@ -95,6 +101,41 @@ class TableGenerator:
             return parts[0]
         return And(parts)
 
+    def _step_sql(self, work: str, have: Sequence[str],
+                  group: Sequence[str], expr: BoolExpr) -> str:
+        """The ``SELECT`` extending ``work`` (columns ``have``) by ``group``."""
+        new_cols = ", ".join(quote_ident(c) for c in group)
+        col = group[0]
+        # A group of several columns is a cycle of constraints reading
+        # each other, so it is never a guarded case.
+        arms = guarded_arms(expr, col) if len(group) == 1 else None
+        if arms is None:
+            prev_cols = ", ".join(quote_ident(c) for c in have)
+            return (
+                f"SELECT {prev_cols}, {new_cols} FROM {quote_ident(work)} "
+                f"CROSS JOIN {self._cross_join(group)} WHERE {to_sql(expr)}"
+            )
+        guards, bodies = arms
+        domain = quote_ident(self._column_tables[col])
+        values = " UNION ALL ".join(
+            f"SELECT {i} AS __arm, rowid AS __r, {new_cols} FROM {domain} "
+            f"WHERE {to_sql(body)}" for i, body in enumerate(bodies))
+        arm = "".join(f"WHEN {to_sql(g)} THEN {i} "
+                      for i, g in enumerate(guards))
+        out = ", ".join(f"w.{quote_ident(c)}" for c in have)
+        # When every arm allows at most one value, each row of ``work``
+        # extends to at most one row, so its rowid alone orders the result
+        # (and the scan already yields that order: no sort).
+        values_of = self.schema.column(col).domain
+        single = all(sum(body.eval({col: v}) for v in values_of) <= 1
+                     for body in bodies)
+        order = "w.rowid" if single else "w.rowid, v.__r"
+        return (
+            f"SELECT {out}, v.{new_cols} FROM {quote_ident(work)} AS w "
+            f"JOIN ({values}) AS v ON v.__arm = "
+            f"(CASE {arm}ELSE {len(guards)} END) ORDER BY {order}"
+        )
+
     # -- monolithic --------------------------------------------------------------
     def generate_monolithic(
         self, budget: Optional[int] = 50_000_000
@@ -157,16 +198,10 @@ class TableGenerator:
         have: list[str] = list(input_names)
         for group in self.constraints.generation_plan():
             exprs = [self.constraints.get(c).expr for c in group]
-            where = to_sql(self._conj(exprs))
-            prev_cols = ", ".join(quote_ident(c) for c in have)
-            new_cols = ", ".join(quote_ident(c) for c in group)
             nxt = f"{work}_{group[0]}"
             # The previous step already counted the working table.
             base_rows = steps[-1].result_rows
-            sql = (
-                f"SELECT {prev_cols}, {new_cols} FROM {quote_ident(work)} "
-                f"CROSS JOIN {self._cross_join(group)} WHERE {where}"
-            )
+            sql = self._step_sql(work, have, group, self._conj(exprs))
             with span("generate.column", table=self.table_name,
                       columns=",".join(group)) as sp:
                 self.db.create_table_as(nxt, sql)
@@ -195,3 +230,24 @@ class TableGenerator:
         table = ControllerTable(self.db, self.schema, self.table_name)
         get_tracer().incr("generate.rows", table.row_count)
         return GenerationResult(table=table, strategy="incremental", steps=steps)
+
+
+def guarded_arms(
+    expr: BoolExpr, column: str
+) -> Optional[tuple[list[BoolExpr], list[BoolExpr]]]:
+    """``(guards, bodies)`` of a guarded-case constraint on ``column``, or
+    None.  The chain ``g0 ? b0 : g1 ? b1 : … : d`` qualifies when no guard
+    reads ``column`` and every body (``d`` is the last) reads nothing
+    else."""
+    guards: list[BoolExpr] = []
+    bodies: list[BoolExpr] = []
+    node = expr
+    while isinstance(node, Ternary):
+        guards.append(node.condition)
+        bodies.append(node.if_true)
+        node = node.if_false
+    bodies.append(node)
+    if (not guards or any(column in g.free_columns() for g in guards)
+            or any(b.free_columns() - {column} for b in bodies)):
+        return None
+    return guards, bodies

@@ -88,6 +88,7 @@ from .state import (
     decode_state,
     encode_state,
     hash_state,
+    orbits_trivial,
     symmetry_mode,
 )
 
@@ -487,6 +488,11 @@ class ReachabilityExplorer:
         #: remote-request path, requests from quad 0 the local one.
         self.home_map = {a: 0 for a in self.addrs}
         self.quad_classes = _quad_classes(self.config)
+        #: the symmetry successors are canonicalized under: "off" when no
+        #: orbit of this configuration has two members.
+        self.symmetry = ("off" if orbits_trivial(
+            _node_ids(self.config), self.config.symmetry, self.quad_classes)
+            else self.config.symmetry)
         self.net = _network(system, self.config, self.home_map)
         # Kernels are compiled on first use, from the tables as they
         # stand then.
@@ -494,7 +500,7 @@ class ReachabilityExplorer:
         self._pool: Optional[KernelPool] = None
         root = canonicalize(
             initial_state(_node_ids(self.config), _n_quads(self.config)),
-            self.config.symmetry, self.quad_classes)
+            self.symmetry, self.quad_classes)
         self.root_digest = hash_state(root)
         #: digest -> canonical state, for every reached state.
         self.states: dict[str, tuple] = {self.root_digest: root}
@@ -713,7 +719,7 @@ class ReachabilityExplorer:
         return [
             (digest,
              _expand_state(self.states[digest], tables, self.net, self.addrs,
-                           cfg.symmetry, self.quad_classes))
+                           self.symmetry, self.quad_classes))
             for digest in frontier
         ]
 
@@ -721,10 +727,9 @@ class ReachabilityExplorer:
                               workers: int) -> list:
         """Fan out over the persistent kernel pool: the kernels shipped
         at pool creation, each task is only a batch of state tuples."""
-        cfg = self.config
         if self._pool is None:
             self._pool = KernelPool(self.kernels, self.net, self.addrs,
-                                    cfg.symmetry, self.quad_classes, workers)
+                                    self.symmetry, self.quad_classes, workers)
         chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
         batches = [
             [(d, self.states[d]) for d in frontier[i:i + chunk]]
@@ -837,8 +842,7 @@ class ReachabilityExplorer:
                 TraceEvent(i, len(events) + n, msg, src, dst, addr, vc)
                 for n, (msg, src, dst, addr, (vc, _)) in enumerate(fx.sends, 1)
             )
-            state = canonicalize(succ, self.config.symmetry,
-                                 self.quad_classes)
+            state = canonicalize(succ, self.symmetry, self.quad_classes)
         return events, hash_state(state)
 
     def counterexample(self, digest: str, width: int = 14) -> str:

@@ -52,6 +52,7 @@ __all__ = [
     "permute_quads",
     "node_groups",
     "canonicalize",
+    "orbits_trivial",
     "symmetry_mode",
 ]
 
@@ -262,6 +263,22 @@ def _quad_permutations(
     return out
 
 
+def orbits_trivial(
+    node_ids: Iterable[str],
+    symmetry=True,
+    quad_classes: Iterable[Iterable[int]] = (),
+    group_of=quad_of,
+) -> bool:
+    """Whether :func:`canonicalize` returns every state over ``node_ids``
+    untouched: symmetry is off, or no two nodes share a group and no
+    quad class (under ``"full"``) has two members.  The node set is fixed
+    per configuration, so the explorer decides this once, not per state."""
+    mode = symmetry_mode(symmetry)
+    keys = [group_of(nid) for nid in node_ids]
+    return mode == "off" or (len(set(keys)) == len(keys) and (
+        mode != "full" or all(len(tuple(c)) < 2 for c in quad_classes)))
+
+
 def canonicalize(
     state: tuple,
     symmetry=True,
@@ -275,20 +292,14 @@ def canonicalize(
     within-quad node relabellings for ``"quad"`` (or ``True``), and
     additionally whole-quad permutations over each class in
     ``quad_classes`` for ``"full"``.  ``"off"`` (or ``False``) returns
-    the state itself.  States with a trivial orbit — every quad holds at
-    most one node and no quad class has two members — are returned
-    untouched, which the common 2-node configuration hits.
+    the state itself, and so does a trivial orbit (:func:`orbits_trivial`).
     """
     mode = symmetry_mode(symmetry)
-    if mode == "off":
+    if orbits_trivial([nid for nid, *_ in state[2]], mode, quad_classes,
+                      group_of):
         return state
-    if mode == "full" and quad_classes:
-        qmaps = _quad_permutations(quad_classes)
-    else:
-        qmaps = [{}]
-    groups = [g for g in node_groups(state, group_of) if len(g) > 1]
-    if len(qmaps) == 1 and not groups:
-        return state
+    qmaps = (_quad_permutations(quad_classes)
+             if mode == "full" and quad_classes else [{}])
     best: Optional[tuple] = None
     best_key = ""
     for qmap in qmaps:

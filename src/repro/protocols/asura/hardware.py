@@ -20,8 +20,6 @@ sub-controllers), and the reconstruction check proves D is preserved.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...core.constraints import ConstraintSet
 from ...core.database import ProtocolDatabase
 from ...core.expr import BoolExpr, C, Or, cases, when
@@ -33,15 +31,13 @@ from ...core.mapping import (
     ReconstructionPlan,
 )
 from ...core.report import CheckResult
-from ...core.schema import Column, Role
+from ...core.schema import Column, Role, TableSchema
 from ...core.table import ControllerTable
 from .. import messages as M
-from ..family.directory import directory_constraints
-from ..family.spec import MESI
 
 __all__ = [
     "ED_TABLE_NAME",
-    "IMP_REQUESTS",
+    "imp_requests",
     "extension_spec",
     "partition_specs",
     "reconstruction_plan",
@@ -50,10 +46,6 @@ __all__ = [
 ]
 
 ED_TABLE_NAME = "ED"
-
-#: Requests as seen by the implementation: the protocol requests plus the
-#: feedback request (the paper's Impinmsg column table).
-IMP_REQUESTS: tuple[str, ...] = M.DIR_REQUEST_INPUTS + ("dfdback",)
 
 _QCOLS = (
     Column("Qstatus", ("Full", "NotFull"), Role.INPUT, nullable=False,
@@ -65,14 +57,18 @@ _QCOLS = (
 )
 
 
-def _is_imp_request() -> BoolExpr:
-    return C("inmsg").isin(IMP_REQUESTS)
+def imp_requests(d_schema: TableSchema) -> tuple[str, ...]:
+    """Requests as seen by the implementation: the requests in D's
+    ``inmsg`` domain plus the feedback request (the paper's Impinmsg
+    column table)."""
+    requests = set(M.REQUEST_NAMES)
+    return tuple(v for v in d_schema.column("inmsg").values
+                 if v in requests) + ("dfdback",)
 
 
-def extension_spec() -> ExtensionSpec:
-    """The D -> ED extension of section 5."""
-    base = directory_constraints(MESI)
-    imp_req = _is_imp_request()
+def extension_spec(base: ConstraintSet) -> ExtensionSpec:
+    """The D -> ED extension of section 5, over D's constraints ``base``."""
+    imp_req = C("inmsg").isin(imp_requests(base.schema))
     q_full = imp_req & C("Qstatus").eq("Full")
     # "On a response, if the directory controller needs to update the
     # directory and Dqstatus = Full then the controller generates the
@@ -130,11 +126,12 @@ def extension_spec() -> ExtensionSpec:
     )
 
 
-def partition_specs() -> tuple[PartitionSpec, ...]:
+def partition_specs(requests: tuple[str, ...]) -> tuple[PartitionSpec, ...]:
     """The nine implementation tables: one per output port of the request
     and response controllers (paper: "Nine implementation tables are
-    generated for D by partitioning ED using SQL")."""
-    imp_req = _is_imp_request()
+    generated for D by partitioning ED using SQL"); ``requests`` is
+    :func:`imp_requests` of the mapped D."""
+    imp_req = C("inmsg").isin(requests)
     is_resp = ~imp_req
     loc = ("locmsg", "locmsgsrc", "locmsgdst", "locmsgres")
     rem = ("remmsg", "remmsgsrc", "remmsgdst", "remmsgres")
@@ -197,10 +194,12 @@ class HardwareMapping:
         d_constraints: ConstraintSet,
     ) -> None:
         self.mapper = ImplementationMapper(db, d_table, d_constraints)
-        self.spec = extension_spec()
+        self.requests = imp_requests(d_constraints.schema)
+        self.spec = extension_spec(d_constraints)
         self.ed_result = self.mapper.extend(self.spec)
         self.ed = self.ed_result.table
-        self.partitions = self.mapper.partition(self.ed, partition_specs())
+        self.partitions = self.mapper.partition(
+            self.ed, partition_specs(self.requests))
         self.plan = reconstruction_plan()
         self.reconstructed = self.mapper.reconstruct(
             self.ed.schema, self.partitions, self.plan,
@@ -215,8 +214,8 @@ class HardwareMapping:
 def build_hardware_mapping(
     db: ProtocolDatabase,
     d_table: ControllerTable,
-    d_constraints: Optional[ConstraintSet] = None,
+    d_constraints: ConstraintSet,
 ) -> HardwareMapping:
-    """Run the complete section-5 flow against an existing debugged D."""
-    cs = d_constraints or directory_constraints(MESI)
-    return HardwareMapping(db, d_table, cs)
+    """Run the complete section-5 flow against an existing debugged D and
+    the constraints it was generated from."""
+    return HardwareMapping(db, d_table, d_constraints)

@@ -7,10 +7,12 @@ the same table as the monolithic one.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import generator
 from repro.core.constraints import ConstraintSet
 from repro.core.database import ProtocolDatabase
 from repro.core.expr import C, FALSE, TRUE, cases, when
@@ -53,7 +55,9 @@ def brute_force(cs):
 
 
 def canon(rows):
-    return sorted(tuple(sorted(r.items(), key=lambda kv: kv[0])) for r in rows)
+    # Sorted by repr: a column may hold both NULL and strings.
+    return sorted((tuple(sorted(r.items(), key=lambda kv: kv[0]))
+                   for r in rows), key=repr)
 
 
 class TestStrategiesAgree:
@@ -136,17 +140,24 @@ def _pred(col, values):
 
 
 def random_constraints():
+    """Ternary chains of one to four arms.  Most are guarded cases
+    (guards over inputs, bodies over ``o1``); conditions that read
+    ``o1`` and bodies that read an input exercise the cross-join step."""
     i_pred = st.one_of(_pred("i1", _vals1), _pred("i2", _vals2), st.just(TRUE))
     o_bind = st.sampled_from(("x", "y", None)).map(
         lambda v: C("o1").eq(v) if v else C("o1").is_null()
     )
+    o_set = st.one_of(o_bind, st.just(C("o1").ne("x")), st.just(TRUE),
+                      st.just(FALSE))
+    condition = st.one_of(i_pred, i_pred, o_bind)
+    body = st.one_of(o_set, o_set, st.builds(lambda b, p: b | p, o_bind, i_pred))
     return st.builds(
-        lambda c1, t1, f1: when(c1, t1, f1),
-        i_pred, o_bind, o_bind,
+        lambda arms, default: cases(*arms, default=default),
+        st.lists(st.tuples(condition, body), min_size=1, max_size=4), body,
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(o1_expr=random_constraints(), i1_forbidden=st.sampled_from(_vals1))
 def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
     schema = TableSchema("t", [
@@ -163,3 +174,9 @@ def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
         expected = canon(brute_force(cs))
         assert canon(inc.table.rows()) == expected
         assert canon(mono.table.rows()) == expected
+        # Either step form emits the plain cross join's row sequence.
+        with mock.patch.object(generator, "guarded_arms", return_value=None):
+            TableGenerator(db, cs, table_name="x").generate_incremental()
+        in_order = "SELECT i1, i2, o1 FROM {} ORDER BY rowid"
+        assert (db.query(in_order.format("i"))
+                == db.query(in_order.format("x")))

@@ -29,7 +29,7 @@ from repro.explore import (
     hash_state,
     permute_state,
 )
-from repro.explore.state import node_groups, state_key
+from repro.explore.state import node_groups, orbits_trivial, state_key
 
 
 def _reached_states():
@@ -184,3 +184,31 @@ class TestGroupOfParameter:
             assert canonicalize(canonical, group_of=one_class) == canonical
             assert sorted(len(g) for g in node_groups(state, one_class)) \
                 == [len(state[2])]
+
+
+class TestOrbitsTrivial:
+    """The explorer decides once per configuration whether any orbit has
+    two members; when none does, canonicalization is skipped."""
+
+    def test_agrees_with_canonicalize_on_reached_states(self):
+        states = _reached_states()
+        nids = [nid for nid, *_ in states[0][2]]
+        assert not orbits_trivial(nids)            # quad 0 holds two nodes
+        assert orbits_trivial(nids, "off")
+        singleton = lambda nid: nid
+        assert orbits_trivial(nids, group_of=singleton)
+        assert all(canonicalize(s, group_of=singleton) == s
+                   for s in states[:25])
+
+    def test_full_symmetry_counts_quad_classes(self):
+        nids = ["node:0.0", "node:1.0", "node:2.0"]
+        assert orbits_trivial(nids, "quad")
+        assert orbits_trivial(nids, "full", quad_classes=((1,), (2,)))
+        assert not orbits_trivial(nids, "full", quad_classes=((1, 2),))
+
+    @pytest.mark.parametrize("nodes,expected", [(2, "off"), (3, True)])
+    def test_explorer_decides_per_configuration(self, nodes, expected):
+        from repro.protocols.asura import build_system
+        explorer = ReachabilityExplorer(
+            build_system(), ExploreConfig(nodes=nodes, depth=1))
+        assert explorer.symmetry == expected

@@ -4,10 +4,11 @@ import pytest
 
 from repro.protocols.asura.hardware import (
     HardwareMapping,
-    IMP_REQUESTS,
     build_hardware_mapping,
     partition_specs,
 )
+from repro.protocols.family import SPECS, build_variant
+from repro.protocols.messages import REQUEST_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +89,16 @@ class TestExtendedTable:
 class TestPartitions:
     def test_nine_implementation_tables(self, hw):
         # Paper: "Nine implementation tables are generated for D".
-        assert len(partition_specs()) == 9
+        assert len(partition_specs(hw.requests)) == 9
         assert len(hw.partitions) == 9
 
     def test_request_tables_hold_imp_requests_only(self, hw):
-        reqs = set(IMP_REQUESTS)
+        reqs = set(hw.requests)
         for r in hw.partitions["Request_remmsg"].rows():
             assert r["inmsg"] in reqs
 
     def test_response_tables_hold_responses_only(self, hw):
-        reqs = set(IMP_REQUESTS)
+        reqs = set(hw.requests)
         for r in hw.partitions["Response_locmsg"].rows():
             assert r["inmsg"] not in reqs
 
@@ -126,3 +127,21 @@ class TestPreservation:
             hw2.ed.schema, hw2.partitions, hw2.plan, table_name="rec_broken",
         )
         assert not hw2.mapper.check_preserved(rec, hw2.plan).passed
+
+
+@pytest.mark.parametrize("variant", tuple(SPECS))
+def test_every_member_maps_preserving_d(variant):
+    """The section-5 flow maps each family member's own D: ED extends
+    that D's constraints and request set, so the reconstruction holds D."""
+    member = build_variant(variant)
+    try:
+        hw = build_hardware_mapping(
+            member.db, member.tables["D"], member.constraint_sets["D"],
+        )
+        result = hw.check_preserved()
+        assert result.passed, result.details[:5]
+        assert set(hw.requests) - {"dfdback"} == set(
+            member.constraint_sets["D"].schema.column("inmsg").values
+        ) & set(REQUEST_NAMES)
+    finally:
+        member.db.close()
