@@ -10,6 +10,9 @@ Claims reproduced:
   flat.  We sweep synthetic schemas (the full D's cross product is ~1e22
   rows, far beyond any budget, which *is* the 6-hour point).
 * A2: NULL dontcare values keep the node-controller table sparse.
+
+Every benchmark runs ``benchmark.pedantic`` with fixed rounds, so the
+query totals in ``BENCH_generation.json`` are the same on every run.
 """
 
 import pytest
@@ -21,6 +24,10 @@ from repro.core.generator import TableGenerator
 from repro.core.schema import Column, Role, TableSchema
 from repro.protocols.family import MESI
 from repro.protocols.family.directory import directory_constraints
+
+#: fixed pedantic rounds — keep deterministic for BENCH_generation.json.
+ROUNDS = 5
+ROUNDS_MICRO = 20
 
 
 def synthetic_constraints(n_outputs: int, domain: int = 6) -> ConstraintSet:
@@ -53,7 +60,7 @@ def test_incremental_generation_scales_linearly(benchmark, n_outputs):
                 db, synthetic_constraints(n_outputs)
             ).generate_incremental()
             return result.table.row_count
-    rows = benchmark(run)
+    rows = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert rows > 0
 
 
@@ -83,7 +90,7 @@ def test_full_directory_table_generation(benchmark, system):
             ).generate_incremental()
             return (result.table.row_count,
                     result.table.schema.cross_product_size())
-    rows, mono_size = benchmark(run)
+    rows, mono_size = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert rows == system.tables["D"].row_count
     # The monolithic equivalent would enumerate the full cross product
     # (~9e16 rows): the "6 hours" is actually "never" at our scale.
@@ -98,7 +105,7 @@ def test_figure3_rows_regenerate(benchmark, system):
                 db, directory_constraints(MESI)
             ).generate_incremental().table
             return table.match_rows({"inmsg": "readex", "bdirlookup": "miss"})
-    rows = benchmark(run)
+    rows = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     by_state = {(r["dirst"], r["dirpv"], r["reqinpv"]): r for r in rows}
     si = by_state[("SI", "gone", "no")]
     assert si["remmsg"] == "sinv" and si["memmsg"] == "mread"
@@ -121,5 +128,6 @@ def test_null_dontcare_compression(benchmark, system):
             concrete += pend_opts * line_opts
         return concrete
 
-    concrete_rows = benchmark(expand)
+    concrete_rows = benchmark.pedantic(expand, iterations=1,
+                                       rounds=ROUNDS_MICRO)
     assert concrete_rows > 1.5 * table.row_count

@@ -70,7 +70,7 @@ def test_recursive_liveness_invariant(benchmark, system):
 
 def test_determinism_check_all_tables(benchmark, system):
     def run():
-        return [t.find_overlapping_rows() for t in system.tables.values()]
+        return [t.overlapping_pairs()[1] for t in system.tables.values()]
 
     overlaps = benchmark.pedantic(
         run, rounds=ROUNDS_DETERMINISM, iterations=1, warmup_rounds=2,

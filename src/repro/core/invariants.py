@@ -6,13 +6,12 @@ nothing.  An :class:`Invariant` carries that violation condition either as
 a constraint expression over one controller table's columns or as a raw
 SQL query (for invariants spanning several tables).
 
-:meth:`InvariantChecker.check_all` compiles every invariant into one
-branch of a single ``UNION ALL`` query tagged with the invariant's
-identity, so a whole sweep costs a handful of database round trips
-instead of one per invariant.  Branches are padded to a common width with
-NULLs so invariants over different tables batch together; violating rows
-are projected back to each invariant's own columns afterwards.  A raw-SQL
-invariant joins the batch as a subquery; one whose query does not nest
+:meth:`InvariantChecker.check_all` batches a sweep into a handful of
+round trips: per table, one query returns bit masks of the expression
+invariants each row violates; the raw-SQL invariants are the branches of
+one ``UNION ALL`` query, tagged with the invariant's identity and padded
+to a common width with NULLs.  Violating rows are projected back to each
+invariant's own columns.  A raw-SQL invariant whose query does not nest
 runs on its own through :meth:`InvariantChecker.check`, the paper's
 literal one-SELECT form, which the parity tests also use as the sweep's
 oracle: ``[checker.check(inv) for inv in checker.invariants]`` gives the
@@ -21,7 +20,10 @@ same :class:`~repro.core.report.CheckResult` contents.
 ``check_all(tables=...)`` scopes a sweep to the invariants that read one
 of the named tables: an edit re-runs only what it can have broken.  An
 expression invariant reads its own table; sqlite's authorizer reports
-what a raw-SQL query reads while its shape is probed.
+what a raw-SQL query reads while its shape is probed.  An expression
+looks at one row at a time, so a scoped sweep judges it only on the rows
+that differ from the table's clean copy
+(:func:`~repro.core.table.write_clean_copy`), which passed it.
 """
 
 from __future__ import annotations
@@ -36,18 +38,32 @@ from ..telemetry import get_tracer, span
 from .database import DatabaseError, ProtocolDatabase
 from .expr import BoolExpr
 from .report import CheckResult, Report
-from .sqlgen import quote_ident, quote_value, to_sql
+from .sqlgen import quote_ident, to_sql
+from .table import changed_rows_sql
 
-__all__ = ["Invariant", "InvariantChecker", "InvariantViolation"]
+__all__ = ["Invariant", "InvariantChecker", "InvariantViolation", "tally"]
 
 #: compound-SELECT branches per batched query, comfortably below
 #: SQLite's default 500-term compound limit.
 MAX_BATCH_BRANCHES = 100
 
+#: invariants per bit mask (sqlite integers are signed 64-bit).
+MASK_BITS = 62
+
 #: what removes an authorizer: None from Python 3.11 on, before that a
 #: callback that allows everything.
 NO_AUTHORIZER = (None if sys.version_info >= (3, 11)
                  else lambda *_: sqlite3.SQLITE_OK)
+
+
+def tally(violations: int) -> None:
+    """Count one check that found ``violations`` violations."""
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.incr("invariant.checks")
+        tracer.incr("invariant.failed" if violations else "invariant.passed")
+        if violations:
+            tracer.incr("invariant.violations", violations)
 
 
 @dataclass
@@ -140,7 +156,7 @@ class InvariantChecker:
     def check(self, invariant: Invariant, max_violations: int = 50) -> CheckResult:
         with span("invariant.check", invariant=invariant.name) as sp:
             rows = self.db.query(invariant.query())
-        self._tally(rows)
+        tally(len(rows))
         details = [
             InvariantViolation(invariant.name, r) for r in rows[:max_violations]
         ]
@@ -153,15 +169,6 @@ class InvariantChecker:
         )
 
     # -- batched sweeps ---------------------------------------------------------
-    @staticmethod
-    def _tally(rows: Sequence) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.incr("invariant.checks")
-            tracer.incr("invariant.passed" if not rows else "invariant.failed")
-            if rows:
-                tracer.incr("invariant.violations", len(rows))
-
     def _probe(self, inv: Invariant) -> tuple[Optional[list[str]], Optional[frozenset[str]]]:
         """``(report columns, tables read)`` of ``inv``.  The columns
         (``SELECT *`` order when no explicit report columns are given) are
@@ -170,7 +177,7 @@ class InvariantChecker:
         query does not nest, and such an invariant runs in every scoped
         sweep."""
         if inv.violation is not None:
-            cols = list(inv.report_columns) or self.db.table_columns(inv.table)
+            cols = list(inv.report_columns) or self._columns(inv.table)
             return cols, frozenset((inv.table,))
         reads: set[str] = set()
 
@@ -198,62 +205,108 @@ class InvariantChecker:
             self._compiled["probes"] = [self._probe(inv) for inv in self.invariants]
         return self._compiled["probes"]
 
-    def _batch_sql(self, chunk: Sequence[tuple[int, Invariant, list[str]]], width: int) -> str:
-        """One UNION ALL query over ``chunk``; every branch is padded to
-        ``width`` value columns and tagged with the invariant's index."""
+    def _columns(self, table: str) -> list[str]:
+        """``table``'s columns, read once and shared."""
+        if ("columns", table) not in self._compiled:
+            self._compiled["columns", table] = self.db.table_columns(table)
+        return self._compiled["columns", table]
+
+    @staticmethod
+    def _batch_sql(chunk: Sequence[tuple[int, Invariant, list[str]]],
+                   width: int) -> str:
+        """One UNION ALL query over the raw-SQL invariants of ``chunk``:
+        each branch is tagged with the invariant's index, then its
+        columns padded with NULLs to ``width``."""
         branches = []
         for idx, inv, cols in chunk:
-            if inv.violation is not None:
-                source = quote_ident(inv.table)
-                where = f" WHERE {to_sql(inv.violation)}"
-            else:
-                source = f"({inv.violation_sql}) AS \"__b{idx}__\""
-                where = ""
-            selected = [f"{quote_value(str(idx))} AS \"__invariant__\""]
-            for i in range(width):
-                value = quote_ident(cols[i]) if i < len(cols) else "NULL"
-                selected.append(f"{value} AS \"v{i}\"")
-            branches.append(
-                f"SELECT {', '.join(selected)} FROM {source}{where}"
-            )
+            values = [str(idx), *map(quote_ident, cols)]
+            values += ["NULL"] * (width - len(cols))
+            branches.append(f"SELECT {', '.join(values)} "
+                            f"FROM ({inv.violation_sql}) AS \"__b{idx}__\"")
         return "\nUNION ALL\n".join(branches)
 
-    def _plan(self, indexes: Sequence[int]) -> tuple:
+    @staticmethod
+    def _masks_sql(table: str, columns: Sequence[str],
+                   chunk: Sequence[tuple[int, Invariant, list[str]]],
+                   fetched: Sequence[str], changed: bool) -> str:
+        """The ``fetched`` columns of ``table``'s rows (or with
+        ``changed``, of those that differ from its clean copy) in rowid
+        order, then masks with bit ``j`` set when the row violates the
+        ``j``-th invariant of ``chunk``; far cheaper to compile and fetch
+        than a branch or a column per invariant."""
+        bits = [f"CASE WHEN {to_sql(inv.violation)} "
+                f"THEN {1 << j % MASK_BITS} ELSE 0 END"
+                for j, (_, inv, _) in enumerate(chunk)]
+        masks = [" | ".join(bits[at:at + MASK_BITS])
+                 for at in range(0, len(bits), MASK_BITS)]
+        source, order = quote_ident(table), "rowid"
+        if changed:
+            source, order = f"({changed_rows_sql(table, columns)})", '"__rid"'
+        return (f"SELECT {', '.join([*map(quote_ident, fetched), *masks])} "
+                f"FROM {source} ORDER BY {order}")
+
+    def _plan(self, indexes: Sequence[int],
+              key: Optional[frozenset[str]]) -> tuple:
         """``({index: report columns} of the batchable invariants,
-        [(indexes, UNION ALL sql)] per chunk)`` for ``indexes``."""
+        [(indexes, sql, fetched columns or None for UNION ALL)])`` for
+        ``indexes``; a ``key`` judges changed rows only."""
         probes = self._probes()
-        batchable = [(idx, self.invariants[idx], cols) for idx in indexes
-                     if (cols := probes[idx][0]) is not None]
-        chunks = []
-        for start in range(0, len(batchable), MAX_BATCH_BRANCHES):
-            chunk = batchable[start:start + MAX_BATCH_BRANCHES]
+        raw, per_table = [], {}
+        for idx in indexes:
+            inv, cols = self.invariants[idx], probes[idx][0]
+            if cols is None:
+                continue
+            if inv.violation is None:
+                raw.append((idx, inv, cols))
+            else:
+                per_table.setdefault(inv.table, []).append((idx, inv, cols))
+        statements = []
+        for start in range(0, len(raw), MAX_BATCH_BRANCHES):
+            chunk = raw[start:start + MAX_BATCH_BRANCHES]
             width = max(len(cols) for _, _, cols in chunk)
-            chunks.append(([idx for idx, _, _ in chunk],
-                           self._batch_sql(chunk, width)))
-        return {idx: cols for idx, _, cols in batchable}, chunks
+            statements.append(([idx for idx, _, _ in chunk],
+                               self._batch_sql(chunk, width), None))
+        for table, items in per_table.items():
+            columns = self._columns(table)
+            wanted = {c for _, _, cols in items for c in cols}
+            fetched = [c for c in columns if c in wanted]
+            statements.append(([idx for idx, _, _ in items], self._masks_sql(
+                table, columns, items, fetched, key is not None), fetched))
+        return {idx: probes[idx][0] for idx in indexes
+                if probes[idx][0] is not None}, statements
 
     def _check_batched(
         self, indexes: Sequence[int], key: Optional[frozenset[str]],
         max_violations: int = 50,
     ) -> list[CheckResult]:
-        """Check the invariants at ``indexes`` with batched UNION ALL
-        sweeps, compiled once per ``key`` (the scoping tables), returning
-        results in index order and identical in content to :meth:`check`
+        """Check the invariants at ``indexes`` with batched sweeps,
+        compiled once per ``key`` (the scoping tables), returning results
+        in index order and identical in content to :meth:`check`
         (raw-SQL invariants that do not nest still run individually)."""
         if ("plan", key) not in self._compiled:
-            self._compiled["plan", key] = self._plan(indexes)
-        columns_of, chunks = self._compiled["plan", key]
+            self._compiled["plan", key] = self._plan(indexes, key)
+        columns_of, statements = self._compiled["plan", key]
         violations: dict[int, list[dict]] = {idx: [] for idx in columns_of}
         seconds: dict[int, float] = {}
         tracer = get_tracer()
-        for chunk, sql in chunks:
+        for chunk, sql, columns in statements:
             with span("invariant.check_batch", invariants=len(chunk)) as sp:
-                rows = self.db.query(sql)
+                rows = self.db.query_tuples(sql)
             if tracer.enabled:
                 tracer.incr("invariant.batches")
                 tracer.incr("invariant.batched", len(chunk))
-            for r in rows:
-                violations[int(r["__invariant__"])].append(r)
+            if columns is None:
+                for idx, *values in rows:
+                    violations[idx].append(dict(zip(columns_of[idx], values)))
+            else:
+                if tracer.enabled and key is not None:
+                    tracer.incr("invariant.delta_rows", len(rows))
+                at = {c: i for i, c in enumerate(columns)}
+                for r in rows:
+                    for j, idx in enumerate(chunk):
+                        if r[len(columns) + j // MASK_BITS] >> j % MASK_BITS & 1:
+                            violations[idx].append(
+                                {c: r[at[c]] for c in columns_of[idx]})
             # Attribute the sweep's wall time evenly across its branches
             # so Report.total_seconds still sums to real time spent.
             share = sp.seconds / len(chunk)
@@ -266,12 +319,8 @@ class InvariantChecker:
             if idx not in columns_of:
                 results.append(self.check(inv, max_violations))
                 continue
-            cols = columns_of[idx]
-            rows = [
-                {c: r[f"v{i}"] for i, c in enumerate(cols)}
-                for r in violations[idx]
-            ]
-            self._tally(rows)
+            rows = violations[idx]
+            tally(len(rows))
             results.append(CheckResult(
                 name=inv.name,
                 passed=not rows,
@@ -289,7 +338,9 @@ class InvariantChecker:
         tables: Optional[Iterable[str]] = None,
     ) -> Report:
         """Run every invariant, or with ``tables`` only those that read
-        one of those tables, in suite order."""
+        one of those tables, in suite order.  A scoped sweep judges
+        expression invariants on the rows that differ from each table's
+        clean copy, and raises :class:`DatabaseError` without one."""
         key = None if tables is None else frozenset(tables)
         if key is None:
             indexes = range(len(self.invariants))

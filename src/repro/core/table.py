@@ -5,6 +5,10 @@ to a concrete database table and provides the operations the rest of the
 system needs: row access, NULL-wildcard lookup (a stored NULL in an input
 column is a dontcare and matches any concrete value), determinism checks,
 projection, and summary statistics.
+
+A table's *clean copy* (:func:`write_clean_copy`) keeps each row's
+rowid and values, so a check that passed on it and looks at one row at a
+time needs to judge only the rows that differ (:func:`changed_rows_sql`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,32 @@ from .expr import Row, Value
 from .schema import Role, SchemaError, TableSchema
 from .sqlgen import quote_ident
 
-__all__ = ["ControllerTable", "LookupError_", "AmbiguousMatchError", "NoMatchError"]
+__all__ = ["CLEAN_PREFIX", "ControllerTable", "LookupError_",
+           "AmbiguousMatchError", "NoMatchError", "changed_rows_sql",
+           "write_clean_copy"]
+
+#: prefix of a table's clean copy: ``__rid`` (each row's rowid, indexed),
+#: then every column of the table.
+CLEAN_PREFIX = "__clean_"
+
+
+def write_clean_copy(db: ProtocolDatabase, table: str) -> str:
+    """(Re)write ``table``'s clean copy; returns the copy's name."""
+    copy = CLEAN_PREFIX + table
+    db.create_table_as(copy, f'SELECT rowid AS "__rid", * FROM {quote_ident(table)}')
+    db.create_index(copy, ("__rid",))
+    return copy
+
+
+def changed_rows_sql(table: str, columns: Sequence[str]) -> str:
+    """``__rid`` and every column of the rows of ``table`` that differ
+    from its clean copy by rowid or in one of ``columns`` (all of the
+    table's); the query fails when there is no copy."""
+    t, c = quote_ident(table), quote_ident(CLEAN_PREFIX + table)
+    same = " AND ".join(f"c.{q} IS t.{q}" for q in map(quote_ident, columns))
+    return (f'SELECT t.rowid AS "__rid", t.* FROM {t} AS t '
+            f'LEFT JOIN {c} AS c ON c."__rid" = t.rowid '
+            f'WHERE c."__rid" IS NULL OR NOT ({same})')
 
 
 class LookupError_(RuntimeError):
@@ -50,9 +79,10 @@ class ControllerTable:
         self.db = db
         self.schema = schema
         self.table_name = table_name
-        if not db.table_exists(table_name):
+        columns = db.table_columns(table_name)  # none: no such table
+        if not columns:
             raise SchemaError(f"database has no table {table_name!r}")
-        missing = set(schema.column_names) - set(db.table_columns(table_name))
+        missing = set(schema.column_names) - set(columns)
         if missing:
             raise SchemaError(
                 f"table {table_name!r} lacks schema columns {sorted(missing)}"
@@ -175,51 +205,64 @@ class ControllerTable:
             return None
 
     # -- static checks ---------------------------------------------------------------
-    def find_overlapping_rows(self) -> list[tuple[dict[str, Value], dict[str, Value]]]:
-        """Pairs of distinct rows whose input patterns intersect.
-
-        Two rows overlap when for every input column their stored values
-        are equal or at least one is a dontcare NULL; an overlap means some
-        concrete input matches both rows.  A deterministic controller has
-        no overlaps.  Pairs come in rowid order.
-        """
+    def overlapping_pairs(
+        self, limit: Optional[int] = None, changed: bool = False,
+    ) -> tuple[int, list[tuple[dict[str, Value], dict[str, Value]]]]:
+        """``(number of overlapping row pairs, the first ``limit`` >= 1 of
+        them in rowid order)``, from one statement that joins rowids and
+        fetches the columns of the pairs returned.  Two rows overlap when
+        for every input column their stored values are equal or at least
+        one is a dontcare NULL: some concrete input matches both rows.
+        With ``changed``, only pairs holding a row that differs from the
+        clean copy count: all of them when the copy has no overlaps."""
         input_names = self.schema.input_names
         if not input_names:
-            return []
-
-        def overlap(name: str, plain: bool) -> str:
-            q = quote_ident(name)
-            if plain:
-                return f"a.{q} = b.{q}"
-            return f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)"
-
+            return 0, []
+        t = quote_ident(self.table_name)
+        names = self.schema.column_names
+        a, ra, rb, on = f"{t} AS a", "a.rowid", "b.rowid", "a.rowid < b.rowid"
+        with_ = ""
+        if changed:
+            # From the changed rows; each pair once: from its lesser
+            # changed row, or from its only changed row.
+            with_ = ('WITH "__changed" AS MATERIALIZED '
+                     f"({changed_rows_sql(self.table_name, names)}) ")
+            a, rid = '"__changed" AS a', 'a."__rid"'
+            ra, rb = f"min({rid}, b.rowid)", f"max({rid}, b.rowid)"
+            on = (f'{rid} <> b.rowid AND ({rid} < b.rowid OR b.rowid '
+                  f'NOT IN (SELECT "__rid" FROM "__changed"))')
         # Columns declared non-nullable join on plain equality, which lets
         # sqlite build an automatic index.  A NULL edited into one of them
         # switches to the all-dontcare branch instead; one branch runs.
-        t = quote_ident(self.table_name)
-        names = self.schema.column_names
         strict = [c for c in input_names if not self.schema.column(c).nullable]
         edited = " OR ".join(f"{quote_ident(c)} IS NULL" for c in strict) or "0"
-        selected = "a.rowid, b.rowid, " + ", ".join(
-            f"{side}.{quote_ident(c)}" for side in "ab" for c in names)
         branches = []
         for fast in (True, False):
-            conds = " AND ".join(overlap(c, fast and c in strict)
-                                 for c in input_names)
+            conds = " AND ".join(
+                f"a.{q} = b.{q}" if fast and c in strict
+                else f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)"
+                for c, q in zip(input_names, map(quote_ident, input_names)))
             guard = "NOT EXISTS" if fast else "EXISTS"
             branches.append(
-                f"SELECT {selected} FROM {t} a JOIN {t} b "
-                f"ON a.rowid < b.rowid AND {conds} "
+                f'SELECT {ra} AS "ra", {rb} AS "rb" FROM {a} '
+                f"JOIN {t} AS b ON {on} AND {conds} "
                 f"WHERE {guard} (SELECT 1 FROM {t} WHERE {edited})")
+        cols = ", ".join(f"{side}.{quote_ident(c)}"
+                         for side in "ab" for c in names)
         hits = self.db.query_tuples(
-            " UNION ALL ".join(branches) + " ORDER BY 1, 2")
-        # After the rowids: row a's columns, then row b's, by position.
+            f"{with_}SELECT p.*, {cols} FROM (SELECT count(*) OVER (), * "
+            f"FROM ({' UNION ALL '.join(branches)}) ORDER BY 2, 3 LIMIT "
+            f"{-1 if limit is None else limit}) AS p JOIN {t} AS a "
+            f'ON a.rowid = p."ra" JOIN {t} AS b ON b.rowid = p."rb" '
+            f"ORDER BY 2, 3")
+        # After the count and the rowids: row a's columns, then row b's.
         n = len(names)
-        return [(dict(zip(names, hit[2:2 + n])), dict(zip(names, hit[2 + n:])))
-                for hit in hits]
+        return (hits[0][0] if hits else 0,
+                [(dict(zip(names, hit[3:3 + n])), dict(zip(names, hit[3 + n:])))
+                 for hit in hits])
 
     def is_deterministic(self) -> bool:
-        return not self.find_overlapping_rows()
+        return not self.overlapping_pairs(limit=1)[0]
 
     # -- derivation ---------------------------------------------------------------------
     def project(self, name: str, columns: Sequence[str], distinct: bool = True) -> "ControllerTable":

@@ -10,75 +10,68 @@ constraints.  Two SQL audits follow directly:
   stored row must still satisfy the constraint conjunction it was
   generated from.  Any flipped next-state cell, swapped output message, or
   corrupted presence-vector update violates some column constraint, so
-  this one query per controller catches every single-cell corruption.
+  this one check per controller catches every single-cell corruption.
+  It looks at one row at a time (an expression invariant), so a
+  table-scoped sweep judges only the rows that differ from the clean copy.
 
-* **completeness** — ``reference inputs EXCEPT current inputs``: every
-  input combination the generated table covered must still have a row.
-  The reference input projections are materialized *into* the database
-  (so snapshots carry them), and a dropped transition row shows up as a
-  missing combination.
+* **completeness** — ``clean inputs EXCEPT current inputs``: every input
+  combination the generated table covered must still have a row, so a
+  dropped transition row shows up as a missing combination.
 
-Both are ordinary :class:`~repro.core.invariants.Invariant` objects and
-run through the same checker as the behavioral suite.
+:func:`prepare_reference_tables` writes each controller's clean copy
+*into* the database, so snapshots carry it.  Both audits are ordinary
+:class:`~repro.core.invariants.Invariant` objects and run through the
+same checker as the behavioral suite.
 """
 
 from __future__ import annotations
 
+from ..core.expr import Not
 from ..core.invariants import Invariant
-from ..core.sqlgen import quote_ident, to_sql
+from ..core.sqlgen import quote_ident
+from ..core.table import CLEAN_PREFIX, write_clean_copy
 
-__all__ = ["REF_INPUT_PREFIX", "prepare_reference_tables", "structural_invariants"]
-
-#: prefix of the per-controller reference tables holding the clean input
-#: projections (created by :func:`prepare_reference_tables`).
-REF_INPUT_PREFIX = "__ref_in_"
+__all__ = ["prepare_reference_tables", "structural_invariants"]
 
 
 def prepare_reference_tables(system) -> list[str]:
-    """Materialize each controller's input projection as a reference table.
+    """Write each controller table's clean copy (``__clean_<T>``).
 
     Called on the *clean* system before snapshotting, so every clone
-    carries its own ground truth for the completeness audit.  Idempotent:
-    re-running replaces the tables.  Returns the table names created."""
-    names = []
-    for name, table in system.tables.items():
-        ref = REF_INPUT_PREFIX + name
-        cols = ", ".join(quote_ident(c) for c in table.schema.input_names)
-        system.db.create_table_as(
-            ref, f"SELECT DISTINCT {cols} FROM {quote_ident(name)}"
-        )
-        names.append(ref)
-    return names
+    carries its own ground truth for the audits and table-scoped checks.
+    Idempotent.  Returns the table names created."""
+    return [write_clean_copy(system.db, name) for name in system.tables]
 
 
 def structural_invariants(system) -> list[Invariant]:
     """Conformance + completeness audits for every controller table.
 
     Conformance audits are always emitted; completeness audits only for
-    controllers whose reference table exists (see
+    controllers whose clean copy exists (see
     :func:`prepare_reference_tables`).  Build these from a *clean* system
-    (or before applying a mutation): the SQL captures the original
-    constraint conjunctions, so even a relax-constraint mutant is judged
-    against the specification it diverged from."""
+    (or before applying a mutation): the conformance expression captures
+    the original constraint conjunction, so even a relax-constraint
+    mutant is judged against the specification it diverged from."""
     invs: list[Invariant] = []
     for name, cs in system.constraint_sets.items():
-        schema = cs.schema
-        in_cols = ", ".join(quote_ident(c) for c in schema.input_names)
-        conj = to_sql(cs.conjunction())
+        inputs = tuple(cs.schema.input_names)
         invs.append(Invariant(
             name=f"audit-{name}-conforms",
             description=(f"every row of {name} satisfies its generating "
                          f"constraint conjunction"),
-            violation_sql=(f"SELECT {in_cols} FROM {quote_ident(name)} "
-                           f"WHERE NOT ({conj})"),
+            table=name,
+            violation=Not(cs.conjunction()),
+            report_columns=inputs,
         ))
-        ref = REF_INPUT_PREFIX + name
-        if system.db.table_exists(ref):
+        clean = CLEAN_PREFIX + name
+        if system.db.table_exists(clean):
+            in_cols = ", ".join(map(quote_ident, inputs))
             invs.append(Invariant(
                 name=f"audit-{name}-complete",
                 description=(f"every generated input combination of {name} "
                              f"still has a row"),
-                violation_sql=(f"SELECT {in_cols} FROM {quote_ident(ref)} "
+                violation_sql=(f"SELECT DISTINCT {in_cols} "
+                               f"FROM {quote_ident(clean)} "
                                f"EXCEPT SELECT {in_cols} "
                                f"FROM {quote_ident(name)}"),
             ))

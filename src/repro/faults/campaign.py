@@ -427,7 +427,7 @@ class MutantTemplate:
 
     @classmethod
     def of(cls, system) -> "MutantTemplate":
-        """The template of a clean system with prepared reference tables."""
+        """The template of a clean system with its clean copies written."""
         audits = InvariantChecker(None)
         audits.extend(structural_invariants(system))
         return cls(system.db.snapshot(), system.attach(None), audits)
@@ -453,15 +453,18 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
     from ..sim.system import CoherenceError
 
     t0 = time.perf_counter()
-    db = ProtocolDatabase.deserialize(template.snapshot)
-    try:
+    with span("mutate.clone", mutant=mutation.mutant_id):
+        db = ProtocolDatabase.deserialize(template.snapshot)
         system = template.system.attach(db)
-        mutation.apply_to(system)
+    with db:
+        with span("mutate.apply", mutant=mutation.mutant_id):
+            mutation.apply_to(system)
 
         # Layer 1: invariant sweep + determinism + structural audits
         # (of the clean constraints, which relax-constraint edits), only
         # the checks that read a table the mutation wrote: every other
-        # check passed on the clean template.
+        # check passed on the clean template, and so did the unchanged
+        # rows of the clean copies that row-local checks skip.
         with span("mutate.invariants", mutant=mutation.mutant_id):
             try:
                 report = system.check_invariants(tables=mutation.tables)
@@ -548,8 +551,6 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
                                  t0, repair=fixed)
 
         return _detected(mutation, None, "", t0)
-    finally:
-        db.close()
 
 
 def _mutant_unit(payload: tuple) -> DetectionReport:

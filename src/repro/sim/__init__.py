@@ -14,7 +14,7 @@ Figure 4 schedule this reproduces the paper's deadlock dynamically, and
 the monitor reports the channel wait-for cycle.
 """
 
-from .channel import ChannelFabric, Envelope, VirtualChannelQueue
+from .channel import ChannelFabric
 from .system import SimConfig, SimResult, Simulator
 from .trace import render_sequence, transaction_slice
 from .workloads import (
@@ -30,8 +30,6 @@ from .workloads import (
 
 __all__ = [
     "ChannelFabric",
-    "Envelope",
-    "VirtualChannelQueue",
     "SimConfig",
     "SimResult",
     "Simulator",

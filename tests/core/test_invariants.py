@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.expr import C
 from repro.core.invariants import Invariant, InvariantChecker
+from repro.core.database import DatabaseError
 from repro.core.schema import Column, Role, TableSchema
-from repro.core.table import ControllerTable
+from repro.core.table import ControllerTable, write_clean_copy
 
 
 @pytest.fixture()
@@ -107,7 +108,11 @@ class TestChecking:
             == [("pv", True), ("no-gone", False)]
 
     def test_tables_scope_check_all(self, db, table):
-        db.create_table_from_rows("E", ("x",), [{"x": "I"}, {"x": None}])
+        # A scoped sweep judges the rows edited since the clean copies.
+        db.create_table_from_rows("E", ("x",), [{"x": "I"}])
+        write_clean_copy(db, "D")
+        write_clean_copy(db, "E")
+        db.execute("INSERT INTO E VALUES (NULL)")
         checker = InvariantChecker(db)
         checker.add(pv_invariant())
         checker.add(Invariant(name="other", description="", table="E",
@@ -134,3 +139,16 @@ class TestChecking:
             for r in checker.check_all(tables=tables).results:
                 assert ((r.passed, r.details)
                         == (oracle[r.name].passed, oracle[r.name].details))
+
+    def test_scoped_sweep_without_clean_copy_raises(self, db, table):
+        checker = InvariantChecker(db)
+        checker.add(pv_invariant())
+        assert checker.check_all().passed
+        # No silent fallback to judging every row.
+        with pytest.raises(DatabaseError, match="no such table: __clean_D"):
+            checker.check_all(tables=["D"])
+        with pytest.raises(DatabaseError, match="no such table: __clean_D"):
+            table.overlapping_pairs(changed=True)
+        write_clean_copy(db, "D")
+        assert checker.check_all(tables=["D"]).passed
+        assert table.overlapping_pairs(changed=True) == (0, [])

@@ -107,7 +107,7 @@ class TestDeterminism:
             {"i1": None, "i2": "p", "o": "x"},
             {"i1": "a", "i2": "p", "o": "y"},
         ])
-        pairs = t.find_overlapping_rows()
+        pairs = t.overlapping_pairs()[1]
         assert len(pairs) == 1
         assert {pairs[0][0]["o"], pairs[0][1]["o"]} == {"x", "y"}
 
@@ -121,10 +121,12 @@ class TestDeterminism:
         t = ControllerTable.from_rows(db, schema, [ROWS[0]] * copies)
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
-            pairs = t.find_overlapping_rows()
+            pairs = t.overlapping_pairs()[1]
         assert len(pairs) == copies * (copies - 1) // 2
         assert all(a == b == ROWS[0] for a, b in pairs)
         assert tracer.registry.counter("sql.queries") == 1
+        # The count covers every pair; the limit only trims the list.
+        assert t.overlapping_pairs(limit=1) == (len(pairs), pairs[:1])
 
     @pytest.mark.parametrize("i1_values, i2_values", [
         (("a", "b"), ("p", "q")),              # NULL in no input column
@@ -137,7 +139,7 @@ class TestDeterminism:
         rows = [{"i1": i1, "i2": i2, "o": o} for i1 in i1_values
                 for i2 in i2_values for o in ("x", "y")]
         t = ControllerTable.from_rows(db, schema, rows, validate=False)
-        pairs = t.find_overlapping_rows()
+        pairs = t.overlapping_pairs()[1]
         assert pairs and pairs == _or_join_overlaps(t)
 
     def test_two_wildcards_overlap(self, db, schema):
@@ -145,7 +147,7 @@ class TestDeterminism:
             {"i1": None, "i2": "p", "o": "x"},
             {"i1": None, "i2": "p", "o": "y"},
         ])
-        assert len(t.find_overlapping_rows()) == 1
+        assert len(t.overlapping_pairs()[1]) == 1
 
 
 def _or_join_overlaps(table):

@@ -7,8 +7,8 @@ an input combination uncovered.
 """
 
 from repro.core.invariants import InvariantChecker
+from repro.core.table import CLEAN_PREFIX
 from repro.faults import prepare_reference_tables, structural_invariants
-from repro.faults.audits import REF_INPUT_PREFIX
 
 
 def audit_report(system):
@@ -20,9 +20,18 @@ def audit_report(system):
 class TestReferenceTables:
     def test_one_reference_table_per_controller(self, fresh_system):
         names = prepare_reference_tables(fresh_system)
-        assert names == [REF_INPUT_PREFIX + n for n in fresh_system.tables]
+        assert names == [CLEAN_PREFIX + n for n in fresh_system.tables]
         for name in names:
             assert fresh_system.db.table_exists(name)
+
+    def test_clean_copy_keeps_rowids_and_every_column(self, fresh_system):
+        db = fresh_system.db
+        db.execute("DELETE FROM D WHERE rowid = 3")
+        prepare_reference_tables(fresh_system)
+        copy = db.query_tuples(f'SELECT * FROM "{CLEAN_PREFIX}D" ORDER BY 1')
+        assert copy == db.query_tuples(
+            "SELECT rowid, * FROM D ORDER BY rowid")
+        assert 3 not in {row[0] for row in copy}
 
     def test_idempotent(self, fresh_system):
         prepare_reference_tables(fresh_system)
@@ -33,7 +42,7 @@ class TestReferenceTables:
     def test_reference_tables_survive_snapshot(self, fresh_system, clone_of):
         prepare_reference_tables(fresh_system)
         clone = clone_of(fresh_system)
-        ref = REF_INPUT_PREFIX + "D"
+        ref = CLEAN_PREFIX + "D"
         assert clone.db.row_count(ref) == fresh_system.db.row_count(ref)
 
 

@@ -159,14 +159,21 @@ class TestSharedDerivation:
         checks).  Each mutant now runs only the checks that read a table
         it wrote; a change that re-derives per mutant or sweeps untouched
         tables again fails here.  The violations found must not move:
-        404, as with the full sweep."""
+        404, as with the full sweep.  Row-local checks judge only the rows
+        that differ from the clean copies: 298, summed over the suite's
+        and the audits' changed-rows queries (a one-cell edit is one row
+        in each).  The statement count fell from 458 to 417: attaching a
+        table reads its columns once instead of also probing that it
+        exists, while a sweep runs one bit-mask query per table for the
+        expression invariants beside the UNION ALL of the raw-SQL ones."""
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
             run_campaign(system=fresh_system, seed=0, count=8, workers=1)
         counters = tracer.registry.counters
-        assert counters["sql.queries"] == 458
+        assert counters["sql.queries"] == 417
         assert counters["invariant.checks"] == 376
         assert counters["invariant.violations"] == 404
+        assert counters["invariant.delta_rows"] == 298
 
 
 SEED0_MUTANTS = 50
@@ -195,8 +202,9 @@ def _per_invariant(checker):
 
 
 class TestTableScopedChecks:
-    """A mutant re-runs only the checks that read a table it wrote; the
-    full sweep over all eight tables is the oracle."""
+    """A mutant re-runs only the checks that read a table it wrote, and
+    judges the row-local ones on the rows that differ from the clean
+    copies; the full sweep over all eight tables is the oracle."""
 
     @pytest.mark.parametrize("mutant", range(SEED0_MUTANTS))
     def test_scoped_layer_one_matches_full_sweep(self, seed0, mutant):
@@ -214,8 +222,14 @@ class TestTableScopedChecks:
             oracle = (_per_invariant(suite)
                       + full[0][len(suite.invariants):],
                       _per_invariant(audits))
-            scoped = (system.check_invariants(tables=mutation.tables),
-                      audits.check_all(tables=mutation.tables))
+            tracer = telemetry.Tracer()
+            with telemetry.use_tracer(tracer):
+                scoped = (system.check_invariants(tables=mutation.tables),
+                          audits.check_all(tables=mutation.tables))
+            # Row-local checks ran on the changed rows (none for a
+            # dropped row), and only when the mutant wrote a table.
+            counted = tracer.registry.counters.get("invariant.delta_rows")
+            assert (counted is None) == (not mutation.tables)
             for wholes in (full, oracle):
                 for whole, part in zip(wholes, scoped):
                     assert _failures(part.results) == _failures(whole)

@@ -121,7 +121,7 @@ class TestOverlapCheck:
         # A channel move writes no table: check the clean ones.
         for name in mutation.tables or tuple(clone.tables):
             table = clone.tables[name]
-            assert table.find_overlapping_rows() == _rowid_fetch_overlaps(
+            assert table.overlapping_pairs()[1] == _rowid_fetch_overlaps(
                 table)
 
     @pytest.mark.parametrize("fault_class, tables", [
@@ -135,7 +135,7 @@ class TestOverlapCheck:
         clone = clone_of(system)
         mutation.apply_to(clone)
         table = clone.tables[mutation.target]
-        pairs = table.find_overlapping_rows()
+        pairs = table.overlapping_pairs()[1]
         assert pairs  # both mutants make the table non-deterministic
         assert pairs == _rowid_fetch_overlaps(table)
 

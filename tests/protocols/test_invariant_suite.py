@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.invariants import InvariantChecker
 from repro.core.sqlgen import quote_ident
+from repro.core.table import write_clean_copy
 from repro.protocols.family import MESI
 from repro.protocols.family.invariants import build_invariants
 
@@ -32,10 +33,14 @@ class TestCleanProtocol:
         names = [inv.name for inv in build_invariants(MESI)]
         assert len(names) == len(set(names))
 
-    def test_each_table_selects_every_invariant_naming_it(self, system):
+    def test_each_table_selects_every_invariant_naming_it(self,
+                                                          fresh_system):
         """A table-scoped sweep runs every invariant whose SQL names the
         table, whichever table of a join it is (sqlite reports what a
         raw-SQL query reads; nothing is declared by hand)."""
+        system = fresh_system
+        for name in system.tables:
+            write_clean_copy(system.db, name)
         checker = system.invariant_checker()
         for name in system.tables:
             named = re.compile(rf'\b(?:FROM|JOIN)\s+"?{name}"?(?:\s|\)|$)')

@@ -1,82 +1,13 @@
-"""Unit tests for virtual channel queues and the fabric."""
+"""Unit tests for the channel fabric: routing through V and capacities.
+
+The channel contents live in the transition relation's state tuple
+(:mod:`repro.sim.models`); the fabric only routes and sizes them.
+"""
 
 import pytest
 
 from repro.core.deadlock import ChannelAssignment, VCAssignment
-from repro.sim.channel import ChannelFabric, Envelope, VirtualChannelQueue
-
-
-def env(msg="m", addr="A"):
-    return Envelope(msg, "node:0.0", "dir:1", addr, "local", "home", seq=1)
-
-
-class TestQueue:
-    def test_fifo_order(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=3)
-        q.push(env("a"))
-        q.push(env("b"))
-        assert q.pop().msg == "a"
-        assert q.head().msg == "b"
-
-    def test_capacity_enforced(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=1)
-        q.push(env())
-        assert q.full and not q.can_accept()
-        with pytest.raises(RuntimeError, match="full"):
-            q.push(env())
-
-    def test_can_accept_multiple(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=3)
-        q.push(env())
-        assert q.can_accept(2)
-        assert not q.can_accept(3)
-
-    def test_unbounded_queue(self):
-        q = VirtualChannelQueue("PDM", 1, capacity=None)
-        for _ in range(100):
-            q.push(env())
-        assert q.can_accept(10_000) and not q.full
-
-    def test_empty_head_is_none(self):
-        assert VirtualChannelQueue("VC0", 1, 1).head() is None
-
-    def test_pop_from_empty_queue_raises(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=2)
-        with pytest.raises(IndexError):
-            q.pop()
-        # still usable after the failed pop
-        q.push(env("a"))
-        assert q.pop().msg == "a"
-
-    def test_capacity_zero_channel_never_accepts(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=0)
-        assert q.full
-        assert not q.can_accept()
-        assert not q.can_accept(0) or q.capacity == 0  # n=0 fits trivially
-        with pytest.raises(RuntimeError, match="full"):
-            q.push(env())
-        assert len(q) == 0  # the rejected envelope was not enqueued
-
-    def test_can_accept_at_exact_capacity_boundary(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=3)
-        q.push(env("a"))
-        q.push(env("b"))
-        # exactly one slot left: n=1 fits, n=2 does not
-        assert q.can_accept(1)
-        assert not q.can_accept(2)
-        q.push(env("c"))
-        assert not q.can_accept(1) and q.full
-        q.pop()
-        assert q.can_accept(1)  # a slot reopens after the pop
-
-    def test_occupancy_after_drain(self):
-        q = VirtualChannelQueue("VC0", 1, capacity=2)
-        q.push(env("a"))
-        q.push(env("b"))
-        q.pop()
-        q.pop()
-        assert len(q) == 0 and q.head() is None
-        assert not q.full and q.can_accept(2)
+from repro.sim.channel import ChannelFabric
 
 
 @pytest.fixture()
@@ -93,39 +24,12 @@ class TestFabric:
     def test_routing_via_assignment(self, fabric):
         assert fabric.channel_for("req", "local", "home") == "VC0"
 
-    def test_queue_instances_keyed_by_destination_quad(self, fabric):
-        q0 = fabric.queue("VC0", 0)
-        q1 = fabric.queue("VC0", 1)
-        assert q0 is not q1
-        assert fabric.queue("VC0", 0) is q0  # cached
-
     def test_default_and_override_capacities(self, fabric):
-        assert fabric.queue("VC0", 0).capacity == 2
-        assert fabric.queue("VC3", 0).capacity == 5
+        assert fabric.capacity("VC0") == 2
+        assert fabric.capacity("VC3") == 5
 
     def test_dedicated_channels_unbounded(self, fabric):
-        assert fabric.queue("PDM", 0).capacity is None
-
-    def test_pending_messages(self, fabric):
-        fabric.queue("VC0", 0).push(env())
-        fabric.queue("VC3", 1).push(env("resp"))
-        assert fabric.pending_messages() == 2
-
-    def test_occupancy_only_nonempty(self, fabric):
-        fabric.queue("VC0", 0)  # created but empty
-        fabric.queue("VC3", 1).push(env("resp"))
-        assert fabric.occupancy() == {("VC3", 1): 1}
-
-    def test_occupancy_empty_after_full_drain(self, fabric):
-        q = fabric.queue("VC0", 0)
-        q.push(env())
-        q.push(env())
-        assert fabric.occupancy() == {("VC0", 0): 2}
-        q.pop()
-        assert fabric.occupancy() == {("VC0", 0): 1}
-        q.pop()
-        assert fabric.occupancy() == {}
-        assert fabric.pending_messages() == 0
+        assert fabric.capacity("PDM") is None
 
     def test_capacity_zero_override(self):
         v = ChannelAssignment("v", [
@@ -133,14 +37,9 @@ class TestFabric:
         ])
         fabric = ChannelFabric(v, default_capacity=2,
                                capacities={"VC0": 0})
-        q = fabric.queue("VC0", 0)
-        assert q.capacity == 0 and q.full
+        assert fabric.capacity("VC0") == 0
 
     def test_unknown_route_raises_lookup(self, fabric):
         from repro.core.table import LookupError_
         with pytest.raises((KeyError, LookupError_, LookupError)):
             fabric.channel_for("bogus-msg", "local", "home")
-
-    def test_queue_for_combines_routing(self, fabric):
-        q = fabric.queue_for("req", "local", "home", 1)
-        assert q.key == ("VC0", 1)
