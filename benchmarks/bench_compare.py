@@ -13,7 +13,9 @@ committed, so they double as performance baselines.  This script
 
 With ``--check`` the script exits non-zero when any compared span mean
 or the module wall time regresses by more than ``--max-regression``
-(default 2.0x) — this is the CI smoke gate.  Spans whose baseline mean
+(default 2.0x), or when a module in :data:`EXACT_QUERIES` issues a
+different number of SQL statements than its baseline — this is the CI
+smoke gate.  Spans whose baseline mean
 is under 1 ms are reported but never gated: at that scale the numbers
 are scheduler noise, not regressions.  Gauges named ``*_per_sec`` are
 rates and gate in the other direction: they fail when the current value
@@ -40,6 +42,11 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_MODULES = ("invariants", "deadlock", "exploration", "generation")
+
+#: modules whose ``sql.queries`` is the same on every run (each was run
+#: twice back to back): a different count is a change in the work done,
+#: gated exactly in either direction.
+EXACT_QUERIES = DEFAULT_MODULES
 
 #: spans faster than this in the baseline are noise, not signal.
 GATE_FLOOR_SECONDS = 0.001
@@ -117,6 +124,10 @@ def compare_module(name: str, baseline: dict | None, current: dict,
     base_s = f"{base_q:>11}" if base_q is not None else "         --"
     ratio = fmt_ratio(float(base_q or 0), float(cur_q))
     print(f"  {'sql queries':44} {base_s} {cur_q:>11} {ratio:>9}")
+    if name in EXACT_QUERIES and base_q is not None and cur_q != base_q:
+        failures.append(
+            f"bench_{name}: sql queries {base_q} -> {cur_q} (gated "
+            f"exactly; commit the regenerated baseline if intended)")
 
     # Rate gauges: states/sec and friends, where *lower* is the
     # regression.  Gated symmetrically to the span rule.
@@ -149,7 +160,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="benchmark modules to run (default: %(default)s)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if any gated metric regresses past "
-                             "--max-regression")
+                             "--max-regression or a gated query count "
+                             "changes")
     parser.add_argument("--max-regression", type=float, default=2.0,
                         metavar="FACTOR",
                         help="allowed slowdown factor vs baseline "
@@ -181,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     elif args.check:
         print(f"\nno gated metric regressed more than "
-              f"{args.max_regression:.1f}x — OK")
+              f"{args.max_regression:.1f}x and no gated query count "
+              f"changed — OK")
     return 0
 
 

@@ -3,39 +3,50 @@
 Two strategies:
 
 * :meth:`TableGenerator.generate_monolithic` — the naive form: one cross
-  join over *all* column tables with the full constraint conjunction in the
-  ``WHERE`` clause.  The database must enumerate the whole cross product,
-  which is exponential in the number of columns; this is the configuration
-  the paper reports as taking "around 6 hours" for the directory table.
+  join over *all* column tables in schema order with the full constraint
+  conjunction in the ``WHERE`` clause.  A conjunct can only be tested once
+  every column it reads is bound, so a constraint that reads a late column
+  makes the database enumerate the cross product of everything before it;
+  this is the configuration the paper reports as taking "around 6 hours"
+  for the directory table.
 
 * :meth:`TableGenerator.generate_incremental` — the paper's production
   flow: first solve only the input-column constraints to build the legal
   input combinations, then extend the table one output column (group) at a
-  time.  Each step's cross product is |table so far| × |column domain|, so
-  cost grows linearly with columns instead of exponentially ("Incremental
-  table generation produces the final table within a few minutes").
+  time.  Each extension's cross product is |table so far| × |column
+  domain|, so cost grows linearly with columns instead of exponentially
+  ("Incremental table generation produces the final table within a few
+  minutes").
 
-A step whose constraint is a *guarded case* (``g0 ? b0 : … : default``,
-guards over earlier columns, bodies over the new one) joins each row's
-arm index to the values each arm allows; any other step filters the plain
-cross join.  Both emit rows in working-table, then column-table, rowid
-order.
+The incremental solve is one ``CREATE TABLE … AS SELECT``: the input
+column tables, then each plan group's column tables, joined with ``CROSS
+JOIN`` (which SQLite keeps as the loop order), and every constraint a
+``WHERE`` term.  SQLite tests each term at the loop where its last column
+binds, so each loop is one extension step and nothing is materialised
+between steps; rows come out in input, then plan, domain order.  A column
+whose constraint is a *guarded case* (``g0 ? b0 : … : default``, guards
+over earlier columns, bodies over the new one) loops over the arm-values
+table ``__arms_<T>(col, arm, v)`` instead of its column table, searched
+by ``(col, arm = <index of the first true guard>)``, so guards run once
+per row instead of once per candidate value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from ..telemetry import get_tracer, span
 from .constraints import ConstraintSet
 from .database import ProtocolDatabase
-from .expr import And, BoolExpr, TRUE, Ternary, TrueExpr
-from .schema import TableSchema
-from .sqlgen import quote_ident, to_sql
+from .expr import BoolExpr, Ternary, TrueExpr
+from .sqlgen import quote_ident, quote_value, to_sql
 from .table import ControllerTable
 
 __all__ = ["TableGenerator", "GenerationResult", "GenerationBudgetError"]
+
+#: SQLite joins at most 64 tables; one more is the previous chunk's table.
+MAX_LOOPS = 63
 
 
 class GenerationBudgetError(RuntimeError):
@@ -45,31 +56,21 @@ class GenerationBudgetError(RuntimeError):
 
 
 @dataclass
-class StepTiming:
-    """Timing/size record for one incremental step (or the single
-    monolithic step)."""
-
-    label: str
-    columns: tuple[str, ...]
-    cross_product_size: int
-    result_rows: int
-    seconds: float
-
-
-@dataclass
 class GenerationResult:
     table: ControllerTable
     strategy: str
-    steps: list[StepTiming] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.steps)
 
-    @property
-    def total_enumerated(self) -> int:
-        """Total cross-product rows the database had to consider."""
-        return sum(s.cross_product_size for s in self.steps)
+@dataclass
+class _Loop:
+    """One loop of the generating join: it binds ``column`` from its
+    column table, or from the arm-values table when ``arms`` holds a
+    guarded case's ``(guards, bodies)``, and is where ``terms`` (over
+    columns bound so far) are filtered."""
+
+    column: str
+    terms: list[BoolExpr]
+    arms: Optional[tuple[list[BoolExpr], list[BoolExpr]]] = None
 
 
 class TableGenerator:
@@ -87,55 +88,6 @@ class TableGenerator:
         self.table_name = table_name or self.schema.name
         self._column_tables = db.create_column_tables(self.schema)
 
-    # -- helpers -----------------------------------------------------------------
-    def _cross_join(self, columns: Sequence[str]) -> str:
-        parts = [quote_ident(self._column_tables[c]) for c in columns]
-        return " CROSS JOIN ".join(parts)
-
-    @staticmethod
-    def _conj(exprs: Sequence[BoolExpr]) -> BoolExpr:
-        parts = tuple(e for e in exprs if not isinstance(e, TrueExpr))
-        if not parts:
-            return TRUE
-        if len(parts) == 1:
-            return parts[0]
-        return And(parts)
-
-    def _step_sql(self, work: str, have: Sequence[str],
-                  group: Sequence[str], expr: BoolExpr) -> str:
-        """The ``SELECT`` extending ``work`` (columns ``have``) by ``group``."""
-        new_cols = ", ".join(quote_ident(c) for c in group)
-        col = group[0]
-        # A group of several columns is a cycle of constraints reading
-        # each other, so it is never a guarded case.
-        arms = guarded_arms(expr, col) if len(group) == 1 else None
-        if arms is None:
-            prev_cols = ", ".join(quote_ident(c) for c in have)
-            return (
-                f"SELECT {prev_cols}, {new_cols} FROM {quote_ident(work)} "
-                f"CROSS JOIN {self._cross_join(group)} WHERE {to_sql(expr)}"
-            )
-        guards, bodies = arms
-        domain = quote_ident(self._column_tables[col])
-        values = " UNION ALL ".join(
-            f"SELECT {i} AS __arm, rowid AS __r, {new_cols} FROM {domain} "
-            f"WHERE {to_sql(body)}" for i, body in enumerate(bodies))
-        arm = "".join(f"WHEN {to_sql(g)} THEN {i} "
-                      for i, g in enumerate(guards))
-        out = ", ".join(f"w.{quote_ident(c)}" for c in have)
-        # When every arm allows at most one value, each row of ``work``
-        # extends to at most one row, so its rowid alone orders the result
-        # (and the scan already yields that order: no sort).
-        values_of = self.schema.column(col).domain
-        single = all(sum(body.eval({col: v}) for v in values_of) <= 1
-                     for body in bodies)
-        order = "w.rowid" if single else "w.rowid, v.__r"
-        return (
-            f"SELECT {out}, v.{new_cols} FROM {quote_ident(work)} AS w "
-            f"JOIN ({values}) AS v ON v.__arm = "
-            f"(CASE {arm}ELSE {len(guards)} END) ORDER BY {order}"
-        )
-
     # -- monolithic --------------------------------------------------------------
     def generate_monolithic(
         self, budget: Optional[int] = 50_000_000
@@ -150,86 +102,108 @@ class TableGenerator:
                 "blow-up the incremental strategy exists to avoid"
             )
         cols = ", ".join(quote_ident(c) for c in self.schema.column_names)
+        tables = " CROSS JOIN ".join(
+            quote_ident(self._column_tables[c]) for c in self.schema.column_names)
         where = to_sql(self.constraints.conjunction())
-        sql = f"SELECT {cols} FROM {self._cross_join(self.schema.column_names)} WHERE {where}"
         with span("generate.monolithic", table=self.table_name,
-                  cross_product=size) as sp:
-            self.db.create_table_as(self.table_name, sql)
+                  cross_product=size):
+            self.db.create_table_as(
+                self.table_name, f"SELECT {cols} FROM {tables} WHERE {where}")
         table = ControllerTable(self.db, self.schema, self.table_name)
         get_tracer().incr("generate.rows", table.row_count)
-        step = StepTiming(
-            label="monolithic",
-            columns=self.schema.column_names,
-            cross_product_size=size,
-            result_rows=table.row_count,
-            seconds=sp.seconds,
-        )
-        return GenerationResult(table=table, strategy="monolithic", steps=[step])
+        return GenerationResult(table=table, strategy="monolithic")
 
     # -- incremental --------------------------------------------------------------
     def generate_incremental(self) -> GenerationResult:
-        """Inputs first, then output columns one (group) at a time."""
+        """Inputs first, then output columns one (group) at a time, as the
+        loops of one statement."""
         with span("generate.table", table=self.table_name,
                   strategy="incremental"):
-            return self._generate_incremental()
-
-    def _generate_incremental(self) -> GenerationResult:
-        steps: list[StepTiming] = []
-        work = f"__gen_{self.table_name}"
-
-        # Step 1: legal input combinations.
-        input_names = self.schema.input_names
-        where = to_sql(self.constraints.input_conjunction())
-        cols = ", ".join(quote_ident(c) for c in input_names)
-        sql = f"SELECT {cols} FROM {self._cross_join(input_names)} WHERE {where}"
-        with span("generate.inputs", table=self.table_name) as sp:
-            self.db.create_table_as(work, sql)
-        steps.append(
-            StepTiming(
-                label="inputs",
-                columns=input_names,
-                cross_product_size=self.schema.cross_product_size(input_names),
-                result_rows=self.db.row_count(work),
-                seconds=sp.seconds,
-            )
-        )
-
-        # Step 2..n: extend by each output group.
-        have: list[str] = list(input_names)
-        for group in self.constraints.generation_plan():
-            exprs = [self.constraints.get(c).expr for c in group]
-            nxt = f"{work}_{group[0]}"
-            # The previous step already counted the working table.
-            base_rows = steps[-1].result_rows
-            sql = self._step_sql(work, have, group, self._conj(exprs))
-            with span("generate.column", table=self.table_name,
-                      columns=",".join(group)) as sp:
-                self.db.create_table_as(nxt, sql)
-            group_domain = 1
-            for c in group:
-                group_domain *= self.schema.column(c).domain_size
-            steps.append(
-                StepTiming(
-                    label=f"+{','.join(group)}",
-                    columns=tuple(group),
-                    cross_product_size=base_rows * group_domain,
-                    result_rows=self.db.row_count(nxt),
-                    seconds=sp.seconds,
-                )
-            )
-            self.db.drop_table(work)
-            work = nxt
-            have.extend(group)
-
-        # Final: copy into the target name with schema column order.
-        cols = ", ".join(quote_ident(c) for c in self.schema.column_names)
-        self.db.create_table_as(
-            self.table_name, f"SELECT {cols} FROM {quote_ident(work)}"
-        )
-        self.db.drop_table(work)
+            loops = self._loops()
+            guarded = [loop for loop in loops if loop.arms is not None]
+            arms = f"__arms_{self.table_name}"
+            try:
+                if guarded:
+                    self._fill_arms(arms, guarded)
+                self._solve(loops, arms)
+            finally:
+                if guarded:
+                    self.db.execute(f"DROP TABLE IF EXISTS {quote_ident(arms)}")
         table = ControllerTable(self.db, self.schema, self.table_name)
         get_tracer().incr("generate.rows", table.row_count)
-        return GenerationResult(table=table, strategy="incremental", steps=steps)
+        return GenerationResult(table=table, strategy="incremental")
+
+    def _loops(self) -> list[_Loop]:
+        """The generation plan as join loops: inputs in schema order, then
+        each plan group's columns in plan order."""
+        loops = [_Loop(c, []) for c in self.schema.input_names]
+        if loops:
+            loops[-1].terms.append(self.constraints.input_conjunction())
+        for group in self.constraints.generation_plan():
+            exprs = [self.constraints.get(c).expr for c in group]
+            # A group of several columns is a cycle of constraints reading
+            # each other, so it is never a guarded case.
+            arms = guarded_arms(exprs[0], group[0]) if len(group) == 1 else None
+            if arms is not None:
+                loops.append(_Loop(group[0], [], arms))
+            else:
+                loops += [_Loop(c, []) for c in group]
+                loops[-1].terms += exprs
+        return loops
+
+    def _fill_arms(self, arms: str, guarded: list[_Loop]) -> None:
+        """``arms(col, arm, v)``: each guarded column's arm-allowed values
+        in domain order, indexed for the ``(col, arm)`` search."""
+        self.db.execute(
+            f"CREATE TABLE {quote_ident(arms)} (col TEXT, arm INTEGER, v TEXT)")
+        self.db.executemany(
+            f"INSERT INTO {quote_ident(arms)} VALUES (?, ?, ?)",
+            [(loop.column, i, v) for loop in guarded
+             for i, body in enumerate(loop.arms[1])
+             for v in self.schema.column(loop.column).domain
+             if body.eval({loop.column: v})])
+        self.db.create_index(arms, ("col", "arm"))
+
+    def _solve(self, loops: list[_Loop], arms: str) -> None:
+        """``CREATE TABLE <T> AS SELECT`` over ``loops``: one statement, or
+        chunks of at most :data:`MAX_LOOPS` loops that each extend the
+        previous chunk's table."""
+        work: Optional[str] = None
+        read: dict[str, str] = {}   # column -> the SQL that reads it
+        for start in range(0, len(loops), MAX_LOOPS):
+            sources = [f"{quote_ident(work)} AS w"] if work else []
+            read = {c: f"w.{quote_ident(c)}" for c in read}
+            where = []
+            for k, loop in enumerate(loops[start:start + MAX_LOOPS], start):
+                alias = f"t{k}"
+                if loop.arms is None:
+                    table = self._column_tables[loop.column]
+                    # NOT INDEXED: no automatic index, so a loop scans
+                    # its domain in rowid (domain) order.
+                    sources.append(f"{quote_ident(table)} AS {alias} NOT INDEXED")
+                    read[loop.column] = f"{alias}.{quote_ident(loop.column)}"
+                else:
+                    guards = loop.arms[0]
+                    case = "".join(f"WHEN {to_sql(g, read)} THEN {i} "
+                                   for i, g in enumerate(guards))
+                    sources.append(f"{quote_ident(arms)} AS {alias}")
+                    where.append(
+                        f"{alias}.col = {quote_value(loop.column)} AND "
+                        f"{alias}.arm = (CASE {case}ELSE {len(guards)} END)")
+                    read[loop.column] = f"{alias}.v"
+                where += [to_sql(e, read) for e in loop.terms
+                          if not isinstance(e, TrueExpr)]
+            last = start + MAX_LOOPS >= len(loops)
+            target = self.table_name if last else f"__gen_{self.table_name}_{start}"
+            cols = ", ".join(f"{read[c]} AS {quote_ident(c)}"
+                             for c in (self.schema.column_names if last else read))
+            sql = f"SELECT {cols} FROM {' CROSS JOIN '.join(sources)}"
+            if where:
+                sql += " WHERE " + " AND ".join(where)
+            self.db.create_table_as(target, sql)
+            if work:
+                self.db.drop_table(work)
+            work = target
 
 
 def guarded_arms(

@@ -6,13 +6,14 @@ AST's ``Eq`` is *NULL-safe*, so it compiles to SQLite's ``IS`` operator
 (``x IS y`` is true when both are NULL, unlike ``x = y``).  Set membership
 expands into an ``IS``-disjunction for the same reason.
 
-Column references may be qualified (``alias.column``) so the same
-expression can be compiled against a bare table or a join.
+Column references may be qualified (``alias.column``), or each mapped to
+the SQL that reads it, so the same expression can be compiled against a
+bare table or a join.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Union
 
 from .expr import (
     And,
@@ -36,6 +37,10 @@ from .expr import (
 __all__ = ["to_sql", "quote_value", "quote_ident", "SqlCompileError"]
 
 
+#: an alias prefixing every column, or column name -> the SQL reading it.
+Qualifier = Union[str, Mapping[str, str], None]
+
+
 class SqlCompileError(TypeError):
     """Raised when an expression node has no SQL translation."""
 
@@ -52,17 +57,20 @@ def quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _value_sql(e: ValueExpr, qualifier: Optional[str]) -> str:
+def _value_sql(e: ValueExpr, qualifier: Qualifier) -> str:
     if isinstance(e, Col):
-        ident = quote_ident(e.name)
-        return f"{qualifier}.{ident}" if qualifier else ident
+        if not qualifier:
+            return quote_ident(e.name)
+        if isinstance(qualifier, str):
+            return f"{qualifier}.{quote_ident(e.name)}"
+        return qualifier[e.name]
     if isinstance(e, Lit):
         return quote_value(e.value)
     raise SqlCompileError(f"cannot compile value expression {e!r}")
 
 
 def _membership_sql(
-    operand: ValueExpr, values: tuple[Value, ...], qualifier: Optional[str], negate: bool
+    operand: ValueExpr, values: tuple[Value, ...], qualifier: Qualifier, negate: bool
 ) -> str:
     if not values:
         # Membership in the empty set is vacuously false.
@@ -73,12 +81,13 @@ def _membership_sql(
     return f"(NOT ({joined}))" if negate else f"({joined})"
 
 
-def to_sql(expr: Expr, qualifier: Optional[str] = None) -> str:
+def to_sql(expr: Expr, qualifier: Qualifier = None) -> str:
     """Compile a boolean expression AST to a SQLite boolean expression.
 
     ``qualifier`` prefixes every column reference (e.g. the alias of the
-    table in a join).  The result is always parenthesized so it can be
-    dropped into a larger expression.
+    table in a join), or maps each column name to the SQL that reads it.
+    The result is always parenthesized so it can be dropped into a larger
+    expression.
     """
     if isinstance(expr, TrueExpr):
         return "(1 = 1)"

@@ -96,5 +96,5 @@ def shutdown() -> None:
 
 def span(name: str, **attributes: Any) -> Span:
     """A span on the *active* tracer — the one-liner used by pipeline
-    stages: ``with telemetry.span("generate.inputs", table="D"): …``."""
+    stages: ``with telemetry.span("generate.table", table="D"): …``."""
     return get_tracer().span(name, **attributes)

@@ -8,7 +8,7 @@ is open records the parent, giving a call-tree of where time went.
 
 Spans always *time* themselves, even under the disabled
 :class:`~repro.telemetry.tracer.NullTracer`, because call sites such as
-:class:`repro.core.generator.StepTiming` report the measured duration in
+``FamilySystem.generation_seconds`` report the measured duration in
 their own results regardless of whether telemetry is collecting events.
 What the tracer controls is whether the finished span is *recorded*
 (aggregated into span statistics and emitted to sinks).

@@ -16,8 +16,12 @@ from repro.core import generator
 from repro.core.constraints import ConstraintSet
 from repro.core.database import ProtocolDatabase
 from repro.core.expr import C, FALSE, TRUE, cases, when
-from repro.core.generator import GenerationBudgetError, TableGenerator
+from repro.core.generator import (
+    MAX_LOOPS, GenerationBudgetError, TableGenerator,
+)
+from repro.core.mapping import ImplementationMapper
 from repro.core.schema import Column, Role, TableSchema
+from repro.protocols.asura.hardware import extension_spec
 
 
 def small_schema():
@@ -54,6 +58,21 @@ def brute_force(cs):
     return rows
 
 
+def generation_order(cs):
+    """Inputs in schema order, then output columns in plan order: the
+    loop order of the generating join."""
+    return list(cs.schema.input_names) + [
+        c for group in cs.generation_plan() for c in group]
+
+
+def in_loop_order(rows, schema, columns):
+    """``rows`` sorted by each column's domain position, ``columns``
+    first: the order nested loops over the domains emit them in."""
+    pos = {c: {v: i for i, v in enumerate(schema.column(c).domain)}
+           for c in columns}
+    return sorted(rows, key=lambda r: tuple(pos[c][r[c]] for c in columns))
+
+
 def canon(rows):
     # Sorted by repr: a column may hold both NULL and strings.
     return sorted((tuple(sorted(r.items(), key=lambda kv: kv[0]))
@@ -79,23 +98,12 @@ class TestStrategiesAgree:
 
 
 class TestAccounting:
-    def test_incremental_enumerates_less(self, db):
-        cs = small_constraints()
-        inc = TableGenerator(db, cs, table_name="i").generate_incremental()
-        mono = TableGenerator(db, cs, table_name="m").generate_monolithic()
-        assert inc.total_enumerated < mono.total_enumerated
-
-    def test_step_labels(self, db):
-        res = TableGenerator(db, small_constraints()).generate_incremental()
-        assert res.steps[0].label == "inputs"
-        assert all(s.label.startswith("+") for s in res.steps[1:])
-
     def test_monolithic_single_step(self, db):
         res = TableGenerator(
             db, small_constraints(), table_name="m"
         ).generate_monolithic()
-        assert len(res.steps) == 1
-        assert res.steps[0].cross_product_size == 2 * 3 * 3 * 2
+        assert res.strategy == "monolithic"
+        assert res.table.row_count == len(brute_force(small_constraints()))
 
     def test_budget_guard(self, db):
         with pytest.raises(GenerationBudgetError, match="exceeding"):
@@ -160,13 +168,17 @@ def random_constraints():
 @settings(max_examples=100, deadline=None)
 @given(o1_expr=random_constraints(), i1_forbidden=st.sampled_from(_vals1))
 def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
+    # ``o0`` reads ``o1``, so the plan solves ``o1`` first: generation
+    # order differs from schema order.
     schema = TableSchema("t", [
         Column("i1", _vals1, Role.INPUT, nullable=False),
         Column("i2", _vals2, Role.INPUT, nullable=False),
+        Column("o0", ("x", "y"), Role.OUTPUT),
         Column("o1", ("x", "y"), Role.OUTPUT),
     ])
     cs = ConstraintSet(schema)
     cs.set("i1", C("i1").ne(i1_forbidden) | C("i2").eq("p"))
+    cs.set("o0", when(C("o1").is_null(), C("o0").is_null(), C("o0").ne("y")))
     cs.set("o1", o1_expr)
     with ProtocolDatabase() as db:
         inc = TableGenerator(db, cs, table_name="i").generate_incremental()
@@ -174,9 +186,114 @@ def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
         expected = canon(brute_force(cs))
         assert canon(inc.table.rows()) == expected
         assert canon(mono.table.rows()) == expected
-        # Either step form emits the plain cross join's row sequence.
+        # Either loop form emits the plain cross join's row sequence.
         with mock.patch.object(generator, "guarded_arms", return_value=None):
             TableGenerator(db, cs, table_name="x").generate_incremental()
-        in_order = "SELECT i1, i2, o1 FROM {} ORDER BY rowid"
-        assert (db.query(in_order.format("i"))
-                == db.query(in_order.format("x")))
+        # Rowids follow the loops: the brute-force rows in domain order.
+        order = {"i": generation_order(cs), "x": generation_order(cs),
+                 "m": list(schema.column_names)}
+        for name, columns in order.items():
+            assert db.query(f"SELECT * FROM {name} ORDER BY rowid") == \
+                in_loop_order(brute_force(cs), schema, columns), name
+
+
+def generate_explained(db, cs, name=None):
+    """Generate ``cs``; also return each table a generating statement
+    created, with that statement's ``EXPLAIN QUERY PLAN`` (taken while
+    the arm-values table exists)."""
+    created = []
+    create = ProtocolDatabase.create_table_as
+
+    def explain_then_create(self, table, sql):
+        plan = [r["detail"] for r in self.query(f"EXPLAIN QUERY PLAN {sql}")]
+        created.append((table, plan))
+        create(self, table, sql)
+
+    with mock.patch.object(ProtocolDatabase, "create_table_as",
+                           explain_then_create):
+        result = TableGenerator(db, cs, table_name=name).generate_incremental()
+    return result, created
+
+
+class TestQueryPlan:
+    @pytest.mark.parametrize("name", ["D", "ED"])
+    def test_one_statement_loops_in_plan_order(self, system, name):
+        """One statement per table: its loops scan the column tables in
+        generation order, each guarded-case column is an indexed search
+        of the arm-values table, and nothing is sorted or auto-indexed
+        (either would break the rowid order)."""
+        cs = system.constraint_sets["D"]
+        if name == "ED":
+            cs = ImplementationMapper(
+                system.db, system.tables["D"], cs,
+            ).extended_constraints(extension_spec(cs))
+        with ProtocolDatabase() as db:
+            _, [(table, plan)] = generate_explained(db, cs, name)
+        assert table == name
+        expected = []
+        for k, c in enumerate(generation_order(cs)):
+            if c in cs.schema.input_names or generator.guarded_arms(
+                    cs.get(c).expr, c) is None:
+                expected.append(f"SCAN t{k}")
+            else:
+                expected.append(f"SEARCH t{k} USING INDEX "
+                                f"idx___arms_{name}__col_arm (col=? AND arm=?)")
+        assert plan == expected
+        assert sum(p.startswith("SEARCH") for p in plan) >= 20
+
+
+def wide_constraints(n_outputs=2 * MAX_LOOPS):
+    """More columns than one SQLite join takes: outputs alternate a
+    guarded case on the previous output with a plain step that reads an
+    input, so constraints cross the chunk boundaries."""
+    values = ("a", "b")
+    cols = [Column("i0", values, Role.INPUT, nullable=False),
+            Column("i1", values, Role.INPUT, nullable=False)]
+    cols += [Column(f"o{k}", values, Role.OUTPUT) for k in range(n_outputs)]
+    cs = ConstraintSet(TableSchema("wide", cols))
+    cs.set("i1", C("i1").ne(C("i0")) | C("i0").eq("a"))
+    for k in range(n_outputs):
+        o, prev = C(f"o{k}"), C(f"o{k - 1}" if k else "i0")
+        if k % 2:
+            cs.set(f"o{k}", o.eq(C("i1")))
+        else:
+            cs.set(f"o{k}", when(prev.eq("a"), o.eq("b"), o.eq("a")))
+    return cs
+
+
+def extend_in_python(cs):
+    """The incremental solve without SQL: every legal input combination,
+    then each plan group's values, in domain order."""
+    schema = cs.schema
+    inputs = schema.input_names
+    rows = [dict(zip(inputs, combo)) for combo in itertools.product(
+        *(schema.column(c).domain for c in inputs))]
+    rows = [r for r in rows if cs.input_conjunction().eval(r)]
+    for group in cs.generation_plan():
+        domains = [schema.column(c).domain for c in group]
+        rows = [new for r in rows for combo in itertools.product(*domains)
+                for new in [{**r, **dict(zip(group, combo))}]
+                if all(cs.get(c).expr.eval(new) for c in group)]
+    return [{c: r[c] for c in schema.column_names} for r in rows]
+
+
+class TestWideSchema:
+    def test_chunks_extend_a_working_table(self, db):
+        cs = wide_constraints()
+        assert len(cs.schema.column_names) > 2 * MAX_LOOPS
+        res, created = generate_explained(db, cs)
+        assert [table for table, _ in created] == [
+            "__gen_wide_0", "__gen_wide_63", "wide"]
+        assert db.query("SELECT * FROM wide ORDER BY rowid") == \
+            extend_in_python(cs)
+        assert res.table.row_count == 3
+        assert db.query(
+            "SELECT name FROM sqlite_master WHERE name GLOB '__*'") == []
+
+    def test_chunks_match_cross_join(self, db):
+        cs = wide_constraints()
+        TableGenerator(db, cs, table_name="w").generate_incremental()
+        with mock.patch.object(generator, "guarded_arms", return_value=None):
+            TableGenerator(db, cs, table_name="x").generate_incremental()
+        assert (db.query("SELECT * FROM w ORDER BY rowid")
+                == db.query("SELECT * FROM x ORDER BY rowid"))

@@ -113,6 +113,10 @@ class TestCompilation:
     def test_qualifier_prefixes_columns(self):
         assert 't."x"' in to_sql(C("x").eq("a"), qualifier="t")
 
+    def test_qualifier_maps_columns(self):
+        sql = to_sql(C("x").eq(C("y")), qualifier={"x": "t0.v", "y": 'w."y"'})
+        assert sql == '(t0.v IS w."y")'
+
     def test_bare_column_not_compilable_as_bool(self):
         with pytest.raises(SqlCompileError):
             to_sql(C("x"))
