@@ -7,7 +7,7 @@ regenerates the entire 8-controller system and prints the side-by-side
 comparison that EXPERIMENTS.md records.
 """
 
-from repro.analysis import collect
+from repro.analysis.stats import collect
 from repro.protocols.asura import build_system
 
 

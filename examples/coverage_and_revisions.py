@@ -19,7 +19,7 @@ Run:  python examples/coverage_and_revisions.py
 
 import random
 
-from repro.core import RevisionLog
+from repro.core.revision import RevisionLog
 from repro.core.generator import TableGenerator
 from repro.protocols.asura import build_system
 from repro.protocols.family import MESI

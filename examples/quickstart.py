@@ -10,7 +10,7 @@ This walks the paper's push-button flow end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import collect
+from repro.analysis.stats import collect
 from repro.protocols.asura import build_system
 
 

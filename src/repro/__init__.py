@@ -19,6 +19,4 @@ Quickstart::
 
 __version__ = "0.1.0"
 
-from . import core
-
-__all__ = ["core", "__version__"]
+__all__ = ["__version__"]

@@ -1,6 +1,8 @@
 """Graph algorithms over plain ``(src, dst)`` edge iterables — the only
-graph code in the package (VCG deadlock cycles, constraint ordering,
-the simulator's wait-for cycle).
+graph code in the package (VCG deadlock cycles, the simulator's
+wait-for cycle).  The strongly-connected-components helper they build
+on lives in :mod:`repro.core.constraints`, which orders generation by
+it, and is re-exported here.
 
 :func:`cyclic_vertices_sql` recomputes :func:`cyclic_vertices` the way
 the paper's database would: a recursive reachability query, where a
@@ -10,7 +12,9 @@ vertex is on a cycle iff it reaches itself.  It is the cross-check.
 from __future__ import annotations
 
 import sqlite3
-from typing import Hashable, Iterable
+from typing import Iterable
+
+from ..core.constraints import strongly_connected_components
 
 __all__ = [
     "strongly_connected_components",
@@ -20,53 +24,6 @@ __all__ = [
 ]
 
 Edge = tuple[str, str]
-
-
-def strongly_connected_components(
-        vertices: Iterable[Hashable],
-        edges: Iterable[tuple]) -> list[tuple]:
-    """The strongly connected components in topological order: every
-    edge between two components leads from an earlier one to a later
-    one.  Vertices only named by ``edges`` are included.  Iterative
-    Tarjan, deterministic for a given vertex and edge order."""
-    succ: dict = {v: [] for v in vertices}
-    for a, b in edges:
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, [])
-    done = len(succ)  # the index of a finished vertex: lowers no low-link
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    components: list[tuple] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = [stack.pop()]
-                    while component[-1] != v:
-                        component.append(stack.pop())
-                    for w in component:
-                        index[w] = done
-                    components.append(tuple(component))
-    # Tarjan finishes a component only after everything it reaches.
-    return components[::-1]
 
 
 def find_cycles(edges: Iterable[Edge]) -> list[tuple[str, ...]]:

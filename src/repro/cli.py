@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(system, args) -> int:
-    from .analysis import collect
+    from .analysis.stats import collect
     stats = collect(system)
     print(f"{'quantity':<26}{'paper':<20}ours")
     for quantity, paper, ours in stats.paper_comparison():

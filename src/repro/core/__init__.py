@@ -1,66 +1,15 @@
 """Core library: the paper's SQL-based table-driven protocol methodology.
 
-Public surface:
+Modules (import the one you need; this package re-exports nothing, so
+generating tables never loads the checking engines):
 
 * expression language: :mod:`repro.core.expr` (``C``, ``when``, ``cases``)
 * schemas and tables: :mod:`repro.core.schema`, :mod:`repro.core.table`
 * the central database: :mod:`repro.core.database`
-* constraint solving / table generation: :mod:`repro.core.generator`
+* constraint solving / table generation: :mod:`repro.core.constraints`,
+  :mod:`repro.core.generator`
+* channel assignments and message columns: :mod:`repro.core.assignment`
 * static checks: :mod:`repro.core.invariants`, :mod:`repro.core.deadlock`
+* repair and revisions: :mod:`repro.core.repair`, :mod:`repro.core.revision`
 * hardware mapping: :mod:`repro.core.mapping`, :mod:`repro.core.codegen`
 """
-
-from .constraints import ColumnConstraint, ConstraintError, ConstraintSet
-from .database import DatabaseError, ProtocolDatabase
-from .deadlock import (
-    ChannelAssignment,
-    ControllerMessageSpec,
-    DeadlockAnalysis,
-    DeadlockAnalyzer,
-    DependencyRow,
-    MessageTriple,
-    MissingAssignmentError,
-    VCAssignment,
-)
-from .expr import C, FALSE, TRUE, cases, lit, when
-from .generator import GenerationBudgetError, GenerationResult, TableGenerator
-from .invariants import Invariant, InvariantChecker, InvariantViolation
-from .mapping import (
-    ExtensionSpec,
-    ImplementationMapper,
-    MappingError,
-    PartitionSpec,
-    ReconstructionBranch,
-    ReconstructionPlan,
-)
-from .codegen import compile_python, generate_python, generate_verilog
-from .quad import ALL_PLACEMENTS, NodeRole, Placement
-from .report import CheckResult, Report, Severity
-from .schema import Column, Role, SchemaError, TableSchema
-from .table import AmbiguousMatchError, ControllerTable, NoMatchError
-
-__all__ = [
-    "C", "TRUE", "FALSE", "cases", "lit", "when",
-    "Column", "Role", "SchemaError", "TableSchema",
-    "ColumnConstraint", "ConstraintError", "ConstraintSet",
-    "DatabaseError", "ProtocolDatabase",
-    "GenerationBudgetError", "GenerationResult", "TableGenerator",
-    "AmbiguousMatchError", "ControllerTable", "NoMatchError",
-    "Invariant", "InvariantChecker", "InvariantViolation",
-    "ChannelAssignment", "ControllerMessageSpec", "DeadlockAnalysis",
-    "DeadlockAnalyzer", "DependencyRow", "MessageTriple",
-    "MissingAssignmentError", "VCAssignment",
-    "ExtensionSpec", "ImplementationMapper", "MappingError",
-    "PartitionSpec", "ReconstructionBranch", "ReconstructionPlan",
-    "compile_python", "generate_python", "generate_verilog",
-    "ALL_PLACEMENTS", "NodeRole", "Placement",
-    "CheckResult", "Report", "Severity",
-]
-
-from .revision import RevisionLog, TableDiff, diff_tables
-
-__all__ += ["RevisionLog", "TableDiff", "diff_tables"]
-
-from .repair import DeadlockRepairer, Fix, RepairResult
-
-__all__ += ["DeadlockRepairer", "Fix", "RepairResult"]

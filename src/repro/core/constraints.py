@@ -9,15 +9,14 @@ validates that every referenced column and literal is legal, and computes
 the column ordering used by incremental generation (outputs are added "one
 column at a time", so each output's constraint may only depend on columns
 generated before it; mutually-dependent outputs form a group solved
-jointly).
+jointly: a strongly connected component of the dependency graph).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..analysis.cycles import strongly_connected_components
 from .expr import (
     And,
     BoolExpr,
@@ -35,7 +34,8 @@ from .expr import (
 )
 from .schema import Column, Role, SchemaError, TableSchema
 
-__all__ = ["ColumnConstraint", "ConstraintSet", "ConstraintError", "iter_nodes"]
+__all__ = ["ColumnConstraint", "ConstraintSet", "ConstraintError", "iter_nodes",
+           "strongly_connected_components"]
 
 
 class ConstraintError(ValueError):
@@ -226,3 +226,50 @@ class ConstraintSet:
         if len(parts) == 1:
             return parts[0]
         return And(tuple(parts))
+
+
+def strongly_connected_components(
+        vertices: Iterable[Hashable],
+        edges: Iterable[tuple]) -> list[tuple]:
+    """The strongly connected components in topological order: every
+    edge between two components leads from an earlier one to a later
+    one.  Vertices only named by ``edges`` are included.  Iterative
+    Tarjan, deterministic for a given vertex and edge order."""
+    succ: dict = {v: [] for v in vertices}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    done = len(succ)  # the index of a finished vertex: lowers no low-link
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    components: list[tuple] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = done
+                    components.append(tuple(component))
+    # Tarjan finishes a component only after everything it reaches.
+    return components[::-1]

@@ -295,8 +295,8 @@ def canonicalize(
     the state itself, and so does a trivial orbit (:func:`orbits_trivial`).
     """
     mode = symmetry_mode(symmetry)
-    if orbits_trivial([nid for nid, *_ in state[2]], mode, quad_classes,
-                      group_of):
+    if mode == "off" or orbits_trivial([nid for nid, *_ in state[2]], mode,
+                                       quad_classes, group_of):
         return state
     qmaps = (_quad_permutations(quad_classes)
              if mode == "full" and quad_classes else [{}])

@@ -28,7 +28,7 @@ assignments exactly.
 
 from __future__ import annotations
 
-from ...core.deadlock import ChannelAssignment, VCAssignment
+from ...core.assignment import ChannelAssignment, VCAssignment
 from .spec import FamilySpec
 
 __all__ = ["channel_assignments", "RESPONSE_TRIGGERED_MEM"]

@@ -27,13 +27,9 @@ from ...core.invariants import Invariant
 from .. import messages as M
 from .. import states as S
 from . import spec as F
-from .spec import FamilySpec
+from .spec import BUSY_STATE_HELPER_TABLE, FamilySpec
 
 __all__ = ["build_invariants", "BUSY_STATE_HELPER_TABLE"]
-
-#: Helper table (created by the system assembly) listing every busy state
-#: of the member, used by the coverage invariants.
-BUSY_STATE_HELPER_TABLE = "busy_state_names"
 
 
 def _msg_group_invariants(table: str, msg: str, fields: tuple) -> list:

@@ -48,7 +48,12 @@ __all__ = [
     "bdir_states",
     "busy_awaiting",
     "busy_pv_domain",
+    "BUSY_STATE_HELPER_TABLE",
 ]
+
+#: Helper table (created by the system assembly) listing every busy state
+#: of the member, used by the coverage invariants.
+BUSY_STATE_HELPER_TABLE = "busy_state_names"
 
 
 @dataclass(frozen=True)

@@ -18,27 +18,23 @@ bytes are identical to what the pre-family code produced.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ...telemetry import span
+from ...core.assignment import ControllerMessageSpec, MessageTriple
 from ...core.constraints import ConstraintSet
 from ...core.database import ProtocolDatabase
-from ...core.deadlock import (
-    ChannelAssignment,
-    ControllerMessageSpec,
-    DeadlockAnalysis,
-    DeadlockAnalyzer,
-    MessageTriple,
-)
 from ...core.generator import GenerationResult, TableGenerator
-from ...core.invariants import InvariantChecker, tally
 from ...core.quad import ALL_PLACEMENTS, Placement
 from ...core.report import CheckResult, Report
 from ...core.table import ControllerTable
-from . import cache, channels, directory, invariants as family_invariants, io
-from . import node
+from . import cache, channels, directory, io, node
 from . import spec as F
-from .spec import MESI, FamilySpec, get_spec
+from .spec import BUSY_STATE_HELPER_TABLE, MESI, FamilySpec, get_spec
+
+if TYPE_CHECKING:
+    from ...core.deadlock import DeadlockAnalysis
+    from ...core.invariants import InvariantChecker
 
 __all__ = [
     "FamilySystem",
@@ -142,7 +138,7 @@ class FamilySystem:
                 name: builder() for name, builder in builders.items()}
             template.channel_assignments = channels.channel_assignments(spec)
             self = template.attach(db)
-            if not db.table_exists(family_invariants.BUSY_STATE_HELPER_TABLE):
+            if not db.table_exists(BUSY_STATE_HELPER_TABLE):
                 self._create_helper_tables()
         return self
 
@@ -164,7 +160,7 @@ class FamilySystem:
 
     def _create_helper_tables(self) -> None:
         self.db.create_table_from_rows(
-            family_invariants.BUSY_STATE_HELPER_TABLE,
+            BUSY_STATE_HELPER_TABLE,
             ("name",),
             [{"name": n} for n in F.busy_names(self.spec)],
         )
@@ -183,6 +179,10 @@ class FamilySystem:
         and compiled once and shared with every clone :meth:`attach`
         makes."""
         if self._suite is None:
+            # The engines load with the first check, not with set-up.
+            from ...core.invariants import InvariantChecker
+            from . import invariants as family_invariants
+
             self._suite = InvariantChecker(None)
             self._suite.extend(family_invariants.build_invariants(self.spec))
         return self._suite.bound_to(self.db)
@@ -194,6 +194,8 @@ class FamilySystem:
         with ``tables``, only the checks that read one of those tables,
         judging only rows that differ from the clean copies where a check
         looks at one row, or one pair, at a time."""
+        from ...core.invariants import tally
+
         report = self.invariant_checker().check_all(
             f"{self.spec.title} protocol invariants", tables=tables)
         for name, table in self.tables.items():
@@ -259,6 +261,8 @@ class FamilySystem:
     ) -> DeadlockAnalysis:
         """Run the section 4.1 analysis for one channel assignment
         (``v4``, ``v5`` or ``v5d``) on the set-based SQL engine."""
+        from ...core.deadlock import DeadlockAnalyzer
+
         channels_ = self.channel_assignments[assignment]
         analyzer = DeadlockAnalyzer(
             self.db, self.deadlock_specs(), channels_)

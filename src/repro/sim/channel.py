@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.deadlock import ChannelAssignment
+from ..core.assignment import ChannelAssignment
 
 __all__ = ["ChannelFabric"]
 

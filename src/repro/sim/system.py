@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..analysis.coverage import CoverageRecorder, CoverageReport, coverage_report
 from ..analysis.cycles import cyclic_vertices
-from ..core.deadlock import ChannelAssignment
+from ..core.assignment import ChannelAssignment
 from ..telemetry import get_tracer, span
 from ..protocols import messages as M
 from ..protocols.asura.system import AsuraSystem

@@ -22,11 +22,14 @@ Typical use, mirroring the CLI's ``--profile/--trace-out/--report-out``::
     telemetry.shutdown()
 
 Span naming conventions, the metric catalog, and the report schema are
-documented in ``docs/OBSERVABILITY.md``.
+documented in ``docs/OBSERVABILITY.md``.  The sinks, reports and the
+cross-process relay load on first use, so instrumented code that only
+opens spans never imports them.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Optional
 
 from .context import (
@@ -37,16 +40,6 @@ from .context import (
     use_context,
 )
 from .metrics import Histogram, MetricsRegistry
-from .relay import RelayTracer, merge_spool
-from .sinks import (
-    JsonlSink,
-    ListSink,
-    build_report,
-    read_jsonl,
-    render_summary,
-    scan_jsonl,
-    write_report,
-)
 from .spans import Span, SpanStats
 from .tracer import (
     NULL_TRACER,
@@ -72,6 +65,19 @@ __all__ = [
     "scan_jsonl",
 ]
 
+#: Public names of the modules loaded on first use -> their module.
+_LAZY = {
+    **dict.fromkeys(("JsonlSink", "ListSink", "build_report", "read_jsonl",
+                     "render_summary", "scan_jsonl", "write_report"), "sinks"),
+    **dict.fromkeys(("RelayTracer", "merge_spool"), "relay"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 def configure(trace_path: Optional[str] = None) -> Tracer:
     """Install (and return) a recording tracer as the active tracer.
@@ -81,6 +87,8 @@ def configure(trace_path: Optional[str] = None) -> Tracer:
     default threshold get their ``EXPLAIN QUERY PLAN`` captured.  Call
     :func:`shutdown` when the run ends.
     """
+    from .sinks import JsonlSink
+
     sinks = [JsonlSink(trace_path)] if trace_path is not None else []
     tracer = Tracer(sinks=sinks)
     set_tracer(tracer)

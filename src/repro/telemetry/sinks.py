@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import platform
 import time
 from typing import Any, Optional, Sequence
@@ -222,6 +223,7 @@ def build_report(
         "started_at": tracer.started_wall,
         "wall_seconds": time.time() - tracer.started_wall,
         "python": platform.python_version(),
+        "cpus": len(os.sched_getaffinity(0)),
         "events_emitted": tracer.events_emitted,
         "spans": {
             name: stats.as_dict()

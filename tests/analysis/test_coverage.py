@@ -11,7 +11,7 @@ from repro.analysis.coverage import (
     read_ledger,
     write_ledger,
 )
-from repro.core import ProtocolDatabase
+from repro.core.database import ProtocolDatabase
 from repro.sim import figure2_scenario, random_workload
 from repro.sim.system import SimConfig, Simulator
 

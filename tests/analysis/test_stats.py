@@ -1,6 +1,6 @@
 """Tests for protocol statistics collection."""
 
-from repro.analysis import collect
+from repro.analysis.stats import collect
 
 
 class TestCollect:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ProtocolDatabase
+from repro.core.database import ProtocolDatabase
 from repro.protocols.asura import build_system
 
 

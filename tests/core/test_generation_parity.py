@@ -12,7 +12,8 @@ from unittest import mock
 
 import pytest
 
-from repro.core import ProtocolDatabase, generator
+from repro.core import generator
+from repro.core.database import ProtocolDatabase
 from repro.core.expr import TRUE
 from repro.core.generator import TableGenerator
 from repro.core.mapping import ImplementationMapper

@@ -1,6 +1,6 @@
 """Tests for the assembled 8-controller system."""
 
-from repro.analysis import collect
+from repro.analysis.stats import collect
 
 
 class TestAssembly:

@@ -2,6 +2,7 @@
 and the text summary."""
 
 import json
+import os
 
 import pytest
 
@@ -103,6 +104,7 @@ class TestRunReport:
         assert loaded == json.loads(json.dumps(report, default=str))
         assert loaded["schema"] == "repro.telemetry.report/v1"
         assert loaded["command"] == "check"
+        assert loaded["cpus"] == len(os.sched_getaffinity(0)) >= 1
         assert loaded["spans"]["generate.table"]["count"] == 1
         assert loaded["sql"]["queries"] == 1
         assert loaded["sql"]["rows_returned"] == 10
