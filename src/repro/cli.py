@@ -167,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="v5d",
                    help="channel assignment the campaign perturbs and "
                         "analyzes (default: %(default)s)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=1,
                    help="child processes running mutants concurrently, one "
                         "process per mutant; 1 runs every mutant inline "
-                        "(default: 4; see docs/RESILIENCE.md)")
+                        "(default: %(default)s; see docs/RESILIENCE.md)")
     p.add_argument("--timeout", type=float, metavar="SECONDS", default=None,
                    help="per-mutant wall-clock timeout; hung workers are "
                         "killed and reported as 'timeout' outcomes (runs "

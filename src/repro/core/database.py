@@ -2,7 +2,7 @@
 
 The paper stores all controller tables in "a central database" (ORACLE8 in
 the original deployment).  Everything the methodology needs from the
-database — column tables, cross products, ``WHERE`` filtering, joins,
+database — column domains, cross products, ``WHERE`` filtering, joins,
 ``EXCEPT``, recursive queries — is available in SQLite, so this module is
 the only place that touches ``sqlite3`` directly.
 
@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..telemetry import get_tracer
 from .expr import Row, Value
-from .schema import Column, TableSchema
 from .sqlgen import quote_ident
 
 __all__ = [
@@ -97,7 +96,7 @@ def _dict_factory(cursor: sqlite3.Cursor, row: tuple) -> dict[str, Value]:
 
 
 class ProtocolDatabase:
-    """A central database holding column tables and controller tables.
+    """A central database holding the controller tables.
 
     Each instance owns one private ``sqlite3`` connection: campaign
     children work on in-memory clones, and a ``--db``/``--save-db`` file
@@ -333,23 +332,6 @@ class ProtocolDatabase:
         if order_by:
             sql += " ORDER BY " + ", ".join(quote_ident(c) for c in order_by)
         return self.query(sql)
-
-    # -- column (domain) tables --------------------------------------------------
-    def create_column_table(self, table: str, column: Column) -> str:
-        """Create the paper's *column table* ``col_<table>__<column>``: one
-        row per legal value, including NULL for nullable columns."""
-        name = f"col_{table}__{column.name}"
-        self.drop_table(name)
-        self.execute(f"CREATE TABLE {quote_ident(name)} ({quote_ident(column.name)} TEXT)")
-        self.executemany(
-            f"INSERT INTO {quote_ident(name)} VALUES (?)",
-            [(v,) for v in column.domain],
-        )
-        return name
-
-    def create_column_tables(self, schema: TableSchema) -> dict[str, str]:
-        """Create all column tables for a schema; returns column -> table name."""
-        return {c.name: self.create_column_table(schema.name, c) for c in schema.columns}
 
     # -- data tables ---------------------------------------------------------------
     def create_table(self, name: str, columns: Sequence[str]) -> None:

@@ -18,28 +18,35 @@ Two strategies:
   ("Incremental table generation produces the final table within a few
   minutes").
 
-The incremental solve is one ``CREATE TABLE … AS SELECT``: the input
-column tables, then each plan group's column tables, joined with ``CROSS
-JOIN`` (which SQLite keeps as the loop order), and every constraint a
-``WHERE`` term.  SQLite tests each term at the loop where its last column
-binds, so each loop is one extension step and nothing is materialised
-between steps; rows come out in input, then plan, domain order.  A column
-whose constraint is a *guarded case* (``g0 ? b0 : … : default``, guards
-over earlier columns, bodies over the new one) loops over the arm-values
-table ``__arms_<T>(col, arm, v)`` instead of its column table, searched
-by ``(col, arm = <index of the first true guard>)``, so guards run once
-per row instead of once per candidate value.
+Both are one ``CREATE TABLE … AS SELECT`` over one values table,
+``__vals_<T>(col, arm, seq, v)``: each column's domain (the paper's
+column table, NULL included for a nullable column), materialised only
+for the generation.  Every loop of the join binds one column from it,
+searched by ``(col, arm)`` on its clustered primary key, so each loop
+yields its values in domain (``seq``) order.  A plain column is arm 0
+with its whole domain.  A column whose constraint is a *guarded case*
+(``g0 ? b0 : … : default``, guards over earlier columns, bodies over the
+new one) has one arm per body holding the values that body allows, and
+its loop searches ``arm = <index of the first true guard>``, so guards
+run once per row instead of once per candidate value.  The loops are
+joined with ``CROSS JOIN`` (which SQLite keeps as the loop order) and
+every constraint is a ``WHERE`` term: the incremental loops are the
+inputs, then each plan group's columns; the monolithic ones follow
+schema order.  SQLite tests each term at the loop where its last column
+binds, so each incremental loop is one extension step and nothing is
+materialised between steps; rows come out in loop order, each loop's
+column in domain order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..telemetry import get_tracer, span
 from .constraints import ConstraintSet
 from .database import ProtocolDatabase
-from .expr import BoolExpr, Ternary, TrueExpr
+from .expr import TRUE, BoolExpr, Ternary, TrueExpr
 from .sqlgen import quote_ident, quote_value, to_sql
 from .table import ControllerTable
 
@@ -63,14 +70,16 @@ class GenerationResult:
 
 @dataclass
 class _Loop:
-    """One loop of the generating join: it binds ``column`` from its
-    column table, or from the arm-values table when ``arms`` holds a
-    guarded case's ``(guards, bodies)``, and is where ``terms`` (over
-    columns bound so far) are filtered."""
+    """One loop of the generating join: it binds ``column`` from arm
+    ``i`` of the values table, the values ``bodies[i]`` allows, where
+    ``i`` indexes the first true of ``guards`` (``len(guards)`` if none
+    is; a plain loop has no guards, so arm 0).  ``terms`` (over the
+    columns bound so far) are filtered there."""
 
     column: str
     terms: list[BoolExpr]
-    arms: Optional[tuple[list[BoolExpr], list[BoolExpr]]] = None
+    guards: Sequence[BoolExpr] = ()
+    bodies: Sequence[BoolExpr] = (TRUE,)
 
 
 class TableGenerator:
@@ -86,7 +95,6 @@ class TableGenerator:
         self.constraints = constraints
         self.schema = constraints.schema
         self.table_name = table_name or self.schema.name
-        self._column_tables = db.create_column_tables(self.schema)
 
     # -- monolithic --------------------------------------------------------------
     def generate_monolithic(
@@ -101,17 +109,11 @@ class TableGenerator:
                 f"{size} rows, exceeding the budget of {budget}; this is the "
                 "blow-up the incremental strategy exists to avoid"
             )
-        cols = ", ".join(quote_ident(c) for c in self.schema.column_names)
-        tables = " CROSS JOIN ".join(
-            quote_ident(self._column_tables[c]) for c in self.schema.column_names)
-        where = to_sql(self.constraints.conjunction())
+        loops = [_Loop(c, []) for c in self.schema.column_names]
+        loops[-1].terms.append(self.constraints.conjunction())
         with span("generate.monolithic", table=self.table_name,
                   cross_product=size):
-            self.db.create_table_as(
-                self.table_name, f"SELECT {cols} FROM {tables} WHERE {where}")
-        table = ControllerTable(self.db, self.schema, self.table_name)
-        get_tracer().incr("generate.rows", table.row_count)
-        return GenerationResult(table=table, strategy="monolithic")
+            return self._generate(loops, "monolithic")
 
     # -- incremental --------------------------------------------------------------
     def generate_incremental(self) -> GenerationResult:
@@ -119,19 +121,18 @@ class TableGenerator:
         loops of one statement."""
         with span("generate.table", table=self.table_name,
                   strategy="incremental"):
-            loops = self._loops()
-            guarded = [loop for loop in loops if loop.arms is not None]
-            arms = f"__arms_{self.table_name}"
-            try:
-                if guarded:
-                    self._fill_arms(arms, guarded)
-                self._solve(loops, arms)
-            finally:
-                if guarded:
-                    self.db.execute(f"DROP TABLE IF EXISTS {quote_ident(arms)}")
+            return self._generate(self._loops(), "incremental")
+
+    def _generate(self, loops: list[_Loop], strategy: str) -> GenerationResult:
+        vals = f"__vals_{self.table_name}"
+        try:
+            self._fill_values(vals, loops)
+            self._solve(loops, vals)
+        finally:
+            self.db.execute(f"DROP TABLE IF EXISTS {quote_ident(vals)}")
         table = ControllerTable(self.db, self.schema, self.table_name)
         get_tracer().incr("generate.rows", table.row_count)
-        return GenerationResult(table=table, strategy="incremental")
+        return GenerationResult(table=table, strategy=strategy)
 
     def _loops(self) -> list[_Loop]:
         """The generation plan as join loops: inputs in schema order, then
@@ -145,26 +146,27 @@ class TableGenerator:
             # each other, so it is never a guarded case.
             arms = guarded_arms(exprs[0], group[0]) if len(group) == 1 else None
             if arms is not None:
-                loops.append(_Loop(group[0], [], arms))
+                loops.append(_Loop(group[0], [], *arms))
             else:
                 loops += [_Loop(c, []) for c in group]
                 loops[-1].terms += exprs
         return loops
 
-    def _fill_arms(self, arms: str, guarded: list[_Loop]) -> None:
-        """``arms(col, arm, v)``: each guarded column's arm-allowed values
-        in domain order, indexed for the ``(col, arm)`` search."""
+    def _fill_values(self, vals: str, loops: list[_Loop]) -> None:
+        """``vals(col, arm, seq, v)``: each loop's arm-allowed values, the
+        ``seq``-th of its column's domain, clustered on the key the loops
+        search so each arm's values come out in domain order."""
         self.db.execute(
-            f"CREATE TABLE {quote_ident(arms)} (col TEXT, arm INTEGER, v TEXT)")
+            f"CREATE TABLE {quote_ident(vals)} (col TEXT, arm INTEGER, "
+            "seq INTEGER, v TEXT, PRIMARY KEY (col, arm, seq)) WITHOUT ROWID")
         self.db.executemany(
-            f"INSERT INTO {quote_ident(arms)} VALUES (?, ?, ?)",
-            [(loop.column, i, v) for loop in guarded
-             for i, body in enumerate(loop.arms[1])
-             for v in self.schema.column(loop.column).domain
+            f"INSERT INTO {quote_ident(vals)} VALUES (?, ?, ?, ?)",
+            [(loop.column, i, seq, v) for loop in loops
+             for i, body in enumerate(loop.bodies)
+             for seq, v in enumerate(self.schema.column(loop.column).domain)
              if body.eval({loop.column: v})])
-        self.db.create_index(arms, ("col", "arm"))
 
-    def _solve(self, loops: list[_Loop], arms: str) -> None:
+    def _solve(self, loops: list[_Loop], vals: str) -> None:
         """``CREATE TABLE <T> AS SELECT`` over ``loops``: one statement, or
         chunks of at most :data:`MAX_LOOPS` loops that each extend the
         previous chunk's table."""
@@ -176,33 +178,27 @@ class TableGenerator:
             where = []
             for k, loop in enumerate(loops[start:start + MAX_LOOPS], start):
                 alias = f"t{k}"
-                if loop.arms is None:
-                    table = self._column_tables[loop.column]
-                    # NOT INDEXED: no automatic index, so a loop scans
-                    # its domain in rowid (domain) order.
-                    sources.append(f"{quote_ident(table)} AS {alias} NOT INDEXED")
-                    read[loop.column] = f"{alias}.{quote_ident(loop.column)}"
-                else:
-                    guards = loop.arms[0]
-                    case = "".join(f"WHEN {to_sql(g, read)} THEN {i} "
-                                   for i, g in enumerate(guards))
-                    sources.append(f"{quote_ident(arms)} AS {alias}")
-                    where.append(
-                        f"{alias}.col = {quote_value(loop.column)} AND "
-                        f"{alias}.arm = (CASE {case}ELSE {len(guards)} END)")
-                    read[loop.column] = f"{alias}.v"
+                arm = "".join(f"WHEN {to_sql(g, read)} THEN {i} "
+                              for i, g in enumerate(loop.guards))
+                arm = f"(CASE {arm}ELSE {len(loop.guards)} END)" if arm else "0"
+                sources.append(f"{quote_ident(vals)} AS {alias}")
+                where.append(f"{alias}.col = {quote_value(loop.column)} "
+                             f"AND {alias}.arm = {arm}")
+                read[loop.column] = f"{alias}.v"
                 where += [to_sql(e, read) for e in loop.terms
                           if not isinstance(e, TrueExpr)]
             last = start + MAX_LOOPS >= len(loops)
             target = self.table_name if last else f"__gen_{self.table_name}_{start}"
             cols = ", ".join(f"{read[c]} AS {quote_ident(c)}"
                              for c in (self.schema.column_names if last else read))
-            sql = f"SELECT {cols} FROM {' CROSS JOIN '.join(sources)}"
-            if where:
-                sql += " WHERE " + " AND ".join(where)
-            self.db.create_table_as(target, sql)
-            if work:
-                self.db.drop_table(work)
+            try:
+                self.db.create_table_as(
+                    target, f"SELECT {cols} FROM {' CROSS JOIN '.join(sources)}"
+                    f" WHERE {' AND '.join(where)}")
+            finally:
+                # The previous chunk's table goes, also when this one fails.
+                if work:
+                    self.db.drop_table(work)
             work = target
 
 

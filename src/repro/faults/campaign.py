@@ -566,7 +566,7 @@ def run_campaign(
     classes: Optional[Sequence[str]] = None,
     assignment: str = "v5d",
     variant: Optional[str] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     sim_ops: int = 40,
     timeout: Optional[float] = None,
     journal_path: Optional[str] = None,
@@ -592,10 +592,10 @@ def run_campaign(
 
     ``system`` defaults to a freshly generated one; when supplied it must
     be clean (the campaign verifies this) and gains the audit reference
-    tables as a side effect.  ``workers=1`` runs the mutants inline;
-    ``workers`` > 1, or any per-mutant wall-clock ``timeout``, runs each
-    mutant in its own child process (the watchdog kills and reports hung
-    units as ``timeout`` outcomes).  Child processes relay their
+    tables as a side effect.  ``workers=1`` (the default) runs the
+    mutants inline; ``workers`` > 1, or any per-mutant wall-clock
+    ``timeout``, runs each mutant in its own child process (the watchdog
+    kills and reports hung units as ``timeout`` outcomes).  Child processes relay their
     telemetry to the parent, so tracing keeps every worker.
 
     ``journal_path`` checkpoints every completed mutant to a durable
@@ -712,9 +712,6 @@ def run_campaign(
                     f"{first.kind}: {first.detail}; the oracle column "
                     f"would be meaningless")
             clean_explorer.write_summary(system.db, clean_explore)
-
-        if workers is None:
-            workers = 4
 
         restored = [DetectionReport.from_dict(completed[m.mutant_id])
                     for m in mutations if m.mutant_id in completed]

@@ -11,37 +11,6 @@ from repro.core.database import (
     IndexSpec,
     ProtocolDatabase,
 )
-from repro.core.schema import Column, Role, TableSchema
-
-
-@pytest.fixture()
-def schema():
-    return TableSchema("t", [
-        Column("a", ("x", "y"), Role.INPUT, nullable=False),
-        Column("b", ("p",), Role.OUTPUT, nullable=True),
-    ])
-
-
-class TestColumnTables:
-    def test_create_column_table_rows(self, db, schema):
-        name = db.create_column_table("t", schema.column("a"))
-        values = {r["a"] for r in db.rows(name)}
-        assert values == {"x", "y"}
-
-    def test_nullable_column_table_includes_null(self, db, schema):
-        name = db.create_column_table("t", schema.column("b"))
-        assert None in {r["b"] for r in db.rows(name)}
-
-    def test_create_column_tables_all(self, db, schema):
-        mapping = db.create_column_tables(schema)
-        assert set(mapping) == {"a", "b"}
-        for t in mapping.values():
-            assert db.table_exists(t)
-
-    def test_recreation_replaces(self, db, schema):
-        db.create_column_table("t", schema.column("a"))
-        name = db.create_column_table("t", schema.column("a"))
-        assert db.row_count(name) == 2
 
 
 class TestDataTables:

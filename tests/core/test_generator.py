@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import generator
 from repro.core.constraints import ConstraintSet
-from repro.core.database import ProtocolDatabase
+from repro.core.database import DatabaseError, ProtocolDatabase
 from repro.core.expr import C, FALSE, TRUE, cases, when
 from repro.core.generator import (
     MAX_LOOPS, GenerationBudgetError, TableGenerator,
@@ -22,6 +22,7 @@ from repro.core.generator import (
 from repro.core.mapping import ImplementationMapper
 from repro.core.schema import Column, Role, TableSchema
 from repro.protocols.asura.hardware import extension_spec
+from repro.protocols.family import SPECS, build_variant
 
 
 def small_schema():
@@ -122,6 +123,13 @@ class TestDegenerateCases:
         res = TableGenerator(db, cs).generate_incremental()
         assert res.table.row_count == small_schema().cross_product_size()
 
+    def test_nullable_column_yields_null(self, db):
+        res = TableGenerator(
+            db, ConstraintSet(small_schema())).generate_incremental()
+        rows = res.table.rows()
+        assert {r["o1"] for r in rows} == {"x", "y", None}
+        assert {r["i1"] for r in rows} == {"a", "b"}
+
     def test_output_depending_on_output(self, db):
         # o2 depends on o1: the plan must solve o1 first; results must
         # still match the reference semantics.
@@ -186,7 +194,7 @@ def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
         expected = canon(brute_force(cs))
         assert canon(inc.table.rows()) == expected
         assert canon(mono.table.rows()) == expected
-        # Either loop form emits the plain cross join's row sequence.
+        # Without guarded cases (every loop arm 0), the same sequence.
         with mock.patch.object(generator, "guarded_arms", return_value=None):
             TableGenerator(db, cs, table_name="x").generate_incremental()
         # Rowids follow the loops: the brute-force rows in domain order.
@@ -200,7 +208,7 @@ def test_generation_equals_bruteforce_on_random_specs(o1_expr, i1_forbidden):
 def generate_explained(db, cs, name=None):
     """Generate ``cs``; also return each table a generating statement
     created, with that statement's ``EXPLAIN QUERY PLAN`` (taken while
-    the arm-values table exists)."""
+    the values table exists)."""
     created = []
     create = ProtocolDatabase.create_table_as
 
@@ -218,10 +226,11 @@ def generate_explained(db, cs, name=None):
 class TestQueryPlan:
     @pytest.mark.parametrize("name", ["D", "ED"])
     def test_one_statement_loops_in_plan_order(self, system, name):
-        """One statement per table: its loops scan the column tables in
-        generation order, each guarded-case column is an indexed search
-        of the arm-values table, and nothing is sorted or auto-indexed
-        (either would break the rowid order)."""
+        """One statement per table: every loop, in generation order, is a
+        primary-key search of the values table (a guarded-case column's
+        arm is its first true guard, any other column's is 0), and
+        nothing is sorted or auto-indexed (either would break the rowid
+        order)."""
         cs = system.constraint_sets["D"]
         if name == "ED":
             cs = ImplementationMapper(
@@ -230,16 +239,9 @@ class TestQueryPlan:
         with ProtocolDatabase() as db:
             _, [(table, plan)] = generate_explained(db, cs, name)
         assert table == name
-        expected = []
-        for k, c in enumerate(generation_order(cs)):
-            if c in cs.schema.input_names or generator.guarded_arms(
-                    cs.get(c).expr, c) is None:
-                expected.append(f"SCAN t{k}")
-            else:
-                expected.append(f"SEARCH t{k} USING INDEX "
-                                f"idx___arms_{name}__col_arm (col=? AND arm=?)")
-        assert plan == expected
-        assert sum(p.startswith("SEARCH") for p in plan) >= 20
+        assert plan == [
+            f"SEARCH t{k} USING PRIMARY KEY (col=? AND arm=?)"
+            for k in range(len(generation_order(cs)))]
 
 
 def wide_constraints(n_outputs=2 * MAX_LOOPS):
@@ -297,3 +299,40 @@ class TestWideSchema:
             TableGenerator(db, cs, table_name="x").generate_incremental()
         assert (db.query("SELECT * FROM w ORDER BY rowid")
                 == db.query("SELECT * FROM x ORDER BY rowid"))
+
+
+def scratch_tables(db):
+    return db.query(
+        "SELECT name FROM sqlite_master WHERE name GLOB 'col_*' "
+        "OR name GLOB '__vals_*' OR name GLOB '__gen_*'")
+
+
+class TestNoScratchTables:
+    """Domains live only inside one generation: a generated database
+    holds no column, values or chunk table, even after a failure."""
+
+    @pytest.mark.parametrize("key", tuple(SPECS))
+    def test_member_database_holds_no_scratch_table(self, key):
+        system = build_variant(key)
+        try:
+            assert scratch_tables(system.db) == []
+        finally:
+            system.db.close()
+
+    @pytest.mark.parametrize("make_cs, failing", [
+        (small_constraints, "t"), (wide_constraints, "wide")])
+    def test_failed_statement_leaves_no_scratch_table(
+            self, db, make_cs, failing):
+        create = ProtocolDatabase.create_table_as
+
+        def fail_on_target(self, table, sql):
+            if table == failing:
+                raise DatabaseError("injected failure")
+            create(self, table, sql)
+
+        with mock.patch.object(ProtocolDatabase, "create_table_as",
+                               fail_on_target), \
+                pytest.raises(DatabaseError, match="injected"):
+            TableGenerator(db, make_cs()).generate_incremental()
+        assert scratch_tables(db) == []
+        assert not db.table_exists(failing)

@@ -311,7 +311,7 @@ class TestMutateResilienceFlags:
 
     def test_resilience_flags_default_off(self):
         args = build_parser().parse_args(["mutate"])
-        assert args.workers is None and args.timeout is None
+        assert args.workers == 1 and args.timeout is None
         assert args.journal is None and args.resume is None
 
     def test_isolation_flag_is_gone(self, capsys):
