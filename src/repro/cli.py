@@ -31,12 +31,10 @@ carry their member in a marker table, so attaching never needs the flag.
 arcs, simulation, bounded exploration, a seeded oracle campaign) for one
 member or every member, and emits the cross-family benchmark matrix.
 
-``mutate`` additionally runs through the crash-safe runtime:
-``--journal`` checkpoints completed mutants, ``--resume`` restarts an
-interrupted campaign after the last completed mutant, ``--workers N``
-runs each mutant in its own child process (``--workers 1`` runs them
-inline), and ``--timeout`` has a watchdog reap hung workers — see
-``docs/RESILIENCE.md``.
+``mutate`` runs every mutant inline, one after another, and checkpoints
+through the crash-safe runtime: ``--journal`` records each completed
+mutant, and ``--resume`` restarts an interrupted campaign after the last
+completed mutant — see ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
@@ -167,14 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="v5d",
                    help="channel assignment the campaign perturbs and "
                         "analyzes (default: %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="child processes running mutants concurrently, one "
-                        "process per mutant; 1 runs every mutant inline "
-                        "(default: %(default)s; see docs/RESILIENCE.md)")
-    p.add_argument("--timeout", type=float, metavar="SECONDS", default=None,
-                   help="per-mutant wall-clock timeout; hung workers are "
-                        "killed and reported as 'timeout' outcomes (runs "
-                        "mutants in child processes even with --workers 1)")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="append a crash-safe checkpoint journal at PATH "
                         "(one fsync'd JSONL record per completed mutant)")
@@ -305,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "mutate/explore)")
     p.add_argument("--events", metavar="PATH", default=None,
                    help="the run's --trace-out event stream; adds "
-                        "declared totals, in-flight units, and worker "
-                        "attribution to the view")
+                        "declared totals and in-flight units to the "
+                        "view")
     p.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
                    help="seconds between refreshes (default: %(default)s)")
     p.add_argument("--once", action="store_true",
@@ -489,7 +479,6 @@ def _cmd_mutate(system, args) -> int:
         result = run_campaign(
             system=system, seed=args.seed, count=args.count,
             classes=classes, assignment=args.assignment,
-            workers=args.workers, timeout=args.timeout,
             journal_path=args.journal,
             resume_from=args.resume, oracle=args.oracle,
             oracle_depth=args.oracle_depth, oracle_nodes=args.oracle_nodes,
@@ -651,7 +640,7 @@ def _family_member_entry(system, args, failures: list) -> dict:
               f"(FN rate {totals['false_negative_rate'] * 100:.1f}%)")
         if totals["crashed"]:
             failures.append(f"{spec.key}: {totals['crashed']} campaign "
-                            f"worker crash(es)")
+                            f"mutant(s) crashed")
     return entry
 
 

@@ -152,8 +152,7 @@ class ProtocolDatabase:
 
     def snapshot(self, portable: bool = False) -> bytes:
         """The whole database serialized to bytes, cheap to hand to
-        campaign units or child processes that :meth:`deserialize` into
-        private copies.
+        campaign mutants that :meth:`deserialize` into private copies.
 
         Uses ``sqlite3.Connection.serialize`` when available (Python
         3.11+, :data:`SNAPSHOT_SUPPORTED`).  Without it — or when

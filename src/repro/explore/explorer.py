@@ -311,8 +311,11 @@ class ExploreResult:
             lines.append(f"{s.depth:>6}{s.frontier:>10}{s.new_states:>8}"
                          f"{s.transitions:>8}{s.dedup_hits:>8}"
                          f"{s.violations:>5}")
-        if not self.violations:
+        if not self.violations and self.exhausted:
             lines.append("no violations: every reachable state is coherent")
+        elif not self.violations:
+            lines.append(f"no violations to depth {self.depth} "
+                         f"(state space not exhausted)")
         else:
             lines.append(f"{len(self.violations)} violations:")
             for v in self.violations[:10]:

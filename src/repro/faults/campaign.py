@@ -30,18 +30,16 @@ layer detection matrix that ``repro mutate`` prints and commits as
 that a previous campaign caught at some layer must never be caught later
 (or escape) after a code change.
 
-Campaigns run through the crash-safe runtime (:mod:`repro.runtime`, see
-``docs/RESILIENCE.md``): each completed mutant is checkpointed to a
-durable JSONL journal (``journal_path``) so an interrupted run resumes
-(``resume_from``) exactly after the last completed mutant; with more
-than one worker (or a ``timeout``) every mutant runs in its own child
-process, with a per-mutant wall-clock ``timeout`` enforced by a
-watchdog; and a worker exception outside the detection taxonomy
-becomes a ``crashed`` report for that mutant instead of aborting the
-campaign.  A :class:`DatabaseError` inside the invariant or deadlock
-layer is that layer's detection ("checker error" / "analysis error"):
-each check has one engine, and a mutant that breaks it corrupted the
-tables.
+Mutants run inline, one after another, in the calling process.  Each
+completed mutant is checkpointed to a durable JSONL journal
+(``journal_path``, :mod:`repro.runtime`, see ``docs/RESILIENCE.md``)
+before the next one starts, so an interrupted run resumes
+(``resume_from``) exactly after the last completed mutant; an exception
+outside the detection taxonomy becomes a ``crashed`` report for that
+mutant instead of aborting the campaign.  A :class:`DatabaseError`
+inside the invariant or deadlock layer is that layer's detection
+("checker error" / "analysis error"): each check has one engine, and a
+mutant that breaks it corrupted the tables.
 """
 
 from __future__ import annotations
@@ -54,13 +52,14 @@ from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.deadlock import MissingAssignmentError
 from ..core.invariants import InvariantChecker
 from ..core.table import LookupError_
-from ..runtime import (
-    CheckpointJournal,
-    check_header,
-    load_journal,
-    run_units,
+from ..runtime import CheckpointJournal, check_header, load_journal
+from ..telemetry import (
+    TraceContext,
+    get_tracer,
+    new_run_id,
+    span,
+    use_context,
 )
-from ..telemetry import get_tracer, new_run_id, span
 from .audits import prepare_reference_tables, structural_invariants
 from .mutations import FAULT_CLASSES, Mutation, MutationEngine
 
@@ -74,6 +73,10 @@ __all__ = [
     "JOURNAL_KIND",
     "ORACLE_LAYER",
 ]
+
+#: the ``worker_id`` that attributes a mutant's telemetry: every mutant
+#: runs inline in the calling process.
+INLINE_WORKER = "inline"
 
 #: schema tag of the detection-matrix JSON report.
 MATRIX_SCHEMA = "repro.faults.matrix/v1"
@@ -104,9 +107,9 @@ class DetectionReport:
     detected_by: Optional[str]  # LAYERS entry or ORACLE_LAYER; None=ESCAPED
     detail: str = ""
     seconds: float = 0.0
-    #: "ok" for a pipeline verdict; "crashed" when the worker raised
-    #: outside the detection taxonomy; "timeout" when the watchdog
-    #: reaped a hung worker.  Neither failure outcome is a detection.
+    #: "ok" for a pipeline verdict; "crashed" when the mutant raised
+    #: outside the detection taxonomy ("timeout" only in journals of
+    #: older versions).  Neither failure outcome is a detection.
     outcome: str = "ok"
     #: repair-stage outcome (``RepairResult.to_dict()`` shape, or
     #: ``{"success": False, "error": ...}``) for deadlock-caught mutants
@@ -399,19 +402,20 @@ def _attempt_repair(system, assignment: str, cfg: dict) -> dict:
     return out
 
 
-def _failure_report(mutation: Mutation, outcome: str, error: str,
-                    seconds: float = 0.0) -> DetectionReport:
-    """The report for a mutant whose worker crashed or timed out: no
-    verdict, not a detection, but the campaign keeps its slot."""
+def _crashed_report(mutation: Mutation, exc: Exception,
+                    seconds: float) -> DetectionReport:
+    """The report for a mutant whose run raised outside the detection
+    taxonomy: no verdict, not a detection, but the campaign keeps its
+    slot."""
     return DetectionReport(
         mutant_id=mutation.mutant_id,
         fault_class=mutation.fault_class,
         target=mutation.target,
         description=mutation.description,
         detected_by=None,
-        detail=error,
+        detail=f"{type(exc).__name__}: {exc}".splitlines()[0],
         seconds=seconds,
-        outcome=outcome,
+        outcome="crashed",
     )
 
 
@@ -419,7 +423,7 @@ def _failure_report(mutation: Mutation, outcome: str, error: str,
 class MutantTemplate:
     """What every mutant shares, derived once from the clean system: its
     ``snapshot``, the database-free ``system`` (:meth:`FamilySystem.attach`
-    of None) and the clean structural ``audits``.  Picklable."""
+    of None) and the clean structural ``audits``."""
 
     snapshot: bytes
     system: object
@@ -553,12 +557,6 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
         return _detected(mutation, None, "", t0)
 
 
-def _mutant_unit(payload: tuple) -> DetectionReport:
-    """Module-level unit adapter for :func:`repro.runtime.run_units`
-    (must be picklable for child-process workers)."""
-    return _run_mutant(*payload)
-
-
 def run_campaign(
     system=None,
     seed: int = 0,
@@ -568,7 +566,6 @@ def run_campaign(
     variant: Optional[str] = None,
     workers: int = 1,
     sim_ops: int = 40,
-    timeout: Optional[float] = None,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
     oracle: Optional[str] = None,
@@ -592,11 +589,8 @@ def run_campaign(
 
     ``system`` defaults to a freshly generated one; when supplied it must
     be clean (the campaign verifies this) and gains the audit reference
-    tables as a side effect.  ``workers=1`` (the default) runs the
-    mutants inline; ``workers`` > 1, or any per-mutant wall-clock
-    ``timeout``, runs each mutant in its own child process (the watchdog
-    kills and reports hung units as ``timeout`` outcomes).  Child processes relay their
-    telemetry to the parent, so tracing keeps every worker.
+    tables as a side effect.  Mutants run inline, one after another;
+    ``workers`` accepts only 1.
 
     ``journal_path`` checkpoints every completed mutant to a durable
     JSONL journal; ``resume_from`` restores completions from such a
@@ -624,6 +618,9 @@ def run_campaign(
 
     t0 = time.perf_counter()
     tracer = get_tracer()
+    if workers != 1:
+        raise ValueError(f"workers={workers!r}: campaigns run inline "
+                         f"only (workers=1)")
     if oracle is not None and oracle != "explore":
         raise ValueError(f"unknown oracle {oracle!r} (expected 'explore')")
     oracle_cfg = ({"depth": oracle_depth, "nodes": oracle_nodes,
@@ -716,7 +713,6 @@ def run_campaign(
         restored = [DetectionReport.from_dict(completed[m.mutant_id])
                     for m in mutations if m.mutant_id in completed]
         pending = [m for m in mutations if m.mutant_id not in completed]
-        by_id = {m.mutant_id: m for m in pending}
 
         journal = (CheckpointJournal.open(journal_path, header)
                    if journal_path else None)
@@ -727,7 +723,8 @@ def run_campaign(
         tracer.emit("campaign.started", run_id=run_id, kind=JOURNAL_KIND,
                     seed=seed, assignment=assignment,
                     total=len(mutations), pending=len(pending),
-                    resumed=len(restored), workers=workers)
+                    resumed=len(restored))
+        executed: list[DetectionReport] = []
         try:
             def _progress(report: DetectionReport) -> None:
                 # Lifecycle events for live observers (``repro watch``,
@@ -745,32 +742,33 @@ def run_campaign(
                 tracer.emit("campaign.progress", run_id=run_id,
                             done=done, total=len(mutations), **matrix)
 
-            def on_result(unit_result) -> None:
-                # Runs in the parent as each unit completes — the
-                # checkpoint is durable before the next result lands.
-                report = _coerce_report(unit_result)
-                if journal is not None:
-                    journal.record(report.mutant_id, report.to_dict())
-                _progress(report)
-
-            def _coerce_report(unit_result) -> DetectionReport:
-                if unit_result.ok:
-                    return unit_result.value
-                return _failure_report(
-                    by_id[unit_result.unit_id], unit_result.outcome,
-                    unit_result.error or "", unit_result.seconds)
-
             for report in restored:
                 _progress(report)
 
-            units = [(m.mutant_id,
-                      (template, m, assignment, clean_cycles, sim_ops,
-                       oracle_cfg, repair_cfg))
-                     for m in pending]
-            unit_results = run_units(
-                units, _mutant_unit, workers=workers, timeout=timeout,
-                on_result=on_result, run_id=run_id)
-            executed = [_coerce_report(u) for u in unit_results]
+            for mutation in pending:
+                unit_id = mutation.mutant_id
+                tracer.emit("unit.started", run_id=run_id, unit_id=unit_id,
+                            worker_id=INLINE_WORKER)
+                t1 = time.perf_counter()
+                with use_context(TraceContext(run_id or "", unit_id,
+                                              INLINE_WORKER)):
+                    try:
+                        report = _run_mutant(
+                            template, mutation, assignment, clean_cycles,
+                            sim_ops, oracle_cfg, repair_cfg)
+                    except Exception as exc:  # Ctrl-C still stops the run
+                        report = _crashed_report(
+                            mutation, exc, time.perf_counter() - t1)
+                tracer.emit("unit.finished", run_id=run_id,
+                            unit_id=unit_id, worker_id=INLINE_WORKER,
+                            outcome=report.outcome,
+                            seconds=time.perf_counter() - t1)
+                executed.append(report)
+                # Durable before the next mutant starts: an interrupted
+                # run resumes right after this one.
+                if journal is not None:
+                    journal.record(unit_id, report.to_dict())
+                _progress(report)
         finally:
             if journal is not None:
                 journal.close()

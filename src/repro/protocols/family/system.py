@@ -10,8 +10,8 @@ builders unchanged; the cache, node, directory and I/O controllers are
 generated from the family-parameterized constraints.
 
 A non-MESI database is stamped with a one-row ``__family_variant``
-marker table so :func:`attach` (and the CLI's ``--db`` loading, the
-mutation-campaign workers, and the explorer) can recover the right spec
+marker table so :func:`attach` (and the CLI's ``--db`` loading and
+the explorer) can recover the right spec
 from the file alone.  MESI databases carry no marker — their on-disk
 bytes are identical to what the pre-family code produced.
 """
@@ -144,7 +144,7 @@ class FamilySystem:
 
     def attach(self, db: Optional[ProtocolDatabase]) -> "FamilySystem":
         """This system over ``db`` (a snapshot of its database; None gives a
-        picklable template), sharing the constraint sets, channel
+        database-free template), sharing the constraint sets, channel
         assignments and compiled invariant suite: a mutation replaces a
         dict entry, never edits one.  Tables are checked as on attach."""
         self.invariant_checker()  # build the suite once, for every clone

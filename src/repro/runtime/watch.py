@@ -99,7 +99,6 @@ def _apply_events(snap: dict, events: list[dict]) -> None:
     total: Optional[int] = None
     done_events: Optional[int] = None
     in_flight: dict[Any, dict] = {}
-    workers: set = set()
     for event in events:
         etype = event.get("type")
         if etype in ("campaign.started", "explore.started"):
@@ -114,16 +113,13 @@ def _apply_events(snap: dict, events: list[dict]) -> None:
                 "worker_id": event.get("worker_id"),
                 "since_ts": event.get("ts"),
             }
-            if event.get("worker_id") is not None:
-                workers.add(event["worker_id"])
-        elif etype in ("unit.finished", "unit.timeout"):
+        elif etype == "unit.finished":
             in_flight.pop(event.get("unit_id"), None)
         elif etype == "explore.depth":
             snap["frontier"] = event.get("frontier")
     snap["events_seen"] = len(events)
     snap["in_flight"] = sorted(
         in_flight.values(), key=lambda u: str(u["unit_id"]))
-    snap["workers_seen"] = len(workers)
     if total is not None:
         snap["total"] = total
     if done_events is not None and done_events > snap.get("done", 0):
@@ -233,8 +229,6 @@ def render_snapshot(snap: dict) -> str:
             for u in in_flight[:8])
         extra = f" (+{len(in_flight) - 8} more)" if len(in_flight) > 8 else ""
         lines.append(f"  in flight: {shown}{extra}")
-    if snap.get("workers_seen"):
-        lines.append(f"  workers seen: {snap['workers_seen']}")
     return "\n".join(lines)
 
 

@@ -22,9 +22,9 @@ Typical use, mirroring the CLI's ``--profile/--trace-out/--report-out``::
     telemetry.shutdown()
 
 Span naming conventions, the metric catalog, and the report schema are
-documented in ``docs/OBSERVABILITY.md``.  The sinks, reports and the
-cross-process relay load on first use, so instrumented code that only
-opens spans never imports them.
+documented in ``docs/OBSERVABILITY.md``.  The sinks and reports load
+on first use, so instrumented code that only opens spans never imports
+them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .context import (
     TraceContext,
     current_context,
     new_run_id,
-    set_context,
     use_context,
 )
 from .metrics import Histogram, MetricsRegistry
@@ -56,27 +55,22 @@ __all__ = [
     "Histogram", "MetricsRegistry",
     "Tracer", "NullTracer", "NULL_TRACER", "SqlStatementStats",
     "JsonlSink", "ListSink",
-    "TraceContext", "current_context", "set_context", "use_context",
-    "new_run_id",
-    "RelayTracer", "merge_spool",
+    "TraceContext", "current_context", "use_context", "new_run_id",
     "get_tracer", "set_tracer", "use_tracer",
     "configure", "shutdown", "span",
     "build_report", "write_report", "render_summary", "read_jsonl",
     "scan_jsonl",
 ]
 
-#: Public names of the modules loaded on first use -> their module.
-_LAZY = {
-    **dict.fromkeys(("JsonlSink", "ListSink", "build_report", "read_jsonl",
-                     "render_summary", "scan_jsonl", "write_report"), "sinks"),
-    **dict.fromkeys(("RelayTracer", "merge_spool"), "relay"),
-}
+#: Public names of the sinks module, loaded on first use.
+_LAZY = frozenset(("JsonlSink", "ListSink", "build_report", "read_jsonl",
+                   "render_summary", "scan_jsonl", "write_report"))
 
 
 def __getattr__(name: str) -> Any:
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return getattr(importlib.import_module(".sinks", __name__), name)
 
 
 def configure(trace_path: Optional[str] = None) -> Tracer:

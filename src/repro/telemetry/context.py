@@ -1,19 +1,15 @@
-"""Trace context: correlating telemetry across workers and processes.
+"""Trace context: attributing telemetry to the unit of work behind it.
 
-A long campaign fans units out across child processes; an event stream
-where every record looks the same is useless for debugging unit #37's
-hang.  A :class:`TraceContext` names the run (``run_id``, one random
-identifier per fan-out), the unit of work (``unit_id``, the campaign's
-mutant id or the explorer's batch index), and the worker executing it
-(``worker_id``: ``"inline"`` for units run in the caller, or a
-child-process ordinal such as ``"proc-3"``).
+An event stream where every record looks the same is useless for
+debugging mutant #37.  A :class:`TraceContext` names the run
+(``run_id``, one random identifier per campaign), the unit of work
+(``unit_id``, the campaign's mutant id), and the worker executing it
+(``worker_id``: ``"inline"``, since every mutant runs in the calling
+process).
 
 The active context lives in a :class:`contextvars.ContextVar`, and the
 tracer stamps the context's fields onto every event it emits (see
-:meth:`Tracer.emit`).  Inline units scope it to the unit with
-:func:`use_context`; in child processes the context is installed once
-at startup by the relay (see :mod:`repro.telemetry.relay`), so every
-spooled span/SQL/metric event arrives in the parent already attributed.
+:meth:`Tracer.emit`).  :func:`use_context` scopes it to one unit.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from typing import Any, Iterator, Optional
 __all__ = [
     "TraceContext",
     "current_context",
-    "set_context",
     "use_context",
     "new_run_id",
 ]
@@ -40,7 +35,7 @@ CONTEXT_FIELDS = ("run_id", "unit_id", "worker_id")
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Who is doing what: one fan-out run, one unit, one worker."""
+    """Who is doing what: one run, one unit, one worker."""
 
     run_id: str
     unit_id: Any = None
@@ -66,15 +61,9 @@ def current_context() -> Optional[TraceContext]:
     return _current.get()
 
 
-def set_context(context: Optional[TraceContext]) -> None:
-    """Install ``context`` for the rest of this process's life — the
-    child-process form, where nothing outlives the context."""
-    _current.set(context)
-
-
 @contextlib.contextmanager
 def use_context(context: TraceContext) -> Iterator[TraceContext]:
-    """Scope ``context`` to a block (the inline-unit form)."""
+    """Scope ``context`` to a block: one unit of work."""
     token = _current.set(context)
     try:
         yield context
@@ -83,5 +72,5 @@ def use_context(context: TraceContext) -> Iterator[TraceContext]:
 
 
 def new_run_id() -> str:
-    """A short, collision-resistant identifier for one fan-out run."""
+    """A short, collision-resistant identifier for one run."""
     return f"{int(time.time()):x}-{os.getpid():x}-{os.urandom(4).hex()}"

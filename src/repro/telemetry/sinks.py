@@ -7,7 +7,7 @@ and the package's one JSONL reader:
   messages) appended as one JSON object per line while the run executes;
   the format round-trips through :func:`read_jsonl`.
 * :func:`scan_jsonl` — the one reader of every append-only JSONL file
-  in the package: ``--trace-out`` streams, worker spools, and (through
+  in the package: ``--trace-out`` streams and (through
   :mod:`repro.runtime.journal`) checkpoint journals.  A final line that
   is malformed or lacks its newline was never written durably and is
   dropped; corruption anywhere before the tail raises.
@@ -45,10 +45,10 @@ REPORT_SCHEMA = "repro.telemetry.report/v1"
 
 class JsonlSink:
     """Appends each event as one JSON line to a file (``--trace-out``
-    streams and worker spools).
+    streams).
 
     Every event is flushed as it is written, so ``tail -f`` and
-    ``repro watch`` observe events as they happen, and a worker killed
+    ``repro watch`` observe events as they happen, and a run killed
     mid-unit leaves every event up to the kill on disk."""
 
     def __init__(self, path: str) -> None:

@@ -171,9 +171,7 @@ class Tracer:
         The active :class:`~repro.telemetry.context.TraceContext` (if
         any) stamps its ``run_id``/``unit_id``/``worker_id`` fields onto
         the event, so everything recorded inside a worker's unit of work
-        arrives attributed.  Explicit ``fields`` win over the context —
-        which is how relayed events keep their *original* attribution
-        (and timestamp) when the parent re-emits them."""
+        arrives attributed.  Explicit ``fields`` win over the context."""
         self.events_emitted += 1
         if not self.sinks:
             return

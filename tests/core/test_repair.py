@@ -148,8 +148,7 @@ class TestRepairLeavesDatabaseAsFound:
 
         monkeypatch.setattr(campaign, "_attempt_repair", probed)
         campaign.run_campaign(system=system, seed=0, count=1,
-                              classes=("reassign-channel",), workers=1,
-                              repair=True)
+                              classes=("reassign-channel",), repair=True)
         assert attempts, "the mutant was not caught by the deadlock layer"
         for before, after, out in attempts:
             assert out.get("success") and out.get("evaluated")

@@ -25,18 +25,16 @@ from repro.protocols.asura.system import AsuraSystem
 @pytest.fixture(scope="module")
 def small_campaign(system):
     """One deterministic 8-mutant campaign shared by the shape tests."""
-    return run_campaign(system=system, seed=0, count=8, workers=2)
+    return run_campaign(system=system, seed=0, count=8)
 
 
 class TestCampaignDeterminism:
-    def test_worker_count_does_not_change_results(self, system,
-                                                  small_campaign):
-        sequential = run_campaign(system=system, seed=0, count=8, workers=1)
-        a, b = sequential.to_dict(), small_campaign.to_dict()
-        assert a == b
+    def test_rerun_gives_identical_results(self, system, small_campaign):
+        again = run_campaign(system=system, seed=0, count=8)
+        assert again.to_dict() == small_campaign.to_dict()
 
     def test_smoke_slice_is_prefix_of_full_run(self, system, small_campaign):
-        longer = run_campaign(system=system, seed=0, count=12, workers=2)
+        longer = run_campaign(system=system, seed=0, count=12)
         assert (longer.to_dict()["mutants"][:8]
                 == small_campaign.to_dict()["mutants"])
 
@@ -45,12 +43,12 @@ class TestDetectionExpectations:
     def test_table_mutations_caught_by_invariants(self, system):
         classes = tuple(c for c in FAULT_CLASSES if c != "reassign-channel")
         result = run_campaign(system=system, seed=0, count=10,
-                              classes=classes, workers=2)
+                              classes=classes)
         assert all(r.detected_by == "invariants" for r in result.reports)
 
     def test_channel_mutations_caught_by_deadlock_layer(self, system):
         result = run_campaign(system=system, seed=0, count=3,
-                              classes=("reassign-channel",), workers=1)
+                              classes=("reassign-channel",))
         # Audits cannot see V; the VCG cycle comparison is what fires.
         assert all(r.detected_by == "deadlock" for r in result.reports)
         assert all(r.caught_pre_sim for r in result.reports)
@@ -59,7 +57,7 @@ class TestDetectionExpectations:
         fresh_system.db.execute(
             "DELETE FROM D WHERE rowid = (SELECT MIN(rowid) FROM D)")
         with pytest.raises(ValueError, match="clean system"):
-            run_campaign(system=fresh_system, seed=0, count=1, workers=1)
+            run_campaign(system=fresh_system, seed=0, count=1)
 
 
 def _template_and_cycles(system, clone_of):
@@ -120,8 +118,7 @@ class TestSharedDerivation:
             return orig(template, *args)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", capturing)
-        result = run_campaign(system=fresh_system, seed=0, count=8,
-                              workers=1)
+        result = run_campaign(system=fresh_system, seed=0, count=8)
         assert [r.fault_class for r in result.reports[:2]] == [
             "relax-constraint"] * 2
         fresh = {name: to_sql(build().conjunction())
@@ -172,7 +169,7 @@ class TestSharedDerivation:
         column table per column and filled one values table instead."""
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
-            run_campaign(system=fresh_system, seed=0, count=8, workers=1)
+            run_campaign(system=fresh_system, seed=0, count=8)
         counters = tracer.registry.counters
         assert counters["sql.queries"] == 279
         assert counters["invariant.checks"] == 376
@@ -257,8 +254,7 @@ class TestTableScopedChecks:
         still finds the 13,313 violations the full sweep found."""
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
-            run_campaign(system=fresh_system, seed=0, count=SEED0_MUTANTS,
-                         workers=1)
+            run_campaign(system=fresh_system, seed=0, count=SEED0_MUTANTS)
         assert tracer.registry.counters["invariant.violations"] == 13_313
 
 
@@ -359,7 +355,7 @@ class TestOracleCampaign:
 
     @pytest.fixture(scope="class")
     def oracle_campaign(self, system):
-        return run_campaign(system=system, seed=0, count=4, workers=1,
+        return run_campaign(system=system, seed=0, count=4,
                             oracle="explore", oracle_depth=4)
 
     def test_matrix_gains_oracle_column(self, oracle_campaign):
@@ -402,11 +398,10 @@ class TestOracleCampaign:
 
     def test_resume_refuses_journal_without_oracle(self, system, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
-        run_campaign(system=system, seed=0, count=2, workers=1,
-                     journal_path=journal)
+        run_campaign(system=system, seed=0, count=2, journal_path=journal)
         from repro.runtime import JournalError
         with pytest.raises(JournalError, match="oracle"):
-            run_campaign(system=system, seed=0, count=2, workers=1,
+            run_campaign(system=system, seed=0, count=2,
                          resume_from=journal, oracle="explore",
                          oracle_depth=4)
 

@@ -16,13 +16,12 @@ CLASSES = ("reassign-channel",)
 @pytest.fixture(scope="module")
 def repair_campaign(system):
     return run_campaign(system=system, seed=0, count=4, classes=CLASSES,
-                        workers=1, repair=True)
+                        repair=True)
 
 
 @pytest.fixture(scope="module")
 def plain_campaign(system):
-    return run_campaign(system=system, seed=0, count=4, classes=CLASSES,
-                        workers=1)
+    return run_campaign(system=system, seed=0, count=4, classes=CLASSES)
 
 
 class TestRepairStage:
@@ -82,9 +81,9 @@ class TestRepairJournal:
     def test_resume_preserves_repair_outcomes(self, system, tmp_path):
         journal = str(tmp_path / "camp.jsonl")
         full = run_campaign(system=system, seed=1, count=3, classes=CLASSES,
-                            workers=1, repair=True, journal_path=journal)
+                            repair=True, journal_path=journal)
         resumed = run_campaign(system=system, seed=1, count=3,
-                               classes=CLASSES, workers=1, repair=True,
+                               classes=CLASSES, repair=True,
                                resume_from=journal)
         assert resumed.resumed == 3
         assert resumed.to_dict() == full.to_dict()
@@ -92,11 +91,11 @@ class TestRepairJournal:
     def test_repair_config_guards_resume(self, system, tmp_path):
         journal = str(tmp_path / "camp.jsonl")
         run_campaign(system=system, seed=1, count=2, classes=CLASSES,
-                     workers=1, repair=True, journal_path=journal)
+                     repair=True, journal_path=journal)
         from repro.runtime import JournalError
         with pytest.raises(JournalError, match="repair"):
             run_campaign(system=system, seed=1, count=2, classes=CLASSES,
-                         workers=1, resume_from=journal)
+                         resume_from=journal)
 
 
 class TestBaselineCompareRepair:

@@ -1,9 +1,6 @@
-"""Campaign-level resilience: crashed workers, layer errors, journaling,
-resume, and the process watchdog — the acceptance behaviors of the
-crash-safe runtime (docs/RESILIENCE.md)."""
-
-import multiprocessing
-import time
+"""Campaign-level resilience: crashed mutants, layer errors, journaling,
+resume, interruption and per-mutant telemetry — the acceptance
+behaviors of the crash-safe runtime (docs/RESILIENCE.md)."""
 
 import pytest
 
@@ -14,13 +11,8 @@ from repro.faults import run_campaign
 from repro.protocols.asura.system import AsuraSystem
 from repro.runtime import JournalError, load_journal
 
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method(allow_none=False) != "fork",
-    reason="monkeypatched behavior must be inherited by forked children")
-
 
 class TestCrashedWorkers:
-    @fork_only
     def test_one_crash_keeps_the_campaign_going(self, system, monkeypatch):
         orig = campaign_mod._run_mutant
 
@@ -32,7 +24,7 @@ class TestCrashedWorkers:
                         sim_ops)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", exploding)
-        result = run_campaign(system=system, seed=0, count=3, workers=2)
+        result = run_campaign(system=system, seed=0, count=3)
         assert result.count == 3
         crashed = result.reports[1]
         assert crashed.outcome == "crashed"
@@ -43,6 +35,34 @@ class TestCrashedWorkers:
         assert result.totals()["crashed"] == 1
         assert result.reports[1].to_dict()["outcome"] == "crashed"
         assert "worker failures" in result.render()
+        assert "RuntimeError: synthetic worker crash" == crashed.detail
+
+    def test_one_crash_does_not_discard_siblings(self, system, tmp_path,
+                                                 monkeypatch):
+        """The mutants around a crashed one keep the very reports a
+        clean run gives them, and each is journaled."""
+        clean = run_campaign(system=system, seed=0, count=3)
+        orig = campaign_mod._run_mutant
+
+        def exploding(snapshot, mutation, assignment, clean_cycles,
+                      sim_ops, oracle=None, repair=None):
+            if mutation.mutant_id == 1:
+                raise RuntimeError("boom on 1")
+            return orig(snapshot, mutation, assignment, clean_cycles,
+                        sim_ops)
+
+        monkeypatch.setattr(campaign_mod, "_run_mutant", exploding)
+        path = str(tmp_path / "campaign.jsonl")
+        result = run_campaign(system=system, seed=0, count=3,
+                              journal_path=path)
+        assert [r.outcome for r in result.reports] == [
+            "ok", "crashed", "ok"]
+        assert result.reports[1].detail == "RuntimeError: boom on 1"
+        for i in (0, 2):
+            assert result.reports[i].to_dict() == clean.reports[i].to_dict()
+        _, units = load_journal(path)
+        assert sorted(units) == [0, 1, 2]
+        assert units[1]["outcome"] == "crashed"
 
 
 class TestLayerErrors:
@@ -62,7 +82,7 @@ class TestLayerErrors:
 
         monkeypatch.setattr(AsuraSystem, "check_invariants", broken)
         result = run_campaign(system=system, seed=0, count=2,
-                              classes=("drop-row",), workers=1)
+                              classes=("drop-row",))
         assert [r.detected_by for r in result.reports] == ["invariants"] * 2
         assert all(r.detail == "checker error: OperationalError: "
                    "checker gone" for r in result.reports)
@@ -84,7 +104,7 @@ class TestLayerErrors:
 
         monkeypatch.setattr(AsuraSystem, "analyze_deadlocks", broken)
         result = run_campaign(system=system, seed=0, count=2,
-                              classes=("reassign-channel",), workers=1)
+                              classes=("reassign-channel",))
         assert [r.detected_by for r in result.reports] == ["deadlock"] * 2
         assert all(r.detail == "analysis error: OperationalError: "
                    "analysis gone" for r in result.reports)
@@ -95,7 +115,7 @@ class TestLayerErrors:
 class TestJournalAndResume:
     def test_journal_written_per_completed_mutant(self, system, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        result = run_campaign(system=system, seed=0, count=3, workers=2,
+        result = run_campaign(system=system, seed=0, count=3,
                               journal_path=path)
         header, units = load_journal(path)
         assert header["kind"] == "mutation-campaign"
@@ -106,9 +126,8 @@ class TestJournalAndResume:
     def test_resume_skips_journaled_mutants_exactly(self, system, tmp_path,
                                                     monkeypatch):
         path = str(tmp_path / "campaign.jsonl")
-        full = run_campaign(system=system, seed=0, count=6, workers=2)
-        run_campaign(system=system, seed=0, count=3, workers=2,
-                     journal_path=path)
+        full = run_campaign(system=system, seed=0, count=6)
+        run_campaign(system=system, seed=0, count=3, journal_path=path)
 
         executed = []
         orig = campaign_mod._run_mutant
@@ -120,8 +139,7 @@ class TestJournalAndResume:
                         sim_ops)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", counting)
-        # Inline, so the calls are recorded in this process.
-        resumed = run_campaign(system=system, seed=0, count=6, workers=1,
+        resumed = run_campaign(system=system, seed=0, count=6,
                                resume_from=path)
         # Only the three un-journaled mutants ran, each exactly once...
         assert sorted(executed) == [3, 4, 5]
@@ -134,16 +152,13 @@ class TestJournalAndResume:
 
     def test_resume_validates_campaign_parameters(self, system, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(system=system, seed=0, count=2, workers=1,
-                     journal_path=path)
+        run_campaign(system=system, seed=0, count=2, journal_path=path)
         with pytest.raises(JournalError, match="seed"):
-            run_campaign(system=system, seed=1, count=2, workers=1,
-                         resume_from=path)
+            run_campaign(system=system, seed=1, count=2, resume_from=path)
 
     def test_resumed_counter_reported(self, system, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(system=system, seed=0, count=2, workers=1,
-                     journal_path=path)
+        run_campaign(system=system, seed=0, count=2, journal_path=path)
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
             resumed = run_campaign(system=system, seed=0, count=4,
@@ -152,44 +167,79 @@ class TestJournalAndResume:
         assert "resumed from journal: 2 mutants" in resumed.render()
 
 
-class TestProcessIsolation:
-    def test_inline_matches_process_results(self, system):
-        inline = run_campaign(system=system, seed=0, count=4, workers=1)
-        isolated = run_campaign(system=system, seed=0, count=4, workers=2)
-        assert isolated.to_dict() == inline.to_dict()
-
-    def test_traced_campaign_keeps_its_workers(self, system):
-        sink = telemetry.ListSink()
-        with telemetry.use_tracer(telemetry.Tracer(sinks=[sink])):
-            result = run_campaign(system=system, seed=0, count=3,
-                                  workers=2)
-        assert result.count == 3
-        (started,) = sink.of_type("campaign.started")
-        assert started["workers"] == 2
-        spans = sink.of_type("span")
-        unit_spans = [e for e in spans if "unit_id" in e]
-        assert unit_spans
-        assert all(e["worker_id"].startswith("proc-") for e in unit_spans)
-
-    @fork_only
-    def test_watchdog_reaps_hung_mutant(self, system, monkeypatch):
+class TestInterruption:
+    def test_keyboard_interrupt_stops_then_resume_completes(
+            self, system, tmp_path, monkeypatch):
+        """Ctrl-C in mutant #2 is not a crash: it stops the run with
+        mutants 0-1 journaled, and a resume matches a full run."""
+        full = run_campaign(system=system, seed=0, count=4)
+        path = str(tmp_path / "campaign.jsonl")
         orig = campaign_mod._run_mutant
 
-        def hanging(snapshot, mutation, assignment, clean_cycles,
-                    sim_ops, oracle=None, repair=None):
-            if mutation.mutant_id == 0:
-                time.sleep(120)  # forked child inherits this patch
+        def interrupted(snapshot, mutation, assignment, clean_cycles,
+                        sim_ops, oracle=None, repair=None):
+            if mutation.mutant_id == 2:
+                raise KeyboardInterrupt
             return orig(snapshot, mutation, assignment, clean_cycles,
                         sim_ops)
 
-        monkeypatch.setattr(campaign_mod, "_run_mutant", hanging)
-        t0 = time.monotonic()
-        result = run_campaign(system=system, seed=0, count=3, workers=3,
-                              timeout=5.0)
-        assert time.monotonic() - t0 < 60
-        hung = result.reports[0]
-        assert hung.outcome == "timeout"
-        assert hung.detected_by is None
-        assert "timeout" in hung.detail
-        assert all(r.outcome == "ok" for r in result.reports[1:])
-        assert result.totals()["timeout"] == 1
+        monkeypatch.setattr(campaign_mod, "_run_mutant", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(system=system, seed=0, count=4, journal_path=path)
+        _, units = load_journal(path)
+        assert sorted(units) == [0, 1]
+
+        monkeypatch.setattr(campaign_mod, "_run_mutant", orig)
+        resumed = run_campaign(system=system, seed=0, count=4,
+                               resume_from=path)
+        assert resumed.resumed == 2
+        assert resumed.to_dict() == full.to_dict()
+
+
+class TestInlineCampaign:
+    def test_recording_tracer_does_not_change_results(self, system):
+        plain = run_campaign(system=system, seed=0, count=8)
+        with telemetry.use_tracer(telemetry.Tracer(
+                sinks=[telemetry.ListSink()])):
+            traced = run_campaign(system=system, seed=0, count=8)
+        assert traced.to_dict() == plain.to_dict()
+
+    def test_mutant_telemetry_is_attributed_inline(self, system):
+        sink = telemetry.ListSink()
+        with telemetry.use_tracer(telemetry.Tracer(sinks=[sink])):
+            result = run_campaign(system=system, seed=0, count=8)
+        (started,) = sink.of_type("campaign.started")
+        assert "workers" not in started
+        # Every per-mutant span: all but the enclosing mutate.campaign.
+        unit_spans = [e for e in sink.of_type("span")
+                      if e["name"].startswith("mutate.")
+                      and e["name"] != "mutate.campaign"]
+        assert {e["unit_id"] for e in unit_spans} == set(range(8))
+        assert all(e["worker_id"] == "inline" and
+                   e["run_id"] == started["run_id"] for e in unit_spans)
+        finished = sink.of_type("unit.finished")
+        assert [e["unit_id"] for e in finished] == list(range(8))
+        assert all(e["outcome"] == "ok" for e in finished)
+        assert result.count == 8
+
+    def test_mutants_share_the_callers_tracer(self, system):
+        """Per-mutant spans fold into the caller's tracer, under the
+        campaign's run_id; no second tracer has to be merged in."""
+        sink = telemetry.ListSink()
+        with telemetry.use_tracer(telemetry.Tracer(sinks=[sink])) as tracer:
+            run_campaign(system=system, seed=0, count=3)
+            stats = {name: s.count for name, s in tracer.span_stats.items()
+                     if name.startswith("mutate.")}
+        assert stats["mutate.campaign"] == 1
+        for name in ("mutate.clone", "mutate.apply", "mutate.invariants"):
+            assert stats[name] == 3
+        (started,) = sink.of_type("campaign.started")
+        spans = [e for e in sink.of_type("span")
+                 if e["name"] == "mutate.apply"]
+        assert [e["unit_id"] for e in spans] == [0, 1, 2]
+        assert all(e["run_id"] == started["run_id"] and
+                   e["worker_id"] == "inline" for e in spans)
+
+    def test_process_workers_are_refused(self, system):
+        with pytest.raises(ValueError, match="inline"):
+            run_campaign(system=system, seed=0, count=1, workers=2)

@@ -262,8 +262,7 @@ class TestDetectionMatrixFixtures:
                   encoding="utf-8") as fh:
             baseline = json.load(fh)
         assert baseline.get("variant") == variant
-        result = run_campaign(system=family(variant), seed=0, count=4,
-                              workers=1)
+        result = run_campaign(system=family(variant), seed=0, count=4)
         assert compare_to_baseline(result.to_dict(), baseline) == []
 
 

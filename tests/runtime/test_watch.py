@@ -34,11 +34,11 @@ def _events_file(path, total=10):
         {"type": "campaign.started", "ts": 999.0, "run_id": "R",
          "total": total},
         {"type": "unit.started", "ts": 1000.0, "unit_id": 5,
-         "worker_id": "proc-0"},
+         "worker_id": "inline"},
         {"type": "unit.started", "ts": 1000.5, "unit_id": 6,
-         "worker_id": "proc-1"},
+         "worker_id": "inline"},
         {"type": "unit.finished", "ts": 1001.0, "unit_id": 5,
-         "worker_id": "proc-0", "outcome": "ok"},
+         "worker_id": "inline", "outcome": "ok"},
     ]
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
@@ -91,7 +91,7 @@ class TestWatchOnce:
         assert snap["total"] == 10
         assert snap["eta_seconds"] == pytest.approx(60.0)  # 6 left / 0.1
         assert [u["unit_id"] for u in snap["in_flight"]] == [6]
-        assert snap["workers_seen"] == 2
+        assert "workers_seen" not in snap
 
     def test_explore_journal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -163,7 +163,8 @@ class TestRender:
         assert "4/10 mutants done" in text
         assert "invariants=2" in text
         assert "ETA" in text
-        assert "in flight: 6@proc-1" in text
+        assert "in flight: 6@inline" in text
+        assert "workers seen" not in text
 
 
 class TestRunWatch:

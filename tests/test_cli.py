@@ -253,31 +253,30 @@ class TestDatabaseFlags:
 
 class TestMutateCommand:
     def test_small_campaign_prints_matrix(self, capsys):
-        assert main(["mutate", "--seed", "0", "--count", "2",
-                     "--workers", "1"]) == 0
+        assert main(["mutate", "--seed", "0", "--count", "2"]) == 0
         out = capsys.readouterr().out
         assert "mutation campaign" in out
         assert "caught before simulation" in out
 
     def test_matrix_out_then_self_baseline_passes(self, tmp_path, capsys):
         path = tmp_path / "matrix.json"
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--matrix-out", str(path), "--quiet"]) == 0
         data = json.loads(path.read_text())
         assert data["schema"] == "repro.faults.matrix/v1"
         assert data["count"] == 2
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--baseline", str(path)]) == 0
         assert "no detection regressions" in capsys.readouterr().out
 
     def test_diverged_baseline_fails_the_gate(self, tmp_path, capsys):
         path = tmp_path / "matrix.json"
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--matrix-out", str(path), "--quiet"]) == 0
         data = json.loads(path.read_text())
         data["mutants"][0]["description"] = "a mutant from another seed"
         path.write_text(json.dumps(data))
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--baseline", str(path)]) == 1
         out = capsys.readouterr().out
         assert "detection regressions vs baseline" in out
@@ -296,7 +295,7 @@ class TestMutateCommand:
     def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["mutate", "--count", "1", "--workers", "1",
+        assert main(["mutate", "--count", "1",
                      "--baseline", str(bad)]) == 2
         assert "repro: error:" in capsys.readouterr().err
 
@@ -304,14 +303,11 @@ class TestMutateCommand:
 class TestMutateResilienceFlags:
     def test_resilience_flags_parse(self):
         args = build_parser().parse_args(
-            ["mutate", "--timeout", "30",
-             "--journal", "j.jsonl", "--resume", "j.jsonl"])
-        assert args.timeout == 30.0
+            ["mutate", "--journal", "j.jsonl", "--resume", "j.jsonl"])
         assert args.journal == "j.jsonl" and args.resume == "j.jsonl"
 
     def test_resilience_flags_default_off(self):
         args = build_parser().parse_args(["mutate"])
-        assert args.workers == 1 and args.timeout is None
         assert args.journal is None and args.resume is None
 
     def test_isolation_flag_is_gone(self, capsys):
@@ -324,11 +320,11 @@ class TestMutateResilienceFlags:
         journal = tmp_path / "campaign.jsonl"
         full = tmp_path / "full.json"
         resumed = tmp_path / "resumed.json"
-        assert main(["mutate", "--count", "3", "--workers", "1",
+        assert main(["mutate", "--count", "3",
                      "--matrix-out", str(full), "--quiet"]) == 0
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--journal", str(journal), "--quiet"]) == 0
-        assert main(["mutate", "--count", "3", "--workers", "1",
+        assert main(["mutate", "--count", "3",
                      "--resume", str(journal),
                      "--matrix-out", str(resumed)]) == 0
         assert "resumed from journal: 2 mutants" in capsys.readouterr().out
@@ -346,10 +342,14 @@ class TestMutateResilienceFlags:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "Traceback" not in err
 
-    def test_timeout_with_one_worker_runs_watchdogged(self, capsys):
-        assert main(["mutate", "--count", "1", "--workers", "1",
-                     "--timeout", "60"]) == 0
-        assert "caught before simulation: 1/1" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", [("--workers", "2"),
+                                      ("--timeout", "5")],
+                             ids=["workers", "timeout"])
+    def test_process_pool_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", "--count", "1", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestExploreCommand:
@@ -366,6 +366,16 @@ class TestExploreCommand:
         out = capsys.readouterr().out
         assert "explored 101 states / 156 transitions" in out
         assert "no violations" in out
+
+    def test_coherence_claimed_only_for_an_exhausted_space(self, capsys):
+        assert main(["explore", "--nodes", "1", "--depth", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "explored 46 states" in out
+        assert "no violations: every reachable state is coherent" in out
+        assert main(["explore"]) == 0
+        out = capsys.readouterr().out
+        assert "every reachable state is coherent" not in out
+        assert "no violations to depth 10 (state space not exhausted)" in out
 
     def test_v4_deadlock_exits_1_with_counterexample(self, capsys):
         assert main(["explore", "--assignment", "v4", "--depth", "3"]) == 1
@@ -472,7 +482,7 @@ class TestMutateOracleFlags:
         assert "--oracle-kernel" in capsys.readouterr().err
 
     def test_oracle_campaign_prints_false_negatives(self, capsys):
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--oracle", "explore", "--oracle-depth", "4"]) == 0
         out = capsys.readouterr().out
         assert "oracle (bounded exploration, depth=4 nodes=2)" in out
@@ -483,7 +493,7 @@ class TestMutateOracleFlags:
         from repro.core.database import ProtocolDatabase
         from repro.explore import SUMMARY_TABLE
         path = tmp_path / "oracle.sqlite"
-        assert main(["mutate", "--count", "2", "--workers", "1",
+        assert main(["mutate", "--count", "2",
                      "--oracle", "explore", "--oracle-depth", "4",
                      "--save-db", str(path), "--quiet"]) == 0
         db = ProtocolDatabase(str(path))

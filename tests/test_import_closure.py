@@ -81,7 +81,6 @@ NOT_AT_SETUP = (
     "repro.core.repair",
     "repro.protocols.family.invariants",
     "repro.telemetry.sinks",
-    "repro.telemetry.relay",
 )
 
 
