@@ -518,16 +518,11 @@ def _cmd_explore(system, args) -> int:
     symmetry = args.symmetry or True
     explorer = None
     try:
-        # The member is pinned in the config (and thus the journal
-        # header) so a resume under a different --variant is refused;
-        # ``None`` for MESI keeps pre-family journals resuming cleanly.
-        spec_key = getattr(getattr(system, "spec", None), "key", "mesi")
         config = ExploreConfig(
             nodes=args.nodes, depth=args.depth, lines=args.lines,
             assignment=args.assignment, workers=args.workers,
             capacity=args.capacity, symmetry=symmetry,
             kernel=args.kernel, quads=args.quads,
-            variant=spec_key if spec_key != "mesi" else None,
             journal_path=args.journal, resume_from=args.resume)
         explorer = ReachabilityExplorer(system, config)
         result = explorer.run()
@@ -604,8 +599,7 @@ def _family_member_entry(system, args, failures: list) -> dict:
 
     config = ExploreConfig(
         nodes=args.nodes, depth=args.explore_depth,
-        assignment=args.assignment,
-        variant=spec.key if spec.key != "mesi" else None)
+        assignment=args.assignment)
     explorer = ReachabilityExplorer(system, config)
     try:
         result = explorer.run()

@@ -145,10 +145,9 @@ class InvariantChecker:
         self._invariants = (*self._invariants, *invariants)
         self._compiled = {}
 
-    def bound_to(self, db: Optional[ProtocolDatabase]) -> "InvariantChecker":
+    def bound_to(self, db: ProtocolDatabase) -> "InvariantChecker":
         """The same invariants over ``db``, a database with this one's
-        schema (None detaches, e.g. to pickle), sharing the compiled
-        batched sweep."""
+        schema, sharing the compiled batched sweep."""
         other = copy.copy(self)
         other.db = db
         return other
@@ -286,8 +285,10 @@ class InvariantChecker:
         if ("plan", key) not in self._compiled:
             self._compiled["plan", key] = self._plan(indexes, key)
         columns_of, statements = self._compiled["plan", key]
-        violations: dict[int, list[dict]] = {idx: [] for idx in columns_of}
+        # Violating rows as fetched; only details are projected to dicts.
+        violations: dict[int, list[tuple]] = {idx: [] for idx in columns_of}
         seconds: dict[int, float] = {}
+        where: dict[int, dict[str, int]] = {}
         tracer = get_tracer()
         for chunk, sql, columns in statements:
             with span("invariant.check_batch", invariants=len(chunk)) as sp:
@@ -295,9 +296,10 @@ class InvariantChecker:
             if tracer.enabled:
                 tracer.incr("invariant.batches")
                 tracer.incr("invariant.batched", len(chunk))
+            at = None
             if columns is None:
-                for idx, *values in rows:
-                    violations[idx].append(dict(zip(columns_of[idx], values)))
+                for r in rows:
+                    violations[r[0]].append(r)
             else:
                 if tracer.enabled and key is not None:
                     tracer.incr("invariant.delta_rows", len(rows))
@@ -305,13 +307,14 @@ class InvariantChecker:
                 for r in rows:
                     for j, idx in enumerate(chunk):
                         if r[len(columns) + j // MASK_BITS] >> j % MASK_BITS & 1:
-                            violations[idx].append(
-                                {c: r[at[c]] for c in columns_of[idx]})
+                            violations[idx].append(r)
             # Attribute the sweep's wall time evenly across its branches
             # so Report.total_seconds still sums to real time spent.
             share = sp.seconds / len(chunk)
             for idx in chunk:
                 seconds[idx] = share
+                where[idx] = at or {
+                    c: i for i, c in enumerate(columns_of[idx], 1)}
 
         results: list[CheckResult] = []
         for idx in indexes:
@@ -326,7 +329,8 @@ class InvariantChecker:
                 passed=not rows,
                 description=inv.description,
                 details=[
-                    InvariantViolation(inv.name, r)
+                    InvariantViolation(inv.name, {
+                        c: r[where[idx][c]] for c in columns_of[idx]})
                     for r in rows[:max_violations]
                 ],
                 seconds=seconds[idx],

@@ -174,10 +174,6 @@ class ExploreConfig:
     #: quad count override (default: 1 quad for 1 node, else 2).  Three
     #: or more quads give "full" symmetry non-trivial orbits.
     quads: Optional[int] = None
-    #: protocol-family variant key (``repro.protocols.family``); None
-    #: means "whatever the database holds" — this knob only pins
-    #: journals to one family member.
-    variant: Optional[str] = None
     journal_path: Optional[str] = None
     resume_from: Optional[str] = None
     #: finish the current depth, then stop as soon as any violation is
@@ -203,12 +199,6 @@ class ExploreConfig:
                 "kernel expands inline")
         if self.quads is not None and self.quads < 1:
             raise ExplorationError("quads must be >= 1")
-        if self.variant is not None:
-            from ..protocols.family.spec import SPECS
-            if self.variant not in SPECS:
-                raise ExplorationError(
-                    f"unknown protocol-family variant {self.variant!r}; "
-                    f"known: {', '.join(sorted(SPECS))}")
         try:
             symmetry_mode(self.symmetry)
         except ValueError as exc:
@@ -548,8 +538,8 @@ class ReachabilityExplorer:
         # --depth 12 legitimately continues the same exploration.  The
         # kernel choice stays out too — compiled and interpreted runs
         # are parity-identical, so either may resume the other.  The
-        # quad count and the protocol-family variant are stamped only
-        # when set.
+        # quad count and the system's family member (off MESI, so
+        # pre-family journals resume) are stamped only when set.
         c = self.config
         header = {
             "kind": JOURNAL_KIND,
@@ -561,8 +551,9 @@ class ReachabilityExplorer:
         }
         if c.quads is not None:
             header["quads"] = c.quads
-        if c.variant is not None:
-            header["variant"] = c.variant
+        variant = getattr(getattr(self.system, "spec", None), "key", "mesi")
+        if variant != "mesi":
+            header["variant"] = variant
         return header
 
     # -- the BFS --------------------------------------------------------------

@@ -3,35 +3,31 @@
 The behavioral invariant suite (``protocols/family/invariants``) encodes
 protocol *properties*; a single corrupted cell or a dropped row can slip
 between them.  The paper's stronger observation is that a generated table
-carries its own ground truth: it is exactly the solution set of its column
-constraints.  Two SQL audits follow directly:
-
-* **conformance** — ``SELECT … FROM T WHERE NOT (conjunction)``: every
-  stored row must still satisfy the constraint conjunction it was
-  generated from.  Any flipped next-state cell, swapped output message, or
-  corrupted presence-vector update violates some column constraint, so
-  this one check per controller catches every single-cell corruption.
-  It looks at one row at a time (an expression invariant), so a
-  table-scoped sweep judges only the rows that differ from the clean copy.
-
-* **completeness** — ``clean inputs EXCEPT current inputs``: every input
-  combination the generated table covered must still have a row, so a
-  dropped transition row shows up as a missing combination.
-
+is exactly the solution set of its column constraints (section 3), so a
+row obeys them exactly when it is a row of the generated table.
 :func:`prepare_reference_tables` writes each controller's clean copy
-*into* the database, so snapshots carry it.  Both audits are ordinary
-:class:`~repro.core.invariants.Invariant` objects and run through the
-same checker as the behavioral suite.
+``__clean_<T>`` *into* the database, so snapshots carry it, and two
+raw-SQL invariants follow as set differences against it:
+
+* **conformance** — ``T EXCEPT __clean_T`` over every column: a flipped
+  next-state cell, swapped output message, corrupted presence vector or
+  relaxed constraint leaves the solution set.
+* **completeness** — ``clean inputs EXCEPT current inputs``: a dropped
+  transition row shows up as a missing input combination.
+
+A hand-edited database need not be a solution set, so
+:func:`nonconforming_tables` checks the copies against the conjunctions.
 """
 
 from __future__ import annotations
 
 from ..core.expr import Not
 from ..core.invariants import Invariant
-from ..core.sqlgen import quote_ident
+from ..core.sqlgen import quote_ident, to_sql
 from ..core.table import CLEAN_PREFIX, write_clean_copy
 
-__all__ = ["prepare_reference_tables", "structural_invariants"]
+__all__ = ["nonconforming_tables", "prepare_reference_tables",
+           "structural_invariants"]
 
 
 def prepare_reference_tables(system) -> list[str]:
@@ -44,35 +40,37 @@ def prepare_reference_tables(system) -> list[str]:
 
 
 def structural_invariants(system) -> list[Invariant]:
-    """Conformance + completeness audits for every controller table.
-
-    Conformance audits are always emitted; completeness audits only for
-    controllers whose clean copy exists (see
-    :func:`prepare_reference_tables`).  Build these from a *clean* system
-    (or before applying a mutation): the conformance expression captures
-    the original constraint conjunction, so even a relax-constraint
-    mutant is judged against the specification it diverged from."""
+    """Conformance + completeness audits for every controller table whose
+    clean copy exists (see :func:`prepare_reference_tables`)."""
     invs: list[Invariant] = []
     for name, cs in system.constraint_sets.items():
-        inputs = tuple(cs.schema.input_names)
+        clean = CLEAN_PREFIX + name
+        if not system.db.table_exists(clean):
+            continue
+        t, c = quote_ident(name), quote_ident(clean)
+        cols = ", ".join(map(quote_ident, cs.schema.column_names))
+        inputs = ", ".join(map(quote_ident, cs.schema.input_names))
         invs.append(Invariant(
             name=f"audit-{name}-conforms",
-            description=(f"every row of {name} satisfies its generating "
-                         f"constraint conjunction"),
-            table=name,
-            violation=Not(cs.conjunction()),
-            report_columns=inputs,
+            description=(f"every row of {name} is a row of the generated "
+                         f"table (satisfies its constraint conjunction)"),
+            violation_sql=(f"SELECT {inputs} FROM (SELECT {cols} FROM {t} "
+                           f"EXCEPT SELECT {cols} FROM {c})"),
         ))
-        clean = CLEAN_PREFIX + name
-        if system.db.table_exists(clean):
-            in_cols = ", ".join(map(quote_ident, inputs))
-            invs.append(Invariant(
-                name=f"audit-{name}-complete",
-                description=(f"every generated input combination of {name} "
-                             f"still has a row"),
-                violation_sql=(f"SELECT DISTINCT {in_cols} "
-                               f"FROM {quote_ident(clean)} "
-                               f"EXCEPT SELECT {in_cols} "
-                               f"FROM {quote_ident(name)}"),
-            ))
+        invs.append(Invariant(
+            name=f"audit-{name}-complete",
+            description=(f"every generated input combination of {name} "
+                         f"still has a row"),
+            violation_sql=(f"SELECT DISTINCT {inputs} FROM {c} "
+                           f"EXCEPT SELECT {inputs} FROM {t}"),
+        ))
     return invs
+
+
+def nonconforming_tables(system) -> list[str]:
+    """The controllers whose clean copy holds a row that breaks the
+    table's constraint conjunction: one statement per table."""
+    return [name for name, cs in system.constraint_sets.items()
+            if system.db.query_tuples(
+                f"SELECT 1 FROM {quote_ident(CLEAN_PREFIX + name)} "
+                f"WHERE {to_sql(Not(cs.conjunction()))} LIMIT 1")]

@@ -6,10 +6,10 @@ clone (the template's snapshot → :meth:`ProtocolDatabase.deserialize` →
 :meth:`FamilySystem.attach`) and pushed through the three detection
 layers in the paper's order:
 
-1. **invariants** — the behavioral suite + per-table determinism checks
-   + the structural audits (conformance/completeness, see
-   :mod:`repro.faults.audits`), only those reading a table the mutation
-   wrote (:attr:`Mutation.tables`);
+1. **invariants** — one sweep of the behavioral suite and the
+   structural audits (set differences against the clean copies, see
+   :mod:`repro.faults.audits`), then the determinism checks, only those
+   reading a table the mutation wrote (:attr:`Mutation.tables`);
 2. **deadlock** — the SQL VCG analysis; a mutant is caught when the cycle
    set differs from the clean system's or the V lookup fails;
 3. **simulation** — Figure 2 plus a short random workload; protocol
@@ -60,7 +60,7 @@ from ..telemetry import (
     span,
     use_context,
 )
-from .audits import prepare_reference_tables, structural_invariants
+from . import audits
 from .mutations import FAULT_CLASSES, Mutation, MutationEngine
 
 __all__ = [
@@ -422,19 +422,31 @@ def _crashed_report(mutation: Mutation, exc: Exception,
 @dataclass(frozen=True)
 class MutantTemplate:
     """What every mutant shares, derived once from the clean system: its
-    ``snapshot``, the database-free ``system`` (:meth:`FamilySystem.attach`
-    of None) and the clean structural ``audits``."""
+    ``snapshot``, the ``system`` each clone attaches from, and the
+    layer-1 ``checker``, the member's suite and then the audits."""
 
     snapshot: bytes
     system: object
-    audits: InvariantChecker
+    checker: InvariantChecker
 
     @classmethod
     def of(cls, system) -> "MutantTemplate":
-        """The template of a clean system with its clean copies written."""
-        audits = InvariantChecker(None)
-        audits.extend(structural_invariants(system))
-        return cls(system.db.snapshot(), system.attach(None), audits)
+        """The template of a clean system with its clean copies written
+        (extending a bound copy of its suite leaves the suite alone)."""
+        checker = system.invariant_checker()
+        checker.extend(audits.structural_invariants(system))
+        return cls(system.db.snapshot(), system, checker)
+
+    def failed_checks(self, system,
+                      tables: Optional[Sequence[str]] = None) -> list[str]:
+        """Names of the layer-1 checks ``system`` fails (with ``tables``,
+        of those reading one): suite, then determinism, then audits."""
+        report = self.checker.bound_to(system.db).check_all(
+            "layer 1", tables=tables)
+        results = (*report.results, *system.check_determinism(tables=tables))
+        failed = [r.name for r in results if not r.passed]
+        # A stable sort moves the audits behind the determinism checks.
+        return sorted(failed, key=lambda name: name.startswith("audit-"))
 
 
 def _run_mutant(template: MutantTemplate, mutation: Mutation,
@@ -464,22 +476,16 @@ def _run_mutant(template: MutantTemplate, mutation: Mutation,
         with span("mutate.apply", mutant=mutation.mutant_id):
             mutation.apply_to(system)
 
-        # Layer 1: invariant sweep + determinism + structural audits
-        # (of the clean constraints, which relax-constraint edits), only
-        # the checks that read a table the mutation wrote: every other
-        # check passed on the clean template, and so did the unchanged
-        # rows of the clean copies that row-local checks skip.
+        # Layer 1: the checks that read a table the mutation wrote (one
+        # sweep, then determinism): every other check passed on the clean
+        # template, as did the unchanged rows that row-local checks skip.
         with span("mutate.invariants", mutant=mutation.mutant_id):
             try:
-                report = system.check_invariants(tables=mutation.tables)
-                audit_report = template.audits.bound_to(db).check_all(
-                    "structural audits", tables=mutation.tables)
+                failed = template.failed_checks(system, mutation.tables)
             except DatabaseError as exc:
                 return _detected(
                     mutation, "invariants",
                     f"checker error: {exc}".splitlines()[0], t0)
-        failed = [r.name for r in (*report.results, *audit_report.results)
-                  if not r.passed]
         if failed:
             return _detected(
                 mutation, "invariants",
@@ -640,7 +646,7 @@ def run_campaign(
                     f"system's family member {system_variant!r}")
             variant = system_variant
         variant = variant or "mesi"
-        prepare_reference_tables(system)
+        audits.prepare_reference_tables(system)
 
         engine = MutationEngine(system, seed=seed, classes=classes,
                                 assignment=assignment)
@@ -677,13 +683,12 @@ def run_campaign(
             if journal_path is None:
                 journal_path = resume_from
 
-        # The clean checks anchor every comparison (and compile the
-        # template's sweeps); refuse a baseline that already fails.
+        # The clean checks anchor every comparison and compile the sweep;
+        # the copies the audits trust must meet the conjunctions too (a
+        # hand-edited --db need not).  Refuse a baseline that fails.
         template = MutantTemplate.of(system)
-        clean = system.check_invariants()
-        clean_audits = template.audits.bound_to(system.db).check_all(
-            "clean audits")
-        if not (clean.passed and clean_audits.passed):
+        if (template.failed_checks(system)
+                or audits.nonconforming_tables(system)):
             raise ValueError(
                 "the clean system already fails its invariants/audits; "
                 "mutation detection would be meaningless")

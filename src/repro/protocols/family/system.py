@@ -142,18 +142,18 @@ class FamilySystem:
                 self._create_helper_tables()
         return self
 
-    def attach(self, db: Optional[ProtocolDatabase]) -> "FamilySystem":
-        """This system over ``db`` (a snapshot of its database; None gives a
-        database-free template), sharing the constraint sets, channel
-        assignments and compiled invariant suite: a mutation replaces a
-        dict entry, never edits one.  Tables are checked as on attach."""
+    def attach(self, db: ProtocolDatabase) -> "FamilySystem":
+        """This system over ``db`` (a snapshot of its database), sharing
+        the constraint sets, channel assignments and compiled invariant
+        suite: a mutation replaces a dict entry, never edits one.  Tables
+        are checked as on attach."""
         self.invariant_checker()  # build the suite once, for every clone
         other = type(self).__new__(type(self))
         other.spec, other.db, other._suite = self.spec, db, self._suite
         other.constraint_sets = dict(self.constraint_sets)
         other.channel_assignments = dict(self.channel_assignments)
         other.generation_results, other.generation_seconds = {}, 0.0
-        other.tables = {} if db is None else {
+        other.tables = {
             name: ControllerTable(db, cs.schema, name)
             for name, cs in other.constraint_sets.items()}
         return other
@@ -189,15 +189,22 @@ class FamilySystem:
 
     def check_invariants(self,
                          tables: Optional[Sequence[str]] = None) -> Report:
-        """Run the full invariant suite plus per-table determinism checks
-        (no two rows of any controller match the same concrete input);
-        with ``tables``, only the checks that read one of those tables,
-        judging only rows that differ from the clean copies where a check
-        looks at one row, or one pair, at a time."""
-        from ...core.invariants import tally
-
+        """Run the suite, then :meth:`check_determinism`; with ``tables``,
+        only the checks reading one of them, judging changed rows where a
+        check looks at one row, or one pair, at a time."""
         report = self.invariant_checker().check_all(
             f"{self.spec.title} protocol invariants", tables=tables)
+        report.extend(self.check_determinism(tables=tables))
+        return report
+
+    def check_determinism(self, tables: Optional[Sequence[str]] = None
+                          ) -> list[CheckResult]:
+        """Per controller (or per one of ``tables``, counting only pairs
+        with a row changed from the clean copy): no two rows match the
+        same concrete input."""
+        from ...core.invariants import tally
+
+        results = []
         for name, table in self.tables.items():
             if tables is not None and name not in tables:
                 continue
@@ -205,14 +212,14 @@ class FamilySystem:
                 count, overlaps = table.overlapping_pairs(
                     limit=5, changed=tables is not None)
             tally(count)
-            report.add(CheckResult(
+            results.append(CheckResult(
                 name=f"{name}-deterministic",
                 passed=not count,
                 description=f"no two rows of {name} match the same input",
                 details=overlaps,
                 seconds=sp.seconds,
             ))
-        return report
+        return results
 
     # -- deadlock analysis ----------------------------------------------------------
     def deadlock_specs(self) -> list[ControllerMessageSpec]:

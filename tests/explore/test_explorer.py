@@ -248,6 +248,18 @@ class TestJournaling:
             explore_system(system, nodes=2, depth=5, symmetry="quad",
                            resume_from=journal)
 
+    def test_resume_refuses_another_family_member(self, system, tmp_path):
+        # The header names the explored system's member, whether the
+        # explorer is driven through the CLI or, as here, the API.
+        from repro.protocols.family import build_variant
+
+        moesi = build_variant("moesi")
+        journal = str(tmp_path / "explore.jsonl")
+        explore_system(moesi, nodes=2, depth=3, journal_path=journal)
+        assert load_journal(journal)[0]["variant"] == "moesi"
+        with pytest.raises(JournalError, match="variant"):
+            explore_system(system, nodes=2, depth=5, resume_from=journal)
+
     def test_config_validation(self, system):
         for bad in (dict(nodes=0), dict(depth=-1), dict(lines=0),
                     dict(capacity=0), dict(workers=2, kernel="interpreted")):

@@ -129,7 +129,11 @@ class TestSeededBusyFlipWitness:
         — the oracle is what proves the miss is real, not what finds it
         first in the full pipeline."""
         from repro.core.invariants import InvariantChecker
-        from repro.faults.audits import structural_invariants
+        from repro.faults.audits import (
+            prepare_reference_tables,
+            structural_invariants,
+        )
+        prepare_reference_tables(fresh_system)
         audits = structural_invariants(fresh_system)
         _flip_mutation().apply_to(fresh_system)
         checker = InvariantChecker(fresh_system.db)

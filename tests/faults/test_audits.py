@@ -6,7 +6,12 @@ constraints, so any corruption either violates the conjunction or leaves
 an input combination uncovered.
 """
 
+import pytest
+
+from repro.core.database import ProtocolDatabase
+from repro.core.expr import Not
 from repro.core.invariants import InvariantChecker
+from repro.core.sqlgen import quote_ident, to_sql
 from repro.core.table import CLEAN_PREFIX
 from repro.faults import prepare_reference_tables, structural_invariants
 
@@ -32,6 +37,10 @@ class TestReferenceTables:
         assert copy == db.query_tuples(
             "SELECT rowid, * FROM D ORDER BY rowid")
         assert 3 not in {row[0] for row in copy}
+        # Both audits compare against the copy, which is written from the
+        # tables as given: they pass, and only the input check of
+        # run_campaign could refuse such a baseline.
+        assert audit_report(fresh_system).passed
 
     def test_idempotent(self, fresh_system):
         prepare_reference_tables(fresh_system)
@@ -57,10 +66,14 @@ class TestStructuralAudits:
             assert f"audit-{table}-complete" in names
 
     def test_completeness_needs_reference_tables(self, fresh_system):
+        # Both audits are set differences against the clean copies.
+        assert structural_invariants(fresh_system) == []
+        prepare_reference_tables(fresh_system)
         invs = structural_invariants(fresh_system)
-        names = {i.name for i in invs}
-        assert all(not n.endswith("-complete") for n in names)
-        assert len(invs) == len(fresh_system.tables)
+        assert [i.name for i in invs] == [
+            f"audit-{table}-{kind}" for table in fresh_system.tables
+            for kind in ("conforms", "complete")]
+        assert all(i.violation_sql is not None for i in invs)
 
     def test_dropped_row_breaks_completeness(self, fresh_system):
         prepare_reference_tables(fresh_system)
@@ -100,3 +113,60 @@ class TestStructuralAudits:
         report = checker.check_all("pre-captured audits")
         failed = {r.name for r in report.results if not r.passed}
         assert f"audit-{mutation.target}-conforms" in failed
+
+
+#: mutants per family member the parity test covers: the whole committed
+#: seed-0 campaign of MESI, a prefix of every other member's.
+PARITY_MUTANTS = {"mesi": 50, "moesi": 12, "mesif": 12, "mesi-vc6": 12,
+                  "mesi-noio": 12}
+
+
+@pytest.fixture(scope="module")
+def parity_templates():
+    """Each member's campaign template and its seed-0 mutations."""
+    from repro.faults import MutationEngine
+    from repro.faults.campaign import MutantTemplate
+    from repro.protocols.family import build_variant
+
+    out = {}
+    for key, count in PARITY_MUTANTS.items():
+        system = build_variant(key)
+        prepare_reference_tables(system)
+        out[key] = (MutantTemplate.of(system),
+                    MutationEngine(system, seed=0).sample(count))
+    yield out
+    for template, _ in out.values():
+        template.system.db.close()
+
+
+def _conjunction_rows(db, cs, table):
+    """The oracle: the inputs of the rows of ``table`` that break its
+    clean constraint conjunction, sorted."""
+    inputs = ", ".join(map(quote_ident, cs.schema.input_names))
+    return sorted(db.query_tuples(
+        f"SELECT {inputs} FROM {quote_ident(table)} "
+        f"WHERE {to_sql(Not(cs.conjunction()))}"), key=repr)
+
+
+@pytest.mark.parametrize("member", PARITY_MUTANTS)
+def test_set_difference_finds_the_conjunctions_rows(parity_templates,
+                                                    member):
+    """A generated table is the solution set of its constraints, so on
+    every sampled mutant the conformance audit (the mutated table EXCEPT
+    its clean copy) returns exactly the rows that break the conjunction
+    the table was generated from."""
+    template, mutations = parity_templates[member]
+    conforms = {inv.name: inv for inv in template.checker.invariants
+                if inv.name.endswith("-conforms")}
+    clean_sets = template.system.constraint_sets
+    violated = 0
+    for mutation in mutations:
+        with ProtocolDatabase.deserialize(template.snapshot) as db:
+            mutation.apply_to(template.system.attach(db))
+            for table, cs in clean_sets.items():
+                audit = conforms[f"audit-{table}-conforms"]
+                rows = sorted(db.query_tuples(audit.violation_sql), key=repr)
+                assert rows == _conjunction_rows(db, cs, table), (
+                    mutation.description, table)
+                violated += bool(rows)
+    assert violated  # the parity is not vacuous

@@ -1,7 +1,6 @@
 """Tests for the mutation campaign: determinism, detection layers, and
 the baseline-comparison gate used by CI."""
 
-import types
 from collections import Counter
 
 import pytest
@@ -59,6 +58,17 @@ class TestDetectionExpectations:
         with pytest.raises(ValueError, match="clean system"):
             run_campaign(system=fresh_system, seed=0, count=1)
 
+    def test_nonconforming_input_system_is_rejected(self, fresh_system):
+        # A directory row that no longer satisfies D's constraint
+        # conjunction, yet passes the suite and the determinism checks:
+        # the audits compare against a copy of this very table, so only
+        # the input check of the clean copies refuses it.
+        fresh_system.db.execute(
+            "UPDATE D SET nxtbdirst = 'I' WHERE rowid = 242")
+        assert fresh_system.check_invariants().passed
+        with pytest.raises(ValueError, match="clean system"):
+            run_campaign(system=fresh_system, seed=0, count=1)
+
 
 def _template_and_cycles(system, clone_of):
     """A campaign template of a clone of ``system``, and its clean
@@ -83,15 +93,10 @@ class TestDetectionLayers:
 
     def test_simulation_layer_is_a_real_backstop(self, system, clone_of,
                                                  monkeypatch):
-        # Blind the static layers; a gutted cache controller must still
-        # be caught when the simulator tries to look transitions up.
-        from repro.protocols.asura.system import AsuraSystem
-
-        passing = types.SimpleNamespace(results=(), passed=True)
-        monkeypatch.setattr(AsuraSystem, "check_invariants",
-                            lambda self, *a, **kw: passing)
-        monkeypatch.setattr(campaign_mod, "structural_invariants",
-                            lambda s: [])
+        # Blind the merged layer-1 sweep; a gutted cache controller must
+        # still be caught when the simulator tries to look transitions up.
+        monkeypatch.setattr(MutantTemplate, "failed_checks",
+                            lambda self, system, tables=None: [])
         template, cycles = _template_and_cycles(system, clone_of)
         gut = Mutation(mutant_id=1, fault_class="drop-row", target="C",
                        description="all C rows deleted",
@@ -157,24 +162,73 @@ class TestSharedDerivation:
         it wrote; a change that re-derives per mutant or sweeps untouched
         tables again fails here.  The violations found must not move:
         404, as with the full sweep.  Row-local checks judge only the rows
-        that differ from the clean copies: 298, summed over the suite's
-        and the audits' changed-rows queries (a one-cell edit is one row
-        in each).  The statement count fell from 458 to 417: attaching a
+        that differ from the clean copies: 149, from the suite's
+        changed-rows queries (a one-cell edit is one row; 298 while the
+        conformance audit was an expression invariant with changed-rows
+        queries of its own).  The statement count fell from 458 to 417:
+        attaching a
         table reads its columns once instead of also probing that it
         exists, while a sweep runs one bit-mask query per table for the
         expression invariants beside the UNION ALL of the raw-SQL ones.
         It fell again from 417 to 353 when each relaxed table became one
         generating statement instead of one working table per column, and
         from 353 to 279 when a regeneration stopped re-creating one
-        column table per column and filled one values table instead."""
+        column table per column and filled one values table instead, and
+        from 279 to 262 when the audits became set differences against
+        the clean copies, swept with the suite by one checker (254), plus
+        one conjunction per table checking the clean copies (8)."""
         tracer = telemetry.Tracer()
         with telemetry.use_tracer(tracer):
             run_campaign(system=fresh_system, seed=0, count=8)
         counters = tracer.registry.counters
-        assert counters["sql.queries"] == 279
+        assert counters["sql.queries"] == 262
         assert counters["invariant.checks"] == 376
         assert counters["invariant.violations"] == 404
-        assert counters["invariant.delta_rows"] == 298
+        assert counters["invariant.delta_rows"] == 149
+
+
+class _RecordingTracer(telemetry.Tracer):
+    """A tracer that keeps every statement whole (the trace truncates)."""
+
+    def __init__(self):
+        super().__init__()
+        self.statements = []
+
+    def record_sql(self, sql, *args, **kwargs):
+        self.statements.append(sql)
+        super().record_sql(sql, *args, **kwargs)
+
+
+class TestOneSweepPerMutant:
+    def test_conjunctions_run_once_per_campaign(self, fresh_system,
+                                                monkeypatch):
+        """Layer 1 of each mutant is one checker's sweep, and no mutant
+        runs a constraint conjunction: each table's conjunction runs
+        once per campaign, checking the clean copy."""
+        from repro.core.expr import Not
+        from repro.core.invariants import InvariantChecker
+        from repro.core.sqlgen import to_sql
+
+        sweeps = []
+        check_all = InvariantChecker.check_all
+
+        def counted(self, *args, **kwargs):
+            sweeps.append(self.invariants)
+            return check_all(self, *args, **kwargs)
+
+        monkeypatch.setattr(InvariantChecker, "check_all", counted)
+        conjunctions = {name: to_sql(Not(cs.conjunction())) for name, cs
+                        in fresh_system.constraint_sets.items()}
+        tracer = _RecordingTracer()
+        with telemetry.use_tracer(tracer):
+            result = run_campaign(system=fresh_system, seed=0, count=8)
+        for name, conjunction in conjunctions.items():
+            assert sum(conjunction in sql
+                       for sql in tracer.statements) == 1, name
+        # The clean baseline's sweep, then one per mutant, all by the
+        # template's checker.
+        assert len(sweeps) == 1 + result.count
+        assert len(set(sweeps)) == 1
 
 
 SEED0_MUTANTS = 50
@@ -214,27 +268,22 @@ class TestTableScopedChecks:
         with ProtocolDatabase.deserialize(template.snapshot) as db:
             system = template.system.attach(db)
             mutation.apply_to(system)
-            audits = template.audits.bound_to(db)
-            suite = system.invariant_checker()
-            full = (system.check_invariants().results,
-                    audits.check_all().results)
-            # The oracle: the per-invariant path, then the determinism
-            # checks check_invariants appends after the suite.
-            oracle = (_per_invariant(suite)
-                      + full[0][len(suite.invariants):],
-                      _per_invariant(audits))
+            checker = template.checker.bound_to(db)
+            full = (checker.check_all().results, system.check_determinism())
+            # The oracle: the per-invariant path.
+            oracle = (_per_invariant(checker), full[1])
             tracer = telemetry.Tracer()
             with telemetry.use_tracer(tracer):
-                scoped = (system.check_invariants(tables=mutation.tables),
-                          audits.check_all(tables=mutation.tables))
+                scoped = (checker.check_all(tables=mutation.tables).results,
+                          system.check_determinism(tables=mutation.tables))
             # Row-local checks ran on the changed rows (none for a
             # dropped row), and only when the mutant wrote a table.
             counted = tracer.registry.counters.get("invariant.delta_rows")
             assert (counted is None) == (not mutation.tables)
             for wholes in (full, oracle):
                 for whole, part in zip(wholes, scoped):
-                    assert _failures(part.results) == _failures(whole)
-                    ran = [r.name for r in part.results]
+                    assert _failures(part) == _failures(whole)
+                    ran = [r.name for r in part]
                     assert ran == [r.name for r in whole if r.name in ran]
 
     @pytest.mark.parametrize("mutant", range(SEED0_MUTANTS))

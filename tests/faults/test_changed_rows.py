@@ -1,8 +1,8 @@
 """Changed-row checks against the full sweep, on every family member.
 
-A table-scoped sweep judges row-local checks (expression invariants, the
-conformance audit, the determinism self-join) only on the rows that
-differ from the clean copies.  The full sweep over whole tables is the
+A table-scoped sweep judges row-local checks (expression invariants and
+the determinism self-join) only on the rows that differ from the clean
+copies.  The full sweep over whole tables is the
 oracle: for any edit of a clean table the two must report the same
 failed checks, in the same order, with the same rows, and the
 determinism check the same pair count and first five pairs.
@@ -84,11 +84,10 @@ def test_changed_rows_match_full_sweep(templates, member, table, edits):
         system = template.system.attach(db)
         for edit in edits:
             _apply(db, system, table, edit)
-        audits = template.audits.bound_to(db)
-        full = (system.check_invariants().results,
-                audits.check_all().results)
-        scoped = (system.check_invariants(tables=(table,)).results,
-                  audits.check_all(tables=(table,)).results)
+        checker = template.checker.bound_to(db)
+        full = (checker.check_all().results, system.check_determinism())
+        scoped = (checker.check_all(tables=(table,)).results,
+                  system.check_determinism(tables=(table,)))
         for whole, part in zip(full, scoped):
             assert _failures(part) == _failures(whole)
             ran = [r.name for r in part]

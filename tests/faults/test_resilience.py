@@ -71,7 +71,8 @@ class TestLayerErrors:
 
     def test_invariant_layer_error_is_a_detection(self, system,
                                                   monkeypatch):
-        orig = AsuraSystem.check_invariants
+        # Break the determinism checks, which close the merged sweep.
+        orig = AsuraSystem.check_determinism
         calls = []
 
         def broken(self, **kw):
@@ -80,7 +81,7 @@ class TestLayerErrors:
             calls.append(self)
             raise DatabaseError("OperationalError: checker gone")
 
-        monkeypatch.setattr(AsuraSystem, "check_invariants", broken)
+        monkeypatch.setattr(AsuraSystem, "check_determinism", broken)
         result = run_campaign(system=system, seed=0, count=2,
                               classes=("drop-row",))
         assert [r.detected_by for r in result.reports] == ["invariants"] * 2

@@ -186,13 +186,12 @@ class TestExplorerKernelParity:
         mutation.apply_to(clone)
         return clone, mutation
 
-    def _explore(self, clone, variant, kernel):
+    def _explore(self, clone, kernel):
         from repro.explore import (ExplorationError, ExploreConfig,
                                    ReachabilityExplorer)
 
         config = ExploreConfig(
-            nodes=2, depth=4, assignment="v5d", kernel=kernel,
-            variant=variant if variant != "mesi" else None)
+            nodes=2, depth=4, assignment="v5d", kernel=kernel)
         explorer = ReachabilityExplorer(clone, config)
         try:
             result = explorer.run()
@@ -208,8 +207,8 @@ class TestExplorerKernelParity:
                                                      variant, seed):
         clone, mutation = self._mutated_clone(family(variant), seed)
         try:
-            compiled = self._explore(clone, variant, "compiled")
-            interpreted = self._explore(clone, variant, "interpreted")
+            compiled = self._explore(clone, "compiled")
+            interpreted = self._explore(clone, "interpreted")
         finally:
             clone.db.close()
         assert compiled == interpreted, \

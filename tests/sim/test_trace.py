@@ -53,3 +53,25 @@ class TestRender:
         header = text.splitlines()[0]
         for ep in ("node:1.0", "node:0.1", "dir:0", "mem:0"):
             assert ep in header
+
+
+class TestOfflineReplay:
+    def test_recorded_stream_renders_like_the_live_trace(self, system,
+                                                         tmp_path):
+        """The documented recipe (docs/OBSERVABILITY.md): a
+        ``simulate --trace-out`` stream, read back through
+        ``events_from_telemetry``, draws the same diagram as the run's
+        in-memory trace."""
+        from repro.cli import main
+        from repro.sim.trace import events_from_telemetry
+        from repro.telemetry import read_jsonl
+
+        path = tmp_path / "events.jsonl"
+        assert main(["simulate", "--workload", "fig2", "--assignment",
+                     "v5d", "--trace-out", str(path), "--quiet"]) == 0
+        replayed = events_from_telemetry(read_jsonl(str(path)))
+        live = figure2_scenario(system, assignment="v5d").run().trace
+        assert replayed and replayed == list(live)
+        assert render_sequence(replayed) == render_sequence(live)
+        assert (render_sequence(replayed, addr="X")
+                == render_sequence(live, addr="X"))
