@@ -217,16 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel assignment to explore under "
                         "(default: %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="kernel worker processes expanding the frontier "
-                        "(--kernel compiled only); results are identical "
-                        "for any worker count (default: %(default)s)")
+                   help="kernel worker processes expanding the frontier; "
+                        "results are identical for any worker count "
+                        "(default: %(default)s)")
     p.add_argument("--capacity", type=int, default=1,
                    help="per-channel queue capacity (default: %(default)s)")
-    p.add_argument("--kernel", choices=("compiled", "interpreted"),
-                   default="compiled",
-                   help="transition backend: integer-indexed codegen "
-                        "dispatch kernels, or the SQL-interpreted tables "
-                        "kept as the parity oracle (default: %(default)s)")
     p.add_argument("--quads", type=int, default=None, metavar="N",
                    help="number of quads hosting the nodes (default: "
                         "topology-derived; >2 enables quad-interchange "
@@ -513,8 +508,9 @@ def _cmd_explore(system, args) -> int:
               file=sys.stderr)
         return 2
     _check_writable(args.out)
-    # ``True`` (not "quad") when the flag is not given, so journal
-    # headers written by older versions keep resuming cleanly.
+    # ``True`` (not "quad") when the flag is not given: journal headers
+    # store the normalized mode either way, so this only keeps
+    # ``--out``'s ``symmetry`` field ``true`` for a default run.
     symmetry = args.symmetry or True
     explorer = None
     try:
@@ -522,7 +518,7 @@ def _cmd_explore(system, args) -> int:
             nodes=args.nodes, depth=args.depth, lines=args.lines,
             assignment=args.assignment, workers=args.workers,
             capacity=args.capacity, symmetry=symmetry,
-            kernel=args.kernel, quads=args.quads,
+            quads=args.quads,
             journal_path=args.journal, resume_from=args.resume)
         explorer = ReachabilityExplorer(system, config)
         result = explorer.run()

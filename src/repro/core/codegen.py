@@ -8,8 +8,9 @@ Three targets:
   The generated source is executable; :func:`compile_python` returns the
   callable so tests can cross-check it against ``ControllerTable.lookup``.
 
-* :func:`generate_dispatch` — an integer-indexed dispatch kernel: every
-  input column is encoded over its domain (the same "code 0 is NULL"
+* :func:`generate_dispatch_source` — an integer-indexed dispatch kernel
+  over a snapshot of a table's rows (:func:`compile_dispatch` execs it):
+  every input column is encoded over its domain (the same "code 0 is NULL"
   convention the Verilog backend uses), rows are grouped by their
   wildcard mask, and each group becomes a dict keyed by the packed
   mixed-radix code of its concrete columns.  A probe is a handful of
@@ -33,7 +34,6 @@ from .table import ControllerTable
 __all__ = [
     "generate_python",
     "compile_python",
-    "generate_dispatch",
     "generate_dispatch_source",
     "compile_dispatch",
     "generate_verilog",
@@ -178,15 +178,6 @@ def generate_dispatch_source(
         lines.append("        m += r")
     lines.append("    return m")
     return "\n".join(lines) + "\n"
-
-
-def generate_dispatch(
-    table: ControllerTable, function_name: Optional[str] = None
-) -> str:
-    """Render a live :class:`ControllerTable` as a dispatch kernel."""
-    return generate_dispatch_source(
-        table.schema, table.rows_with_ids(), function_name
-    )
 
 
 def compile_dispatch(

@@ -8,8 +8,8 @@ one SQL query per transition.  Semantics are bit-identical: stored NULL
 inputs are wildcards, a ``None`` (or out-of-domain) probe value matches
 only wildcard rows, rowids and row dicts match what the SQL path returns,
 and the error classes *and message strings* are the same — the explorer
-pins hole-violation details on those strings, so the compiled and
-interpreted kernels must raise identically.
+pins hole-violation details on those strings, so a kernel must raise
+exactly what the SQL-backed table (the tests' parity oracle) raises.
 
 :func:`compile_system_kernels` compiles the tables a step executes
 (:func:`repro.sim.models.step` looks rows up through either kind of

@@ -124,8 +124,8 @@ class ControllerTable:
         """All rows paired with their sqlite rowids, in storage order.
 
         The compiled kernel backend (:mod:`repro.core.kernel`) snapshots a
-        table through this so its matches report the same rowids coverage
-        analysis records for the interpreted path.
+        table through this so its matches report the same rowids as the
+        SQL lookups do.
         """
         sql = (f"SELECT rowid AS __rowid__, * "
                f"FROM {quote_ident(self.table_name)} ORDER BY rowid")

@@ -39,18 +39,14 @@ Long runs checkpoint one journal record per completed depth
 (``--journal``) and resume exactly after the last completed depth, even
 with a larger ``--depth``.
 
-Two kernels answer the steps' row lookups (``--kernel``):
-
-* ``compiled`` (default) — the controller tables are compiled into
-  integer-indexed dispatch kernels (:mod:`repro.core.kernel`) when the
-  first transition fires; a lookup is a handful of dict probes instead
-  of an SQL query, and multi-worker runs fan out over a persistent
-  :class:`~repro.explore.pool.KernelPool` that received the kernels
-  once and thereafter only ships encoded state batches.
-* ``interpreted`` — the SQL lookup path, kept as the parity oracle:
-  both kernels must produce identical reached-state digest sets,
-  identical violations, and identical hole messages.  It always
-  expands inline.
+Every row lookup a step makes is answered by the controller tables
+compiled into integer-indexed dispatch kernels (:mod:`repro.core.kernel`)
+when the first transition fires; a lookup is a handful of dict probes
+instead of an SQL query, and multi-worker runs fan out over a
+persistent :class:`~repro.explore.pool.KernelPool` that received the
+kernels once and thereafter only ships state batches.  The SQL-backed
+tables stay the tests' parity oracle: the differential suites hand them
+to the same :func:`~repro.sim.models.step` and compare the results.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from ..core.database import DatabaseError, ProtocolDatabase
+from ..core.database import ProtocolDatabase
 from ..core.kernel import compile_system_kernels
 from ..core.table import LookupError_
 from ..runtime import (
@@ -127,7 +123,7 @@ INJECT_OPS = ("ld", "st", "evict")
 
 #: errors that mean "the tables have no row for this reachable input" —
 #: a protocol hole, recorded as a violation rather than crashing the run.
-_HOLE_ERRORS = (SimProtocolError, LookupError_, DatabaseError)
+_HOLE_ERRORS = (SimProtocolError, LookupError_)
 
 
 class ExplorationError(RuntimeError):
@@ -167,9 +163,8 @@ class ExploreConfig:
     #: ``True``/"quad" = within-quad node relabellings, "full" = also
     #: permute interchangeable non-home quads, ``False``/"off" = none.
     symmetry: Any = True
-    #: "compiled" = dispatch-table kernels, "interpreted" = SQL lookups
-    #: (the parity oracle).  Both see every table mutation made before
-    #: the first transition fires.
+    #: the transition backend: "compiled" dispatch kernels, the only
+    #: one.  The field stays because ``perfbench/ops.py`` passes it.
     kernel: str = "compiled"
     #: quad count override (default: 1 quad for 1 node, else 2).  Three
     #: or more quads give "full" symmetry non-trivial orbits.
@@ -180,6 +175,9 @@ class ExploreConfig:
     #: recorded — the oracle's mode, where one witness suffices.
     stop_on_violation: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.nodes < 1:
             raise ExplorationError("explore needs at least 1 node")
@@ -189,14 +187,9 @@ class ExploreConfig:
             raise ExplorationError("depth bound must be >= 0")
         if self.capacity < 1:
             raise ExplorationError("channel capacity must be >= 1")
-        if self.kernel not in ("compiled", "interpreted"):
+        if self.kernel != "compiled":
             raise ExplorationError(
-                f"kernel must be 'compiled' or 'interpreted', "
-                f"got {self.kernel!r}")
-        if self.workers > 1 and self.kernel == "interpreted":
-            raise ExplorationError(
-                "workers > 1 needs the compiled kernel; the interpreted "
-                "kernel expands inline")
+                f"kernel must be 'compiled', got {self.kernel!r}")
         if self.quads is not None and self.quads < 1:
             raise ExplorationError("quads must be >= 1")
         try:
@@ -475,7 +468,6 @@ class ReachabilityExplorer:
     def __init__(self, system, config: Optional[ExploreConfig] = None) -> None:
         self.system = system
         self.config = config or ExploreConfig()
-        self.config.validate()
         self.addrs = _addrs(self.config)
         #: every line homed at quad 0: requests from quad 1 exercise the
         #: remote-request path, requests from quad 0 the local one.
@@ -501,8 +493,8 @@ class ReachabilityExplorer:
         self.pred: dict[str, Optional[tuple]] = {self.root_digest: None}
 
     @property
-    def kernels(self) -> Optional[dict]:
-        """Compiled dispatch kernels; None on the interpreted path.
+    def kernels(self) -> dict:
+        """The compiled dispatch kernels the steps look rows up in.
 
         Compiled lazily from the tables as they stand when a transition
         first needs firing — mutations applied before the run (the
@@ -510,8 +502,6 @@ class ReachabilityExplorer:
         A table the dispatch compiler cannot handle raises
         :class:`ExplorationError`.
         """
-        if self.config.kernel != "compiled":
-            return None
         if self._kernels is None:
             try:
                 self._kernels = compile_system_kernels(self.system)
@@ -520,11 +510,6 @@ class ReachabilityExplorer:
                     f"kernel compilation failed: {type(exc).__name__}: "
                     f"{exc}".splitlines()[0]) from exc
         return self._kernels
-
-    @property
-    def tables(self):
-        """The table mapping the steps look rows up in."""
-        return self.kernels or self.system.tables
 
     def close(self) -> None:
         """Release the worker pool."""
@@ -536,8 +521,6 @@ class ReachabilityExplorer:
     def _journal_header(self) -> dict:
         # The depth bound stays out: resuming a depth-8 journal with
         # --depth 12 legitimately continues the same exploration.  The
-        # kernel choice stays out too — compiled and interpreted runs
-        # are parity-identical, so either may resume the other.  The
         # quad count and the system's family member (off MESI, so
         # pre-family journals resume) are stamped only when set.
         c = self.config
@@ -700,20 +683,14 @@ class ReachabilityExplorer:
     def _expand_frontier(self, frontier: list[str]) -> list:
         """``(digest, expansion)`` for every frontier state, in frontier
         order."""
-        cfg = self.config
-        workers = cfg.workers
-        if get_tracer().enabled:
-            # The kernel pool's forked children would write to inherited
-            # sinks, so a recording run expands inline.  The campaign's
-            # process workers are where telemetry keeps its parallelism.
-            workers = 1
-        if workers > 1 and self.kernels is not None:
+        workers = self.config.workers
+        if workers > 1:
             return self._expand_frontier_pool(frontier, workers)
-        tables = self.tables
+        kernels = self.kernels
         return [
             (digest,
-             _expand_state(self.states[digest], tables, self.net, self.addrs,
-                           self.symmetry, self.quad_classes))
+             _expand_state(self.states[digest], kernels, self.net,
+                           self.addrs, self.symmetry, self.quad_classes))
             for digest in frontier
         ]
 
@@ -824,7 +801,7 @@ class ReachabilityExplorer:
         events: list[TraceEvent] = []
         for i, move in enumerate(moves):
             try:
-                succ, fx = step(state, tuple(move), self.tables, self.net)
+                succ, fx = step(state, tuple(move), self.kernels, self.net)
             except _HOLE_ERRORS as exc:
                 raise ExplorationError(
                     f"replay hit a protocol hole at move {i} "

@@ -9,13 +9,14 @@ hole, disagrees with the directory at quiescence, or deadlocks, the
 mutant is caught — by the oracle and by nothing earlier, which is
 exactly a measured false negative of the paper's static checks.
 
-The oracle always runs single-worker and inline on the mutated system:
-mutations may live partly in memory (channel reassignments patch the
-:class:`~repro.core.deadlock.ChannelAssignment` object, not the
-database), so expanding on snapshot clones would silently explore the
-*unmutated* fabric.  ``stop_on_violation`` makes the common caught-early
-case cheap — one witness suffices, the explorer finishes its current
-depth and stops.
+The oracle runs single-worker, inline on the mutated system.  A
+:class:`~repro.explore.pool.KernelPool` would explore the same mutant —
+it ships the parent's ``Network``, whose channel fabric holds the
+mutated :class:`~repro.core.assignment.ChannelAssignment`, and kernels
+compiled from the mutated tables — but whether it pays at oracle sizes
+has not been measured.  ``stop_on_violation`` makes the common
+caught-early case cheap — one witness suffices, the explorer finishes
+its current depth and stops.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ with no setup.
 
 Workers are plain ``multiprocessing.Pool`` processes; determinism is
 preserved because ``map`` returns batches in submission order and the
-explorer merges them exactly like the inline path.  The pool is only
-ever created with telemetry disabled (the explorer forces ``workers=1``
-under an enabled tracer), so children never write to inherited sinks.
+explorer merges them exactly like the inline path.  A traced run keeps
+its workers: the children call no tracer method (expansion is pure
+kernel lookups), so they never write to the sinks they inherit, and the
+parent alone records the run's spans, counters and events.
 """
 
 from __future__ import annotations

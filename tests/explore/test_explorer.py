@@ -66,7 +66,7 @@ class TestCleanExploration:
 
     def test_kernel_compile_failure_raises(self, system, monkeypatch):
         """A table the dispatch compiler cannot handle stops the run; it
-        does not switch to the interpreted backend."""
+        does not fall back to SQL lookups."""
         import repro.explore.explorer as explorer_mod
 
         def broken(_system):
@@ -114,6 +114,39 @@ class TestTelemetryParity:
         counters = tracer.registry.snapshot()["counters"]
         assert counters["explore.states"] == traced.states
         assert counters["explore.transitions"] == traced.transitions
+
+    def test_traced_run_keeps_its_worker_pool(self, system, tmp_path,
+                                              monkeypatch):
+        """Tracing does not send a multi-worker run inline: the pool's
+        children call no tracer method, so the trace file holds exactly
+        the parent's events and the result is the untraced one."""
+        import repro.explore.explorer as explorer_mod
+        from repro.telemetry.sinks import JsonlSink
+
+        pools = []
+
+        class RecordingPool(explorer_mod.KernelPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(explorer_mod, "KernelPool", RecordingPool)
+        cfg = dict(nodes=3, depth=10, workers=2)
+        untraced = explore_system(system, **cfg)
+        pools.clear()
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(str(path))
+        tracer = Tracer(sinks=[sink])
+        try:
+            with use_tracer(tracer):
+                traced = explore_system(system, **cfg)
+        finally:
+            sink.close()
+        assert len(pools) == 1
+        assert traced.to_dict() == untraced.to_dict()
+        lines = path.read_text().splitlines()
+        assert tracer.events_emitted > 0
+        assert len(lines) == tracer.events_emitted
 
 
 class TestDifferentialParity:
@@ -262,7 +295,7 @@ class TestJournaling:
 
     def test_config_validation(self, system):
         for bad in (dict(nodes=0), dict(depth=-1), dict(lines=0),
-                    dict(capacity=0), dict(workers=2, kernel="interpreted")):
+                    dict(capacity=0), dict(kernel="interpreted")):
             with pytest.raises(ExplorationError):
                 ReachabilityExplorer(system, ExploreConfig(**bad))
 

@@ -1,10 +1,11 @@
-"""Differential tests: compiled kernels vs the interpreted SQL path.
+"""Differential tests: compiled kernels vs SQL lookups.
 
 The compiled dispatch kernels (``repro.core.kernel``) are the
-performance path; the SQL-backed interpreter is the semantics oracle.
-Everything here pins the fast path byte-identical to the oracle: lookup
-results *and* error messages, per-state expansions, and whole-run
-results on clean and mutated tables across every fault class.
+explorer's transition backend; the SQL-backed tables are the semantics
+oracle (:func:`tests.explore.sql_oracle.sql_lookups`).  Everything here
+pins the kernels byte-identical to the oracle: lookup results *and*
+error messages, per-state expansions, and whole-run results on clean
+and mutated tables across every fault class.
 """
 
 import pytest
@@ -23,6 +24,8 @@ from repro.explore.explorer import _expand_state, _quad_classes
 from repro.explore.state import canonicalize, hash_state, permute_quads
 from repro.faults.mutations import FAULT_CLASSES, MutationEngine
 from repro.protocols.asura import build_system
+
+from .sql_oracle import sql_lookups
 
 _LOOKUP_ERRORS = (NoMatchError, AmbiguousMatchError, SchemaError)
 
@@ -149,6 +152,11 @@ def _run(system, **overrides):
         explorer.close()
 
 
+def _run_sql(system, **overrides):
+    with sql_lookups():
+        return _run(system, **overrides)
+
+
 class TestMutantParity:
     """Whole-run differential on *broken* tables: each fault class
     perturbs the controllers differently (dropped rows become holes,
@@ -161,19 +169,34 @@ class TestMutantParity:
         mutated = build_system()
         engine = MutationEngine(mutated, seed=7, classes=[fault_class])
         engine.sample(1)[0].apply_to(mutated)
-        res_c, states_c = _run(mutated, nodes=2, depth=6, kernel="compiled")
-        res_i, states_i = _run(mutated, nodes=2, depth=6,
-                               kernel="interpreted")
+        res_c, states_c = _run(mutated, nodes=2, depth=6)
+        res_i, states_i = _run_sql(mutated, nodes=2, depth=6)
         assert states_c == states_i
         assert res_c.to_dict() == res_i.to_dict()
 
     def test_clean_run_digest_sets_identical(self, system):
-        res_c, states_c = _run(system, nodes=2, depth=8, kernel="compiled")
-        res_i, states_i = _run(system, nodes=2, depth=8,
-                               kernel="interpreted")
+        res_c, states_c = _run(system, nodes=2, depth=8)
+        res_i, states_i = _run_sql(system, nodes=2, depth=8)
         assert res_c.ok and res_i.ok
         assert states_c == states_i
         assert res_c.to_dict() == res_i.to_dict()
+
+
+class TestWholeRunParity:
+    """The ``--out`` report of a clean run is identical on kernels and on
+    SQL lookups, at the pinned 2-node bound and through node
+    canonicalization on 3 nodes (two of which share a quad)."""
+
+    @pytest.mark.parametrize("bound, pinned", [
+        (dict(nodes=2, depth=10), (407, 702)),
+        (dict(nodes=3, lines=2, depth=7), (1765, 3288)),
+    ], ids=["2n-d10", "3n-2l-d7"])
+    def test_report_identical(self, system, bound, pinned):
+        compiled, _ = _run(system, **bound)
+        sql, _ = _run_sql(system, **bound)
+        assert compiled.ok
+        assert (compiled.states, compiled.transitions) == pinned
+        assert compiled.to_dict() == sql.to_dict()
 
 
 class TestFullSymmetry:

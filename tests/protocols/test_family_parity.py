@@ -5,7 +5,7 @@ stay in lockstep on *every* family member, clean or mutated:
 
 * the SQL deadlock pipeline vs the Python row-at-a-time oracle;
 * the batched invariant sweep vs the per-invariant checker;
-* the compiled transition kernels vs the interpreted explorer.
+* the compiled transition kernels vs the explorer on SQL lookups.
 
 Plus the golden-matrix regressions: the MESI baseline's eight generated
 tables are byte-identical to the committed fixture (the family refactor
@@ -34,6 +34,8 @@ from repro.protocols.family import (
     build_variant,
     read_variant_marker,
 )
+
+from ..explore.sql_oracle import sql_lookups
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VARIANTS = tuple(SPECS)
@@ -168,7 +170,7 @@ class TestDeadlockEngineParity:
 @pytest.mark.skipif(not SNAPSHOT_SUPPORTED,
                     reason="sqlite3 serialize() needs Python 3.11+")
 class TestExplorerKernelParity:
-    """Compiled kernels and the interpreted oracle must agree on broken
+    """Compiled kernels and the SQL-lookup oracle must agree on broken
     protocols too — otherwise the mutation campaign's ground-truth
     oracle would depend on which backend ran."""
 
@@ -186,12 +188,11 @@ class TestExplorerKernelParity:
         mutation.apply_to(clone)
         return clone, mutation
 
-    def _explore(self, clone, kernel):
+    def _explore(self, clone):
         from repro.explore import (ExplorationError, ExploreConfig,
                                    ReachabilityExplorer)
 
-        config = ExploreConfig(
-            nodes=2, depth=4, assignment="v5d", kernel=kernel)
+        config = ExploreConfig(nodes=2, depth=4, assignment="v5d")
         explorer = ReachabilityExplorer(clone, config)
         try:
             result = explorer.run()
@@ -207,8 +208,9 @@ class TestExplorerKernelParity:
                                                      variant, seed):
         clone, mutation = self._mutated_clone(family(variant), seed)
         try:
-            compiled = self._explore(clone, "compiled")
-            interpreted = self._explore(clone, "interpreted")
+            compiled = self._explore(clone)
+            with sql_lookups():
+                interpreted = self._explore(clone)
         finally:
             clone.db.close()
         assert compiled == interpreted, \

@@ -435,11 +435,17 @@ class TestExploreCommand:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "Traceback" not in err
 
-    def test_interpreted_workers_exit_2(self, capsys):
-        assert main(["explore", "--kernel", "interpreted",
-                     "--workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "compiled kernel" in err and "Traceback" not in err
+    def test_kernel_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--kernel", "compiled"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    def test_interpreted_kernel_config_raises(self):
+        from repro.explore import ExplorationError, ExploreConfig
+
+        with pytest.raises(ExplorationError, match="'compiled'"):
+            ExploreConfig(kernel="interpreted")
 
     def test_save_db_carries_exploration_certificate(self, tmp_path,
                                                      capsys):
