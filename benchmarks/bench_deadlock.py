@@ -50,26 +50,6 @@ def test_deadlock_analysis(benchmark, system, assignment, expected_cycles):
         assert cycles == []
 
 
-def test_dependency_extraction_only(benchmark, system):
-    """Step 2 in isolation: individual controller dependency tables."""
-    analyzer_specs = system.deadlock_specs()
-    from repro.core.deadlock import DeadlockAnalyzer
-    analyzer = DeadlockAnalyzer(
-        system.db, analyzer_specs, system.channel_assignments["v5"],
-    )
-
-    def run():
-        return [
-            analyzer.controller_dependency_rows(spec)
-            for spec in analyzer_specs
-        ]
-
-    rows = benchmark.pedantic(
-        run, rounds=ROUNDS_MICRO, iterations=1, warmup_rounds=2,
-    )
-    assert sum(len(r) for r in rows) > 50
-
-
 def test_cycle_detection_sql_vs_scc(benchmark, system):
     """The pure-SQL recursive reachability used as a cross-check."""
     analysis = system.analyze_deadlocks("v5")

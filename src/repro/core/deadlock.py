@@ -105,32 +105,85 @@ _DEP_COLUMNS = (
 )
 
 
-def _dep_index_specs(table: str) -> tuple[IndexSpec, ...]:
-    """The indexes every composition join relies on: probing direct rows
-    by input assignment, by output assignment, and the dedup key."""
-    return (
-        IndexSpec(table, ("placement", "derived", "in_src", "in_dst", "in_vc"),
-                  name=table + "_in"),
-        IndexSpec(table, ("placement", "derived", "out_src", "out_dst", "out_vc"),
-                  name=table + "_out"),
-        IndexSpec(table, ("placement", "in_msg", "in_vc", "out_msg", "out_vc"),
-                  name=table + "_dedup"),
-    )
+def _dedup_index(table: str) -> IndexSpec:
+    """The index the composition rounds probe to skip a candidate row the
+    dependency table ``table`` already holds; without it the dedup is
+    quadratic (profiled: it dominated the whole analysis)."""
+    return IndexSpec(table, ("placement", "in_msg", "in_vc", "out_msg", "out_vc"),
+                     name=table + "_dedup")
 
 
-def _lookups_sql(spec: ControllerMessageSpec) -> str:
-    """Every V lookup the Python loops make for ``spec``'s controller, as
-    ``(r, k, m, s, d)`` rows: the input triple (``k = 0``) of each row
-    whose input is complete, then each complete output triple of such a
-    row.  Ordered by ``(r, k)`` they come in the loops' visiting order."""
-    it = spec.input_triple
+_ROLES = ("in_src", "in_dst", "out_src", "out_dst")
+
+
+def _triple_sql(tri: MessageTriple, side: str) -> str:
+    """``tri``'s columns of the controller table ``t`` as ``<side>_msg``,
+    ``<side>_src``, ``<side>_dst``."""
+    return ", ".join(
+        f"t.{quote_ident(c)} AS {side}_{part}" for c, part in
+        zip((tri.msg, tri.src, tri.dst), ("msg", "src", "dst")))
+
+
+def _exact_sql(specs: Sequence[ControllerMessageSpec]) -> str:
+    """The channel-independent exact-placement (L!=H!=R) dependency rows
+    of ``specs``: one per controller row and complete output triple of a
+    row whose input triple is complete, with the controller's name, its
+    input and output triples, and the order keys ``(c, r, k)`` (spec
+    index, rowid, output-triple index) of the Python loops' visiting
+    order.  Both consumers read these rows: the analyzer joins them to V,
+    the repair search's :class:`CandidateScorer` keeps their distinct
+    assignments."""
     return "\nUNION ALL\n".join(
-        f"SELECT t.rowid AS r, {k} AS k, t.{quote_ident(tri.msg)} AS m, "
-        f"t.{quote_ident(tri.src)} AS s, t.{quote_ident(tri.dst)} AS d "
+        f"SELECT {c} AS c, t.rowid AS r, {k} AS k, "
+        f"{quote_value(spec.name)} AS controller, "
+        f"{_triple_sql(spec.input_triple, 'in')}, {_triple_sql(ot, 'out')} "
         f"FROM {quote_ident(spec.controller.table_name)} t "
-        f"WHERE {_complete(it, *((tri,) if k else ()))}"
-        for k, tri in enumerate((it, *spec.output_triples))
-    )
+        f"WHERE {_complete(spec.input_triple, ot)}"
+        for c, spec in enumerate(specs)
+        for k, ot in enumerate(spec.output_triples))
+
+
+def _placed_sql(source: str, placements: Sequence[Placement]) -> str:
+    """``source``'s rows once per placement: its columns, the placement
+    index ``p`` and name, and each role with the placement's merged node
+    roles substituted as ``p_<role>`` (channels unchanged — exactly how
+    the paper rewrites R2 to R2')."""
+    return "\nUNION ALL\n".join(
+        f"SELECT x.*, {i} AS p, {quote_value(placement.value)} AS placement, "
+        + ", ".join(f"{_role_sql(c, placement)} AS p_{c}" for c in _ROLES)
+        + f" FROM {source} x"
+        for i, placement in enumerate(placements))
+
+
+def _lookups(db: ProtocolDatabase,
+             specs: Sequence[ControllerMessageSpec]) -> list[tuple]:
+    """Every V lookup the Python loops make for ``specs``, first
+    occurrences only, in their visiting order: per controller row, the
+    input triple (``k = 0``) of each row whose input is complete, then
+    each complete output triple of such a row.  The order key ``(c, r,
+    k)`` is packed into one integer so that ``MIN`` finds each triple's
+    first visit."""
+    arms = []
+    for c, spec in enumerate(specs):
+        it = spec.input_triple
+        for k, tri in enumerate((it, *spec.output_triples)):
+            arms.append(
+                f"SELECT ({c} << 40 | t.rowid) << 8 | {k} AS key, "
+                f"{_triple_sql(tri, 'v')} "
+                f"FROM {quote_ident(spec.controller.table_name)} t "
+                f"WHERE {_complete(it, *((tri,) if k else ()))}")
+    union = "\nUNION ALL\n".join(arms)
+    return db.query_tuples(
+        f"SELECT v_msg, v_src, v_dst FROM ({union}) "
+        f"GROUP BY v_msg, v_src, v_dst ORDER BY MIN(key)")
+
+
+def _check_lookups(channels: ChannelAssignment, lookups: Iterable[tuple]) -> None:
+    """The V check of both SQL consumers: raise the Python loops'
+    :class:`MissingAssignmentError` for the first lookup ``channels``
+    has no entry for (inner joins with V would silently drop its rows)."""
+    for key in lookups:
+        channels.lookup(*key)
 
 
 def _complete(*triples: MessageTriple) -> str:
@@ -148,29 +201,41 @@ def _role_sql(column: str, placement: Placement) -> str:
     return f"CASE {q} {arms} ELSE {q} END" if arms else q
 
 
-def _dedicated_filter(dedicated: Iterable[str]) -> str:
-    """SQL filtering out compositions whose matched intermediate
-    assignment rides a dedicated channel.
+def _compose_on(dedicated: Iterable[str], pair: bool = True,
+                match_messages: bool = False) -> str:
+    """The condition composing row ``a`` with row ``b``: same placement,
+    and ``a``'s output assignment (roles as placed, channel, and with
+    ``match_messages`` the message) is ``b``'s input assignment; with
+    ``pair``, between different controllers.
 
-    A dedicated (unbounded) path cannot back-pressure its producer, so
-    a wait chain never propagates through it — this is precisely why
-    the paper's "dedicated hardware path ... for mread requests" fix
-    removes the Figure 4 deadlock.
+    A composition whose matched intermediate assignment rides a
+    dedicated channel is excluded: a dedicated (unbounded) path cannot
+    back-pressure its producer, so a wait chain never propagates through
+    it — this is precisely why the paper's "dedicated hardware path ...
+    for mread requests" fix removes the Figure 4 deadlock.
     """
+    terms = ["a.placement = b.placement"]
+    if pair:
+        terms.append("a.controller != b.controller")
+    terms += ["a.out_src IS b.in_src", "a.out_dst IS b.in_dst",
+              "a.out_vc IS b.in_vc"]
+    if match_messages:
+        terms.append("a.out_msg IS b.in_msg")
     ded = sorted(dedicated)
-    if not ded:
-        return ""
-    return f"AND a.out_vc NOT IN ({', '.join(map(quote_value, ded))})"
+    if ded:
+        terms.append(f"a.out_vc NOT IN ({', '.join(map(quote_value, ded))})")
+    return " AND ".join(terms)
 
 
 class DeadlockAnalyzer:
     """Builds the protocol dependency table and the VCG for one channel
     assignment over a set of controller tables.
 
-    :meth:`analyze` runs steps 2–4 entirely inside the database: direct
-    dependencies are extracted by joining each controller table against
-    V, placements are derived with CASE substitutions, and composition is
-    an indexed self-join.  Rows never round-trip through Python.
+    :meth:`analyze` runs steps 2–4 entirely inside the database: one
+    statement joins the channel-independent exact rows (:func:`_exact_sql`)
+    to V and derives every placement with CASE substitutions
+    (:func:`_placed_sql`), and composition is an indexed self-join.  Rows
+    never round-trip through Python.
     ``analyze(engine="python")`` runs the original row-at-a-time
     extraction loops instead; it is the parity oracle that the engine
     tests and repair's re-verification compare the SQL engine against.
@@ -244,105 +309,30 @@ class DeadlockAnalyzer:
         return out
 
     # -- steps 2-3 in SQL: direct extraction + placement derivation -------------
-    def _assignment_table(self, table: str) -> str:
-        """Materialize V once per analysis, as a scratch table of the
-        dependency table ``table``, with a covering (m, s, d, v) index so
-        every direct-extraction join is an index lookup."""
-        name = f"__v_{table}"
-        self.channels.to_table(self.db, name)
-        self.db.create_index(name, ("m", "s", "d", "v"), name=name + "_msd")
-        return name
-
-    def _check_assignments_sql(self, spec: ControllerMessageSpec,
-                               v_table: str) -> None:
-        """Raise :class:`MissingAssignmentError` for the first message of
-        ``spec``'s controller (row-major, input triple before outputs —
-        the same order the Python loops visit) that has no entry in V."""
-        missing = self.db.query(
-            f"SELECT q.m, q.s, q.d FROM ({_lookups_sql(spec)}) q "
-            f"LEFT JOIN {quote_ident(v_table)} x "
-            f"ON x.m = q.m AND x.s = q.s AND x.d = q.d "
-            f"WHERE x.v IS NULL ORDER BY q.r, q.k LIMIT 1")
-        if missing:
-            r = missing[0]
-            # lookup() raises with the exact message the Python path uses.
-            self.channels.lookup(r["m"], r["s"], r["d"])
-            raise MissingAssignmentError(
-                f"V {self.channels.name!r} has no channel for message "
-                f"{r['m']!r} from {r['s']!r} to {r['d']!r}"
-            )
-
-    def _direct_sql(self, spec: ControllerMessageSpec, v_table: str,
-                    table: str) -> str:
-        """INSERT…SELECT extracting ``spec``'s exact-placement dependency
-        rows by joining the controller table against V twice.  The inner
-        equality joins drop NULL message columns for free; ORDER BY keeps
-        the Python path's row-major output order."""
-        it = spec.input_triple
-        t = quote_ident(spec.controller.table_name)
+    def _direct_rows_sql(self, v_table: str,
+                         placements: Sequence[Placement], table: str) -> str:
+        """INSERT…SELECT writing every placement's direct rows into
+        ``table``: the exact rows are joined to V once (the inner joins
+        drop nothing, V having passed :func:`_check_lookups`), then fanned
+        out per placement, in placement, controller, row, triple order —
+        the Python loops' order."""
         v = quote_ident(v_table)
-        branches = []
-        for k, ot in enumerate(spec.output_triples):
-            branches.append(
-                f"SELECT t.rowid AS r, {k} AS k,\n"
-                f"  t.{quote_ident(it.msg)} AS in_msg, "
-                f"t.{quote_ident(it.src)} AS in_src, "
-                f"t.{quote_ident(it.dst)} AS in_dst, vi.v AS in_vc,\n"
-                f"  t.{quote_ident(ot.msg)} AS out_msg, "
-                f"t.{quote_ident(ot.src)} AS out_src, "
-                f"t.{quote_ident(ot.dst)} AS out_dst, vo.v AS out_vc,\n"
-                f"  {quote_value(spec.name)} AS controller,\n"
-                f"  {quote_value(Placement.ALL_DISTINCT.value)} AS placement,\n"
-                f"  'direct' AS derived\n"
-                f"FROM {t} t\n"
-                f"JOIN {v} vi ON vi.m = t.{quote_ident(it.msg)} "
-                f"AND vi.s = t.{quote_ident(it.src)} "
-                f"AND vi.d = t.{quote_ident(it.dst)}\n"
-                f"JOIN {v} vo ON vo.m = t.{quote_ident(ot.msg)} "
-                f"AND vo.s = t.{quote_ident(ot.src)} "
-                f"AND vo.d = t.{quote_ident(ot.dst)}"
-            )
-        cols = ", ".join(_DEP_COLUMNS)
+        probes = " ".join(
+            f"JOIN {v} {a} ON {a}.m = e.{side}_msg AND {a}.s = e.{side}_src "
+            f"AND {a}.d = e.{side}_dst"
+            for a, side in (("vi", "in"), ("vo", "out")))
         return (
             f"INSERT INTO {quote_ident(table)}\n"
-            f"SELECT {cols} FROM (\n" + "\nUNION ALL\n".join(branches) +
-            f"\n) ORDER BY r, k"
-        )
-
-    def _derive_sql(self, exact_table: str, placement: Placement,
-                    table: str) -> str:
-        """INSERT…SELECT deriving one placement's dependency table from
-        the exact rows by CASE-substituting merged roles (channels
-        unchanged — exactly how the paper rewrites R2 to R2')."""
-        selected = []
-        for c in _DEP_COLUMNS:
-            if c == "placement":
-                selected.append(quote_value(placement.value))
-            elif c in ("in_src", "in_dst", "out_src", "out_dst"):
-                selected.append(_role_sql(c, placement))
-            else:
-                selected.append(quote_ident(c))
-        return (
-            f"INSERT INTO {quote_ident(table)} "
-            f"SELECT {', '.join(selected)} FROM {quote_ident(exact_table)}"
+            f"WITH x AS MATERIALIZED (\n"
+            f"SELECT e.*, vi.v AS in_vc, vo.v AS out_vc "
+            f"FROM ({_exact_sql(self.specs)}) e {probes})\n"
+            f"SELECT in_msg, p_in_src, p_in_dst, in_vc, "
+            f"out_msg, p_out_src, p_out_dst, out_vc, "
+            f"controller, placement, 'direct' FROM (\n"
+            f"{_placed_sql('x', placements)}\n) ORDER BY p, c, r, k"
         )
 
     # -- step 4: pairwise composition (in SQL, like the paper) ------------------
-    def _materialize(self, rows: Iterable[DependencyRow], table: str) -> None:
-        self.db.create_table_from_rows(
-            table,
-            _DEP_COLUMNS,
-            [
-                {c: getattr(r, c) for c in _DEP_COLUMNS}
-                for r in rows
-            ],
-        )
-        # The pairwise composition joins output assignments to input
-        # assignments and dedups against existing rows; both are quadratic
-        # without indexes (profiled: they dominate the whole analysis).
-        for spec in _dep_index_specs(table):
-            self.db.create_index(spec)
-
     def _compose_round_stmts(self, table: str, ignore_messages: bool,
                              closure: bool) -> list[str]:
         """Statements performing one composition round on ``table``.
@@ -360,8 +350,6 @@ class DeadlockAnalyzer:
         content of ``table`` is identical to composing the raw rows.
         """
         t = quote_ident(table)
-        msg_match = "" if ignore_messages else "AND a.out_msg IS b.in_msg"
-        dedicated = _dedicated_filter(self.channels.dedicated)
         assignment_cols = ("in_msg, in_src, in_dst, in_vc, "
                            "out_msg, out_src, out_dst, out_vc")
         cand = quote_ident(f"{table}__cand")
@@ -378,7 +366,6 @@ class DeadlockAnalyzer:
             # provenance is irrelevant (the result says 'closure').
             a_side = quote_ident(f"{table}__cand_any")
             tail = "'closure' AS controller, a.placement AS placement"
-            pair = ""
             stmts += [
                 f"DROP TABLE IF EXISTS {a_side}",
                 f"CREATE TABLE {a_side} AS SELECT DISTINCT "
@@ -388,7 +375,6 @@ class DeadlockAnalyzer:
             a_side = cand
             tail = ("a.controller || '+' || b.controller AS controller, "
                     "a.placement AS placement")
-            pair = "AND a.controller != b.controller"
         stmts.append(f"""
             INSERT INTO {t}
             SELECT * FROM (
@@ -400,13 +386,8 @@ class DeadlockAnalyzer:
                     {tail},
                     'composed' AS derived
                 FROM {a_side} a JOIN {cand} b
-                  ON a.placement = b.placement
-                 {pair}
-                 AND a.out_src IS b.in_src
-                 AND a.out_dst IS b.in_dst
-                 AND a.out_vc IS b.in_vc
-                 {msg_match}
-                 {dedicated}
+                  ON {_compose_on(self.channels.dedicated, not closure,
+                                  not ignore_messages)}
             ) n
             WHERE NOT EXISTS (
                 SELECT 1 FROM {t} c
@@ -423,31 +404,27 @@ class DeadlockAnalyzer:
         return stmts
 
     def _compose_sql(self, table: str, ignore_messages: bool,
-                     closure: bool) -> None:
+                     closure: bool) -> int:
         """Pairwise composition, inserted back into ``table``: one round,
         or with ``closure`` rounds to a fixpoint — the transitive closure
         the paper's footnote 2 tried and abandoned for its spurious
         cycles, composing any row (direct or composed) with direct rows
-        until no new dependencies appear."""
+        until no new dependencies appear.  Returns ``table``'s row
+        count."""
         stmts = self._compose_round_stmts(table, ignore_messages, closure)
+        rows = self.db.row_count(table)
         while True:
-            before = self.db.row_count(table)
             for stmt in stmts:
                 self.db.execute(stmt)
-            added = self.db.row_count(table) - before
-            get_tracer().incr("deadlock.compositions", added)
-            if added == 0 or not closure:
-                return
+            before, rows = rows, self.db.row_count(table)
+            get_tracer().incr("deadlock.compositions", rows - before)
+            if rows == before or not closure:
+                return rows
 
     # -- the full pipeline -------------------------------------------------------
-    def _analyze_python(
-        self,
-        table: str,
-        placements: Sequence[Placement],
-        ignore_messages: bool,
-        closure: bool,
-    ) -> list[DependencyRow]:
-        """The original row-at-a-time pipeline (parity oracle)."""
+    def _analyze_python(self, table: str,
+                        placements: Sequence[Placement]) -> None:
+        """Steps 2-3 row at a time (parity oracle)."""
         with span("deadlock.direct", assignment=self.channels.name,
                   engine="python"):
             exact: list[DependencyRow] = []
@@ -462,44 +439,31 @@ class DeadlockAnalyzer:
                     all_rows.extend(self.apply_placement(exact, placement))
 
         with span("deadlock.materialize", table=table, engine="python"):
-            self._materialize(all_rows, table)
-        with span("deadlock.compose", table=table, closure=closure):
-            self._compose_sql(table, ignore_messages, closure)
-        return [
-            DependencyRow(**{c: r[c] for c in _DEP_COLUMNS})
-            for r in self.db.rows(table)
-        ]
+            self.db.create_table_from_rows(
+                table, _DEP_COLUMNS, (vars(r) for r in all_rows))
+            self.db.create_index(_dedup_index(table))
 
-    def _analyze_sql(
-        self,
-        table: str,
-        placements: Sequence[Placement],
-        ignore_messages: bool,
-        closure: bool,
-    ) -> None:
-        """The set-based pipeline: extraction, derivation and composition
-        all happen inside the database, which afterwards holds only the
-        dependency table (V and the exact rows are scratch)."""
-        exact = f"__exact_{table}"
+    def _analyze_sql(self, table: str,
+                     placements: Sequence[Placement]) -> None:
+        """Steps 2-3 set-based: one statement extracts, joins V and
+        derives every placement's direct rows inside the database, which
+        afterwards holds only the dependency table (V is scratch)."""
         with span("deadlock.direct", assignment=self.channels.name,
                   engine="sql"):
-            v_table = self._assignment_table(table)
-            self.db.create_table(exact, _DEP_COLUMNS)
-            for spec in self.specs:
-                self._check_assignments_sql(spec, v_table)
-                self.db.execute(self._direct_sql(spec, v_table, exact))
+            _check_lookups(self.channels, _lookups(self.db, self.specs))
+            v_table = f"__v_{table}"
+            try:
+                self.channels.to_table(self.db, v_table)
+                self.db.create_index(v_table, ("m", "s", "d", "v"),
+                                     name=v_table + "_msd")
+                self.db.create_table(table, _DEP_COLUMNS)
+                self.db.execute(
+                    self._direct_rows_sql(v_table, placements, table))
+            finally:
+                self.db.drop_table(v_table)
 
         with span("deadlock.materialize", table=table, engine="sql"):
-            self.db.create_table(table, _DEP_COLUMNS)
-            for placement in placements:
-                self.db.execute(self._derive_sql(exact, placement, table))
-            for spec in _dep_index_specs(table):
-                self.db.create_index(spec)
-
-        with span("deadlock.compose", table=table, closure=closure):
-            self._compose_sql(table, ignore_messages, closure)
-        self.db.drop_table(exact)
-        self.db.drop_table(v_table)
+            self.db.create_index(_dedup_index(table))
 
     def analyze(
         self,
@@ -510,42 +474,28 @@ class DeadlockAnalyzer:
         engine: str = "sql",
     ) -> "DeadlockAnalysis":
         """Build the protocol dependency table and its VCG; ``engine``
-        is ``"sql"`` (the product) or ``"python"`` (the parity oracle)."""
+        is ``"sql"`` (the product) or ``"python"`` (the parity oracle),
+        which differ in steps 2-3 only."""
         if engine not in ("sql", "python"):
             raise ValueError(f"unknown deadlock engine {engine!r}")
         table = table_name or f"pdt_{self.channels.name}"
         with span("deadlock.analyze", assignment=self.channels.name,
                   closure=closure, engine=engine) as sp:
-            rows: Optional[list[DependencyRow]] = None
-            edge_pairs: Optional[list[tuple[str, str]]] = None
             if engine == "python":
-                rows = self._analyze_python(table, placements,
-                                            ignore_messages, closure)
-                n_rows = len(rows)
+                self._analyze_python(table, placements)
             else:
-                self._analyze_sql(table, placements, ignore_messages, closure)
-                # Pull only the aggregates the VCG needs; the full rows
-                # stay in the database until a witness report asks.
-                n_rows = self.db.row_count(table)
-                edge_pairs = [
-                    (r["in_vc"], r["out_vc"])
-                    for r in self.db.query(
-                        f"SELECT DISTINCT in_vc, out_vc "
-                        f"FROM {quote_ident(table)}"
-                    )
-                ]
+                self._analyze_sql(table, placements)
+            with span("deadlock.compose", table=table, closure=closure):
+                n_rows = self._compose_sql(table, ignore_messages, closure)
+            # Pull only the aggregates the VCG needs; the full rows stay
+            # in the database until a witness report asks.
+            edge_pairs = self.db.query_tuples(
+                f"SELECT DISTINCT in_vc, out_vc FROM {quote_ident(table)}")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.gauge("deadlock.dependency_rows", n_rows)
-        return DeadlockAnalysis(
-            channels=self.channels,
-            table_name=table,
-            db=self.db,
-            dependency_rows=rows,
-            n_rows=n_rows,
-            edge_pairs=edge_pairs,
-            build_seconds=sp.seconds,
-        )
+        return DeadlockAnalysis(self.channels, table, self.db, n_rows,
+                                edge_pairs, build_seconds=sp.seconds)
 
 
 class VCG(NamedTuple):
@@ -568,8 +518,8 @@ def _vcg(channels: ChannelAssignment,
 class DeadlockAnalysis:
     """The protocol dependency table plus the VCG derived from it.
 
-    The SQL engine leaves the dependency rows in the database and loads
-    them only when something (a witness report, typically) first touches
+    The dependency rows stay in the database and are loaded only when
+    something (a witness report, typically) first touches
     :attr:`dependency_rows`; the VCG and row count come from cheap
     aggregates captured at analysis time.  Rerunning ``analyze()`` with
     the same ``table_name`` replaces the underlying table, so pass
@@ -581,36 +531,24 @@ class DeadlockAnalysis:
         self,
         channels: ChannelAssignment,
         table_name: str,
-        db: Optional[ProtocolDatabase] = None,
-        dependency_rows: Optional[Sequence[DependencyRow]] = None,
-        n_rows: Optional[int] = None,
-        edge_pairs: Optional[Sequence[tuple[str, str]]] = None,
+        db: ProtocolDatabase,
+        n_rows: int,
+        edge_pairs: Iterable[tuple[str, str]],
         build_seconds: float = 0.0,
     ) -> None:
         self.channels = channels
         self.table_name = table_name
         self.db = db
+        self.n_rows = n_rows
         self.build_seconds = build_seconds
-        self._rows: Optional[list[DependencyRow]] = (
-            list(dependency_rows) if dependency_rows is not None else None
-        )
-        if self._rows is None and db is None:
-            raise ValueError(
-                "DeadlockAnalysis needs dependency_rows or a db to load "
-                "them from"
-            )
-        self._n_rows = n_rows if n_rows is not None else (
-            len(self._rows) if self._rows is not None else None
-        )
-        self._edge_pairs = (
-            list(edge_pairs) if edge_pairs is not None else None
-        )
-        self._vcg: Optional[VCG] = None
+        #: the virtual channel dependency graph (see :func:`_vcg`).
+        self.vcg = _vcg(channels, edge_pairs)
+        self._rows: Optional[list[DependencyRow]] = None
 
     @property
     def dependency_rows(self) -> list[DependencyRow]:
         """Every row of the protocol dependency table (loaded from the
-        database on first access when built by the SQL engine)."""
+        database on first access)."""
         if self._rows is None:
             cursor = self.db.execute(
                 "SELECT " + ", ".join(_DEP_COLUMNS) +
@@ -618,25 +556,7 @@ class DeadlockAnalysis:
             )
             cursor.row_factory = None  # plain tuples: DependencyRow(*row)
             self._rows = [DependencyRow(*r) for r in cursor.fetchall()]
-            self._n_rows = len(self._rows)
         return self._rows
-
-    @property
-    def n_rows(self) -> int:
-        """``len(dependency_rows)`` without forcing the row load."""
-        if self._n_rows is None:
-            self._n_rows = len(self.dependency_rows)
-        return self._n_rows
-
-    @property
-    def vcg(self) -> VCG:
-        """The virtual channel dependency graph (see :func:`_vcg`)."""
-        if self._vcg is None:
-            pairs = self._edge_pairs
-            if pairs is None:
-                pairs = {r.edge() for r in self.dependency_rows}
-            self._vcg = _vcg(self.channels, pairs)
-        return self._vcg
 
     def cycles(self) -> list[tuple[str, ...]]:
         """All elementary cycles of the VCG, canonical and sorted."""
@@ -718,47 +638,28 @@ class CandidateScorer:
     Only V differs between candidates, so the channel-independent part of
     the default analysis (every placement, messages ignored, one pairwise
     round) is built once, in SQL, from the tables as they are now: the
-    distinct exact-placement (input triple, output triple, controller)
-    rows, each with every placement's substituted roles.  Scoring a
-    candidate rewrites one scratch V table and runs one query — the direct
-    edges UNION the pairwise-composed edges, under the same filters as
-    :meth:`DeadlockAnalyzer._compose_round_stmts` — whose edges go to the
-    VCG cycle finder.  The cycles equal both full engines'; a candidate
-    missing a V entry raises their :class:`MissingAssignmentError`.
-    :meth:`close` drops the scratch tables.
+    distinct rows of :func:`_exact_sql` under :func:`_placed_sql`, each
+    assignment's triples as extracted plus its substituted roles.  Scoring
+    a candidate runs :func:`_check_lookups`, rewrites one scratch V table
+    and runs one query — the direct edges UNION the edges composed under
+    :func:`_compose_on` — whose edges go to the VCG cycle finder.  The
+    cycles equal both full engines'.  :meth:`close` drops the scratch
+    tables.
     """
 
     def __init__(self, db: ProtocolDatabase,
                  specs: Sequence[ControllerMessageSpec]) -> None:
         self.db = db
         self.deps, self.v_table = "__score_deps", "__score_v"
-        # Every V lookup the engines make, in their visiting order.
-        self.lookups = list(dict.fromkeys(
-            key for spec in specs for key in db.query_tuples(
-                f"SELECT m, s, d FROM ({_lookups_sql(spec)}) ORDER BY r, k")))
-
-        def triple(tri: MessageTriple, side: str) -> str:
-            return ", ".join(
-                f"t.{quote_ident(c)} AS {side}_{part}" for c, part in
-                zip((tri.msg, tri.src, tri.dst), ("msg", "src", "dst")))
-
-        exact = "\nUNION\n".join(
-            f"SELECT {quote_value(spec.name)} AS controller, "
-            f"{triple(spec.input_triple, 'in')}, {triple(ot, 'out')} "
-            f"FROM {quote_ident(spec.controller.table_name)} t "
-            f"WHERE {_complete(spec.input_triple, ot)}"
-            for spec in specs for ot in spec.output_triples)
-        roles = ("in_src", "in_dst", "out_src", "out_dst")
-        db.create_table(self.deps, (
-            "placement", "controller", "in_msg", "in_src", "in_dst",
-            "out_msg", "out_src", "out_dst", *(f"p_{c}" for c in roles)))
-        for placement in ALL_PLACEMENTS:
-            db.execute(
-                f"INSERT INTO {quote_ident(self.deps)} SELECT "
-                f"{quote_value(placement.value)}, controller, in_msg, in_src, "
-                f"in_dst, out_msg, out_src, out_dst, "
-                f"{', '.join(_role_sql(c, placement) for c in roles)} "
-                f"FROM ({exact})")
+        self.lookups = _lookups(db, specs)
+        assignment = ("controller, in_msg, in_src, in_dst, "
+                      "out_msg, out_src, out_dst")
+        db.create_table_as(self.deps, (
+            f"SELECT placement, {assignment}, "
+            f"{', '.join(f'p_{c}' for c in _ROLES)} FROM ("
+            + _placed_sql(f"(SELECT DISTINCT {assignment} "
+                          f"FROM ({_exact_sql(specs)}))", ALL_PLACEMENTS)
+            + ")"))
         db.create_table(self.v_table, ("m", "s", "d", "v"))
         db.create_index(self.v_table, ("m", "s", "d", "v"),
                         name=self.v_table + "_msd")
@@ -767,8 +668,7 @@ class CandidateScorer:
         """All elementary cycles of ``channels``' VCG, canonical and
         sorted, as :meth:`DeadlockAnalysis.cycles` returns them."""
         with span("deadlock.score", assignment=channels.name):
-            for key in self.lookups:
-                channels.lookup(*key)
+            _check_lookups(channels, self.lookups)
             v = quote_ident(self.v_table)
             self.db.execute(f"DELETE FROM {v}")
             self.db.executemany(f"INSERT INTO {v} VALUES (?, ?, ?, ?)", {
@@ -777,7 +677,8 @@ class CandidateScorer:
             pairs = self.db.query_tuples(f"""
                 WITH r AS (
                     SELECT DISTINCT x.placement, x.controller,
-                           x.p_in_src, x.p_in_dst, x.p_out_src, x.p_out_dst,
+                           x.p_in_src AS in_src, x.p_in_dst AS in_dst,
+                           x.p_out_src AS out_src, x.p_out_dst AS out_dst,
                            vi.v AS in_vc, vo.v AS out_vc
                     FROM {quote_ident(self.deps)} x
                     JOIN {v} vi ON vi.m = x.in_msg AND vi.s = x.in_src
@@ -787,12 +688,7 @@ class CandidateScorer:
                 SELECT in_vc, out_vc FROM r
                 UNION
                 SELECT a.in_vc, b.out_vc FROM r a JOIN r b
-                  ON a.placement = b.placement
-                 AND a.controller != b.controller
-                 AND a.p_out_src IS b.p_in_src
-                 AND a.p_out_dst IS b.p_in_dst
-                 AND a.out_vc IS b.in_vc
-                 {_dedicated_filter(channels.dedicated)}""")
+                  ON {_compose_on(channels.dedicated)}""")
             return find_cycles(_vcg(channels, pairs).edges)
 
     def close(self) -> None:

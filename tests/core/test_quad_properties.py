@@ -1,8 +1,8 @@
 """Property tests: quad placement merging agrees between Python and SQL.
 
-The deadlock engine derives each placement's dependency table from the
+The deadlock engine derives each placement's dependency rows from the
 exact rows with a SQL ``CASE`` substitution
-(:meth:`DeadlockAnalyzer._derive_sql`); the Python oracle applies
+(:func:`repro.core.deadlock._placed_sql`); the Python oracle applies
 :meth:`Placement.apply` row by row.  These must be the same function, for
 every placement and every endpoint combination, or the per-placement VCGs
 silently drift apart.
@@ -12,7 +12,7 @@ import sqlite3
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.deadlock import DeadlockAnalyzer, _DEP_COLUMNS
+from repro.core.deadlock import _DEP_COLUMNS, _ROLES, _placed_sql
 from repro.core.quad import ALL_PLACEMENTS, Placement
 
 #: quad roles plus the pass-through endpoint names that appear in specs.
@@ -73,17 +73,16 @@ def derive_via_sql(placement, rows):
     """Run the engine's CASE-substitution SQL over ``rows``."""
     conn = sqlite3.connect(":memory:")
     try:
-        cols = ", ".join(_DEP_COLUMNS)
-        conn.execute(f"CREATE TABLE exact ({cols})")
-        conn.execute(f"CREATE TABLE derived ({cols})")
+        cols = [c for c in _DEP_COLUMNS if c != "placement"]
+        conn.execute(f"CREATE TABLE exact (n, {', '.join(cols)})")
         conn.executemany(
-            f"INSERT INTO exact VALUES "
-            f"({', '.join('?' for _ in _DEP_COLUMNS)})",
-            [tuple(r[c] for c in _DEP_COLUMNS) for r in rows])
-        analyzer = object.__new__(DeadlockAnalyzer)
-        conn.execute(analyzer._derive_sql("exact", placement, "derived"))
+            f"INSERT INTO exact VALUES ({', '.join('?' for _ in cols)}, ?)",
+            [(n, *(r[c] for c in cols)) for n, r in enumerate(rows)])
+        select = ", ".join(f"p_{c}" if c in _ROLES else c
+                           for c in _DEP_COLUMNS)
         out = conn.execute(
-            f"SELECT {cols} FROM derived ORDER BY rowid").fetchall()
+            f"SELECT {select} FROM ({_placed_sql('exact', (placement,))}) "
+            f"ORDER BY n").fetchall()
         return [dict(zip(_DEP_COLUMNS, r)) for r in out]
     finally:
         conn.close()

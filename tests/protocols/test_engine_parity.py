@@ -7,11 +7,10 @@ Two guarantees the performance work must never erode:
   order) to the per-invariant checker and the Python row-at-a-time
   extraction loops they replaced.
 
-* **Plans** — the composition self-joins and direct-extraction joins
-  actually use the indexes :func:`~repro.core.deadlock._dep_index_specs`
-  and friends create.  Without these EXPLAIN checks, a refactor could
-  silently fall back to nested full scans and only show up as a slow CI
-  run much later.
+* **Plans** — the composition self-joins and the direct rows' V joins
+  actually use the indexes the engine creates.  Without these EXPLAIN
+  checks, a refactor could silently fall back to nested full scans and
+  only show up as a slow CI run much later.
 """
 
 import pytest
@@ -27,6 +26,7 @@ from repro.core.deadlock import (
 )
 from repro.core.expr import C
 from repro.core.invariants import Invariant, InvariantChecker
+from repro.core.quad import ALL_PLACEMENTS, Placement
 from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable
 
@@ -49,6 +49,15 @@ def python_oracle(system, assignment, **kwargs):
         system.db, system.deadlock_specs(),
         system.channel_assignments[assignment],
     ).analyze(engine="python", **kwargs)
+
+
+@pytest.fixture(scope="module")
+def moesi():
+    from repro.protocols.family import build_variant
+
+    member = build_variant("moesi")
+    yield member
+    member.db.close()
 
 
 @pytest.fixture(scope="module")
@@ -120,15 +129,17 @@ class TestDeadlockEngineParity:
     @pytest.mark.parametrize("kwargs", [
         {"closure": True},
         {"ignore_messages": False},
-    ], ids=["closure", "strict"])
-    def test_variant_parity(self, system, kwargs):
+        {"placements": (Placement.ALL_DISTINCT, Placement.HOME_REMOTE)},
+    ], ids=["closure", "strict", "placements"])
+    def test_variant_parity(self, system, moesi, kwargs):
         tag = "_".join(kwargs)
-        sql = system.analyze_deadlocks(
-            "v5", table_name=f"pdt_var_sql_{tag}", **kwargs)
-        py = python_oracle(
-            system, "v5", table_name=f"pdt_var_py_{tag}", **kwargs)
-        assert sorted(rows_of(sql)) == sorted(rows_of(py))
-        assert sql.cycles() == py.cycles()
+        for member in (system, moesi):
+            sql = member.analyze_deadlocks(
+                "v5", table_name=f"pdt_var_sql_{tag}", **kwargs)
+            py = python_oracle(
+                member, "v5", table_name=f"pdt_var_py_{tag}", **kwargs)
+            assert rows_of(sql) == rows_of(py)
+            assert sql.cycles() == py.cycles()
 
     def test_missing_assignment_error_parity(self, system):
         v5 = system.channel_assignments["v5"]
@@ -156,6 +167,33 @@ class TestDeadlockEngineParity:
         errors["scorer"] = str(exc.value)
         assert errors["python"] == errors["sql"] == errors["scorer"]
         assert "mread" in errors["sql"]
+
+    def test_failed_analysis_leaves_no_tables(self, system):
+        """A V missing an entry fails every consumer without leaving a
+        scratch (or dependency) table behind."""
+        v5 = system.channel_assignments["v5"]
+        broken = ChannelAssignment(
+            "broken",
+            [a for a in v5.assignments if a.message != "mread"],
+            v5.dedicated,
+        )
+
+        def schema():
+            return system.db.query_tuples(
+                "SELECT type, name FROM sqlite_master ORDER BY type, name")
+
+        before = schema()
+        for engine in ("python", "sql"):
+            with pytest.raises(MissingAssignmentError):
+                DeadlockAnalyzer(
+                    system.db, system.deadlock_specs(), broken,
+                ).analyze(table_name="pdt_b", engine=engine)
+            assert schema() == before, engine
+        scorer = CandidateScorer(system.db, system.deadlock_specs())
+        with pytest.raises(MissingAssignmentError):
+            scorer.cycles(broken)
+        scorer.close()
+        assert schema() == before
 
     def test_unknown_engine_rejected(self, analyzer):
         with pytest.raises(ValueError, match="unknown deadlock engine"):
@@ -192,17 +230,26 @@ class TestQueryPlans:
         assert not any(line.startswith("SCAN c") for line in lines)
 
     def test_direct_extraction_probes_v_index(self, system, analyzer):
-        v_table = analyzer._assignment_table("__plan")
-        system.db.create_table("__exact_plan", _DEP_COLUMNS)
-        spec = analyzer.specs[0]
-        lines = plan_lines(
-            system.db, analyzer._direct_sql(spec, v_table, "__exact_plan"))
-        system.db.drop_table("__exact_plan")
-        system.db.drop_table(v_table)
-        indexed = [l for l in lines if "USING" in l and "INDEX" in l]
-        # Both V probes (vi and vo) of every branch hit the covering index.
-        assert len(indexed) >= 2 * len(spec.output_triples)
-        assert not any(l.startswith(("SCAN vi", "SCAN vo")) for l in lines)
+        v_table = "__v_plan"
+        analyzer.channels.to_table(system.db, v_table)
+        system.db.create_index(v_table, ("m", "s", "d", "v"),
+                               name=v_table + "_msd")
+        system.db.create_table("__plan", _DEP_COLUMNS)
+        try:
+            lines = plan_lines(system.db, analyzer._direct_rows_sql(
+                v_table, ALL_PLACEMENTS, "__plan"))
+        finally:
+            system.db.drop_table("__plan")
+            system.db.drop_table(v_table)
+        # Both V probes (vi and vo) of every exact-row arm hit the
+        # covering index; neither alias is ever scanned.
+        arms = sum(len(spec.output_triples) for spec in analyzer.specs)
+        for alias in ("vi", "vo"):
+            probes = [l for l in lines if l.startswith(f"SEARCH {alias} ")]
+            assert len(probes) == arms
+            assert all("USING COVERING INDEX __v_plan_msd" in l
+                       for l in probes)
+            assert not any(l.startswith(f"SCAN {alias}") for l in lines)
 
     def test_invariant_batch_is_one_compound_statement(self, system):
         # The raw-SQL invariants batch as UNION ALL branches; the
