@@ -150,6 +150,15 @@ class ProtocolDatabase:
     def connection(self) -> sqlite3.Connection:
         return self._conn
 
+    def change_stamp(self) -> tuple[int, int]:
+        """``(schema_version, total_changes)`` of this connection: it
+        differs after any schema change (a table dropped or re-created)
+        and after any row written, so a cache of table contents can tell
+        it is stale.  Read off the connection, it issues no traced
+        statement."""
+        version = self._conn.execute("PRAGMA schema_version").fetchone()
+        return version["schema_version"], self._conn.total_changes
+
     def snapshot(self, portable: bool = False) -> bytes:
         """The whole database serialized to bytes, cheap to hand to
         campaign mutants that :meth:`deserialize` into private copies.

@@ -13,7 +13,10 @@ exactly what the SQL-backed table (the tests' parity oracle) raises.
 
 :func:`compile_system_kernels` compiles the tables a step executes
 (:func:`repro.sim.models.step` looks rows up through either kind of
-table); worker pools receive them pickled as rows, never a database.
+table).  A system compiles them once per table state
+(:meth:`~repro.protocols.family.system.FamilySystem.kernels`) and every
+simulator and explorer over it steps the same kernels; worker pools
+receive them pickled as rows, never a database.
 """
 
 from __future__ import annotations
@@ -102,14 +105,17 @@ class KernelTable:
         return [row for _, row in self._match(inputs)]
 
     def lookup_id(self, **inputs) -> tuple[int, dict]:
-        missing = self._input_set - set(inputs)
-        if missing:
-            raise SchemaError(f"lookup missing input columns {sorted(missing)}")
-        for name in inputs:
-            if name not in self._input_set:
+        # One set comparison on the hot path; the error is worked out
+        # only when the names differ.
+        if inputs.keys() != self._input_set:
+            missing = self._input_set - set(inputs)
+            if missing:
                 raise SchemaError(
-                    f"{name!r} is not an input column of {self.schema.name!r}"
-                )
+                    f"lookup missing input columns {sorted(missing)}")
+            unknown = next(n for n in inputs if n not in self._input_set)
+            raise SchemaError(
+                f"{unknown!r} is not an input column of {self.schema.name!r}"
+            )
         hits = self._dispatch(*(inputs[c] for c in self._input_names))
         if not hits:
             raise NoMatchError(

@@ -14,8 +14,10 @@ Exploration is breadth-first and depth-synchronized: the frontier of
 depth *d* is fully expanded (inline, or in batches over the compiled
 kernel's :class:`~repro.explore.pool.KernelPool`) before depth *d+1*
 begins, successors are merged in deterministic submission order, and
-deduplication runs on SHA-256 digests of canonical (symmetry-reduced)
-states — results are identical for any worker count.
+deduplication runs in the parent on the canonical (symmetry-reduced)
+state tuples — results are identical for any worker count.  Only a
+state not seen before is hashed: its SHA-256 digest names it in
+violations, journals and the ``--out`` report.
 Every *new* state is checked on the fly:
 
 * **coherence** — the single-writer/multiple-reader property over all
@@ -40,8 +42,9 @@ Long runs checkpoint one journal record per completed depth
 with a larger ``--depth``.
 
 Every row lookup a step makes is answered by the controller tables
-compiled into integer-indexed dispatch kernels (:mod:`repro.core.kernel`)
-when the first transition fires; a lookup is a handful of dict probes
+compiled into integer-indexed dispatch kernels (:mod:`repro.core.kernel`),
+which the system compiles once per table state and shares with the
+simulator; a lookup is a handful of dict probes
 instead of an SQL query, and multi-worker runs fan out over a
 persistent :class:`~repro.explore.pool.KernelPool` that received the
 kernels once and thereafter only ships state batches.  The SQL-backed
@@ -57,7 +60,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..core.database import ProtocolDatabase
-from ..core.kernel import compile_system_kernels
 from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
@@ -431,9 +433,10 @@ def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
                   symmetry, quad_classes: tuple = ()) -> dict:
     """All successors of one state, plus holes and the deadlock verdict.
 
-    Successor entries are ``(move, canonical state tuple, digest)`` —
-    raw tuples, no serialization: the inline path hands them straight to
-    the merge loop, and the pool path pickles them natively.
+    Successor entries are ``(move, canonical state tuple)`` — raw
+    tuples, no serialization and no digest: the inline path hands them
+    straight to the merge loop, the pool path pickles them natively, and
+    the parent names only the states it has not seen.
     """
     successors: list[tuple] = []
     holes: list[dict] = []
@@ -451,8 +454,7 @@ def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
             continue
         if move[0] != "inject":
             progress = True
-        succ = canonicalize(succ, symmetry, quad_classes)
-        successors.append((move, succ, hash_state(succ)))
+        successors.append((move, canonicalize(succ, symmetry, quad_classes)))
     # Deadlock: pending work, nothing non-injected can ever commit (new
     # processor operations cannot unstick messages already in flight), and
     # the stall is not explained by a missing table row already reported.
@@ -489,6 +491,9 @@ class ReachabilityExplorer:
         self.root_digest = hash_state(root)
         #: digest -> canonical state, for every reached state.
         self.states: dict[str, tuple] = {self.root_digest: root}
+        #: canonical state -> digest: successors deduplicate on the
+        #: tuple, so only a new state is hashed.
+        self._digests: dict[tuple, str] = {root: self.root_digest}
         #: digest -> (predecessor digest, move); root maps to None.
         self.pred: dict[str, Optional[tuple]] = {self.root_digest: None}
 
@@ -496,15 +501,15 @@ class ReachabilityExplorer:
     def kernels(self) -> dict:
         """The compiled dispatch kernels the steps look rows up in.
 
-        Compiled lazily from the tables as they stand when a transition
-        first needs firing — mutations applied before the run (the
-        oracle path) are therefore always part of what gets compiled.
-        A table the dispatch compiler cannot handle raises
-        :class:`ExplorationError`.
+        Taken from the system (:meth:`FamilySystem.kernels`, compiled
+        once per table state) when a transition first needs firing —
+        mutations applied before the run (the oracle path) are therefore
+        always part of what is compiled.  A table the dispatch compiler
+        cannot handle raises :class:`ExplorationError`.
         """
         if self._kernels is None:
             try:
-                self._kernels = compile_system_kernels(self.system)
+                self._kernels = self.system.kernels()
             except Exception as exc:
                 raise ExplorationError(
                     f"kernel compilation failed: {type(exc).__name__}: "
@@ -665,11 +670,12 @@ class ReachabilityExplorer:
                 violations.append(Violation(
                     kind="deadlock", digest=digest, depth=depth - 1,
                     detail=self._deadlock_detail(digest)))
-            for move, succ, succ_digest in expansion["successors"]:
+            for move, succ in expansion["successors"]:
                 stats.transitions += 1
-                if succ_digest in self.states:
+                if succ in self._digests:
                     stats.dedup_hits += 1
                     continue
+                succ_digest = self._digests[succ] = hash_state(succ)
                 self.states[succ_digest] = succ
                 self.pred[succ_digest] = (digest, tuple(move))
                 new_frontier.append(succ_digest)
@@ -764,7 +770,9 @@ class ReachabilityExplorer:
             record = completed[d]
             frontier = []
             for digest, enc, pred_digest, move in record["new"]:
-                self.states[digest] = decode_state(enc)
+                state = decode_state(enc)
+                self.states[digest] = state
+                self._digests[state] = digest
                 self.pred[digest] = (
                     None if pred_digest is None
                     else (pred_digest, tuple(move)))

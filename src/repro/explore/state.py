@@ -18,10 +18,13 @@ Three properties the explorer depends on:
   collapsing symmetric interleavings into one representative.  The
   representative is itself a reachable state, so exploration can expand
   it directly.
-* **Process-stable hashing** — :func:`hash_state` is SHA-256 over the
-  canonical ``repr`` of the tuple, never Python's seeded ``hash``; the
-  deduplication seen-set therefore agrees across worker processes and
-  across runs regardless of ``PYTHONHASHSEED``.
+* **Process-stable naming** — :func:`hash_state` is SHA-256 over the
+  canonical ``repr`` of the tuple, never Python's seeded ``hash``, so a
+  state's digest is the same in every process and run regardless of
+  ``PYTHONHASHSEED``.  Digests name states in violations, journals and
+  the ``--out`` report.  Deduplication itself compares the canonical
+  tuples in the explorer's process, which hashes only states it has not
+  seen before.
 * **Serializable** — :func:`encode_state` / :func:`decode_state`
   round-trip a state through JSON for checkpoint journals.
 
@@ -88,9 +91,9 @@ def state_key(state: tuple) -> str:
 def hash_state(state: tuple) -> str:
     """A process-stable digest of a state.
 
-    SHA-256 over :func:`state_key`, so two workers (or two runs, or two
-    interpreters with different ``PYTHONHASHSEED``) always agree on
-    whether they have seen a state before.
+    SHA-256 over :func:`state_key`, so two runs (or two interpreters
+    with different ``PYTHONHASHSEED``) always give a state the same
+    name in their journals and reports.
     """
     return hashlib.sha256(state_key(state).encode("utf-8")).hexdigest()
 

@@ -35,6 +35,7 @@ from .spec import BUSY_STATE_HELPER_TABLE, MESI, FamilySpec, get_spec
 if TYPE_CHECKING:
     from ...core.deadlock import DeadlockAnalysis
     from ...core.invariants import InvariantChecker
+    from ...core.kernel import KernelTable
 
 __all__ = [
     "FamilySystem",
@@ -96,6 +97,7 @@ class FamilySystem:
         self.spec = spec
         self.db = db or ProtocolDatabase()
         self._suite: Optional[InvariantChecker] = None
+        self._kernels: Optional[tuple] = None
         self.constraint_sets: dict[str, ConstraintSet] = {}
         self.generation_results: dict[str, GenerationResult] = {}
         self.tables: dict[str, ControllerTable] = {}
@@ -150,6 +152,7 @@ class FamilySystem:
         self.invariant_checker()  # build the suite once, for every clone
         other = type(self).__new__(type(self))
         other.spec, other.db, other._suite = self.spec, db, self._suite
+        other._kernels = None
         other.constraint_sets = dict(self.constraint_sets)
         other.channel_assignments = dict(self.channel_assignments)
         other.generation_results, other.generation_seconds = {}, 0.0
@@ -172,6 +175,27 @@ class FamilySystem:
 
     def table(self, name: str) -> ControllerTable:
         return self.tables[name]
+
+    def kernels(self) -> dict[str, KernelTable]:
+        """The simulated tables compiled into dispatch kernels, shared by
+        every simulator and explorer over this system.
+
+        Compiled on first use and again only when the table state moved:
+        the database's schema version or change count differs (a row
+        edited or deleted, a table regenerated) or a simulated table was
+        rebound in :attr:`tables`.  A clone :meth:`attach` makes compiles
+        its own.
+        """
+        from ...core.kernel import SIMULATED_TABLES, compile_system_kernels
+
+        stamp = self.db.change_stamp()
+        bound = tuple(self.tables.get(name) for name in SIMULATED_TABLES)
+        memo = self._kernels
+        if (memo is None or memo[0] != stamp
+                or any(a is not b for a, b in zip(memo[1], bound))):
+            memo = self._kernels = (stamp, bound,
+                                    compile_system_kernels(self))
+        return memo[2]
 
     # -- static checks ----------------------------------------------------------
     def invariant_checker(self) -> InvariantChecker:

@@ -22,9 +22,10 @@ processor or device operation, re-issue a retried request, or inject a
 fresh processor operation — and returns the successor state plus the
 step's :class:`Effects`.  Every transition is a row of a generated
 controller table: the step computes a row's input columns, looks the
-row up through whatever table mapping it is given (the SQL-backed
-:class:`~repro.core.table.ControllerTable` or a compiled
-:class:`~repro.core.kernel.KernelTable`) and applies its outputs.  A
+row up through the table mapping it is given — the system's compiled
+:class:`~repro.core.kernel.KernelTable` objects, or the SQL-backed
+:class:`~repro.core.table.ControllerTable` objects the parity tests
+pass — and applies its outputs.  A
 missing row is a protocol hole and raises :class:`SimProtocolError`.
 
 A transition commits only when every output channel instance has room

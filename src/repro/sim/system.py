@@ -131,11 +131,12 @@ class Simulator:
     ) -> None:
         self.system = system
         self.config = config or SimConfig()
-        # Steps look rows up in self.tables; injecting compiled
-        # KernelTables here swaps the SQL lookup path for the dispatch
-        # kernels while everything else is shared — the
-        # kernel-vs-simulator parity hook.
-        self.tables = dict(tables) if tables is not None else system.tables
+        # Steps look rows up in self.tables: the system's compiled
+        # kernels, shared with every simulator and explorer over the
+        # same table state.  ``tables`` hands the steps another mapping
+        # instead — the parity tests pass the SQL-backed tables.
+        self.tables = (dict(tables) if tables is not None
+                       else system.kernels())
         self.channels: ChannelAssignment = system.channel_assignments[assignment]
         self.node_ids = tuple(
             f"node:{q}.{i}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.database import ProtocolDatabase
 from repro.explore import (
     ExplorationError,
     ExploreConfig,
@@ -66,16 +67,22 @@ class TestCleanExploration:
 
     def test_kernel_compile_failure_raises(self, system, monkeypatch):
         """A table the dispatch compiler cannot handle stops the run; it
-        does not fall back to SQL lookups."""
-        import repro.explore.explorer as explorer_mod
+        does not fall back to SQL lookups.  The run is on a fresh clone,
+        whose kernels no earlier run can have compiled."""
+        import repro.core.kernel as kernel_mod
 
         def broken(_system):
             raise SyntaxError("synthetic compile failure")
 
-        monkeypatch.setattr(explorer_mod, "compile_system_kernels", broken)
-        with pytest.raises(ExplorationError,
-                           match="kernel compilation failed: SyntaxError"):
-            explore_system(system, nodes=2, depth=2)
+        clone = system.attach(
+            ProtocolDatabase.deserialize(system.db.snapshot()))
+        monkeypatch.setattr(kernel_mod, "compile_system_kernels", broken)
+        try:
+            with pytest.raises(ExplorationError,
+                               match="kernel compilation failed: SyntaxError"):
+                explore_system(clone, nodes=2, depth=2)
+        finally:
+            clone.db.close()
 
 
 class TestWorkerParity:

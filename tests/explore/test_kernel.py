@@ -1,8 +1,9 @@
 """Differential tests: compiled kernels vs SQL lookups.
 
 The compiled dispatch kernels (``repro.core.kernel``) are the
-explorer's transition backend; the SQL-backed tables are the semantics
-oracle (:func:`tests.explore.sql_oracle.sql_lookups`).  Everything here
+transition backend of the explorer and the simulator; the SQL-backed
+tables are the semantics oracle
+(:func:`tests.explore.sql_oracle.sql_lookups`).  Everything here
 pins the kernels byte-identical to the oracle: lookup results *and*
 error messages, per-state expansions, and whole-run results on clean
 and mutated tables across every fault class.
@@ -18,7 +19,11 @@ from repro.core.kernel import (
     compile_system_kernels,
 )
 from repro.core.schema import SchemaError
-from repro.core.table import AmbiguousMatchError, NoMatchError
+from repro.core.table import (
+    AmbiguousMatchError,
+    ControllerTable,
+    NoMatchError,
+)
 from repro.explore import ExploreConfig, ReachabilityExplorer
 from repro.explore.explorer import _expand_state, _quad_classes
 from repro.explore.state import canonicalize, hash_state, permute_quads
@@ -155,6 +160,40 @@ def _run(system, **overrides):
 def _run_sql(system, **overrides):
     with sql_lookups():
         return _run(system, **overrides)
+
+
+class TestSqlOracle:
+    """The oracle switches both consumers to SQL, even over a system
+    whose kernels are already compiled: a parity suite comparing kernels
+    with kernels would pass and prove nothing."""
+
+    def test_stepped_d_table_switches_inside_the_block(self, system,
+                                                      monkeypatch):
+        import repro.explore.explorer as explorer_mod
+        import repro.sim.system as sim_mod
+        from repro.sim import figure2_scenario
+
+        stepped = set()
+        for name, module in (("explore", explorer_mod), ("sim", sim_mod)):
+            def spy(state, move, tables, *args, _name=name,
+                    _step=module.step):
+                stepped.add((_name, type(tables["D"])))
+                return _step(state, move, tables, *args)
+            monkeypatch.setattr(module, "step", spy)
+
+        def run_both():
+            stepped.clear()
+            _run(system, nodes=2, depth=2)
+            figure2_scenario(system).run()
+            return set(stepped)
+
+        system.kernels()  # a filled memo must not hide the switch
+        with sql_lookups():
+            inside = run_both()
+        outside = run_both()
+        assert inside == {("explore", ControllerTable),
+                          ("sim", ControllerTable)}
+        assert outside == {("explore", KernelTable), ("sim", KernelTable)}
 
 
 class TestMutantParity:

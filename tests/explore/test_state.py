@@ -143,6 +143,23 @@ print("\\n".join(sorted(explorer.states)))
         b = self._digests("424242", nodes)
         assert a and a == b
 
+    def test_out_report_identical_across_hash_seeds(self, tmp_path):
+        """Successors deduplicate on state tuples, whose hashes are
+        seeded: the ``--out`` report must not show it."""
+        reports = []
+        for hashseed in ("0", "1"):
+            out = tmp_path / f"seed{hashseed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.join(os.getcwd(), "src"),
+                            env.get("PYTHONPATH")) if p)
+            subprocess.run(
+                [sys.executable, "-m", "repro", "explore", "--nodes", "2",
+                 "--depth", "10", "--out", str(out), "--quiet"],
+                capture_output=True, env=env, check=True, timeout=300)
+            reports.append(out.read_bytes())
+        assert reports[0] and reports[0] == reports[1]
+
     def test_in_process_digests_match_subprocess(self, explored_3n5):
         explorer, _ = explored_3n5
         here = sorted(d for d, s in explorer.states.items()
