@@ -15,9 +15,9 @@ With ``--check`` the script exits non-zero when any compared span mean
 or the module wall time regresses by more than ``--max-regression``
 (default 2.0x), or when a module in :data:`EXACT_QUERIES` issues a
 different number of SQL statements than its baseline — this is the CI
-smoke gate.  Spans whose baseline mean
-is under 1 ms are reported but never gated: at that scale the numbers
-are scheduler noise, not regressions.  Gauges named ``*_per_sec`` are
+smoke gate.  Spans whose baseline mean is under
+:data:`GATE_FLOOR_SECONDS` are reported but never gated: at that scale
+the numbers are scheduler noise, not regressions.  Gauges named ``*_per_sec`` are
 rates and gate in the other direction: they fail when the current value
 drops below baseline divided by the same factor.
 
@@ -49,8 +49,12 @@ DEFAULT_MODULES = ("invariants", "deadlock", "exploration", "generation",
 #: gated exactly in either direction.
 EXACT_QUERIES = DEFAULT_MODULES
 
-#: spans faster than this in the baseline are noise, not signal.
-GATE_FLOOR_SECONDS = 0.001
+#: spans faster than this in the baseline are noise, not signal: on a
+#: 2-CPU host a 15.9 ms span mean read 33.5 ms (2.1x) on one run and
+#: passed on the next with the code unchanged, and 4-18 ms spans swung
+#: 0.7-1.44x between back-to-back runs.  Their work is gated exactly by
+#: ``sql.queries``.
+GATE_FLOOR_SECONDS = 0.05
 
 
 def load_report(path: pathlib.Path) -> dict | None:

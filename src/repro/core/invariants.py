@@ -39,7 +39,7 @@ from .database import DatabaseError, ProtocolDatabase
 from .expr import BoolExpr
 from .report import CheckResult, Report
 from .sqlgen import quote_ident, to_sql
-from .table import changed_rows_sql
+from .table import changed_rows_sql, require_clean_copy
 
 __all__ = ["Invariant", "InvariantChecker", "InvariantViolation", "tally"]
 
@@ -247,8 +247,9 @@ class InvariantChecker:
     def _plan(self, indexes: Sequence[int],
               key: Optional[frozenset[str]]) -> tuple:
         """``({index: report columns} of the batchable invariants,
-        [(indexes, sql, fetched columns or None for UNION ALL)])`` for
-        ``indexes``; a ``key`` judges changed rows only."""
+        [(indexes, sql, fetched columns or None for UNION ALL, the
+        swept table or None)])`` for ``indexes``; a ``key`` judges
+        changed rows only."""
         probes = self._probes()
         raw, per_table = [], {}
         for idx in indexes:
@@ -264,13 +265,14 @@ class InvariantChecker:
             chunk = raw[start:start + MAX_BATCH_BRANCHES]
             width = max(len(cols) for _, _, cols in chunk)
             statements.append(([idx for idx, _, _ in chunk],
-                               self._batch_sql(chunk, width), None))
+                               self._batch_sql(chunk, width), None, None))
         for table, items in per_table.items():
             columns = self._columns(table)
             wanted = {c for _, _, cols in items for c in cols}
             fetched = [c for c in columns if c in wanted]
             statements.append(([idx for idx, _, _ in items], self._masks_sql(
-                table, columns, items, fetched, key is not None), fetched))
+                table, columns, items, fetched, key is not None), fetched,
+                table))
         return {idx: probes[idx][0] for idx in indexes
                 if probes[idx][0] is not None}, statements
 
@@ -290,9 +292,14 @@ class InvariantChecker:
         seconds: dict[int, float] = {}
         where: dict[int, dict[str, int]] = {}
         tracer = get_tracer()
-        for chunk, sql, columns in statements:
+        for chunk, sql, columns, table in statements:
             with span("invariant.check_batch", invariants=len(chunk)) as sp:
-                rows = self.db.query_tuples(sql)
+                try:
+                    rows = self.db.query_tuples(sql)
+                except DatabaseError:
+                    if key is not None and table is not None:
+                        require_clean_copy(self.db, table)
+                    raise
             if tracer.enabled:
                 tracer.incr("invariant.batches")
                 tracer.incr("invariant.batched", len(chunk))

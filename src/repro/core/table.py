@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .database import ProtocolDatabase
+from .database import DatabaseError, ProtocolDatabase
 from .expr import Row, Value
 from .schema import Role, SchemaError, TableSchema
 from .sqlgen import quote_ident
 
 __all__ = ["CLEAN_PREFIX", "ControllerTable", "LookupError_",
            "AmbiguousMatchError", "NoMatchError", "changed_rows_sql",
-           "write_clean_copy"]
+           "require_clean_copy", "write_clean_copy"]
 
 #: prefix of a table's clean copy: ``__rid`` (each row's rowid, indexed),
 #: then every column of the table.
@@ -36,6 +36,19 @@ def write_clean_copy(db: ProtocolDatabase, table: str) -> str:
     db.create_table_as(copy, f'SELECT rowid AS "__rid", * FROM {quote_ident(table)}')
     db.create_index(copy, ("__rid",))
     return copy
+
+
+def require_clean_copy(db: ProtocolDatabase, table: str) -> None:
+    """Raise a short :class:`DatabaseError` naming ``table``'s clean
+    copy when it does not exist; a query over changed rows that failed
+    calls this before re-raising its own error, which carries the whole
+    statement."""
+    copy = CLEAN_PREFIX + table
+    if not db.table_exists(copy):
+        raise DatabaseError(
+            f"no such table: {copy}, the clean copy of {table!r} that a "
+            f"check scoped to changed rows reads; write it with "
+            f"write_clean_copy(db, {table!r})") from None
 
 
 def changed_rows_sql(table: str, columns: Sequence[str]) -> str:
@@ -249,12 +262,17 @@ class ControllerTable:
                 f"WHERE {guard} (SELECT 1 FROM {t} WHERE {edited})")
         cols = ", ".join(f"{side}.{quote_ident(c)}"
                          for side in "ab" for c in names)
-        hits = self.db.query_tuples(
-            f"{with_}SELECT p.*, {cols} FROM (SELECT count(*) OVER (), * "
-            f"FROM ({' UNION ALL '.join(branches)}) ORDER BY 2, 3 LIMIT "
-            f"{-1 if limit is None else limit}) AS p JOIN {t} AS a "
-            f'ON a.rowid = p."ra" JOIN {t} AS b ON b.rowid = p."rb" '
-            f"ORDER BY 2, 3")
+        try:
+            hits = self.db.query_tuples(
+                f"{with_}SELECT p.*, {cols} FROM (SELECT count(*) OVER (), "
+                f"* FROM ({' UNION ALL '.join(branches)}) ORDER BY 2, 3 "
+                f"LIMIT {-1 if limit is None else limit}) AS p JOIN {t} AS a "
+                f'ON a.rowid = p."ra" JOIN {t} AS b ON b.rowid = p."rb" '
+                f"ORDER BY 2, 3")
+        except DatabaseError:
+            if changed:
+                require_clean_copy(self.db, self.table_name)
+            raise
         # After the count and the rowids: row a's columns, then row b's.
         n = len(names)
         return (hits[0][0] if hits else 0,

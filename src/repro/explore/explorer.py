@@ -15,10 +15,11 @@ depth *d* is fully expanded (inline, or in batches over the compiled
 kernel's :class:`~repro.explore.pool.KernelPool`) before depth *d+1*
 begins, successors are merged in deterministic submission order, and
 deduplication runs in the parent on the canonical (symmetry-reduced)
-state tuples — results are identical for any worker count.  Only a
-state not seen before is hashed: its SHA-256 digest names it in
-violations, journals and the ``--out`` report.
-Every *new* state is checked on the fly:
+state tuples — results are identical for any worker count.  The
+seen-set, predecessor links and frontier hold those tuples; a state is
+hashed only when something names it (a violation, a journal record,
+:meth:`ReachabilityExplorer.trace_to`), and its SHA-256 digest is that
+name.  Every *new* state is checked on the fly:
 
 * **coherence** — the single-writer/multiple-reader property over all
   cache states (:func:`~repro.sim.models.coherence_violation`, which
@@ -47,7 +48,9 @@ which the system compiles once per table state and shares with the
 simulator; a lookup is a handful of dict probes
 instead of an SQL query, and multi-worker runs fan out over a
 persistent :class:`~repro.explore.pool.KernelPool` that received the
-kernels once and thereafter only ships state batches.  The SQL-backed
+kernels once and thereafter only ships state batches.  A run (and each
+pool worker) keeps a :class:`~repro.sim.models.StepMemo`, so a local
+transition met in many global states is worked out once.  The SQL-backed
 tables stay the tests' parity oracle: the differential suites hand them
 to the same :func:`~repro.sim.models.step` and compare the results.
 """
@@ -70,6 +73,8 @@ from ..runtime import (
 from ..sim.models import (
     Network,
     SimProtocolError,
+    StepMemo,
+    _register_for,
     coherence_violation,
     directory_violation,
     initial_state,
@@ -425,12 +430,17 @@ def _moves_for(state: tuple, addrs: Sequence[str]) -> list[tuple]:
             continue  # one queued processor operation per node at a time
         cached = dict(cache)
         for addr in addrs:
+            if _register_for(miss, wb, addr) is not None:
+                # A transaction on the line is in flight: the step would
+                # refuse the operation before any lookup.
+                continue
             moves.extend(_inject_moves(nid, addr, cached.get(addr, "I")))
     return moves
 
 
 def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
-                  symmetry, quad_classes: tuple = ()) -> dict:
+                  symmetry, quad_classes: tuple = (),
+                  memo: Optional[StepMemo] = None) -> dict:
     """All successors of one state, plus holes and the deadlock verdict.
 
     Successor entries are ``(move, canonical state tuple)`` — raw
@@ -443,7 +453,7 @@ def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
     progress = False              # some non-inject move committed
     for move in _moves_for(state, addrs):
         try:
-            succ, _ = step(state, move, tables, net)
+            succ, _ = step(state, move, tables, net, False, memo)
         except _HOLE_ERRORS as exc:
             holes.append({
                 "move": list(move),
@@ -485,17 +495,20 @@ class ReachabilityExplorer:
         # stand then.
         self._kernels: Optional[dict] = None
         self._pool: Optional[KernelPool] = None
-        root = canonicalize(
+        # Local transitions worked out against the kernels and self.net;
+        # each run starts its own.
+        self._memo = StepMemo()
+        #: the canonical initial state.
+        self.root = canonicalize(
             initial_state(_node_ids(self.config), _n_quads(self.config)),
             self.symmetry, self.quad_classes)
-        self.root_digest = hash_state(root)
-        #: digest -> canonical state, for every reached state.
-        self.states: dict[str, tuple] = {self.root_digest: root}
-        #: canonical state -> digest: successors deduplicate on the
-        #: tuple, so only a new state is hashed.
-        self._digests: dict[tuple, str] = {root: self.root_digest}
-        #: digest -> (predecessor digest, move); root maps to None.
-        self.pred: dict[str, Optional[tuple]] = {self.root_digest: None}
+        self.root_digest = hash_state(self.root)
+        #: canonical state -> (predecessor state, move) for every reached
+        #: state in discovery order, the root -> None: the seen-set.
+        self._pred: dict[tuple, Optional[tuple]] = {self.root: None}
+        #: canonical state -> digest, and back, for the states named so far.
+        self._names: dict[tuple, str] = {self.root: self.root_digest}
+        self._named: dict[str, tuple] = {self.root_digest: self.root}
 
     @property
     def kernels(self) -> dict:
@@ -521,6 +534,31 @@ class ReachabilityExplorer:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+
+    # -- naming ---------------------------------------------------------------
+    def _name(self, state: tuple) -> str:
+        """A reached state's digest, hashed the first time it is asked for."""
+        digest = self._names.get(state)
+        if digest is None:
+            digest = self._names[state] = hash_state(state)
+            self._named[digest] = state
+        return digest
+
+    @property
+    def states(self) -> dict[str, tuple]:
+        """Digest -> canonical state for every reached state, in discovery
+        order; built on access, naming every state."""
+        return {self._name(state): state for state in self._pred}
+
+    @property
+    def pred(self) -> dict[str, Optional[tuple]]:
+        """Digest -> (predecessor digest, move) for every reached state,
+        the root mapping to None; built on access."""
+        return {
+            self._name(state):
+                None if entry is None else (self._name(entry[0]), entry[1])
+            for state, entry in self._pred.items()
+        }
 
     # -- journaling -----------------------------------------------------------
     def _journal_header(self) -> dict:
@@ -549,6 +587,7 @@ class ReachabilityExplorer:
         cfg = self.config
         t0 = time.perf_counter()
         tracer = get_tracer()
+        self._memo = StepMemo()
         with span("explore.run", nodes=cfg.nodes, depth_bound=cfg.depth,
                   assignment=cfg.assignment, workers=cfg.workers):
             result = self._run(t0, tracer)
@@ -558,6 +597,8 @@ class ReachabilityExplorer:
             tracer.incr("explore.dedup_hits", result.dedup_hits)
             tracer.gauge("explore.depth", result.depth)
             tracer.incr("explore.violations", len(result.violations))
+            tracer.incr("explore.memo.hits", self._memo.hits)
+            tracer.incr("explore.memo.misses", self._memo.misses)
         return result
 
     def _run(self, t0: float, tracer) -> ExploreResult:
@@ -565,7 +606,7 @@ class ReachabilityExplorer:
         violations: list[Violation] = []
         deadlocks: list[str] = []
         per_depth: list[DepthStats] = []
-        frontier: list[str] = [self.root_digest]
+        frontier: list[tuple] = [self.root]
         start_depth = 0
         resumed = 0
 
@@ -589,12 +630,12 @@ class ReachabilityExplorer:
             # One live progress event per completed BFS level — what
             # ``repro watch`` renders between journal flushes.
             tracer.emit("explore.depth", run_id=run_id,
-                        states=len(self.states), **stats.to_dict())
+                        states=len(self._pred), **stats.to_dict())
 
         # Depth 0: the root is a reached state and is checked like any
         # other (an empty initial state is trivially coherent).
         if start_depth == 0:
-            self._check_state(self.root_digest, 0, violations)
+            self._check_state(self.root, 0, violations)
             per_depth.append(DepthStats(0, 0, 1, 0, 0, len(violations), 0))
             _emit_depth(per_depth[-1])
 
@@ -603,9 +644,8 @@ class ReachabilityExplorer:
         try:
             if journal is not None and start_depth == 0:
                 journal.record(0, self._depth_record(
-                    new=[[self.root_digest, None, None]],
-                    stats=per_depth[-1], violations=violations,
-                    deadlocks=[]))
+                    new=[self.root], stats=per_depth[-1],
+                    violations=violations, deadlocks=[]))
 
             depth = start_depth
             for depth in range(start_depth + 1, cfg.depth + 1):
@@ -615,15 +655,15 @@ class ReachabilityExplorer:
                 if cfg.stop_on_violation and violations:
                     depth -= 1
                     break
-                stats, new_frontier, new_records, depth_violations, \
-                    depth_deadlocks = self._expand_depth(depth, frontier)
+                stats, new_frontier, depth_violations, depth_deadlocks = \
+                    self._expand_depth(depth, frontier)
                 violations.extend(depth_violations)
                 deadlocks.extend(depth_deadlocks)
                 per_depth.append(stats)
                 _emit_depth(stats)
                 if journal is not None:
                     journal.record(depth, self._depth_record(
-                        new=new_records, stats=stats,
+                        new=new_frontier, stats=stats,
                         violations=depth_violations,
                         deadlocks=depth_deadlocks))
                 frontier = new_frontier
@@ -641,7 +681,7 @@ class ReachabilityExplorer:
             depth_bound=cfg.depth,
             assignment=cfg.assignment,
             symmetry=cfg.symmetry,
-            states=len(self.states),
+            states=len(self._pred),
             transitions=sum(s.transitions for s in per_depth),
             dedup_hits=sum(s.dedup_hits for s in per_depth),
             violations=violations,
@@ -652,110 +692,110 @@ class ReachabilityExplorer:
             wall_seconds=time.perf_counter() - t0,
         )
 
-    def _expand_depth(self, depth: int, frontier: list[str]):
+    def _expand_depth(self, depth: int, frontier: list[tuple]):
         """Expand one whole BFS level, in parallel batches."""
         expansions = self._expand_frontier(frontier)
         stats = DepthStats(depth, len(frontier), 0, 0, 0, 0, 0)
-        new_frontier: list[str] = []
-        new_records: list[list] = []
+        seen = self._pred
+        new_frontier: list[tuple] = []
         violations: list[Violation] = []
         deadlocks: list[str] = []
-        for digest, expansion in expansions:
+        for state, expansion in zip(frontier, expansions):
             for hole in expansion["holes"]:
                 violations.append(Violation(
-                    kind="hole", digest=digest, depth=depth - 1,
+                    kind="hole", digest=self._name(state), depth=depth - 1,
                     detail=f"move {tuple(hole['move'])}: {hole['error']}"))
             if expansion["deadlocked"]:
+                digest = self._name(state)
                 deadlocks.append(digest)
                 violations.append(Violation(
                     kind="deadlock", digest=digest, depth=depth - 1,
-                    detail=self._deadlock_detail(digest)))
+                    detail=self._deadlock_detail(state)))
             for move, succ in expansion["successors"]:
                 stats.transitions += 1
-                if succ in self._digests:
+                if succ in seen:
                     stats.dedup_hits += 1
                     continue
-                succ_digest = self._digests[succ] = hash_state(succ)
-                self.states[succ_digest] = succ
-                self.pred[succ_digest] = (digest, tuple(move))
-                new_frontier.append(succ_digest)
-                new_records.append([succ_digest, digest, move])
+                seen[succ] = (state, move)
+                new_frontier.append(succ)
                 stats.new_states += 1
-                self._check_state(succ_digest, depth, violations)
+                self._check_state(succ, depth, violations)
         stats.violations = len(violations)
         stats.deadlocks = len(deadlocks)
-        return stats, new_frontier, new_records, violations, deadlocks
+        return stats, new_frontier, violations, deadlocks
 
-    def _expand_frontier(self, frontier: list[str]) -> list:
-        """``(digest, expansion)`` for every frontier state, in frontier
-        order."""
+    def _expand_frontier(self, frontier: list[tuple]) -> list:
+        """The expansion of every frontier state, in frontier order."""
         workers = self.config.workers
         if workers > 1:
             return self._expand_frontier_pool(frontier, workers)
         kernels = self.kernels
         return [
-            (digest,
-             _expand_state(self.states[digest], kernels, self.net,
-                           self.addrs, self.symmetry, self.quad_classes))
-            for digest in frontier
+            _expand_state(state, kernels, self.net, self.addrs,
+                          self.symmetry, self.quad_classes, self._memo)
+            for state in frontier
         ]
 
-    def _expand_frontier_pool(self, frontier: list[str],
+    def _expand_frontier_pool(self, frontier: list[tuple],
                               workers: int) -> list:
         """Fan out over the persistent kernel pool: the kernels shipped
-        at pool creation, each task is only a batch of state tuples."""
+        at pool creation, each task is only a batch of state tuples.
+        The workers' memo hits and misses add to the run's."""
         if self._pool is None:
             self._pool = KernelPool(self.kernels, self.net, self.addrs,
                                     self.symmetry, self.quad_classes, workers)
         chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
-        batches = [
-            [(d, self.states[d]) for d in frontier[i:i + chunk]]
-            for i in range(0, len(frontier), chunk)
-        ]
+        batches = [frontier[i:i + chunk]
+                   for i in range(0, len(frontier), chunk)]
         out: list = []
-        for batch_result in self._pool.expand(batches):
-            out.extend((digest, expansion)
-                       for digest, expansion in batch_result)
+        for expansions, hits, misses in self._pool.expand(batches):
+            out.extend(expansions)
+            self._memo.hits += hits
+            self._memo.misses += misses
         return out
 
-    def _check_state(self, digest: str, depth: int,
+    def _check_state(self, state: tuple, depth: int,
                      violations: list[Violation]) -> None:
-        state = self.states[digest]
         spec = getattr(self.system, "spec", None)
         coh = coherence_violation(
             state, spec.forward_state if spec is not None else None)
         if coh is not None:
-            violations.append(Violation("coherence", digest, depth, coh))
+            violations.append(
+                Violation("coherence", self._name(state), depth, coh))
         if not pending_work(state):
             dirv = directory_violation(state, self.net.home)
             if dirv is not None:
-                violations.append(Violation("directory", digest, depth, dirv))
+                violations.append(
+                    Violation("directory", self._name(state), depth, dirv))
 
-    def _deadlock_detail(self, digest: str) -> str:
-        channels = self.states[digest][0]
+    def _deadlock_detail(self, state: tuple) -> str:
         stuck = [f"{vc}@q{dq}:" + "/".join(msg for msg, *_ in envs)
-                 for (vc, dq), envs in channels]
+                 for (vc, dq), envs in state[0]]
         if stuck:
             return "no enabled transition; in flight: " + ", ".join(stuck)
         return "no enabled transition for outstanding work"
 
     # -- journal records ------------------------------------------------------
     def _depth_record(self, new, stats, violations, deadlocks) -> dict:
-        # ``new`` holds (digest, pred_digest, move) triples; encodings
-        # are materialized only here, when a journal actually wants them.
+        # ``new`` holds the states first reached at this depth; names and
+        # encodings are made only here, when a journal wants them.
+        records = []
+        for state in new:
+            entry = self._pred[state]
+            records.append([
+                self._name(state), encode_state(state),
+                None if entry is None else self._name(entry[0]),
+                None if entry is None else list(entry[1]),
+            ])
         return {
-            "new": [
-                [d, encode_state(self.states[d]), pd,
-                 None if mv is None else list(mv)]
-                for d, pd, mv in new
-            ],
+            "new": records,
             "stats": stats.to_dict(),
             "violations": [v.to_dict() for v in violations],
             "deadlocks": list(deadlocks),
         }
 
     def _restore(self, completed: dict[int, dict], violations, deadlocks,
-                 per_depth) -> tuple[list[str], int, int]:
+                 per_depth) -> tuple[list[tuple], int, int]:
         """Rebuild seen-set, predecessor map, and statistics from a
         journal; returns (frontier, last completed depth, depths restored)."""
         if 0 not in completed:
@@ -765,18 +805,18 @@ class ReachabilityExplorer:
         if depths != list(range(len(depths))):
             raise JournalError(
                 f"cannot resume: journal depths {depths} are not contiguous")
-        frontier: list[str] = []
+        frontier: list[tuple] = []
         for d in depths:
             record = completed[d]
             frontier = []
             for digest, enc, pred_digest, move in record["new"]:
                 state = decode_state(enc)
-                self.states[digest] = state
-                self._digests[state] = digest
-                self.pred[digest] = (
+                self._names[state] = digest
+                self._named[digest] = state
+                self._pred[state] = (
                     None if pred_digest is None
-                    else (pred_digest, tuple(move)))
-                frontier.append(digest)
+                    else (self._named[pred_digest], tuple(move)))
+                frontier.append(state)
             per_depth.append(DepthStats.from_dict(record["stats"]))
             violations.extend(Violation.from_dict(v)
                               for v in record["violations"])
@@ -786,14 +826,18 @@ class ReachabilityExplorer:
     # -- counterexamples ------------------------------------------------------
     def trace_to(self, digest: str) -> list[tuple]:
         """The move sequence from the initial state to ``digest``."""
-        if digest not in self.pred:
+        state = self._named.get(digest)
+        if state is None and len(self._named) < len(self._pred):
+            self.states  # name the states not named yet
+            state = self._named.get(digest)
+        if state is None:
             raise ExplorationError(f"state {digest!r} was not reached")
         moves: list[tuple] = []
-        entry = self.pred[digest]
+        entry = self._pred[state]
         while entry is not None:
-            digest, move = entry
+            state, move = entry
             moves.append(move)
-            entry = self.pred[digest]
+            entry = self._pred[state]
         moves.reverse()
         return moves
 
@@ -805,11 +849,12 @@ class ReachabilityExplorer:
         for a trace extracted by :meth:`trace_to`, equals the target
         state's digest.
         """
-        state = self.states[self.root_digest]
+        state = self.root
         events: list[TraceEvent] = []
         for i, move in enumerate(moves):
             try:
-                succ, fx = step(state, tuple(move), self.kernels, self.net)
+                succ, fx = step(state, tuple(move), self.kernels, self.net,
+                                False, self._memo)
             except _HOLE_ERRORS as exc:
                 raise ExplorationError(
                     f"replay hit a protocol hole at move {i} "

@@ -4,7 +4,9 @@ A :class:`KernelPool` ships the compiled
 :class:`~repro.core.kernel.KernelTable` rows to each worker **once**, at
 pool creation (they pickle as ``(schema, rows)`` and recompile on
 arrival); after that, every task payload is just a batch of canonical
-states, and every result is the successor batch.  The pool persists
+states, and every result is the successor batch.  Each worker keeps its
+own :class:`~repro.sim.models.StepMemo` for the pool's life, which is
+the life of its kernels and network.  The pool persists
 across BFS levels, so per-depth cost is one ``map`` over state batches
 with no setup.
 
@@ -20,33 +22,38 @@ from __future__ import annotations
 
 import multiprocessing
 
+from ..sim.models import StepMemo
+
 __all__ = ["KernelPool"]
 
-# Per-worker expansion arguments, installed once by the pool initializer.
+# Per-worker expansion arguments and the worker's StepMemo, installed
+# once by the pool initializer.
 _ARGS: tuple = ()
 
 
 def _init_worker(*args) -> None:
     global _ARGS
-    _ARGS = args
+    _ARGS = args + (StepMemo(),)
 
 
-def _expand_batch(batch) -> list:
-    """Expand ``[(digest, state), …]`` with this worker's kernels.
+def _expand_batch(batch) -> tuple:
+    """Expand a list of states with this worker's kernels and memo.
 
     States travel as the canonical nested tuples (pickle handles them
-    natively and faster than a JSON round-trip); results mirror
+    natively and faster than a JSON round-trip); expansions mirror
     ``_expand_state`` exactly, so the merge loop cannot tell a pooled
-    expansion from an inline one.
+    expansion from an inline one.  The batch's memo hits and misses
+    come back beside them.
     """
     from .explorer import _expand_state
 
-    tables, net, addrs, symmetry, quad_classes = _ARGS
-    return [
-        [digest, _expand_state(state, tables, net, addrs, symmetry,
-                               quad_classes)]
-        for digest, state in batch
+    tables, net, addrs, symmetry, quad_classes, memo = _ARGS
+    hits, misses = memo.hits, memo.misses
+    expansions = [
+        _expand_state(state, tables, net, addrs, symmetry, quad_classes, memo)
+        for state in batch
     ]
+    return expansions, memo.hits - hits, memo.misses - misses
 
 
 class KernelPool:

@@ -23,8 +23,8 @@ Three properties the explorer depends on:
   state's digest is the same in every process and run regardless of
   ``PYTHONHASHSEED``.  Digests name states in violations, journals and
   the ``--out`` report.  Deduplication itself compares the canonical
-  tuples in the explorer's process, which hashes only states it has not
-  seen before.
+  tuples in the explorer's process, which hashes a state only when
+  something names it.
 * **Serializable** — :func:`encode_state` / :func:`decode_state`
   round-trip a state through JSON for checkpoint journals.
 

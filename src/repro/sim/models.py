@@ -31,7 +31,15 @@ missing row is a protocol hole and raises :class:`SimProtocolError`.
 A transition commits only when every output channel instance has room
 for every message it emits; the input message occupies its slot until
 then.  A refused commit returns no successor, and its effects name the
-channels that were full.  Retry timers are a bit per register: the
+channels that were full.
+
+Each move reads one component besides the channels — a directory line
+and its busy entry, a node, an I/O controller, or nothing but the
+envelope at a memory — and everything it does there is a function of
+that *footprint*.  :func:`step` splits every handler accordingly: a
+pure local part, remembered per footprint in the caller's
+:class:`StepMemo`, and the shared commit, which reads channel occupancy
+and runs every time.  Retry timers are a bit per register: the
 explorer treats a set bit as immediately due, the simulator keeps the
 deadlines beside the state.
 """
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from ..core.table import NoMatchError
+from ..core.table import LookupError_, NoMatchError
 from ..protocols import messages as M
 from ..protocols import states as S
 from .channel import ChannelFabric
@@ -50,6 +58,7 @@ __all__ = [
     "Network",
     "Effects",
     "FREE",
+    "StepMemo",
     "step",
     "initial_state",
     "preset_line",
@@ -308,8 +317,147 @@ def directory_violation(state: tuple,
 
 
 # -- the step -------------------------------------------------------------------
+class StepMemo:
+    """Local transitions already worked out, keyed by their footprint.
+
+    A handler's local part depends only on what it reads: the move or
+    the delivered envelope, plus the addressed directory line and busy
+    entry, the node, the IO controller, or the memory's refresh window.
+    From that footprint it yields the rows it looks up, the messages it
+    emits and their channel instances, its counts and timer effects, and
+    its component's next value (for a protocol hole, the error).  The
+    memo maps footprints to those outcomes, so a transition met again in
+    another global state costs one dict probe.  Only :func:`_commit`
+    runs on every step, because whether the outputs fit reads the
+    channels' occupancy.
+
+    Entries hold for the one (tables, network) pair they were computed
+    against, so a memo must not outlive that pair: every exploration
+    run, simulator and pool worker owns one.
+    """
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def store(self, key: tuple, local: "_Local") -> None:
+        self.misses += 1
+        self.entries[key] = local
+
+
+#: errors that mean "the tables have no row for this reachable input".
+_HOLES = (SimProtocolError, LookupError_)
+
+
+class _Local:
+    """A handler's outcome as a function of its footprint.
+
+    ``rows`` are recorded whenever the handler is reached.  With
+    ``commit`` set, the outputs (``sends``, placed as ``queue`` with at
+    most ``limits`` messages already queued per bounded channel) must
+    fit; ``late_rows``/``late_hole`` and everything below apply only
+    once they did.  Without a commit, ``counts`` apply either way and
+    ``enabled`` says whether the move has a successor.
+    """
+
+    __slots__ = ("hole", "rows", "enabled", "commit", "sends", "queue",
+                 "limits", "late_rows", "late_hole", "counts", "retry",
+                 "written", "device", "next")
+
+    def __init__(self, rows=(), *, enabled=True, outputs=None, next=None,
+                 counts=(), retry=None, written=None, device=None,
+                 late_rows=(), late_hole=None, hole=None) -> None:
+        self.hole = hole
+        self.rows = tuple(rows)
+        self.enabled = enabled
+        self.commit = outputs is not None
+        self.sends, self.queue, self.limits = outputs or ((), (), ())
+        self.late_rows = tuple(late_rows)
+        self.late_hole = late_hole
+        self.counts = tuple(counts)
+        self.retry = retry
+        self.written = written
+        self.device = device
+        self.next = next
+
+
+#: a move that cannot fire here, decided before any lookup.
+_DISABLED = _Local(enabled=False)
+
+
+def _outputs(outs: list, net: Network) -> tuple:
+    """``(sends, queue, limits)`` of envelopes ``outs``: the sends as
+    :attr:`Effects.sends` lists them, each envelope with its channel
+    instance, and per bounded instance the most messages it may already
+    hold for all of them to fit."""
+    fabric = net.fabric
+    queue = []
+    need: dict = {}
+    for env in outs:
+        key = (fabric.channel_for(env[0], env[4], env[5]), quad_of(env[2]))
+        queue.append((key, env))
+        need[key] = need.get(key, 0) + 1
+    limits = []
+    for key, n in need.items():
+        cap = fabric.capacity(key[0])
+        if cap is not None:
+            limits.append((key, cap - n))
+    sends = tuple((env[0], env[1], env[2], env[3], key) for key, env in queue)
+    return sends, tuple(queue), tuple(limits)
+
+
+def _hole(exc: Exception) -> tuple:
+    return (type(exc), exc.args)
+
+
+def _local(memo: Optional[StepMemo], key: tuple, handler,
+           *args) -> _Local:
+    """``handler(*args)``, looked up by footprint ``key`` first."""
+    if memo is None:
+        return handler(*args)
+    local = memo.entries.get(key)
+    if local is not None:
+        memo.hits += 1
+        return local
+    try:
+        local = handler(*args)
+    except _HOLES as exc:
+        memo.store(key, _Local(hole=_hole(exc)))
+        raise
+    memo.store(key, local)
+    return local
+
+
+def _fire(channels: tuple, local: _Local, fx: "Effects",
+          pop: Optional[tuple] = None) -> Optional[tuple]:
+    """Apply ``local`` to the step: the channels afterwards, or None when
+    the move has no successor."""
+    if local.hole is not None:
+        cls, args = local.hole
+        raise cls(*args)
+    fx.rows.extend(local.rows)
+    if local.commit:
+        fx.sends.extend(local.sends)
+        channels = _commit(channels, local, fx, pop)
+        if channels is None:
+            return None
+        if local.late_hole is not None:
+            cls, args = local.late_hole
+            raise cls(*args)
+        fx.rows.extend(local.late_rows)
+    fx.counts.extend(local.counts)
+    fx.retry = local.retry
+    fx.written = local.written
+    fx.device = local.device
+    return channels if local.enabled else None
+
+
 def step(state: tuple, move: tuple, tables, net: Network,
-         refresh: bool = False) -> tuple[Optional[tuple], Effects]:
+         refresh: bool = False,
+         memo: Optional[StepMemo] = None) -> tuple[Optional[tuple], Effects]:
     """Fire one move; ``(successor, effects)``, the successor ``None``
     when the move is disabled or its commit is refused.
 
@@ -318,45 +466,42 @@ def step(state: tuple, move: tuple, tables, net: Network,
     first retried register unless one is named), ``("reissue_io",
     quad)`` and ``("dev", quad)``.  ``refresh`` puts every memory bank
     in its refresh window, where the table's stall row holds requests.
+    ``memo`` is the caller's :class:`StepMemo` for this ``tables`` and
+    ``net``; without one the step computes afresh.
     """
     fx = Effects()
     kind = move[0]
     if kind == "deliver":
-        succ = _deliver(state, (move[1], move[2]), tables, net, refresh, fx)
-    elif kind == "cpu":
-        succ = _cpu(state, net.node_pos[move[1]], tables, net, fx)
-    elif kind == "inject":
+        return _deliver(state, (move[1], move[2]), tables, net, refresh,
+                        fx, memo), fx
+    if kind in _NODE_MOVES:
         pos = net.node_pos[move[1]]
-        succ = _cpu(queue_op(state, pos, move[2], move[3]), pos, tables,
-                    net, fx)
-    elif kind == "reissue":
-        succ = _reissue(state, net.node_pos[move[1]],
-                        move[2] if len(move) > 2 else None, tables, net, fx)
-    elif kind == "reissue_io":
-        succ = _reissue_io(state, move[1], tables, net, fx)
-    elif kind == "dev":
-        succ = _dev(state, move[1], tables, net, fx)
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    return succ, fx
+        node = state[2][pos]
+        local = _local(memo, (move, node), _NODE_MOVES[kind], move, node,
+                       tables, net)
+        channels = _fire(state[0], local, fx)
+        if channels is None:
+            return None, fx
+        return _with_node(state, pos, local.next, channels), fx
+    if kind in _IO_MOVES:
+        quad = move[1]
+        io = state[3][quad]
+        local = _local(memo, (move, io), _IO_MOVES[kind], move, io, tables,
+                       net)
+        channels = _fire(state[0], local, fx)
+        if channels is None:
+            return None, fx
+        return _with_io(state, quad, local.next, channels), fx
+    raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _commit(channels: tuple, outs: list, fx: Effects, net: Network,
+def _commit(channels: tuple, local: _Local, fx: Effects,
             pop: Optional[tuple] = None) -> Optional[tuple]:
-    """The channels after popping ``pop``'s head and sending ``outs``,
-    or None (with ``fx.blocked`` set) when an output channel is full."""
-    fabric = net.fabric
+    """The channels after popping ``pop``'s head and queueing ``local``'s
+    outputs, or None (with ``fx.blocked`` set) when one does not fit."""
     queued = dict(channels)
-    keyed = []
-    need: dict = {}
-    for env in outs:
-        key = (fabric.channel_for(env[0], env[4], env[5]), quad_of(env[2]))
-        keyed.append((key, env))
-        need[key] = need.get(key, 0) + 1
-        fx.sends.append((env[0], env[1], env[2], env[3], key))
-    for key, n in need.items():
-        cap = fabric.capacity(key[0])
-        if cap is not None and len(queued.get(key, ())) + n > cap:
+    for key, most in local.limits:
+        if len(queued.get(key, ())) > most:
             fx.blocked.append(key)
     if fx.blocked:
         return None
@@ -366,17 +511,17 @@ def _commit(channels: tuple, outs: list, fx: Effects, net: Network,
             queued[pop] = rest
         else:
             del queued[pop]
-    for key, env in keyed:
+    for key, env in local.queue:
         queued[key] = queued.get(key, ()) + (env,)
     return tuple(sorted(queued.items()))
 
 
-def _record(fx: Effects, table, rowid: int) -> None:
-    fx.rows.append((table.schema.name, rowid))
+def _record(rows: list, table, rowid: int) -> None:
+    rows.append((table.schema.name, rowid))
 
 
 def _cache_row(tables, nid: str, op: str, line: str,
-               fillmode: Optional[str], fx: Effects) -> dict:
+               fillmode: Optional[str], rows: list) -> dict:
     table = tables["C"]
     try:
         rowid, row = table.lookup_id(op=op, cachest=line, fillmode=fillmode)
@@ -385,12 +530,12 @@ def _cache_row(tables, nid: str, op: str, line: str,
             f"{nid}: cache has no transition for op={op} "
             f"state={line} fillmode={fillmode}"
         ) from e
-    _record(fx, table, rowid)
+    _record(rows, table, rowid)
     return row
 
 
 def _request_row(tables, nid: str, cache_req: str, linest: str,
-                 fx: Effects) -> dict:
+                 rows: list) -> dict:
     """Node-controller row for a cache-originated request.
 
     On re-issue after a retry the pending register is already occupied
@@ -412,7 +557,7 @@ def _request_row(tables, nid: str, cache_req: str, linest: str,
             f"{cache_req} with line state {linest}"
         )
     rowid, row = matches[0]
-    _record(fx, table, rowid)
+    _record(rows, table, rowid)
     return row
 
 
@@ -423,7 +568,7 @@ def _request(row: dict, src: str, addr: str, net: Network) -> tuple:
 
 
 def _io_row(tables, quad: int, inmsg: str, src: str, dst: str, iost,
-            fx: Effects) -> dict:
+            rows: list) -> dict:
     table = tables["IO"]
     try:
         rowid, row = table.lookup_id(inmsg=inmsg, inmsgsrc=src,
@@ -432,7 +577,7 @@ def _io_row(tables, quad: int, inmsg: str, src: str, dst: str, iost,
         raise SimProtocolError(
             f"io:{quad}: no transition for {inmsg} (iost={iost})"
         ) from e
-    _record(fx, table, rowid)
+    _record(rows, table, rowid)
     return row
 
 
@@ -458,95 +603,101 @@ def _with_io(state: tuple, quad: int, io: tuple,
 
 
 # -- processor and device side ---------------------------------------------------
-def _cpu(state, pos, tables, net, fx) -> Optional[tuple]:
-    """Progress on a node's oldest processor operation."""
-    nid, cache, miss, wb, cpu_ops = state[2][pos]
+# Each handler below is a local part: it reads the move and one
+# component and returns a :class:`_Local` whose ``next`` is that
+# component's next value.
+def _cpu(move, node, tables, net) -> _Local:
+    """Progress on a node's oldest processor operation (``inject``
+    queues the move's operation first)."""
+    nid, cache, miss, wb, cpu_ops = node
+    if move[0] == "inject":
+        cpu_ops = cpu_ops + ((move[2], move[3]),)
     if not cpu_ops:
-        return None
+        return _DISABLED
     op, addr = cpu_ops[0]
     line = _line(cache, addr)
     if op == "evict" and line == "I":
         # Nothing to victimize (the line left the cache earlier): a
         # workload convenience, not a protocol transition.
-        return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops[1:]))
+        return _Local(next=(nid, cache, miss, wb, cpu_ops[1:]))
     if _register_for(miss, wb, addr) is not None:
-        return None  # a transaction on this line is already in flight
-    crow = _cache_row(tables, nid, op, line, None, fx)
+        return _DISABLED  # a transaction on this line is already in flight
+    rows: list = []
+    crow = _cache_row(tables, nid, op, line, None, rows)
     nodemsg = crow["nodemsg"]
     cache = _set_line(cache, addr, crow["nxtst"])
     if nodemsg is None:
         # Pure cache hit (or silent state change).
-        fx.counts += [(nid, "hits"), (nid, "ops")]
-        return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops[1:]))
+        return _Local(rows, counts=((nid, "hits"), (nid, "ops")),
+                      next=(nid, cache, miss, wb, cpu_ops[1:]))
     idx = 0 if nodemsg in _MISS_REQS else 1
     reg = (miss, wb)[idx]
     if reg[0] != "none":
-        return None
-    nrow = _request_row(tables, nid, nodemsg, line, fx)
-    channels = _commit(state[0], [_request(nrow, nid, addr, net)], fx, net)
-    if channels is None:
-        return None
+        return _Local(rows, enabled=False)
+    nrow = _request_row(tables, nid, nodemsg, line, rows)
+    outputs = _outputs([_request(nrow, nid, addr, net)], net)
     reg = (nrow["nxtpend"], addr, nodemsg, line, reg[4])
-    fx.counts += [(nid, "ops"), (nid, "misses" if idx == 0 else "writebacks")]
     regs = (reg, wb) if idx == 0 else (miss, reg)
-    return _with_node(state, pos, (nid, cache, *regs, cpu_ops[1:]), channels)
+    return _Local(rows, outputs=outputs,
+                  counts=((nid, "ops"),
+                          (nid, "misses" if idx == 0 else "writebacks")),
+                  next=(nid, cache, *regs, cpu_ops[1:]))
 
 
-def _reissue(state, pos, idx, tables, net, fx) -> Optional[tuple]:
+def _reissue(move, node, tables, net) -> _Local:
     """Re-issue a retried request."""
-    nid, cache, miss, wb, cpu_ops = state[2][pos]
+    nid, cache, miss, wb, cpu_ops = node
+    idx = move[2] if len(move) > 2 else None
     if idx is None:
         idx = 0 if miss[4] else 1
     reg = (miss, wb)[idx]
     if not reg[4]:
-        return None
+        return _DISABLED
+    rows: list = []
     linest = _line(cache, reg[1]) if idx == 0 else reg[3]
-    nrow = _request_row(tables, nid, reg[2], linest, fx)
-    channels = _commit(state[0], [_request(nrow, nid, reg[1], net)], fx, net)
-    if channels is None:
-        return None
+    nrow = _request_row(tables, nid, reg[2], linest, rows)
+    outputs = _outputs([_request(nrow, nid, reg[1], net)], net)
     reg = (nrow["nxtpend"],) + reg[1:4] + (False,)
     regs = (reg, wb) if idx == 0 else (miss, reg)
-    return _with_node(state, pos, (nid, cache, *regs, cpu_ops), channels)
+    return _Local(rows, outputs=outputs, next=(nid, cache, *regs, cpu_ops))
 
 
-def _reissue_io(state, quad, tables, net, fx) -> Optional[tuple]:
-    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
+def _reissue_io(move, io, tables, net) -> _Local:
+    q, iost, pend_op, pend_addr, retry, dev_ops = io
     if not retry:
-        return None
-    row = _io_row(tables, quad, pend_op, "dev", "local", "idle", fx)
-    channels = _commit(state[0], [_request(row, f"io:{quad}", pend_addr, net)],
-                       fx, net)
-    if channels is None:
-        return None
-    return _with_io(state, quad,
-                    (q, iost, pend_op, pend_addr, False, dev_ops), channels)
+        return _DISABLED
+    rows: list = []
+    row = _io_row(tables, q, pend_op, "dev", "local", "idle", rows)
+    outputs = _outputs([_request(row, f"io:{q}", pend_addr, net)], net)
+    return _Local(rows, outputs=outputs,
+                  next=(q, iost, pend_op, pend_addr, False, dev_ops))
 
 
-def _dev(state, quad, tables, net, fx) -> Optional[tuple]:
+def _dev(move, io, tables, net) -> _Local:
     """Progress on an I/O controller's oldest device operation: one
     outstanding I/O transaction at a time; interrupts complete locally."""
-    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
+    q, iost, pend_op, pend_addr, retry, dev_ops = io
     if not dev_ops:
-        return None
+        return _DISABLED
     op, addr = dev_ops[0]
+    rows: list = []
     if op == "dev_intr":
-        row = _io_row(tables, quad, "dev_intr", "dev", "local", iost, fx)
-        fx.device = (quad, row["devmsg"], addr)
-        fx.counts.append((f"io:{quad}", "intrs"))
-        return _with_io(state, quad,
-                        (q, iost, pend_op, pend_addr, retry, dev_ops[1:]))
+        row = _io_row(tables, q, "dev_intr", "dev", "local", iost, rows)
+        return _Local(rows, device=(q, row["devmsg"], addr),
+                      counts=((f"io:{q}", "intrs"),),
+                      next=(q, iost, pend_op, pend_addr, retry, dev_ops[1:]))
     if iost != "idle":
-        return None
-    row = _io_row(tables, quad, op, "dev", "local", "idle", fx)
-    channels = _commit(state[0], [_request(row, f"io:{quad}", addr, net)],
-                       fx, net)
-    if channels is None:
-        return None
-    fx.counts.append((f"io:{quad}", "reads" if op == "io_read" else "writes"))
-    return _with_io(state, quad,
-                    (q, row["nxtiost"], op, addr, retry, dev_ops[1:]),
-                    channels)
+        return _DISABLED
+    row = _io_row(tables, q, op, "dev", "local", "idle", rows)
+    outputs = _outputs([_request(row, f"io:{q}", addr, net)], net)
+    return _Local(rows, outputs=outputs,
+                  counts=((f"io:{q}", "reads" if op == "io_read"
+                           else "writes"),),
+                  next=(q, row["nxtiost"], op, addr, retry, dev_ops[1:]))
+
+
+_NODE_MOVES = {"cpu": _cpu, "inject": _cpu, "reissue": _reissue}
+_IO_MOVES = {"reissue_io": _reissue_io, "dev": _dev}
 
 
 # -- network side ------------------------------------------------------------------
@@ -554,7 +705,7 @@ def _env_str(env: tuple) -> str:
     return f"{env[0]}({env[3]}) {env[1]}->{env[2]}"
 
 
-def _deliver(state, key, tables, net, refresh, fx) -> Optional[tuple]:
+def _deliver(state, key, tables, net, refresh, fx, memo) -> Optional[tuple]:
     """Consume the head of one channel instance at its destination."""
     for k, envs in state[0]:
         if k == key:
@@ -564,25 +715,54 @@ def _deliver(state, key, tables, net, refresh, fx) -> Optional[tuple]:
     env = envs[0]
     kind, _, rest = env[2].partition(":")
     if kind == "dir":
-        return _at_directory(state, key, env, int(rest), tables, net, fx)
+        quad = int(rest)
+        channels, dirs, nodes, ios = state
+        _, lines, busy = dirs[quad]
+        addr = env[3]
+        entry = _find(lines, addr)
+        b = _find(busy, addr)
+        local = _local(memo, (env, entry, b), _at_directory, env, quad,
+                       entry, b, tables, net)
+        channels = _fire(channels, local, fx, key)
+        if channels is None:
+            return None
+        new_entry, new_b = local.next
+        if new_entry != entry:
+            lines = _put(lines, addr, new_entry)
+        if new_b != b:
+            busy = _put(busy, addr, new_b)
+        return (channels, _at(dirs, quad, (quad, lines, busy)), nodes, ios)
     if kind == "node":
-        return _at_node(state, key, env, tables, net, fx)
+        pos = net.node_pos[env[2]]
+        node = state[2][pos]
+        local = _local(memo, (env, node), _at_node, env, node, tables, net)
+        channels = _fire(state[0], local, fx, key)
+        if channels is None:
+            return None
+        return _with_node(state, pos, local.next, channels)
     if kind == "mem":
-        return _at_memory(state, key, env, int(rest), tables, net, refresh,
-                          fx)
+        local = _local(memo, (env, refresh), _at_memory, env, int(rest),
+                       refresh, tables, net)
+        channels = _fire(state[0], local, fx, key)
+        if channels is None:
+            return None
+        return (channels,) + state[1:]
     if kind == "io":
-        return _at_io(state, key, env, int(rest), tables, net, fx)
+        quad = int(rest)
+        io = state[3][quad]
+        local = _local(memo, (env, io), _at_io, env, io, tables, net)
+        channels = _fire(state[0], local, fx, key)
+        if channels is None:
+            return None
+        return _with_io(state, quad, local.next, channels)
     raise SimProtocolError(f"unroutable destination {env[2]!r}")
 
 
-def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
-    """Table D at a quad's directory and busy directory."""
+def _at_directory(env, quad, entry, b, tables, net) -> _Local:
+    """Table D at a quad's directory and busy directory; ``next`` is the
+    line's ``(directory entry, busy entry)``, None where absent."""
     msg, src, _, addr, src_role, _ = env
-    channels, dirs, nodes, ios = state
-    _, lines, busy = dirs[quad]
-    entry = _find(lines, addr)
     dirst, pv = (entry[1], entry[2]) if entry else (S.DIR_I, ())
-    b = _find(busy, addr)
     bdirst, bpv = (b[1], b[2]) if b else (S.DIR_I, ())
     table = tables["D"]
     try:
@@ -605,7 +785,8 @@ def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
             f"(dirst={dirst}, pv={sorted(pv)}, bdirst={bdirst}, "
             f"bpv={sorted(bpv)})"
         ) from e
-    _record(fx, table, rowid)
+    rows: list = []
+    _record(rows, table, rowid)
 
     # The requester a completion/retry is addressed to.
     requester = b[3] if b is not None and row["locmsg"] != "retry" else src
@@ -626,9 +807,7 @@ def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
     if row["memmsg"] is not None:
         outs.append((row["memmsg"], me, f"mem:{quad}", addr,
                      row["memmsgsrc"], row["memmsgdst"]))
-    channels = _commit(channels, outs, fx, net, pop=key)
-    if channels is None:
-        return None
+    outputs = _outputs(outs, net)
 
     # Presence-vector operation, applied to the busy entry's saved
     # sharer set when one exists (the entry migrated to the busy
@@ -642,11 +821,12 @@ def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
     elif op == S.PV_REPL:
         base = {requester}
     nxtdirst = row["nxtdirst"]
+    new_entry = entry
     if nxtdirst is not None:
-        lines = _put(lines, addr, None if nxtdirst == S.DIR_I
+        new_entry = (None if nxtdirst == S.DIR_I
                      else (addr, nxtdirst, tuple(sorted(base))))
     elif op is not None and entry is not None:
-        lines = _put(lines, addr, (addr, entry[1], tuple(sorted(base))))
+        new_entry = (addr, entry[1], tuple(sorted(base)))
 
     # Busy-directory update.
     bop = row["nxtbdirpv"]
@@ -661,24 +841,24 @@ def _at_directory(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
         new_bpv = set()
     bpv_after = bpv if new_bpv is None else tuple(sorted(new_bpv))
     nxtb = row["nxtbdirst"]
+    new_b = b
     if nxtb is not None:
         if nxtb == S.DIR_I:
-            busy = _put(busy, addr, None)
+            new_b = None
         elif b is None:
-            busy = _put(busy, addr, (addr, nxtb, bpv_after, src))
+            new_b = (addr, nxtb, bpv_after, src)
         else:
-            busy = _put(busy, addr, (addr, nxtb, bpv_after, b[3]))
+            new_b = (addr, nxtb, bpv_after, b[3])
     elif new_bpv is not None and b is not None:
-        busy = _put(busy, addr, (addr, b[1], bpv_after, b[3]))
-    return (channels, _at(dirs, quad, (quad, lines, busy)), nodes, ios)
+        new_b = (addr, b[1], bpv_after, b[3])
+    return _Local(rows, outputs=outputs, next=(new_entry, new_b))
 
 
-def _at_node(state, key, env, tables, net, fx) -> Optional[tuple]:
+def _at_node(env, node, tables, net) -> _Local:
     """Table N at a node controller; a fill or invalidation drives the
     cache through table C when the transition commits."""
     msg, _, nid, addr, src_role, dst_role = env
-    pos = net.node_pos[nid]
-    _, cache, miss, wb, cpu_ops = state[2][pos]
+    _, cache, miss, wb, cpu_ops = node
     idx = _register_for(miss, wb, addr)
     reg = None if idx is None else (miss, wb)[idx]
     pend = reg[0] if reg is not None else "none"
@@ -702,22 +882,26 @@ def _at_node(state, key, env, tables, net, fx) -> Optional[tuple]:
             f"{nid}: no node transition for {_env_str(env)} "
             f"(pend={pend}, linest={line})"
         ) from e
-    _record(fx, table, rowid)
-    outs = ([_request(nrow, nid, addr, net)]
-            if nrow["netmsg"] is not None else [])
-    channels = _commit(state[0], outs, fx, net, pop=key)
-    if channels is None:
-        return None
+    rows: list = []
+    _record(rows, table, rowid)
+    outputs = _outputs([_request(nrow, nid, addr, net)]
+                       if nrow["netmsg"] is not None else [], net)
 
     if snooped_buffer:
-        fx.counts.append((nid, "snoops"))
         # The snoop reply carries/settles the victim.
-        return _with_node(state, pos, (nid, cache, miss, FREE, cpu_ops),
-                          channels)
+        return _Local(rows, outputs=outputs, counts=((nid, "snoops"),),
+                      next=(nid, cache, miss, FREE, cpu_ops))
+    late_rows: list = []
     if nrow["cachemsg"] is not None:
-        crow = _cache_row(tables, nid, nrow["cachemsg"], line,
-                          nrow["fillmode"], fx)
+        try:
+            crow = _cache_row(tables, nid, nrow["cachemsg"], line,
+                              nrow["fillmode"], late_rows)
+        except _HOLES as exc:
+            # Raised only if the transition commits.
+            return _Local(rows, outputs=outputs, late_hole=_hole(exc))
         cache = _set_line(cache, addr, crow["nxtst"])
+    counts = []
+    retry = None
     if nrow["nxtpend"] is not None and reg is not None:
         reg = (nrow["nxtpend"],) + reg[1:]
         if reg[0] == "none":
@@ -732,17 +916,17 @@ def _at_node(state, key, env, tables, net, fx) -> Optional[tuple]:
             reg = FREE
     if nrow["reissue"] == "yes" and reg is not None:
         reg = reg[:4] + (True,)
-        fx.retry = (nid, idx)
-        fx.counts.append((nid, "retries"))
+        retry = (nid, idx)
+        counts.append((nid, "retries"))
     if msg in _SNOOPS:
-        fx.counts.append((nid, "snoops"))
+        counts.append((nid, "snoops"))
     if reg is not None:
         miss, wb = (reg, wb) if idx == 0 else (miss, reg)
-    return _with_node(state, pos, (nid, cache, miss, wb, cpu_ops), channels)
+    return _Local(rows, outputs=outputs, late_rows=late_rows, counts=counts,
+                  retry=retry, next=(nid, cache, miss, wb, cpu_ops))
 
 
-def _at_memory(state, key, env, quad, tables, net, refresh,
-               fx) -> Optional[tuple]:
+def _at_memory(env, quad, refresh, tables, net) -> _Local:
     """Table M at a quad's home memory controller."""
     msg, _, _, addr, src_role, dst_role = env
     table = tables["M"]
@@ -755,40 +939,40 @@ def _at_memory(state, key, env, quad, tables, net, refresh,
         raise SimProtocolError(
             f"memory {quad}: no transition for {_env_str(env)}"
         ) from e
-    _record(fx, table, rowid)
+    rows: list = []
+    _record(rows, table, rowid)
     if row["stall"] == "yes":
-        fx.counts.append((f"mem:{quad}", "stalls"))
-        return None  # hold the request while the bank refreshes
+        # Hold the request while the bank refreshes.
+        return _Local(rows, counts=((f"mem:{quad}", "stalls"),),
+                      enabled=False)
     outs = []
     if row["outmsg"] is not None:
         outs.append((row["outmsg"], f"mem:{quad}", f"dir:{quad}", addr,
                      row["outmsgsrc"], row["outmsgdst"]))
-    channels = _commit(state[0], outs, fx, net, pop=key)
-    if channels is None:
-        return None
+    outputs = _outputs(outs, net)
     if row["arrayop"] == "wr":
-        fx.written = addr
-        fx.counts.append((f"mem:{quad}", "writes"))
-    else:
-        fx.counts.append((f"mem:{quad}", "reads"))
-    return (channels,) + state[1:]
+        return _Local(rows, outputs=outputs, written=addr,
+                      counts=((f"mem:{quad}", "writes"),))
+    return _Local(rows, outputs=outputs, counts=((f"mem:{quad}", "reads"),))
 
 
-def _at_io(state, key, env, quad, tables, net, fx) -> Optional[tuple]:
+def _at_io(env, io, tables, net) -> _Local:
     """Table IO at a quad's I/O controller: completions and retries."""
     msg, _, _, addr, src_role, dst_role = env
-    q, iost, pend_op, pend_addr, retry, dev_ops = state[3][quad]
-    row = _io_row(tables, quad, msg, src_role, dst_role, iost, fx)
-    channels = _commit(state[0], [], fx, net, pop=key)
-    if row["devmsg"] is not None:
-        fx.device = (quad, row["devmsg"], addr)
+    q, iost, pend_op, pend_addr, retry, dev_ops = io
+    rows: list = []
+    row = _io_row(tables, q, msg, src_role, dst_role, iost, rows)
+    device = (q, row["devmsg"], addr) if row["devmsg"] is not None else None
     if row["nxtiost"] is not None:
         iost = row["nxtiost"]
         if iost == "idle":
             pend_addr = pend_op = None
+    counts = ()
+    timer = None
     if row["reissue"] == "yes":
         retry = True
-        fx.retry = (f"io:{quad}", 0)
-        fx.counts.append((f"io:{quad}", "retries"))
-    return _with_io(state, quad, (q, iost, pend_op, pend_addr, retry, dev_ops),
-                    channels)
+        timer = (f"io:{q}", 0)
+        counts = ((f"io:{q}", "retries"),)
+    return _Local(rows, outputs=_outputs([], net), device=device,
+                  retry=timer, counts=counts,
+                  next=(q, iost, pend_op, pend_addr, retry, dev_ops))

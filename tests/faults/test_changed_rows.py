@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.database import ProtocolDatabase
+from repro.core.database import DatabaseError, ProtocolDatabase
 from repro.core.sqlgen import quote_ident, quote_value
 from repro.faults import prepare_reference_tables
 from repro.faults.campaign import MutantTemplate
@@ -95,3 +95,33 @@ def test_changed_rows_match_full_sweep(templates, member, table, edits):
         controller = system.tables[table]
         assert (controller.overlapping_pairs(limit=5, changed=True)
                 == controller.overlapping_pairs(limit=5))
+
+
+class TestWithoutCleanCopy:
+    """A scoped check on a system whose clean copies were never written
+    fails with a short error naming the copy, not with the sweep's
+    whole statement."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        system = build_variant("mesi")
+        yield system
+        system.db.close()
+
+    def _assert_names_the_copy(self, exc) -> None:
+        message = str(exc.value)
+        assert "__clean_D" in message and "write_clean_copy" in message
+        assert len(message) < 200 and "SELECT" not in message
+
+    def test_scoped_sweep(self, system):
+        with pytest.raises(DatabaseError) as exc:
+            system.check_invariants(tables=["D"])
+        self._assert_names_the_copy(exc)
+
+    def test_scoped_determinism(self, system):
+        with pytest.raises(DatabaseError) as exc:
+            system.tables["D"].overlapping_pairs(changed=True)
+        self._assert_names_the_copy(exc)
+
+    def test_whole_sweep_needs_no_copy(self, system):
+        assert system.check_invariants().passed
