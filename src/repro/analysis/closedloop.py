@@ -5,8 +5,8 @@ artifact (``BENCH_repair.json``):
 
 * **repair** — the analyze-modify search from the paper's pre-fix V
   (Section 4 / Figure 4), with every applied fix re-verified through the
-  invariant suite, both deadlock engines, and a bounded exploration of
-  the repaired assignment;
+  invariant suite, one full deadlock analysis, and a bounded exploration
+  of the repaired assignment;
 * **coverage** — the guided-workload claim, measured: for each seed, a
   coverage-guided workload must exercise strictly more distinct
   controller-table rows than the fixed fig2+random workloads at the

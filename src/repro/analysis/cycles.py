@@ -3,15 +3,10 @@ graph code in the package (VCG deadlock cycles, the simulator's
 wait-for cycle).  The strongly-connected-components helper they build
 on lives in :mod:`repro.core.constraints`, which orders generation by
 it, and is re-exported here.
-
-:func:`cyclic_vertices_sql` recomputes :func:`cyclic_vertices` the way
-the paper's database would: a recursive reachability query, where a
-vertex is on a cycle iff it reaches itself.  It is the cross-check.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from typing import Iterable
 
 from ..core.constraints import strongly_connected_components
@@ -20,7 +15,6 @@ __all__ = [
     "strongly_connected_components",
     "find_cycles",
     "cyclic_vertices",
-    "cyclic_vertices_sql",
 ]
 
 Edge = tuple[str, str]
@@ -56,28 +50,3 @@ def cyclic_vertices(edges: Iterable[tuple]) -> set:
         if len(component) > 1:
             out.update(component)
     return out
-
-
-def cyclic_vertices_sql(edges: Iterable[Edge]) -> set[str]:
-    """Same as :func:`cyclic_vertices`, computed by a recursive SQL
-    reachability query in a scratch SQLite database."""
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute("CREATE TABLE edges (src TEXT, dst TEXT)")
-        conn.executemany(
-            "INSERT INTO edges VALUES (?, ?)", [(s, d) for s, d in edges]
-        )
-        rows = conn.execute(
-            """
-            WITH RECURSIVE reach(origin, dst) AS (
-                SELECT src, dst FROM edges
-                UNION
-                SELECT reach.origin, edges.dst
-                FROM reach JOIN edges ON reach.dst = edges.src
-            )
-            SELECT DISTINCT origin FROM reach WHERE origin = dst
-            """
-        ).fetchall()
-        return {r[0] for r in rows}
-    finally:
-        conn.close()

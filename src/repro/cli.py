@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-depth", type=int, default=0, metavar="N",
                    help="also re-verify the final fix by bounded "
                         "exploration to depth N (default: 0 = skip the "
-                        "oracle; invariants and both deadlock engines "
-                        "always re-verify every fix)")
+                        "oracle; the invariants and one full deadlock "
+                        "analysis always re-verify every fix)")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="checkpoint each applied fix to a crash-safe "
                         "journal at PATH; re-running with the same PATH "
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repair-oracle-depth", type=int, default=0,
                    metavar="N",
                    help="bounded-exploration depth for re-verifying each "
-                        "mutant's final fix (default: 0 = engines + "
-                        "invariants only)")
+                        "mutant's final fix (default: 0 = deadlock "
+                        "analysis + invariants only)")
 
     p = sub.add_parser("explore", parents=[common],
                        help="bounded-depth exhaustive reachability "

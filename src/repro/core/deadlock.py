@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ..telemetry import get_tracer, span
 
-from ..analysis.cycles import cyclic_vertices, cyclic_vertices_sql, find_cycles
+from ..analysis.cycles import cyclic_vertices, find_cycles
 from .assignment import (
     ChannelAssignment,
     ControllerMessageSpec,
@@ -129,8 +129,8 @@ def _exact_sql(specs: Sequence[ControllerMessageSpec]) -> str:
     of ``specs``: one per controller row and complete output triple of a
     row whose input triple is complete, with the controller's name, its
     input and output triples, and the order keys ``(c, r, k)`` (spec
-    index, rowid, output-triple index) of the Python loops' visiting
-    order.  Both consumers read these rows: the analyzer joins them to V,
+    index, rowid, output-triple index) of a row-at-a-time visit.  Both
+    consumers read these rows: the analyzer joins them to V,
     the repair search's :class:`CandidateScorer` keeps their distinct
     assignments."""
     return "\nUNION ALL\n".join(
@@ -157,8 +157,8 @@ def _placed_sql(source: str, placements: Sequence[Placement]) -> str:
 
 def _lookups(db: ProtocolDatabase,
              specs: Sequence[ControllerMessageSpec]) -> list[tuple]:
-    """Every V lookup the Python loops make for ``specs``, first
-    occurrences only, in their visiting order: per controller row, the
+    """Every V lookup a row-at-a-time walk of ``specs`` makes, first
+    occurrences only, in its visiting order: per controller row, the
     input triple (``k = 0``) of each row whose input is complete, then
     each complete output triple of such a row.  The order key ``(c, r,
     k)`` is packed into one integer so that ``MIN`` finds each triple's
@@ -179,9 +179,10 @@ def _lookups(db: ProtocolDatabase,
 
 
 def _check_lookups(channels: ChannelAssignment, lookups: Iterable[tuple]) -> None:
-    """The V check of both SQL consumers: raise the Python loops'
+    """The V check of both SQL consumers: raise
     :class:`MissingAssignmentError` for the first lookup ``channels``
-    has no entry for (inner joins with V would silently drop its rows)."""
+    has no entry for, as a row-at-a-time walk would (inner joins with V
+    would silently drop its rows)."""
     for key in lookups:
         channels.lookup(*key)
 
@@ -235,10 +236,9 @@ class DeadlockAnalyzer:
     statement joins the channel-independent exact rows (:func:`_exact_sql`)
     to V and derives every placement with CASE substitutions
     (:func:`_placed_sql`), and composition is an indexed self-join.  Rows
-    never round-trip through Python.
-    ``analyze(engine="python")`` runs the original row-at-a-time
-    extraction loops instead; it is the parity oracle that the engine
-    tests and repair's re-verification compare the SQL engine against.
+    never round-trip through Python.  The tests' row-at-a-time parity
+    oracle (``tests/core/deadlock_oracle.py``) overrides steps 2–3
+    (:meth:`_build_direct`) and keeps the rest.
     """
 
     def __init__(
@@ -251,71 +251,13 @@ class DeadlockAnalyzer:
         self.specs = tuple(specs)
         self.channels = channels
 
-    # -- step 2: individual controller dependency tables -----------------------
-    def controller_dependency_rows(
-        self, spec: ControllerMessageSpec
-    ) -> list[DependencyRow]:
-        """Exact-placement (L!=H!=R) dependency rows for one controller."""
-        rows: list[DependencyRow] = []
-        it = spec.input_triple
-        for row in spec.controller.rows():
-            m1, s1, d1 = row[it.msg], row[it.src], row[it.dst]
-            if m1 is None:
-                continue
-            if s1 is None or d1 is None:
-                continue
-            v1 = self.channels.lookup(m1, s1, d1)
-            for ot in spec.output_triples:
-                m2, s2, d2 = row[ot.msg], row[ot.src], row[ot.dst]
-                if m2 is None:
-                    continue
-                if s2 is None or d2 is None:
-                    continue
-                v2 = self.channels.lookup(m2, s2, d2)
-                rows.append(
-                    DependencyRow(
-                        m1, s1, d1, v1, m2, s2, d2, v2,
-                        controller=spec.name,
-                        placement=Placement.ALL_DISTINCT.value,
-                        derived="direct",
-                    )
-                )
-        return rows
-
-    @staticmethod
-    def apply_placement(
-        rows: Iterable[DependencyRow], placement: Placement
-    ) -> list[DependencyRow]:
-        """Derive a placement's dependency table by substituting merged
-        node roles in the source/destination fields (channels unchanged —
-        exactly how the paper rewrites R2 to R2')."""
-        out = []
-        for r in rows:
-            out.append(
-                DependencyRow(
-                    r.in_msg,
-                    placement.apply(r.in_src),
-                    placement.apply(r.in_dst),
-                    r.in_vc,
-                    r.out_msg,
-                    placement.apply(r.out_src),
-                    placement.apply(r.out_dst),
-                    r.out_vc,
-                    controller=r.controller,
-                    placement=placement.value,
-                    derived="direct",
-                )
-            )
-        return out
-
     # -- steps 2-3 in SQL: direct extraction + placement derivation -------------
     def _direct_rows_sql(self, v_table: str,
                          placements: Sequence[Placement], table: str) -> str:
         """INSERT…SELECT writing every placement's direct rows into
         ``table``: the exact rows are joined to V once (the inner joins
         drop nothing, V having passed :func:`_check_lookups`), then fanned
-        out per placement, in placement, controller, row, triple order —
-        the Python loops' order."""
+        out per placement, in placement, controller, row, triple order."""
         v = quote_ident(v_table)
         probes = " ".join(
             f"JOIN {v} {a} ON {a}.m = e.{side}_msg AND {a}.s = e.{side}_src "
@@ -422,34 +364,12 @@ class DeadlockAnalyzer:
                 return rows
 
     # -- the full pipeline -------------------------------------------------------
-    def _analyze_python(self, table: str,
-                        placements: Sequence[Placement]) -> None:
-        """Steps 2-3 row at a time (parity oracle)."""
-        with span("deadlock.direct", assignment=self.channels.name,
-                  engine="python"):
-            exact: list[DependencyRow] = []
-            for spec in self.specs:
-                exact.extend(self.controller_dependency_rows(spec))
-
-            all_rows: list[DependencyRow] = []
-            for placement in placements:
-                if placement is Placement.ALL_DISTINCT:
-                    all_rows.extend(exact)
-                else:
-                    all_rows.extend(self.apply_placement(exact, placement))
-
-        with span("deadlock.materialize", table=table, engine="python"):
-            self.db.create_table_from_rows(
-                table, _DEP_COLUMNS, (vars(r) for r in all_rows))
-            self.db.create_index(_dedup_index(table))
-
-    def _analyze_sql(self, table: str,
-                     placements: Sequence[Placement]) -> None:
+    def _build_direct(self, table: str,
+                      placements: Sequence[Placement]) -> None:
         """Steps 2-3 set-based: one statement extracts, joins V and
         derives every placement's direct rows inside the database, which
         afterwards holds only the dependency table (V is scratch)."""
-        with span("deadlock.direct", assignment=self.channels.name,
-                  engine="sql"):
+        with span("deadlock.direct", assignment=self.channels.name):
             _check_lookups(self.channels, _lookups(self.db, self.specs))
             v_table = f"__v_{table}"
             try:
@@ -462,7 +382,7 @@ class DeadlockAnalyzer:
             finally:
                 self.db.drop_table(v_table)
 
-        with span("deadlock.materialize", table=table, engine="sql"):
+        with span("deadlock.materialize", table=table):
             self.db.create_index(_dedup_index(table))
 
     def analyze(
@@ -471,20 +391,12 @@ class DeadlockAnalyzer:
         ignore_messages: bool = True,
         closure: bool = False,
         table_name: Optional[str] = None,
-        engine: str = "sql",
     ) -> "DeadlockAnalysis":
-        """Build the protocol dependency table and its VCG; ``engine``
-        is ``"sql"`` (the product) or ``"python"`` (the parity oracle),
-        which differ in steps 2-3 only."""
-        if engine not in ("sql", "python"):
-            raise ValueError(f"unknown deadlock engine {engine!r}")
+        """Build the protocol dependency table and its VCG."""
         table = table_name or f"pdt_{self.channels.name}"
         with span("deadlock.analyze", assignment=self.channels.name,
-                  closure=closure, engine=engine) as sp:
-            if engine == "python":
-                self._analyze_python(table, placements)
-            else:
-                self._analyze_sql(table, placements)
+                  closure=closure) as sp:
+            self._build_direct(table, placements)
             with span("deadlock.compose", table=table, closure=closure):
                 n_rows = self._compose_sql(table, ignore_messages, closure)
             # Pull only the aggregates the VCG needs; the full rows stay
@@ -565,10 +477,6 @@ class DeadlockAnalysis:
     def cyclic_channels(self) -> set[str]:
         return cyclic_vertices(self.vcg.edges)
 
-    def cyclic_channels_sql(self) -> set[str]:
-        """Pure-SQL recomputation of :meth:`cyclic_channels` (cross-check)."""
-        return cyclic_vertices_sql(self.vcg.edges)
-
     def is_deadlock_free(self) -> bool:
         return not self.cyclic_channels()
 
@@ -643,7 +551,7 @@ class CandidateScorer:
     a candidate runs :func:`_check_lookups`, rewrites one scratch V table
     and runs one query — the direct edges UNION the edges composed under
     :func:`_compose_on` — whose edges go to the VCG cycle finder.  The
-    cycles equal both full engines'.  :meth:`close` drops the scratch
+    cycles equal a full :meth:`DeadlockAnalyzer.analyze`'s.  :meth:`close` drops the scratch
     tables.
     """
 

@@ -65,15 +65,6 @@ class Placement(enum.Enum):
             return {_L: _L, _H: _H, _R: _L}
         return {_L: _L, _H: _H, _R: _R}
 
-    def apply(self, role: str) -> str:
-        """Canonical representative of ``role`` under this placement.
-
-        Only the quad roles local/home/remote are subject to merging;
-        other endpoint names (on-chip interfaces such as ``cache`` or
-        ``dev``) pass through unchanged.
-        """
-        return self.substitution.get(role, role)
-
     def merges(self) -> frozenset[frozenset[str]]:
         """The nontrivial equivalence classes this placement induces."""
         classes: dict[str, set[str]] = {}

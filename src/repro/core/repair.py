@@ -32,12 +32,14 @@ property suite):
   residual cycles touch any channel that was cycle-free before the fix
   are rejected outright, so repair strictly shrinks the cyclic region.
 
-Every accepted fix can be independently **re-verified**
-(:meth:`DeadlockRepairer.reverify`): structural invariants, the SQL
-deadlock engine *and* its ``engine="python"`` parity oracle, plus an
-optional bounded reachability exploration of the repaired system —
-Sethi et al.'s discipline that a deadlock-freedom argument is only
-trusted once each candidate fix is independently checked.  Long
+Every accepted fix can be **re-verified**
+(:meth:`DeadlockRepairer.reverify`): one full run of the deadlock
+analysis (the search only scored it incrementally), the structural
+invariants, and an optional bounded reachability exploration of the
+repaired system — Sethi et al.'s discipline that a deadlock-freedom
+argument is only trusted once each candidate fix is independently
+checked.  The independent check is the exploration, a second method,
+not a second copy of the static analysis.  Long
 searches checkpoint each applied round into a
 :class:`~repro.runtime.CheckpointJournal` and resume mid-search.
 """
@@ -171,8 +173,7 @@ class RepairResult:
             lines.append(f"  reverified {v['assignment']!r}: "
                          f"{'ok' if v['ok'] else 'FAILED'} "
                          f"(invariants={v['invariants']}, "
-                         f"sql={v['deadlock_sql']['cycles']} cycle(s), "
-                         f"python={v['deadlock_python']['cycles']} cycle(s)"
+                         f"sql={v['deadlock_sql']['cycles']} cycle(s)"
                          + (f", oracle={'clean' if not v['oracle']['caught'] else v['oracle']['kind']}"
                             if v.get("oracle") else "")
                          + ")")
@@ -211,12 +212,11 @@ class DeadlockRepairer:
                    system=system)
 
     # -- analysis ----------------------------------------------------------------
-    def _cycles(self, assignment: ChannelAssignment, engine: str = "sql"):
-        """The cycles of one full analysis (``engine`` as in
-        :meth:`DeadlockAnalyzer.analyze`), its table dropped after."""
+    def _cycles(self, assignment: ChannelAssignment):
+        """The cycles of one full analysis, its table dropped after."""
         try:
             return DeadlockAnalyzer(self.db, self.specs, assignment).analyze(
-                table_name=_SCRATCH_TABLE, engine=engine).cycles()
+                table_name=_SCRATCH_TABLE).cycles()
         finally:
             self.db.drop_table(_SCRATCH_TABLE)
 
@@ -433,29 +433,25 @@ class DeadlockRepairer:
     ) -> list[dict]:
         """Independently re-verify every applied fix of ``result``.
 
-        Each fix's assignment is re-analyzed with *both* deadlock
-        engines (the set-based SQL engine and the pure-python parity
-        oracle must agree); when the repairer holds a live ``system``,
-        the structural invariants are re-checked and — with
-        ``oracle_depth > 0`` — the *final* repaired assignment is handed
-        to the bounded reachability oracle for a ground-truth sweep.
-        The verdict list is stored on ``result.reverified`` and a fix is
-        ``ok`` only if every check it could run passed.
+        Each fix's assignment gets one full deadlock analysis (the
+        search only scored it incrementally); when the repairer holds a
+        live ``system``, the structural invariants are re-checked and —
+        with ``oracle_depth > 0`` — the *final* repaired assignment is
+        handed to the bounded reachability oracle for a ground-truth
+        sweep.  The verdict list is stored on ``result.reverified`` and
+        a fix is ``ok`` only if every check it could run passed: the
+        final assignment must also be free of cycles.
         """
         verdicts: list[dict] = []
         for i, fix in enumerate(result.applied):
-            sql_cycles = self._cycles(fix.assignment, engine="sql")
-            py_cycles = self._cycles(fix.assignment, engine="python")
+            cycles = self._cycles(fix.assignment)
             is_final = i == len(result.applied) - 1
             verdict: dict[str, Any] = {
                 "fix": fix.description,
                 "assignment": fix.assignment.name,
                 "cost": fix.cost,
-                "deadlock_sql": {"free": not sql_cycles,
-                                 "cycles": len(sql_cycles)},
-                "deadlock_python": {"free": not py_cycles,
-                                    "cycles": len(py_cycles)},
-                "engines_agree": len(sql_cycles) == len(py_cycles),
+                "deadlock_sql": {"free": not cycles,
+                                 "cycles": len(cycles)},
                 "invariants": None,
                 "oracle": None,
             }
@@ -466,12 +462,9 @@ class DeadlockRepairer:
                     verdict["oracle"] = self._oracle_verdict(
                         fix.assignment, oracle_depth, oracle_nodes,
                         oracle_lines, oracle_capacity)
-            checks = [verdict["engines_agree"]]
-            if is_final:
-                # Intermediate fixes legitimately leave residual cycles;
-                # the final assignment must be clean under every engine.
-                checks += [verdict["deadlock_sql"]["free"],
-                           verdict["deadlock_python"]["free"]]
+            # Intermediate fixes legitimately leave residual cycles;
+            # the final assignment must be clean.
+            checks = [verdict["deadlock_sql"]["free"]] if is_final else []
             if verdict["invariants"] is not None:
                 checks.append(verdict["invariants"])
             if verdict["oracle"] is not None:

@@ -377,8 +377,8 @@ def _attempt_repair(system, assignment: str, cfg: dict) -> dict:
 
     Runs on the *live mutated system* (so in-memory channel moves are
     part of the V being repaired, exactly as the deadlock layer saw it).
-    Every applied fix is re-checked through the invariant suite, both
-    deadlock engines, and — when ``oracle_depth`` > 0 — a bounded
+    Every applied fix is re-checked through the invariant suite, one
+    full deadlock analysis, and — when ``oracle_depth`` > 0 — a bounded
     exhaustive exploration of the repaired assignment.  A repair failure
     never changes the detection verdict; it is recorded alongside it."""
     from ..core.repair import DeadlockRepairer
@@ -610,7 +610,7 @@ def run_campaign(
     deadlock layer (or escaped the production layers and then caught as
     an oracle deadlock) gets candidate channel-assignment fixes proposed
     by :class:`repro.core.repair.DeadlockRepairer`, each re-verified
-    through the invariant suite, both deadlock engines, and — with
+    through the invariant suite, one full deadlock analysis, and — with
     ``repair_oracle_depth`` > 0 — a bounded exploration of the repaired
     V, ranked by cost, and appended to the mutant's
     :class:`DetectionReport`.  Repair outcomes are journaled with the

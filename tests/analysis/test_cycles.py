@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cycles import (
     cyclic_vertices,
-    cyclic_vertices_sql,
     find_cycles,
     strongly_connected_components,
 )
+
+from ..core.deadlock_oracle import cyclic_vertices_sql
 
 
 def canonical_cycle(cycle):

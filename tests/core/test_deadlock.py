@@ -16,6 +16,8 @@ from repro.core.quad import ALL_PLACEMENTS, Placement
 from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable
 
+from .deadlock_oracle import RowAtATimeAnalyzer, cyclic_vertices_sql
+
 
 class TestChannelAssignment:
     def make(self):
@@ -110,7 +112,7 @@ def toy(db):
 class TestDependencyRows:
     def test_direct_rows_extracted(self, toy):
         db, specs, v = toy
-        analyzer = DeadlockAnalyzer(db, specs, v)
+        analyzer = RowAtATimeAnalyzer(db, specs, v)
         rows = analyzer.controller_dependency_rows(specs[0])
         assert {(r.in_vc, r.out_vc) for r in rows} == {("VC0", "VC1"),
                                                        ("VC2", "VC3")}
@@ -121,7 +123,8 @@ class TestDependencyRows:
              "om": None, "osrc": None, "odst": None},
         ])
         v = ChannelAssignment("v", [VCAssignment("req", "local", "home", "VC0")])
-        rows = DeadlockAnalyzer(db, [spec], v).controller_dependency_rows(spec)
+        rows = RowAtATimeAnalyzer(db, [spec], v).controller_dependency_rows(
+            spec)
         assert rows == []
 
     def test_missing_assignment_surfaces(self, toy):
@@ -130,11 +133,12 @@ class TestDependencyRows:
             VCAssignment("req", "local", "home", "VC0"),
         ])
         with pytest.raises(MissingAssignmentError):
-            DeadlockAnalyzer(db, specs, v).controller_dependency_rows(specs[0])
+            RowAtATimeAnalyzer(db, specs, v).controller_dependency_rows(
+                specs[0])
 
     def test_placement_substitutes_roles_not_channels(self, toy):
         db, specs, v = toy
-        analyzer = DeadlockAnalyzer(db, specs, v)
+        analyzer = RowAtATimeAnalyzer(db, specs, v)
         exact = analyzer.controller_dependency_rows(specs[0])
         merged = analyzer.apply_placement(exact, Placement.HOME_REMOTE)
         resp = next(r for r in merged if r.in_msg == "resp")
@@ -226,7 +230,8 @@ class TestAnalysis:
     def test_sql_and_scc_cycle_detectors_agree(self, toy):
         db, specs, v = toy
         analysis = DeadlockAnalyzer(db, specs, v).analyze()
-        assert analysis.cyclic_channels() == analysis.cyclic_channels_sql()
+        assert analysis.cyclic_channels() == cyclic_vertices_sql(
+            analysis.vcg.edges)
 
     def test_closure_superset_of_pairwise(self, toy):
         db, specs, v = toy

@@ -2,8 +2,8 @@
 
 The deadlock engine derives each placement's dependency rows from the
 exact rows with a SQL ``CASE`` substitution
-(:func:`repro.core.deadlock._placed_sql`); the Python oracle applies
-:meth:`Placement.apply` row by row.  These must be the same function, for
+(:func:`repro.core.deadlock._placed_sql`); the row-at-a-time oracle
+applies :func:`.deadlock_oracle.placed_role` row by row.  These must be the same function, for
 every placement and every endpoint combination, or the per-placement VCGs
 silently drift apart.
 """
@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.deadlock import _DEP_COLUMNS, _ROLES, _placed_sql
 from repro.core.quad import ALL_PLACEMENTS, Placement
+
+from .deadlock_oracle import placed_role
 
 #: quad roles plus the pass-through endpoint names that appear in specs.
 ROLES = ("local", "home", "remote", "cache", "dev", "pio")
@@ -40,8 +42,8 @@ dep_rows_st = st.fixed_dictionaries({
 @settings(max_examples=200, deadline=None)
 @given(placement=placements_st, role=roles_st)
 def test_apply_is_idempotent(placement, role):
-    once = placement.apply(role)
-    assert placement.apply(once) == once
+    once = placed_role(placement, role)
+    assert placed_role(placement, once) == once
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,7 +51,7 @@ def test_apply_is_idempotent(placement, role):
 def test_apply_collapses_exactly_the_merge_classes(placement, a, b):
     same_class = a == b or any(
         a in cls and b in cls for cls in placement.merges())
-    assert (placement.apply(a) == placement.apply(b)) == same_class
+    assert (placed_role(placement, a) == placed_role(placement, b)) == same_class
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,7 +68,7 @@ def test_representatives_come_from_their_class(placement):
 @settings(max_examples=100, deadline=None)
 @given(placement=placements_st, role=st.sampled_from(("cache", "dev", "pio")))
 def test_non_quad_endpoints_pass_through(placement, role):
-    assert placement.apply(role) == role
+    assert placed_role(placement, role) == role
 
 
 def derive_via_sql(placement, rows):
@@ -89,12 +91,12 @@ def derive_via_sql(placement, rows):
 
 
 def derive_via_python(placement, rows):
-    """The oracle: substitute merged roles with Placement.apply."""
+    """The oracle: substitute merged roles with placed_role."""
     out = []
     for r in rows:
         derived = dict(r)
         for c in ("in_src", "in_dst", "out_src", "out_dst"):
-            derived[c] = placement.apply(r[c])
+            derived[c] = placed_role(placement, r[c])
         derived["placement"] = placement.value
         out.append(derived)
     return out

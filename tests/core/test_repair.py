@@ -116,6 +116,42 @@ class TestAsuraRepair:
         assert analysis.is_deadlock_free()
 
 
+class TestReverifyOracleCanFail:
+    """The bounded reachability oracle is re-verification's independent
+    check, so it must be able to fail.  At the Figure 4 bound (2 nodes,
+    2 lines, depth 13) it catches the unfixed v5 and passes the searched
+    fix; at the depth-4, 1-line bound ``BENCH_repair.json`` commits it
+    passes the unfixed v5 too (docs/REPAIR.md)."""
+
+    FIGURE4 = {"nodes": 2, "lines": 2, "depth": 13, "capacity": 1}
+
+    def test_catches_unfixed_v5_at_figure4_bound(self, system):
+        from repro.explore.oracle import oracle_check
+
+        verdict = oracle_check(system, assignment="v5",
+                               stop_on_violation=True, **self.FIGURE4)
+        assert (verdict.caught, verdict.kind, verdict.depth,
+                verdict.states) == (True, "deadlock", 13, 8543)
+
+    def test_committed_bound_passes_unfixed_v5(self, system):
+        from repro.explore.oracle import oracle_check
+
+        verdict = oracle_check(system, assignment="v5", depth=4, nodes=2,
+                               lines=1, capacity=1, stop_on_violation=True)
+        assert (verdict.caught, verdict.states) == (False, 41)
+
+    def test_searched_fix_passes_at_figure4_bound(self, fresh_system):
+        repairer = DeadlockRepairer.for_system(fresh_system, "v5")
+        result = repairer.search(max_rounds=4)
+        (final,) = repairer.reverify(
+            result, oracle_depth=13, oracle_nodes=2, oracle_lines=2,
+            oracle_capacity=1)
+        assert final["assignment"] == "v5+ded-data-mdone"
+        assert final["oracle"] == {"caught": False, "kind": "",
+                                   "states": 8691, "depth": 13}
+        assert final["ok"]
+
+
 def schema_names(db):
     """Every table and index name in the database."""
     return sorted(r["name"] for r in db.query("SELECT name FROM sqlite_master"))

@@ -6,8 +6,9 @@ both the toy ping-pong system and the full generated ASURA tables
 engines is checked last, on every family member):
 
 1. **parity** — every assignment the search declares deadlock-free is
-   re-verified free by the ``engine="python"`` parity oracle (the SQL
-   engine proposed it, the independent implementation must agree);
+   re-verified free by the row-at-a-time parity oracle of
+   :mod:`.deadlock_oracle` (the SQL engine proposed it, the independent
+   implementation must agree);
 2. **monotone cost** — the applied fix costs never decrease across
    rounds (the search escalates, it never sneaks a cheaper fix in after
    an expensive one, which would mean the cheap one was missed earlier);
@@ -29,6 +30,7 @@ from repro.core.deadlock import (
 from repro.core.repair import DeadlockRepairer, _cyclic_channels
 from repro.protocols.family import SPECS, build_variant
 
+from . import deadlock_oracle
 from .test_repair import toy_specs
 
 TOY_CHANNELS = ("VC1", "VC2", "VC3")
@@ -49,8 +51,8 @@ def repair_system():
 
 
 def _python_cycles(db, specs, assignment, table_name):
-    analysis = DeadlockAnalyzer(db, specs, assignment).analyze(
-        table_name=table_name, engine="python")
+    analysis = deadlock_oracle.analyze(db, specs, assignment,
+                                       table_name=table_name)
     return [tuple(c) for c in analysis.cycles()]
 
 
@@ -145,7 +147,8 @@ def test_scorer_matches_full_engines_on_every_candidate(variant):
         for assignment in ("v4", "v5"):
             repairer = _RecordingRepairer.for_system(system, assignment)
             repairer.search(max_rounds=4)
-            engines = ("sql", "python") if assignment == "v5" else ("sql",)
+            engines = ((DeadlockAnalyzer, deadlock_oracle.RowAtATimeAnalyzer)
+                       if assignment == "v5" else (DeadlockAnalyzer,))
             generated += [(fix, engines) for fix in repairer.generated]
         assert generated
         scorer = CandidateScorer(system.db, specs)
@@ -153,10 +156,8 @@ def test_scorer_matches_full_engines_on_every_candidate(variant):
             for fix, engines in generated:
                 scored = scorer.cycles(fix.assignment)
                 for engine in engines:
-                    full = DeadlockAnalyzer(
-                        system.db, specs, fix.assignment,
-                    ).analyze(table_name="pdt_scorer_parity",
-                              engine=engine).cycles()
+                    full = engine(system.db, specs, fix.assignment).analyze(
+                        table_name="pdt_scorer_parity").cycles()
                     assert scored == full, (fix.description, engine)
         finally:
             scorer.close()

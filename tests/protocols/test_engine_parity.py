@@ -4,8 +4,8 @@ Two guarantees the performance work must never erode:
 
 * **Parity** — the batched invariant sweep and the SQL deadlock engine
   are pure optimizations: their outputs are identical (content *and*
-  order) to the per-invariant checker and the Python row-at-a-time
-  extraction loops they replaced.
+  order) to the per-invariant checker and the row-at-a-time extraction
+  of :mod:`tests.core.deadlock_oracle`.
 
 * **Plans** — the composition self-joins and the direct rows' V joins
   actually use the indexes the engine creates.  Without these EXPLAIN
@@ -30,6 +30,8 @@ from repro.core.quad import ALL_PLACEMENTS, Placement
 from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable
 
+from ..core.deadlock_oracle import RowAtATimeAnalyzer, analyze_system
+
 
 def result_key(r):
     """Everything a CheckResult reports except wall time."""
@@ -41,14 +43,6 @@ def result_key(r):
 def per_invariant(checker):
     """The sweep's parity oracle: one SELECT per invariant."""
     return [checker.check(inv) for inv in checker.invariants]
-
-
-def python_oracle(system, assignment, **kwargs):
-    """The deadlock engine's parity oracle: the row-at-a-time loops."""
-    return DeadlockAnalyzer(
-        system.db, system.deadlock_specs(),
-        system.channel_assignments[assignment],
-    ).analyze(engine="python", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +103,10 @@ class TestInvariantBatchParity:
         ]
 
 
+#: the product engine and its row-at-a-time parity oracle.
+ENGINES = {"python": RowAtATimeAnalyzer, "sql": DeadlockAnalyzer}
+
+
 def rows_of(analysis):
     return [tuple(getattr(r, c) for c in _DEP_COLUMNS)
             for r in analysis.dependency_rows]
@@ -119,7 +117,7 @@ class TestDeadlockEngineParity:
     def test_sql_matches_python_oracle(self, system, assignment):
         sql = system.analyze_deadlocks(
             assignment, table_name=f"pdt_par_sql_{assignment}")
-        py = python_oracle(
+        py = analyze_system(
             system, assignment, table_name=f"pdt_par_py_{assignment}")
         assert rows_of(sql) == rows_of(py)
         assert sql.n_rows == py.n_rows
@@ -136,7 +134,7 @@ class TestDeadlockEngineParity:
         for member in (system, moesi):
             sql = member.analyze_deadlocks(
                 "v5", table_name=f"pdt_var_sql_{tag}", **kwargs)
-            py = python_oracle(
+            py = analyze_system(
                 member, "v5", table_name=f"pdt_var_py_{tag}", **kwargs)
             assert rows_of(sql) == rows_of(py)
             assert sql.cycles() == py.cycles()
@@ -149,12 +147,10 @@ class TestDeadlockEngineParity:
             v5.dedicated,
         )
         errors = {}
-        for engine in ("python", "sql"):
-            analyzer = DeadlockAnalyzer(
-                system.db, system.deadlock_specs(), broken)
+        for engine, cls in ENGINES.items():
+            analyzer = cls(system.db, system.deadlock_specs(), broken)
             with pytest.raises(MissingAssignmentError) as exc:
-                analyzer.analyze(table_name=f"pdt_broken_{engine}",
-                                 engine=engine)
+                analyzer.analyze(table_name=f"pdt_broken_{engine}")
             errors[engine] = str(exc.value)
         # The repair search's incremental scorer joins V with inner
         # joins; it must raise the same error, not drop the rows.
@@ -183,11 +179,10 @@ class TestDeadlockEngineParity:
                 "SELECT type, name FROM sqlite_master ORDER BY type, name")
 
         before = schema()
-        for engine in ("python", "sql"):
+        for engine, cls in ENGINES.items():
             with pytest.raises(MissingAssignmentError):
-                DeadlockAnalyzer(
-                    system.db, system.deadlock_specs(), broken,
-                ).analyze(table_name="pdt_b", engine=engine)
+                cls(system.db, system.deadlock_specs(), broken,
+                    ).analyze(table_name="pdt_b")
             assert schema() == before, engine
         scorer = CandidateScorer(system.db, system.deadlock_specs())
         with pytest.raises(MissingAssignmentError):
@@ -196,8 +191,9 @@ class TestDeadlockEngineParity:
         assert schema() == before
 
     def test_unknown_engine_rejected(self, analyzer):
-        with pytest.raises(ValueError, match="unknown deadlock engine"):
-            analyzer.analyze(table_name="pdt_pandas", engine="pandas")
+        """The product has one engine: ``analyze`` takes no selector."""
+        with pytest.raises(TypeError, match="engine"):
+            analyzer.analyze(table_name="pdt_pandas", engine="python")
 
 
 def plan_lines(db, sql):
@@ -306,12 +302,12 @@ class TestMutatedTableParity:
         clone, mutation = self.mutated_clone(system, controller, seed)
         try:
             results = {}
-            for engine in ("sql", "python"):
+            for engine, cls in ENGINES.items():
                 try:
-                    analysis = DeadlockAnalyzer(
+                    analysis = cls(
                         clone.db, clone.deadlock_specs(),
                         clone.channel_assignments["v5d"],
-                    ).analyze(table_name=f"mut_par_{engine}", engine=engine)
+                    ).analyze(table_name=f"mut_par_{engine}")
                     results[engine] = ("ok", rows_of(analysis),
                                        analysis.cycles())
                 except MissingAssignmentError as exc:

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import SNAPSHOT_SUPPORTED, ProtocolDatabase
-from repro.core.deadlock import _DEP_COLUMNS, DeadlockAnalyzer
+from repro.core.deadlock import _DEP_COLUMNS
 from repro.faults import MutationEngine, compare_to_baseline, run_campaign
 from repro.faults.mutations import FAULT_CLASSES
 from repro.protocols.family import (
@@ -35,6 +35,7 @@ from repro.protocols.family import (
     read_variant_marker,
 )
 
+from ..core.deadlock_oracle import analyze_system
 from ..explore.sql_oracle import sql_lookups
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -144,10 +145,8 @@ class TestDeadlockEngineParity:
         tag = next(_table_counter)
         sql = system.analyze_deadlocks(
             assignment, table_name=f"fam_par_sql_{tag}")
-        py = DeadlockAnalyzer(
-            system.db, system.deadlock_specs(),
-            system.channel_assignments[assignment],
-        ).analyze(engine="python", table_name=f"fam_par_py_{tag}")
+        py = analyze_system(system, assignment,
+                            table_name=f"fam_par_py_{tag}")
         assert rows_of(sql) == rows_of(py)
         assert sql.cycles() == py.cycles()
         assert sql.is_deadlock_free() == py.is_deadlock_free()
