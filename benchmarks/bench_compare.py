@@ -13,9 +13,10 @@ committed, so they double as performance baselines.  This script
 
 With ``--check`` the script exits non-zero when any compared span mean
 or the module wall time regresses by more than ``--max-regression``
-(default 2.0x), or when a module in :data:`EXACT_QUERIES` issues a
-different number of SQL statements than its baseline — this is the CI
-smoke gate.  Spans whose baseline mean is under
+(default 2.0x), when a module in :data:`EXACT_QUERIES` issues a
+different number of SQL statements than its baseline, or when a work
+counter in :data:`EXACT_COUNTERS` differs from its baseline — this is
+the CI smoke gate.  Spans whose baseline mean is under
 :data:`GATE_FLOOR_SECONDS` are reported but never gated: at that scale
 the numbers are scheduler noise, not regressions.  Gauges named ``*_per_sec`` are
 rates and gate in the other direction: they fail when the current value
@@ -48,6 +49,14 @@ DEFAULT_MODULES = ("invariants", "deadlock", "exploration", "generation",
 #: twice back to back): a different count is a change in the work done,
 #: gated exactly in either direction.
 EXACT_QUERIES = DEFAULT_MODULES
+
+#: per module, counters that count the work its fixed rounds do (the
+#: exploration module reached the same states and transitions on two
+#: back-to-back runs): a different value is a change in what the code
+#: explores, gated exactly in either direction.
+EXACT_COUNTERS = {
+    "exploration": ("explore.states", "explore.transitions"),
+}
 
 #: spans faster than this in the baseline are noise, not signal: on a
 #: 2-CPU host a 15.9 ms span mean read 33.5 ms (2.1x) on one run and
@@ -133,6 +142,20 @@ def compare_module(name: str, baseline: dict | None, current: dict,
         failures.append(
             f"bench_{name}: sql queries {base_q} -> {cur_q} (gated "
             f"exactly; commit the regenerated baseline if intended)")
+
+    base_c = (baseline or {}).get("counters", {})
+    cur_c = current.get("counters", {})
+    for counter in EXACT_COUNTERS.get(name, ()):
+        base_v = base_c.get(counter)
+        cur_v = cur_c.get(counter, 0)
+        base_s = f"{base_v:>11}" if base_v is not None else "         --"
+        ratio = fmt_ratio(float(base_v or 0), float(cur_v))
+        print(f"  {f'counter {counter}':44} {base_s} {cur_v:>11} {ratio:>9}")
+        if base_v is not None and cur_v != base_v:
+            failures.append(
+                f"bench_{name}: counter {counter} {base_v} -> {cur_v} "
+                f"(gated exactly; commit the regenerated baseline if "
+                f"intended)")
 
     # Rate gauges: states/sec and friends, where *lower* is the
     # regression.  Gated symmetrically to the span rule.

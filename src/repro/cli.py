@@ -216,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="v5d",
                    help="channel assignment to explore under "
                         "(default: %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="kernel worker processes expanding the frontier; "
-                        "results are identical for any worker count "
-                        "(default: %(default)s)")
     p.add_argument("--capacity", type=int, default=1,
                    help="per-channel queue capacity (default: %(default)s)")
     p.add_argument("--quads", type=int, default=None, metavar="N",
@@ -512,36 +508,30 @@ def _cmd_explore(system, args) -> int:
     # store the normalized mode either way, so this only keeps
     # ``--out``'s ``symmetry`` field ``true`` for a default run.
     symmetry = args.symmetry or True
-    explorer = None
     try:
         config = ExploreConfig(
             nodes=args.nodes, depth=args.depth, lines=args.lines,
-            assignment=args.assignment, workers=args.workers,
+            assignment=args.assignment,
             capacity=args.capacity, symmetry=symmetry,
             quads=args.quads,
             journal_path=args.journal, resume_from=args.resume)
         explorer = ReachabilityExplorer(system, config)
         result = explorer.run()
     except (ValueError, ExplorationError, JournalError, OSError) as exc:
-        if explorer is not None:
-            explorer.close()
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        # Persist before printing: a truncated stdout pipe (e.g. | head)
-        # must not cost the --out file or the --save-db summary table.
-        explorer.write_summary(system.db, result)
-        if args.out:
-            atomic_write_json(args.out, result.to_dict())
-        print(result.render())
-        for violation in result.violations:
-            trace = explorer.counterexample(violation.digest)
-            if trace:
-                print(f"\ncounterexample ({violation.kind} at depth "
-                      f"{violation.depth}):")
-                print(trace)
-    finally:
-        explorer.close()
+    # Persist before printing: a truncated stdout pipe (e.g. | head)
+    # must not cost the --out file or the --save-db summary table.
+    explorer.write_summary(system.db, result)
+    if args.out:
+        atomic_write_json(args.out, result.to_dict())
+    print(result.render())
+    for violation in result.violations:
+        trace = explorer.counterexample(violation.digest)
+        if trace:
+            print(f"\ncounterexample ({violation.kind} at depth "
+                  f"{violation.depth}):")
+            print(trace)
     return 0 if result.ok else 1
 
 
@@ -596,11 +586,7 @@ def _family_member_entry(system, args, failures: list) -> dict:
     config = ExploreConfig(
         nodes=args.nodes, depth=args.explore_depth,
         assignment=args.assignment)
-    explorer = ReachabilityExplorer(system, config)
-    try:
-        result = explorer.run()
-    finally:
-        explorer.close()
+    result = ReachabilityExplorer(system, config).run()
     entry["explore"] = {
         "states": result.states,
         "transitions": result.transitions,

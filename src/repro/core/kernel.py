@@ -15,8 +15,7 @@ exactly what the SQL-backed table (the tests' parity oracle) raises.
 (:func:`repro.sim.models.step` looks rows up through either kind of
 table).  A system compiles them once per table state
 (:meth:`~repro.protocols.family.system.FamilySystem.kernels`) and every
-simulator and explorer over it steps the same kernels; worker pools
-receive them pickled as rows, never a database.
+simulator and explorer over it steps the same kernels.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ class KernelTable:
     @classmethod
     def from_table(cls, table: ControllerTable) -> "KernelTable":
         return cls(table.schema, table.rows_with_ids(), table.table_name)
-
-    # A kernel pickles as (schema, rows) and recompiles on load — worker
-    # pools ship rows once per pool, never a live sqlite connection.
-    def __reduce__(self):
-        return (KernelTable, (self.schema, self._rows, self.table_name))
 
     # -- row access ------------------------------------------------------------
     @property

@@ -13,8 +13,7 @@ state and quiescent-deadlock detection at every expansion.
 * :mod:`repro.explore.state` — canonical, permutation-reduced state
   encoding with process-stable hashing;
 * :mod:`repro.explore.explorer` — the depth-synchronized BFS engine
-  (parallel frontier expansion, checkpoint journaling, counterexample
-  trace extraction);
+  (checkpoint journaling, counterexample trace extraction);
 * :mod:`repro.explore.oracle` — the campaign adapter that re-scores
   surviving mutants (``run_campaign --oracle explore``), turning the
   detection matrix into a measured false-negative column.
@@ -31,7 +30,6 @@ from .explorer import (
     explore_system,
 )
 from .oracle import ORACLE_LAYER, OracleVerdict, oracle_check
-from .pool import KernelPool
 from .state import (
     canonicalize,
     decode_state,
@@ -52,7 +50,6 @@ __all__ = [
     "ORACLE_LAYER",
     "OracleVerdict",
     "oracle_check",
-    "KernelPool",
     "canonicalize",
     "decode_state",
     "encode_state",

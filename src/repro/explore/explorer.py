@@ -11,12 +11,10 @@ also runs, so a transition exists here iff the generated controller
 tables contain its row.
 
 Exploration is breadth-first and depth-synchronized: the frontier of
-depth *d* is fully expanded (inline, or in batches over the compiled
-kernel's :class:`~repro.explore.pool.KernelPool`) before depth *d+1*
-begins, successors are merged in deterministic submission order, and
-deduplication runs in the parent on the canonical (symmetry-reduced)
-state tuples — results are identical for any worker count.  The
-seen-set, predecessor links and frontier hold those tuples; a state is
+depth *d* is fully expanded, inline in one process, before depth *d+1*
+begins; successors are merged in frontier and move order, and
+deduplication runs on the canonical (symmetry-reduced) state tuples.
+The seen-set, predecessor links and frontier hold those tuples; a state is
 hashed only when something names it (a violation, a journal record,
 :meth:`ReachabilityExplorer.trace_to`), and its SHA-256 digest is that
 name.  Every *new* state is checked on the fly:
@@ -46,11 +44,9 @@ Every row lookup a step makes is answered by the controller tables
 compiled into integer-indexed dispatch kernels (:mod:`repro.core.kernel`),
 which the system compiles once per table state and shares with the
 simulator; a lookup is a handful of dict probes
-instead of an SQL query, and multi-worker runs fan out over a
-persistent :class:`~repro.explore.pool.KernelPool` that received the
-kernels once and thereafter only ships state batches.  A run (and each
-pool worker) keeps a :class:`~repro.sim.models.StepMemo`, so a local
-transition met in many global states is worked out once.  The SQL-backed
+instead of an SQL query.  A run keeps a
+:class:`~repro.sim.models.StepMemo`, so a local transition met in many
+global states is worked out once.  The SQL-backed
 tables stay the tests' parity oracle: the differential suites hand them
 to the same :func:`~repro.sim.models.step` and compare the results.
 """
@@ -85,7 +81,6 @@ from ..sim.models import (
 from ..sim.system import SimConfig, TraceEvent
 from ..sim.trace import render_sequence
 from ..telemetry import get_tracer, new_run_id, span
-from .pool import KernelPool
 from .state import (
     canonicalize,
     decode_state,
@@ -121,10 +116,6 @@ JOURNAL_KIND = "explore"
 #: schema tag of the JSON result report.
 RESULT_SCHEMA = "repro.explore.result/v1"
 
-#: states per :class:`KernelPool` task (smaller = better load balance,
-#: larger = less per-task pickling overhead).
-BATCH_SIZE = 64
-
 #: processor operations the explorer may inject at any idle node.
 INJECT_OPS = ("ld", "st", "evict")
 
@@ -134,8 +125,9 @@ _HOLE_ERRORS = (SimProtocolError, LookupError_)
 
 
 class ExplorationError(RuntimeError):
-    """The exploration itself failed (bad configuration, worker crash,
-    journal mismatch) — as opposed to finding a protocol violation."""
+    """The exploration itself failed (bad configuration, kernel
+    compilation, journal mismatch) — as opposed to finding a protocol
+    violation."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,6 @@ class ExploreConfig:
     depth: int = 10
     lines: int = 1
     assignment: str = "v5d"
-    workers: int = 1
     capacity: int = 1
     #: ``True``/"quad" = within-quad node relabellings, "full" = also
     #: permute interchangeable non-home quads, ``False``/"off" = none.
@@ -414,7 +405,7 @@ def _inject_moves(nid: str, addr: str, line: str) -> tuple:
 
 def _moves_for(state: tuple, addrs: Sequence[str]) -> list[tuple]:
     """Every potentially enabled atomic move of a state, in a fixed
-    deterministic order (the merge order of the parallel expansion)."""
+    deterministic order (the merge order of the expansion)."""
     channels, dirs, nodes, ios = state
     moves: list[tuple] = [("deliver", vc, dq) for (vc, dq), _ in channels]
     for nid, cache, miss, wb, cpu_ops in nodes:
@@ -444,9 +435,8 @@ def _expand_state(state: tuple, tables, net: Network, addrs: Sequence[str],
     """All successors of one state, plus holes and the deadlock verdict.
 
     Successor entries are ``(move, canonical state tuple)`` — raw
-    tuples, no serialization and no digest: the inline path hands them
-    straight to the merge loop, the pool path pickles them natively, and
-    the parent names only the states it has not seen.
+    tuples, no serialization and no digest: the merge loop takes them as
+    they are and names only the states something asks for.
     """
     successors: list[tuple] = []
     holes: list[dict] = []
@@ -494,7 +484,6 @@ class ReachabilityExplorer:
         # Kernels are compiled on first use, from the tables as they
         # stand then.
         self._kernels: Optional[dict] = None
-        self._pool: Optional[KernelPool] = None
         # Local transitions worked out against the kernels and self.net;
         # each run starts its own.
         self._memo = StepMemo()
@@ -530,10 +519,8 @@ class ReachabilityExplorer:
         return self._kernels
 
     def close(self) -> None:
-        """Release the worker pool."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Nothing to release: a run holds no process or file open.
+        The method stays because ``perfbench/ops.py`` calls it."""
 
     # -- naming ---------------------------------------------------------------
     def _name(self, state: tuple) -> str:
@@ -589,7 +576,7 @@ class ReachabilityExplorer:
         tracer = get_tracer()
         self._memo = StepMemo()
         with span("explore.run", nodes=cfg.nodes, depth_bound=cfg.depth,
-                  assignment=cfg.assignment, workers=cfg.workers):
+                  assignment=cfg.assignment):
             result = self._run(t0, tracer)
         if tracer.enabled:
             tracer.incr("explore.states", result.states)
@@ -670,9 +657,6 @@ class ReachabilityExplorer:
         finally:
             if journal is not None:
                 journal.close()
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
 
         return ExploreResult(
             nodes=cfg.nodes,
@@ -693,7 +677,7 @@ class ReachabilityExplorer:
         )
 
     def _expand_depth(self, depth: int, frontier: list[tuple]):
-        """Expand one whole BFS level, in parallel batches."""
+        """Expand one whole BFS level."""
         expansions = self._expand_frontier(frontier)
         stats = DepthStats(depth, len(frontier), 0, 0, 0, 0, 0)
         seen = self._pred
@@ -726,33 +710,12 @@ class ReachabilityExplorer:
 
     def _expand_frontier(self, frontier: list[tuple]) -> list:
         """The expansion of every frontier state, in frontier order."""
-        workers = self.config.workers
-        if workers > 1:
-            return self._expand_frontier_pool(frontier, workers)
         kernels = self.kernels
         return [
             _expand_state(state, kernels, self.net, self.addrs,
                           self.symmetry, self.quad_classes, self._memo)
             for state in frontier
         ]
-
-    def _expand_frontier_pool(self, frontier: list[tuple],
-                              workers: int) -> list:
-        """Fan out over the persistent kernel pool: the kernels shipped
-        at pool creation, each task is only a batch of state tuples.
-        The workers' memo hits and misses add to the run's."""
-        if self._pool is None:
-            self._pool = KernelPool(self.kernels, self.net, self.addrs,
-                                    self.symmetry, self.quad_classes, workers)
-        chunk = max(1, min(BATCH_SIZE, math.ceil(len(frontier) / workers)))
-        batches = [frontier[i:i + chunk]
-                   for i in range(0, len(frontier), chunk)]
-        out: list = []
-        for expansions, hits, misses in self._pool.expand(batches):
-            out.extend(expansions)
-            self._memo.hits += hits
-            self._memo.misses += misses
-        return out
 
     def _check_state(self, state: tuple, depth: int,
                      violations: list[Violation]) -> None:

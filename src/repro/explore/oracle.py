@@ -9,12 +9,8 @@ hole, disagrees with the directory at quiescence, or deadlocks, the
 mutant is caught — by the oracle and by nothing earlier, which is
 exactly a measured false negative of the paper's static checks.
 
-The oracle runs single-worker, inline on the mutated system.  A
-:class:`~repro.explore.pool.KernelPool` would explore the same mutant —
-it ships the parent's ``Network``, whose channel fabric holds the
-mutated :class:`~repro.core.assignment.ChannelAssignment`, and kernels
-compiled from the mutated tables — but whether it pays at oracle sizes
-has not been measured.  ``stop_on_violation`` makes the common
+The oracle runs inline on the mutated system, like every exploration.
+``stop_on_violation`` makes the common
 caught-early case cheap — one witness suffices, the explorer finishes
 its current depth and stops.
 """
@@ -77,7 +73,6 @@ def oracle_check(
         lines=lines,
         assignment=assignment,
         capacity=capacity,
-        workers=1,
         stop_on_violation=stop_on_violation,
     )
     tracer = get_tracer()

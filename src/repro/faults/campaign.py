@@ -704,7 +704,7 @@ def run_campaign(
             from ..explore import ReachabilityExplorer, ExploreConfig
             clean_explorer = ReachabilityExplorer(system, ExploreConfig(
                 nodes=oracle_nodes, depth=oracle_depth, lines=oracle_lines,
-                assignment=assignment, workers=1))
+                assignment=assignment))
             clean_explore = clean_explorer.run()
             if not clean_explore.ok:
                 first = clean_explore.violations[0]

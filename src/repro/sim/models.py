@@ -332,8 +332,10 @@ class StepMemo:
     channels' occupancy.
 
     Entries hold for the one (tables, network) pair they were computed
-    against, so a memo must not outlive that pair: every exploration
-    run, simulator and pool worker owns one.
+    against, so a memo must not outlive that pair: each exploration run
+    owns one.  The simulator steps without one: it queues its operations
+    up front, so its footprints rarely repeat and a memo costs more than
+    it saves.
     """
 
     __slots__ = ("entries", "hits", "misses")

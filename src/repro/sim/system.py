@@ -34,7 +34,6 @@ from ..protocols.asura.system import AsuraSystem
 from .channel import ChannelFabric
 from .models import (
     Network,
-    StepMemo,
     cache_line,
     coherence_violation,
     dir_line,
@@ -146,9 +145,6 @@ class Simulator:
         )
         self.quads = range(self.config.n_quads)
         self.net = self.config.network(self.channels, self.node_ids)
-        # Local transitions already worked out for these tables and this
-        # network, both fixed for the simulator's life.
-        self._memo = StepMemo()
         #: the control state: the only thing a step reads or writes.
         self.state = initial_state(self.node_ids, self.config.n_quads)
         self.recorder = CoverageRecorder() if self.config.coverage else None
@@ -208,8 +204,7 @@ class Simulator:
         """Step the state through one move and observe its effects; True
         iff it committed."""
         succ, fx = step(self.state, move, self.tables, self.net,
-                        self.now < self.config.memory_refresh_until,
-                        self._memo)
+                        self.now < self.config.memory_refresh_until)
         if self.recorder is not None:
             for table, rowid in fx.rows:
                 self.recorder.record(table, rowid)

@@ -1,4 +1,4 @@
-"""The reachability explorer: counts, parity, parallelism, journaling.
+"""The reachability explorer: counts, parity, journaling.
 
 The committed state/transition counts pin the explored space of the
 clean tables — any change to the controller generator, the transition
@@ -85,62 +85,15 @@ class TestCleanExploration:
             clone.db.close()
 
 
-class TestWorkerParity:
-    """Acceptance: results identical under --workers 4 and --workers 1."""
-
-    def test_parallel_frontier_matches_serial(self, system):
-        serial = explore_system(system, nodes=2, depth=8, workers=1)
-        parallel = explore_system(system, nodes=2, depth=8, workers=4)
-        assert parallel.to_dict() == serial.to_dict()
-
-    def test_parallel_seen_set_matches_serial(self, system):
-        a = ReachabilityExplorer(system, ExploreConfig(nodes=2, depth=7,
-                                                       workers=1))
-        b = ReachabilityExplorer(system, ExploreConfig(nodes=2, depth=7,
-                                                       workers=4))
-        a.run(), b.run()
-        assert sorted(a.states) == sorted(b.states)
-        assert a.pred == b.pred
-
-    def test_parallel_3node_symmetric_matches_serial(self, system):
-        serial = explore_system(system, nodes=3, depth=5, workers=1)
-        parallel = explore_system(system, nodes=3, depth=5, workers=4)
-        assert parallel.to_dict() == serial.to_dict()
-
-
 class TestTelemetryParity:
     """Recording a run must not change what it finds."""
 
-    def test_traced_run_matches_untraced_and_counts_its_work(self, system):
-        cfg = dict(nodes=2, lines=2, depth=10, workers=2)
-        untraced = explore_system(system, **cfg)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            traced = explore_system(system, **cfg)
-        assert traced.to_dict() == untraced.to_dict()
-        counters = tracer.registry.snapshot()["counters"]
-        assert counters["explore.states"] == traced.states
-        assert counters["explore.transitions"] == traced.transitions
-
-    def test_traced_run_keeps_its_worker_pool(self, system, tmp_path,
-                                              monkeypatch):
-        """Tracing does not send a multi-worker run inline: the pool's
-        children call no tracer method, so the trace file holds exactly
-        the parent's events and the result is the untraced one."""
-        import repro.explore.explorer as explorer_mod
+    def test_traced_run_matches_untraced_and_counts_its_work(self, system,
+                                                             tmp_path):
         from repro.telemetry.sinks import JsonlSink
 
-        pools = []
-
-        class RecordingPool(explorer_mod.KernelPool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        monkeypatch.setattr(explorer_mod, "KernelPool", RecordingPool)
-        cfg = dict(nodes=3, depth=10, workers=2)
+        cfg = dict(nodes=2, lines=2, depth=10)
         untraced = explore_system(system, **cfg)
-        pools.clear()
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(str(path))
         tracer = Tracer(sinks=[sink])
@@ -149,11 +102,13 @@ class TestTelemetryParity:
                 traced = explore_system(system, **cfg)
         finally:
             sink.close()
-        assert len(pools) == 1
         assert traced.to_dict() == untraced.to_dict()
-        lines = path.read_text().splitlines()
+        counters = tracer.registry.snapshot()["counters"]
+        assert counters["explore.states"] == traced.states
+        assert counters["explore.transitions"] == traced.transitions
+        # The trace file holds exactly the run's events.
         assert tracer.events_emitted > 0
-        assert len(lines) == tracer.events_emitted
+        assert len(path.read_text().splitlines()) == tracer.events_emitted
 
 
 class TestDifferentialParity:
@@ -305,6 +260,11 @@ class TestJournaling:
                     dict(capacity=0), dict(kernel="interpreted")):
             with pytest.raises(ExplorationError):
                 ReachabilityExplorer(system, ExploreConfig(**bad))
+
+    def test_worker_count_is_not_a_config_field(self):
+        # Every exploration expands its frontier inline, in one process.
+        with pytest.raises(TypeError, match="workers"):
+            ExploreConfig(workers=2)
 
 
 class TestSummaryTable:

@@ -121,14 +121,6 @@ class TestLookupParity:
                     == _outcome(system.tables[name].match_rows,
                                 inputs={"no_such_column": 1}))
 
-    def test_kernel_pickles_to_identical_lookup_surface(self, kernels):
-        import pickle
-
-        for name, kern in kernels.items():
-            clone = pickle.loads(pickle.dumps(kern))
-            assert clone.rows_with_ids() == kern.rows_with_ids()
-            assert clone.schema.input_names == kern.schema.input_names
-
 
 class TestExpansionParity:
     """Per-state differential: both backends produce byte-identical

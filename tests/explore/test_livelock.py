@@ -6,15 +6,20 @@ with no ``inject`` return to the same control state with one more
 upgrade invalidates the line before the load replays, and node 0's next
 read downgrades node 1's line before its store replays, so neither
 operation ever performs.  The explorer reports only quiescent
-deadlocks, so no verdict sees this loop; the test keeps it in view.
+deadlocks, so no verdict sees this loop; the tests keep it in view, in
+the transition relation and in a :class:`~repro.sim.system.Simulator`
+on the same topology.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from collections import Counter
+
 from repro.explore import ExploreConfig, ReachabilityExplorer
 from repro.sim.models import StepMemo, step
+from repro.sim.system import SimConfig, Simulator
 
 #: the loop's moves; a delivery names only its virtual channel, whose
 #: one instance in flight picks the destination quad.
@@ -38,21 +43,31 @@ def explorer(system):
     return explorer
 
 
-def _lap(explorer, state, memo):
+def _resolve(state, move):
+    """``move`` with a delivery's destination quad filled in from
+    ``state``, None unless exactly one instance of its channel is in
+    flight."""
+    if move[0] != "deliver":
+        return move
+    keys = [key for key, _ in state[0] if key[0] == move[1]]
+    return ("deliver",) + keys[0] if len(keys) == 1 else None
+
+
+def _lap(explorer, state, memo, rows=None):
     """``(end state, counts)`` after the loop's moves, None where one
-    cannot fire."""
+    cannot fire; the rows they look up are appended to ``rows``."""
     counts = []
     for move in LOOP:
-        if move[0] == "deliver":
-            keys = [key for key, _ in state[0] if key[0] == move[1]]
-            if len(keys) != 1:
-                return None
-            move = ("deliver",) + keys[0]
+        move = _resolve(state, move)
+        if move is None:
+            return None
         succ, fx = step(state, move, explorer.kernels, explorer.net, False,
                         memo)
         if succ is None:
             return None
         counts.extend(fx.counts)
+        if rows is not None:
+            rows.extend(fx.rows)
         state = succ
     return state, counts
 
@@ -101,3 +116,27 @@ def test_second_lap_is_answered_by_the_memo(explorer, witness):
     twice, _ = _lap(explorer, once, memo)
     assert twice == _with_mwrites(start, 2)
     assert memo.misses == misses and memo.hits == hits + len(LOOP)
+
+
+def test_simulator_runs_the_loop(system, explorer, witness):
+    """The loop is a run of the shipped simulator too: on the explorer's
+    topology (2 quads x 1 node, ``L0`` homed at quad 0, capacity 1,
+    v5d), its scheduler's own move firing takes the same lap, and its
+    statistics and coverage recorder see every step of it."""
+    (start, _), = witness
+    rows = []
+    _lap(explorer, start, None, rows)
+    sim = Simulator(system, "v5d", SimConfig(
+        n_quads=2, nodes_per_quad=1, default_capacity=1,
+        home_map={"L0": 0}, coverage=True))
+    assert sim.node_ids == ("node:0.0", "node:1.0")
+    sim.state = start
+    for move in LOOP:
+        assert sim._take(_resolve(sim.state, move)), move
+    assert sim.state == _with_mwrites(start, 1)
+    assert {nid: (sim.stats[nid]["misses"], sim.stats[nid]["hits"])
+            for nid in sim.node_ids} == {"node:0.0": (1, 0),
+                                         "node:1.0": (1, 0)}
+    assert sim.recorder.hits == {
+        table: Counter(rid for t, rid in rows if t == table)
+        for table in dict.fromkeys(t for t, _ in rows)}

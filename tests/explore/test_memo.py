@@ -1,13 +1,15 @@
 """The footprint memo against fresh steps.
 
-Every explorer run, simulator and pool worker keeps a
-:class:`~repro.sim.models.StepMemo`: a handler's local outcome, worked
-out once per footprint.  The memo must be invisible: each run here is
-made twice, once as shipped and once under
-:func:`tests.explore.memo_oracle.no_memo`, and must agree on the
-``--out`` report, the journal, the simulator's results and the rows it
-fired.  A memo lives only as long as its tables: a run after a row edit
-equals a fresh clone's run.
+Every explorer run keeps a :class:`~repro.sim.models.StepMemo`: a
+handler's local outcome, worked out once per footprint.  The memo must
+be invisible: each exploration here is made twice, once as shipped and
+once under :func:`tests.explore.memo_oracle.no_memo`, and must agree on
+the ``--out`` report and the journal.  The simulator steps without a
+memo; its workloads reach footprints no exploration does (the memory
+refresh window, device operations, timed retries), so each is also run
+under :func:`tests.explore.memo_oracle.simulator_memo` and must agree
+on its results and the rows it fired.  A memo lives only as long as its
+tables: a run after a row edit equals a fresh clone's run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.sim import (
 )
 from repro.telemetry import Tracer, use_tracer
 
-from .memo_oracle import no_memo
+from .memo_oracle import no_memo, simulator_memo
 
 
 def _explore(system, journal=None, **bound) -> tuple[dict, list, dict]:
@@ -35,11 +37,8 @@ def _explore(system, journal=None, **bound) -> tuple[dict, list, dict]:
     tracer = Tracer()
     explorer = ReachabilityExplorer(
         system, ExploreConfig(journal_path=journal and str(journal), **bound))
-    try:
-        with use_tracer(tracer):
-            result = explorer.run()
-    finally:
-        explorer.close()
+    with use_tracer(tracer):
+        result = explorer.run()
     records = []
     if journal is not None:
         for line in journal.read_text().splitlines():
@@ -82,12 +81,6 @@ class TestExplorerParity:
         assert {v["kind"] for v in v5["violations"]} == {"deadlock"}
         assert [v["kind"] for v in deep["violations"]] == ["hole"] * 4
 
-    def test_pooled_run_counts_its_workers_lookups(self, system):
-        inline = _explore(system, nodes=2, depth=12)
-        pooled = _explore(system, nodes=2, depth=12, workers=2)
-        assert pooled[0] == inline[0]
-        assert (sum(pooled[2].values()) == sum(inline[2].values()))
-
     def test_untraced_run_emits_no_counters(self, system):
         tracer = Tracer()
         ReachabilityExplorer(system, ExploreConfig(nodes=2, depth=4)).run()
@@ -124,13 +117,10 @@ WORKLOADS = {
 class TestSimulatorParity:
     @pytest.mark.parametrize("make", WORKLOADS.values(), ids=WORKLOADS.keys())
     def test_run_and_rows_identical(self, system, make):
-        memoized = make(system)
-        observed = _observe(memoized)
-        with no_memo():
-            fresh = make(system)
-            assert _observe(fresh) == observed
-        assert fresh.simulator._memo.hits == 0
-        assert memoized.simulator._memo.hits > 0
+        observed = _observe(make(system))
+        with simulator_memo() as memo:
+            assert _observe(make(system)) == observed
+        assert memo.hits > 0
 
 
 #: the directory's answer to a read of an uncached line, re-pointed at

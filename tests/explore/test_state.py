@@ -2,10 +2,10 @@
 
 The seen-set is only sound if (a) canonical forms are invariant under
 within-quad node relabelling — otherwise symmetric interleavings explode
-the state count or, worse, different workers disagree on "seen" — and
-(b) digests are process-stable — otherwise parallel workers with
-different ``PYTHONHASHSEED`` values silently re-explore each other's
-states.  Both properties are checked over *real* reached states (drawn
+the state count — and (b) digests are process-stable — otherwise a run
+resumed under a different ``PYTHONHASHSEED`` would not recognize the
+states its journal names, and ``--out`` reports would differ between
+processes.  Both properties are checked over *real* reached states (drawn
 from a 3-node exploration, where quad 0 holds two interchangeable
 nodes), not synthetic ones.
 """

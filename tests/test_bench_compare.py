@@ -1,4 +1,5 @@
-"""The benchmark gate: exact SQL statement counts per default module."""
+"""The benchmark gate: exact SQL statement counts per default module,
+exact work counters where a module declares them."""
 
 import importlib.util
 import pathlib
@@ -66,3 +67,34 @@ def test_wall_time_is_gated_at_the_factor(bench_compare):
     failures = bench_compare.compare_module(
         "exploration", timed(0.01, wall=1.0), timed(0.01, wall=2.1), 2.0)
     assert len(failures) == 1 and "wall time" in failures[0]
+
+
+def explored(states, transitions=10896):
+    return {"spans": {}, "wall_seconds": 1.0, "sql": {"queries": 5},
+            "counters": {"explore.states": states,
+                         "explore.transitions": transitions}}
+
+
+def test_exploration_gates_its_work_counters(bench_compare):
+    assert bench_compare.EXACT_COUNTERS["exploration"] == (
+        "explore.states", "explore.transitions")
+
+
+def test_same_work_counters_pass(bench_compare):
+    assert bench_compare.compare_module(
+        "exploration", explored(6624), explored(6624), 2.0) == []
+
+
+@pytest.mark.parametrize("current", [
+    dict(states=6623), dict(states=6625), dict(states=6624, transitions=1)],
+    ids=["fewer-states", "more-states", "transitions"])
+def test_changed_work_counter_fails(bench_compare, current):
+    failures = bench_compare.compare_module(
+        "exploration", explored(6624), explored(**current), 2.0)
+    assert len(failures) == 1 and "gated exactly" in failures[0]
+    assert "counter explore." in failures[0]
+
+
+def test_counters_of_other_modules_are_not_gated(bench_compare):
+    assert bench_compare.compare_module(
+        "simulation", explored(6624), explored(1), 2.0) == []

@@ -342,21 +342,23 @@ class TestMutateResilienceFlags:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", [("--workers", "2"),
-                                      ("--timeout", "5")],
-                             ids=["workers", "timeout"])
-    def test_process_pool_flags_are_gone(self, flag, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["mutate", "--count", "1", "--workers", "2"],
+        ["mutate", "--count", "1", "--timeout", "5"],
+        ["explore", "--depth", "2", "--workers", "2"],
+    ], ids=["workers", "timeout", "explore-workers"])
+    def test_process_pool_flags_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["mutate", "--count", "1", *flag])
+            main(argv)
         assert exc.value.code == 2
-        assert flag[0] in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err
 
 
 class TestExploreCommand:
     def test_defaults_parse(self):
         args = build_parser().parse_args(["explore"])
         assert args.nodes == 2 and args.depth == 10 and args.lines == 1
-        assert args.assignment == "v5d" and args.workers == 1
+        assert args.assignment == "v5d"
         assert args.capacity == 1 and args.symmetry is None
         assert args.journal is None and args.resume is None
         assert args.out is None
