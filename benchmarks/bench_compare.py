@@ -43,7 +43,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_MODULES = ("invariants", "deadlock", "exploration", "generation",
-                   "simulation")
+                   "simulation", "mapping")
 
 #: modules whose ``sql.queries`` is the same on every run (each was run
 #: twice back to back): a different count is a change in the work done,

@@ -57,15 +57,17 @@ def test_paper_four_invariants(benchmark, system):
 
 def test_recursive_liveness_invariant(benchmark, system):
     """The WITH RECURSIVE busy-state completability check on its own."""
-    inv = next(i for i in build_invariants(MESI)
-               if i.name == "every-busy-state-completable")
-    checker = system.invariant_checker()
+    # A checker of its own, holding just this invariant.
+    checker = InvariantChecker(system.db)
+    checker.extend([i for i in build_invariants(MESI)
+                    if i.name == "every-busy-state-completable"])
+    assert len(checker.invariants) == 1
 
-    result = benchmark.pedantic(
-        lambda: checker.check(inv),
-        rounds=ROUNDS_LIVENESS, iterations=1, warmup_rounds=2,
+    report = benchmark.pedantic(
+        checker.check_all, rounds=ROUNDS_LIVENESS, iterations=1,
+        warmup_rounds=2,
     )
-    assert result.passed
+    assert report.passed
 
 
 def test_determinism_check_all_tables(benchmark, system):

@@ -5,6 +5,10 @@ implementation tables, the reconstruction containment check ("it was also
 explicitly checked that D could be reconstructed from these nine
 implementation tables"), and code generation ("Code is automatically
 generated from these tables using SQL report generation").
+
+Benchmarks run with ``benchmark.pedantic`` and fixed round counts so the
+query totals in ``BENCH_mapping.json`` are the same on every run;
+``benchmarks/bench_compare.py`` gates them exactly.
 """
 
 from repro.core.codegen import generate_python, generate_verilog
@@ -13,6 +17,11 @@ from repro.core.generator import TableGenerator
 from repro.protocols.family import MESI
 from repro.protocols.family.directory import directory_constraints
 from repro.protocols.asura.hardware import build_hardware_mapping
+
+#: fixed pedantic rounds — keep deterministic for BENCH_mapping.json.
+ROUNDS_PIPELINE = 10
+ROUNDS_RECONSTRUCTION = 100
+ROUNDS_CODEGEN = 30
 
 
 def _fresh_d():
@@ -32,7 +41,9 @@ def test_full_mapping_pipeline(benchmark):
         db.close()
         return out
 
-    n_parts, ed_rows, preserved = benchmark(run)
+    n_parts, ed_rows, preserved = benchmark.pedantic(
+        run, rounds=ROUNDS_PIPELINE, iterations=1, warmup_rounds=2,
+    )
     assert n_parts == 9
     assert preserved
 
@@ -48,7 +59,9 @@ def test_ed_generation_only(benchmark):
         db.close()
         return rows
 
-    ed_rows = benchmark(run)
+    ed_rows = benchmark.pedantic(
+        run, rounds=ROUNDS_PIPELINE, iterations=1, warmup_rounds=2,
+    )
     assert ed_rows > 500
 
 
@@ -60,7 +73,9 @@ def test_reconstruction_check_only(benchmark, system):
     def run():
         return hw.mapper.check_preserved(hw.reconstructed, hw.plan)
 
-    result = benchmark(run)
+    result = benchmark.pedantic(
+        run, rounds=ROUNDS_RECONSTRUCTION, iterations=1, warmup_rounds=2,
+    )
     assert result.passed
 
 
@@ -68,7 +83,9 @@ def test_python_code_generation(benchmark, system):
     def run():
         return generate_python(system.tables["D"])
 
-    src = benchmark(run)
+    src = benchmark.pedantic(
+        run, rounds=ROUNDS_CODEGEN, iterations=1, warmup_rounds=2,
+    )
     assert "def D_next(" in src
 
 
@@ -76,5 +93,7 @@ def test_verilog_code_generation(benchmark, system):
     def run():
         return generate_verilog(system.tables["D"])
 
-    src = benchmark(run)
+    src = benchmark.pedantic(
+        run, rounds=ROUNDS_CODEGEN, iterations=1, warmup_rounds=2,
+    )
     assert "module D" in src and src.count("begin") > 100

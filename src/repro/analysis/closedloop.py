@@ -105,7 +105,7 @@ def build_repair_report(system=None, assignment: str = "v5",
     finally:
         if own:
             system.db.close()
-    variant = getattr(getattr(system, "spec", None), "key", "mesi")
+    variant = system.spec.key
     doc = {
         "schema": REPAIR_BENCH_SCHEMA,
         "assignment": assignment,

@@ -6,16 +6,16 @@ nothing.  An :class:`Invariant` carries that violation condition either as
 a constraint expression over one controller table's columns or as a raw
 SQL query (for invariants spanning several tables).
 
-:meth:`InvariantChecker.check_all` batches a sweep into a handful of
-round trips: per table, one query returns bit masks of the expression
-invariants each row violates; the raw-SQL invariants are the branches of
-one ``UNION ALL`` query, tagged with the invariant's identity and padded
-to a common width with NULLs.  Violating rows are projected back to each
-invariant's own columns.  A raw-SQL invariant whose query does not nest
-runs on its own through :meth:`InvariantChecker.check`, the paper's
-literal one-SELECT form, which the parity tests also use as the sweep's
-oracle: ``[checker.check(inv) for inv in checker.invariants]`` gives the
-same :class:`~repro.core.report.CheckResult` contents.
+:meth:`InvariantChecker.check_all` runs a suite as batched sweeps, a
+handful of round trips: per table, one query returns bit masks of the
+expression invariants each row violates; the raw-SQL invariants are the
+branches of one ``UNION ALL`` query, tagged with the invariant's
+identity and padded to a common width with NULLs.  Violating rows are
+projected back to each invariant's own columns.  Every raw-SQL query
+must nest as a subquery: one that does not is refused with a
+:class:`~repro.core.database.DatabaseError` naming the invariant on the
+suite's first sweep.  The paper's one-SELECT-per-invariant form is the
+tests' parity oracle (``tests/core/invariant_oracle.py``).
 
 ``check_all(tables=...)`` scopes a sweep to the invariants that read one
 of the named tables: an edit re-runs only what it can have broken.  An
@@ -49,6 +49,10 @@ MAX_BATCH_BRANCHES = 100
 
 #: invariants per bit mask (sqlite integers are signed 64-bit).
 MASK_BITS = 62
+
+#: violating rows a result lists as details; the ``invariant.violations``
+#: counter counts them all.
+MAX_VIOLATIONS = 50
 
 #: what removes an authorizer: None from Python 3.11 on, before that a
 #: callback that allows everything.
@@ -102,19 +106,6 @@ class Invariant:
                 f"invariant {self.name!r}: expression invariants need a table"
             )
 
-    def query(self) -> str:
-        """The SELECT returning this invariant's violating rows."""
-        if self.violation_sql is not None:
-            return self.violation_sql
-        if self.report_columns:
-            cols = ", ".join(quote_ident(c) for c in self.report_columns)
-        else:
-            cols = "*"
-        return (
-            f"SELECT {cols} FROM {quote_ident(self.table)} "
-            f"WHERE {to_sql(self.violation)}"
-        )
-
 
 class InvariantChecker:
     """Runs invariants against the central database.
@@ -152,29 +143,13 @@ class InvariantChecker:
         other.db = db
         return other
 
-    def check(self, invariant: Invariant, max_violations: int = 50) -> CheckResult:
-        with span("invariant.check", invariant=invariant.name) as sp:
-            rows = self.db.query(invariant.query())
-        tally(len(rows))
-        details = [
-            InvariantViolation(invariant.name, r) for r in rows[:max_violations]
-        ]
-        return CheckResult(
-            name=invariant.name,
-            passed=not rows,
-            description=invariant.description,
-            details=details,
-            seconds=sp.seconds,
-        )
-
     # -- batched sweeps ---------------------------------------------------------
-    def _probe(self, inv: Invariant) -> tuple[Optional[list[str]], Optional[frozenset[str]]]:
-        """``(report columns, tables read)`` of ``inv``.  The columns
-        (``SELECT *`` order when no explicit report columns are given) are
-        None when the invariant cannot join a batch.  sqlite's authorizer
-        reports the tables a raw-SQL query reads; they are None when the
-        query does not nest, and such an invariant runs in every scoped
-        sweep."""
+    def _probe(self, inv: Invariant) -> tuple[list[str], frozenset[str]]:
+        """``(report columns, tables read)`` of ``inv``.  The columns are
+        in ``SELECT *`` order when no explicit report columns are given;
+        sqlite's authorizer reports the tables a raw-SQL query reads.
+        Raises :class:`DatabaseError` naming ``inv`` when its query does
+        not nest as a subquery, the only form a sweep runs."""
         if inv.violation is not None:
             cols = list(inv.report_columns) or self._columns(inv.table)
             return cols, frozenset((inv.table,))
@@ -190,15 +165,15 @@ class InvariantChecker:
             cursor = self.db.execute(
                 f'SELECT * FROM ({inv.violation_sql}) AS "__probe__" LIMIT 0'
             )
-        except DatabaseError:
-            return None, None  # query shape does not nest; run it standalone
+        except DatabaseError as exc:
+            raise DatabaseError(
+                f"invariant {inv.name!r}: its query does not nest in a "
+                f"sweep: {exc}") from exc
         finally:
             self.db.connection.set_authorizer(NO_AUTHORIZER)
-        cols = [d[0] for d in cursor.description]
-        # Ambiguous duplicate output names cannot be projected back.
-        return (cols if len(set(cols)) == len(cols) else None), frozenset(reads)
+        return [d[0] for d in cursor.description], frozenset(reads)
 
-    def _probes(self) -> list[tuple[Optional[list[str]], Optional[frozenset[str]]]]:
+    def _probes(self) -> list[tuple[list[str], frozenset[str]]]:
         """:meth:`_probe` of every invariant, run once and shared."""
         if "probes" not in self._compiled:
             self._compiled["probes"] = [self._probe(inv) for inv in self.invariants]
@@ -245,17 +220,14 @@ class InvariantChecker:
                 f"FROM {source} ORDER BY {order}")
 
     def _plan(self, indexes: Sequence[int],
-              key: Optional[frozenset[str]]) -> tuple:
-        """``({index: report columns} of the batchable invariants,
-        [(indexes, sql, fetched columns or None for UNION ALL, the
-        swept table or None)])`` for ``indexes``; a ``key`` judges
-        changed rows only."""
+              key: Optional[frozenset[str]]) -> list[tuple]:
+        """``[(indexes, sql, fetched columns or None for UNION ALL, the
+        swept table or None)]`` for ``indexes``; a ``key`` judges changed
+        rows only."""
         probes = self._probes()
         raw, per_table = [], {}
         for idx in indexes:
             inv, cols = self.invariants[idx], probes[idx][0]
-            if cols is None:
-                continue
             if inv.violation is None:
                 raw.append((idx, inv, cols))
             else:
@@ -273,22 +245,20 @@ class InvariantChecker:
             statements.append(([idx for idx, _, _ in items], self._masks_sql(
                 table, columns, items, fetched, key is not None), fetched,
                 table))
-        return {idx: probes[idx][0] for idx in indexes
-                if probes[idx][0] is not None}, statements
+        return statements
 
     def _check_batched(
         self, indexes: Sequence[int], key: Optional[frozenset[str]],
-        max_violations: int = 50,
     ) -> list[CheckResult]:
         """Check the invariants at ``indexes`` with batched sweeps,
         compiled once per ``key`` (the scoping tables), returning results
-        in index order and identical in content to :meth:`check`
-        (raw-SQL invariants that do not nest still run individually)."""
+        in index order."""
         if ("plan", key) not in self._compiled:
             self._compiled["plan", key] = self._plan(indexes, key)
-        columns_of, statements = self._compiled["plan", key]
+        statements = self._compiled["plan", key]
+        probes = self._probes()
         # Violating rows as fetched; only details are projected to dicts.
-        violations: dict[int, list[tuple]] = {idx: [] for idx in columns_of}
+        violations: dict[int, list[tuple]] = {idx: [] for idx in indexes}
         seconds: dict[int, float] = {}
         where: dict[int, dict[str, int]] = {}
         tracer = get_tracer()
@@ -321,15 +291,11 @@ class InvariantChecker:
             for idx in chunk:
                 seconds[idx] = share
                 where[idx] = at or {
-                    c: i for i, c in enumerate(columns_of[idx], 1)}
+                    c: i for i, c in enumerate(probes[idx][0], 1)}
 
         results: list[CheckResult] = []
         for idx in indexes:
-            inv = self.invariants[idx]
-            if idx not in columns_of:
-                results.append(self.check(inv, max_violations))
-                continue
-            rows = violations[idx]
+            inv, rows = self.invariants[idx], violations[idx]
             tally(len(rows))
             results.append(CheckResult(
                 name=inv.name,
@@ -337,8 +303,8 @@ class InvariantChecker:
                 description=inv.description,
                 details=[
                     InvariantViolation(inv.name, {
-                        c: r[where[idx][c]] for c in columns_of[idx]})
-                    for r in rows[:max_violations]
+                        c: r[where[idx][c]] for c in probes[idx][0]})
+                    for r in rows[:MAX_VIOLATIONS]
                 ],
                 seconds=seconds[idx],
             ))
@@ -357,7 +323,7 @@ class InvariantChecker:
             indexes = range(len(self.invariants))
         else:
             indexes = [idx for idx, (_, reads) in enumerate(self._probes())
-                       if reads is None or reads & key]
+                       if reads & key]
         report = Report(title)
         report.extend(self._check_batched(indexes, key))
         return report

@@ -1,26 +1,27 @@
 """Compiled transition kernels.
 
-A :class:`KernelTable` is a drop-in replacement for the lookup surface of
-:class:`~repro.core.table.ControllerTable` that answers probes from a
-generated integer-indexed dispatch function (see
+A :class:`KernelTable` answers the lookups a step makes
+(:func:`repro.sim.models.step` calls :meth:`~KernelTable.lookup_id` and
+the partial :meth:`~KernelTable._match`) from a generated
+integer-indexed dispatch function (see
 :func:`~repro.core.codegen.generate_dispatch_source`) instead of issuing
-one SQL query per transition.  Semantics are bit-identical: stored NULL
-inputs are wildcards, a ``None`` (or out-of-domain) probe value matches
-only wildcard rows, rowids and row dicts match what the SQL path returns,
-and the error classes *and message strings* are the same — the explorer
-pins hole-violation details on those strings, so a kernel must raise
-exactly what the SQL-backed table (the tests' parity oracle) raises.
+one SQL query per transition.  Its answers are those of the same calls
+on :class:`~repro.core.table.ControllerTable`: stored NULL inputs are
+wildcards, a ``None`` (or out-of-domain) probe value matches only
+wildcard rows, rowids and row dicts are the stored ones, and the error
+classes *and message strings* are the same — the explorer pins
+hole-violation details on those strings.  The SQL-backed tables stay
+the tests' parity oracle (``tests/explore/sql_oracle.py``).
 
-:func:`compile_system_kernels` compiles the tables a step executes
-(:func:`repro.sim.models.step` looks rows up through either kind of
-table).  A system compiles them once per table state
+:func:`compile_system_kernels` compiles the tables a step executes.  A
+system compiles them once per table state
 (:meth:`~repro.protocols.family.system.FamilySystem.kernels`) and every
 simulator and explorer over it steps the same kernels.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .codegen import compile_dispatch
 from .schema import SchemaError, TableSchema
@@ -43,10 +44,8 @@ class KernelTable:
         self,
         schema: TableSchema,
         rows: Sequence[tuple[int, dict]],
-        table_name: Optional[str] = None,
     ) -> None:
         self.schema = schema
-        self.table_name = table_name or schema.name
         self._rows = tuple((int(rid), dict(row)) for rid, row in rows)
         self._input_names = schema.input_names
         self._input_set = frozenset(self._input_names)
@@ -55,20 +54,8 @@ class KernelTable:
 
     @classmethod
     def from_table(cls, table: ControllerTable) -> "KernelTable":
-        return cls(table.schema, table.rows_with_ids(), table.table_name)
+        return cls(table.schema, table.rows_with_ids())
 
-    # -- row access ------------------------------------------------------------
-    @property
-    def row_count(self) -> int:
-        return len(self._rows)
-
-    def rows(self) -> list[dict]:
-        return [dict(row) for _, row in self._rows]
-
-    def rows_with_ids(self) -> list[tuple[int, dict]]:
-        return [(rid, dict(row)) for rid, row in self._rows]
-
-    # -- lookup ----------------------------------------------------------------
     def _match(self, inputs: Mapping[str, object]) -> list[tuple[int, dict]]:
         """Partial NULL-wildcard match, memoized per input combination.
 
@@ -95,9 +82,6 @@ class KernelTable:
             self._partial_cache[key] = cached
         return cached
 
-    def match_rows(self, inputs: Mapping[str, object]) -> list[dict]:
-        return [row for _, row in self._match(inputs)]
-
     def lookup_id(self, **inputs) -> tuple[int, dict]:
         # One set comparison on the hot path; the error is worked out
         # only when the names differ.
@@ -121,21 +105,6 @@ class KernelTable:
                 f"{dict(inputs)!r}"
             )
         return self._rows[hits[0]]
-
-    def lookup(self, **inputs) -> dict:
-        return self.lookup_id(**inputs)[1]
-
-    def try_lookup(self, **inputs) -> Optional[dict]:
-        try:
-            return self.lookup(**inputs)
-        except NoMatchError:
-            return None
-
-    def __repr__(self) -> str:
-        return (
-            f"KernelTable({self.schema.name!r}, rows={self.row_count}, "
-            f"cols={len(self.schema)})"
-        )
 
 
 def compile_system_kernels(system) -> dict[str, KernelTable]:

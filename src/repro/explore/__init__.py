@@ -29,7 +29,7 @@ from .explorer import (
     SUMMARY_TABLE,
     explore_system,
 )
-from .oracle import ORACLE_LAYER, OracleVerdict, oracle_check
+from .oracle import OracleVerdict, oracle_check
 from .state import (
     canonicalize,
     decode_state,
@@ -47,7 +47,6 @@ __all__ = [
     "ReachabilityExplorer",
     "SUMMARY_TABLE",
     "explore_system",
-    "ORACLE_LAYER",
     "OracleVerdict",
     "oracle_check",
     "canonicalize",

@@ -564,7 +564,7 @@ class ReachabilityExplorer:
         }
         if c.quads is not None:
             header["quads"] = c.quads
-        variant = getattr(getattr(self.system, "spec", None), "key", "mesi")
+        variant = self.system.spec.key
         if variant != "mesi":
             header["variant"] = variant
         return header
@@ -719,9 +719,7 @@ class ReachabilityExplorer:
 
     def _check_state(self, state: tuple, depth: int,
                      violations: list[Violation]) -> None:
-        spec = getattr(self.system, "spec", None)
-        coh = coherence_violation(
-            state, spec.forward_state if spec is not None else None)
+        coh = coherence_violation(state, self.system.spec.forward_state)
         if coh is not None:
             violations.append(
                 Violation("coherence", self._name(state), depth, coh))

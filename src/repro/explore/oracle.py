@@ -18,15 +18,11 @@ its current depth and stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..telemetry import get_tracer, span
-from .explorer import ExplorationError, ExploreConfig, ReachabilityExplorer
+from .explorer import ExploreConfig, ReachabilityExplorer
 
-__all__ = ["ORACLE_LAYER", "OracleVerdict", "oracle_check"]
-
-#: the detection-layer name the campaign records for oracle catches.
-ORACLE_LAYER = "oracle"
+__all__ = ["OracleVerdict", "oracle_check"]
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,8 @@ def oracle_check(
             depth=result.depth,
         )
     first = result.violations[0]
-    try:
-        trace_moves = len(explorer.trace_to(first.digest))
-    except ExplorationError:
-        trace_moves = -1  # hole/deadlock digests are always reached states
+    # Every violation names a state this run reached.
+    trace_moves = len(explorer.trace_to(first.digest))
     return OracleVerdict(
         caught=True,
         kind=first.kind,

@@ -99,19 +99,13 @@ def hash_state(state: tuple) -> str:
 
 
 # -- symmetry -----------------------------------------------------------------
-def node_groups(state: tuple, group_of=quad_of) -> list[list[str]]:
-    """Node ids grouped into interchangeable-node classes.
-
-    ``group_of`` maps a node id to its class key; the default groups by
-    quad (nodes in one quad run identical C/N tables over identically
-    shared channel instances).  Non-quad topologies pass their own
-    grouping — e.g. a 3- or 5-node single-quad configuration groups all
-    nodes together, which ``quad_of`` already yields for ``node:0.*``
-    ids; an asymmetric topology can restrict classes further.
-    """
+def node_groups(state: tuple) -> list[list[str]]:
+    """Node ids grouped into interchangeable-node classes: by quad, since
+    nodes in one quad run identical C/N tables over identically shared
+    channel instances."""
     groups: dict = {}
     for nid, *_ in state[2]:
-        groups.setdefault(group_of(nid), []).append(nid)
+        groups.setdefault(quad_of(nid), []).append(nid)
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
@@ -270,14 +264,13 @@ def orbits_trivial(
     node_ids: Iterable[str],
     symmetry=True,
     quad_classes: Iterable[Iterable[int]] = (),
-    group_of=quad_of,
 ) -> bool:
     """Whether :func:`canonicalize` returns every state over ``node_ids``
-    untouched: symmetry is off, or no two nodes share a group and no
+    untouched: symmetry is off, or no two nodes share a quad and no
     quad class (under ``"full"``) has two members.  The node set is fixed
     per configuration, so the explorer decides this once, not per state."""
     mode = symmetry_mode(symmetry)
-    keys = [group_of(nid) for nid in node_ids]
+    keys = [quad_of(nid) for nid in node_ids]
     return mode == "off" or (len(set(keys)) == len(keys) and (
         mode != "full" or all(len(tuple(c)) < 2 for c in quad_classes)))
 
@@ -286,7 +279,6 @@ def canonicalize(
     state: tuple,
     symmetry=True,
     quad_classes: Iterable[Iterable[int]] = (),
-    group_of=quad_of,
 ) -> tuple:
     """The canonical representative of a state's symmetry orbit.
 
@@ -299,7 +291,7 @@ def canonicalize(
     """
     mode = symmetry_mode(symmetry)
     if mode == "off" or orbits_trivial([nid for nid, *_ in state[2]], mode,
-                                       quad_classes, group_of):
+                                       quad_classes):
         return state
     qmaps = (_quad_permutations(quad_classes)
              if mode == "full" and quad_classes else [{}])
@@ -308,7 +300,7 @@ def canonicalize(
     for qmap in qmaps:
         base = permute_quads(state, qmap) if qmap else state
         node_maps = _group_permutations(
-            [g for g in node_groups(base, group_of) if len(g) > 1]
+            [g for g in node_groups(base) if len(g) > 1]
         )
         for mapping in node_maps:
             candidate = permute_state(base, mapping) if mapping else base

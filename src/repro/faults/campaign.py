@@ -638,8 +638,7 @@ def run_campaign(
         if system is None:
             system = build_variant(variant or "mesi")
         else:
-            system_variant = getattr(
-                getattr(system, "spec", None), "key", "mesi")
+            system_variant = system.spec.key
             if variant is not None and variant != system_variant:
                 raise ValueError(
                     f"variant={variant!r} conflicts with the supplied "

@@ -86,7 +86,6 @@ class SimConfig:
     #: addr -> home quad; addresses default to quad hash(addr) % n_quads
     home_map: dict = field(default_factory=dict)
     max_steps: int = 10_000
-    check_coherence: bool = True
     #: record which controller-table rows fire (transition coverage)
     coverage: bool = False
 
@@ -126,17 +125,13 @@ class Simulator:
         system: AsuraSystem,
         assignment: str = "v5d",
         config: Optional[SimConfig] = None,
-        *,
-        tables: Optional[dict] = None,
     ) -> None:
         self.system = system
         self.config = config or SimConfig()
         # Steps look rows up in self.tables: the system's compiled
         # kernels, shared with every simulator and explorer over the
-        # same table state.  ``tables`` hands the steps another mapping
-        # instead — the parity tests pass the SQL-backed tables.
-        self.tables = (dict(tables) if tables is not None
-                       else system.kernels())
+        # same table state.
+        self.tables = system.kernels()
         self.channels: ChannelAssignment = system.channel_assignments[assignment]
         self.node_ids = tuple(
             f"node:{q}.{i}"
@@ -284,8 +279,7 @@ class Simulator:
                 self.messages_delivered += 1
 
         self.now += 1
-        if self.config.check_coherence:
-            self.check_coherence()
+        self.check_coherence()
         return progress
 
     def _wait_cycle(self) -> list:
@@ -399,9 +393,8 @@ class Simulator:
     def check_coherence(self) -> None:
         """Raise :class:`CoherenceError` on a single-writer/multiple-reader
         violation (:func:`~repro.sim.models.coherence_violation`)."""
-        spec = getattr(self.system, "spec", None)
         violation = coherence_violation(
-            self.state, spec.forward_state if spec is not None else None)
+            self.state, self.system.spec.forward_state)
         if violation is not None:
             raise CoherenceError(f"{violation} at step {self.now}")
 

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.expr import C
-from repro.core.invariants import Invariant, InvariantChecker
+from repro.core.invariants import MAX_VIOLATIONS, Invariant, InvariantChecker
 from repro.core.database import DatabaseError
 from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable, write_clean_copy
+
+from .invariant_oracle import check, query
 
 
 @pytest.fixture()
@@ -20,6 +22,14 @@ def table(db):
         {"dirst": "SI", "dirpv": "gone"},
         {"dirst": "MESI", "dirpv": "one"},
     ])
+
+
+def sweep(db, invariant):
+    """``invariant``'s result from the sweep of a suite holding it alone."""
+    checker = InvariantChecker(db)
+    checker.add(invariant)
+    (result,) = checker.check_all().results
+    return result
 
 
 def pv_invariant():
@@ -49,34 +59,33 @@ class TestInvariantDefinition:
             Invariant(name="x", description="", violation=C("a").is_null())
 
     def test_query_renders_select(self):
-        q = pv_invariant().query()
+        q = query(pv_invariant())
         assert q.startswith("SELECT * FROM \"D\" WHERE")
 
     def test_report_columns_projected(self):
         inv = Invariant(name="x", description="", table="D",
                         violation=C("dirst").eq("I"),
                         report_columns=("dirst",))
-        assert 'SELECT "dirst" FROM' in inv.query()
+        assert 'SELECT "dirst" FROM' in query(inv)
 
 
 class TestChecking:
     def test_holding_invariant_passes(self, db, table):
-        checker = InvariantChecker(db)
-        result = checker.check(pv_invariant())
+        result = sweep(db, pv_invariant())
         assert result.passed and not result.details
 
     def test_violation_reported_with_rows(self, db, table):
         db.insert_rows("D", ("dirst", "dirpv"),
                        [{"dirst": "MESI", "dirpv": "gone"}])
-        result = InvariantChecker(db).check(pv_invariant())
+        result = sweep(db, pv_invariant())
         assert not result.passed
         assert result.details[0].row == {"dirst": "MESI", "dirpv": "gone"}
 
     def test_violation_cap(self, db, table):
         db.insert_rows("D", ("dirst", "dirpv"),
-                       [{"dirst": "I", "dirpv": "one"}] * 10)
-        result = InvariantChecker(db).check(pv_invariant(), max_violations=3)
-        assert len(result.details) == 3
+                       [{"dirst": "I", "dirpv": "one"}] * (MAX_VIOLATIONS + 10))
+        result = sweep(db, pv_invariant())
+        assert len(result.details) == MAX_VIOLATIONS
 
     def test_raw_sql_invariant(self, db, table):
         inv = Invariant(
@@ -84,7 +93,7 @@ class TestChecking:
             violation_sql="SELECT dirst FROM D WHERE dirpv = 'gone' "
                           "AND dirst != 'SI'",
         )
-        assert InvariantChecker(db).check(inv).passed
+        assert sweep(db, inv).passed
 
     def test_check_all_report(self, db, table):
         checker = InvariantChecker(db)
@@ -134,7 +143,7 @@ class TestChecking:
         assert ([(r.name, r.details) for r in scoped.results]
                 == [(r.name, r.details) for r in full.results[1:]])
         # Every scoped sweep reports what the per-invariant path does.
-        oracle = {inv.name: checker.check(inv) for inv in checker.invariants}
+        oracle = {inv.name: check(db, inv) for inv in checker.invariants}
         for tables in (["D"], ["E"], ["E", "D"], None):
             for r in checker.check_all(tables=tables).results:
                 assert ((r.passed, r.details)
@@ -152,3 +161,16 @@ class TestChecking:
         write_clean_copy(db, "D")
         assert checker.check_all(tables=["D"]).passed
         assert table.overlapping_pairs(changed=True) == (0, [])
+
+    def test_query_that_does_not_nest_is_refused(self, db, table):
+        """A sweep runs a raw-SQL query only as a subquery: one that runs
+        alone but cannot nest is refused by name on the first sweep, not
+        judged some other way."""
+        bad = Invariant(name="trailing-semicolon", description="",
+                        violation_sql="SELECT dirst FROM D WHERE 0;")
+        assert check(db, bad).passed  # runs on its own
+        checker = InvariantChecker(db)
+        checker.extend([pv_invariant(), bad])
+        for tables in (None, ["D"]):
+            with pytest.raises(DatabaseError, match="'trailing-semicolon'"):
+                checker.check_all(tables=tables)

@@ -72,7 +72,8 @@ def domains(system):
 
 
 class TestLookupParity:
-    """KernelTable answers every probe exactly like ControllerTable —
+    """KernelTable answers every probe a step makes (``lookup_id`` and
+    the partial ``_match``) exactly like ControllerTable —
     including which error class fires and its message string, because
     hole-violation details are pinned on those strings."""
 
@@ -88,15 +89,13 @@ class TestLookupParity:
         }
         assert (_outcome(kern.lookup_id, **inputs)
                 == _outcome(table.lookup_id, **inputs))
-        assert (_outcome(kern.try_lookup, **inputs)
-                == _outcome(table.try_lookup, **inputs))
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_partial_match_parity(self, system, kernels, domains, data):
-        """``match_rows`` with any *subset* of input columns returns the
-        same rows in the same (rowid) order."""
+        """``_match`` with any *subset* of input columns returns the
+        same rowids and rows in the same (rowid) order."""
         name = data.draw(st.sampled_from(SIMULATED_TABLES), label="table")
         table, kern = system.tables[name], kernels[name]
         cols = data.draw(
@@ -105,7 +104,7 @@ class TestLookupParity:
             col: data.draw(st.sampled_from(domains[name][col]), label=col)
             for col in sorted(cols)
         }
-        assert kern.match_rows(inputs) == table.match_rows(inputs)
+        assert kern._match(inputs) == table._match(inputs)
 
     def test_missing_input_parity(self, system, kernels):
         name = SIMULATED_TABLES[0]
@@ -116,9 +115,9 @@ class TestLookupParity:
 
     def test_unknown_column_parity(self, system, kernels):
         for name in SIMULATED_TABLES:
-            assert (_outcome(kernels[name].match_rows,
+            assert (_outcome(kernels[name]._match,
                              inputs={"no_such_column": 1})
-                    == _outcome(system.tables[name].match_rows,
+                    == _outcome(system.tables[name]._match,
                                 inputs={"no_such_column": 1}))
 
 

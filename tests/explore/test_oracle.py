@@ -21,7 +21,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.sqlgen import quote_ident, quote_value
-from repro.explore import ORACLE_LAYER, oracle_check
+from repro.explore import oracle_check
+from repro.faults import ORACLE_LAYER
 from repro.faults.campaign import MutantTemplate, _run_mutant
 from repro.faults.mutations import Mutation
 

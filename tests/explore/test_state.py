@@ -135,10 +135,10 @@ print("\\n".join(sorted(explorer.states)))
 
     @pytest.mark.parametrize("nodes", [2, 3, 5])
     def test_digest_sets_agree_across_hash_seeds(self, nodes):
-        # 3 and 5 nodes exercise the non-quad grouping path through
-        # ``node_groups(state, group_of=...)``: quad 0 holds more than
-        # two interchangeable nodes, so a digest that leaked dict or
-        # hash order would differ between these two subprocesses.
+        # At 3 and 5 nodes quad 0 holds more than two interchangeable
+        # nodes, so ``node_groups`` permutes groups of three and more: a
+        # digest that leaked dict or hash order would differ between
+        # these two subprocesses.
         a = self._digests("0", nodes)
         b = self._digests("424242", nodes)
         assert a and a == b
@@ -168,12 +168,10 @@ print("\\n".join(sorted(explorer.states)))
         assert here == sorted(there)
 
 
-class TestGroupOfParameter:
-    """``node_groups`` takes the grouping function as a parameter so
-    non-quad topologies (and asymmetric ones) control which nodes count
-    as interchangeable, instead of inheriting the hardcoded quad rule."""
+class TestNodeGroups:
+    """``node_groups`` groups interchangeable nodes by quad."""
 
-    def test_default_grouping_is_by_quad(self):
+    def test_grouping_is_by_quad(self):
         state = _reached_states()[0]
         by_quad: dict = {}
         for nid, *_ in state[2]:
@@ -181,26 +179,6 @@ class TestGroupOfParameter:
                                []).append(nid)
         assert node_groups(state) == \
             [sorted(g) for _, g in sorted(by_quad.items())]
-
-    def test_custom_grouping_restricts_the_orbit(self):
-        # Grouping every node into its own singleton class makes every
-        # orbit trivial: canonicalization must return the state itself.
-        state = _reached_states()[0]
-        singleton = lambda nid: nid
-        assert node_groups(state, group_of=singleton) == \
-            sorted([nid] for nid, *_ in state[2])
-        assert canonicalize(state, group_of=singleton) == state
-
-    def test_custom_grouping_threads_into_canonicalize(self):
-        # One big class can only *merge* orbits relative to the quad
-        # grouping — canonical forms stay canonical or coarsen, and the
-        # result is stable (idempotent) under the same grouping.
-        one_class = lambda nid: "all"
-        for state in _reached_states()[:25]:
-            canonical = canonicalize(state, group_of=one_class)
-            assert canonicalize(canonical, group_of=one_class) == canonical
-            assert sorted(len(g) for g in node_groups(state, one_class)) \
-                == [len(state[2])]
 
 
 class TestOrbitsTrivial:
@@ -212,10 +190,7 @@ class TestOrbitsTrivial:
         nids = [nid for nid, *_ in states[0][2]]
         assert not orbits_trivial(nids)            # quad 0 holds two nodes
         assert orbits_trivial(nids, "off")
-        singleton = lambda nid: nid
-        assert orbits_trivial(nids, group_of=singleton)
-        assert all(canonicalize(s, group_of=singleton) == s
-                   for s in states[:25])
+        assert all(canonicalize(s, "off") == s for s in states[:25])
 
     def test_full_symmetry_counts_quad_classes(self):
         nids = ["node:0.0", "node:1.0", "node:2.0"]

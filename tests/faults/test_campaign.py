@@ -20,6 +20,8 @@ from repro.faults.campaign import MATRIX_SCHEMA, MutantTemplate, _run_mutant
 from repro.faults.mutations import Mutation
 from repro.protocols.asura.system import AsuraSystem
 
+from ..core.invariant_oracle import per_invariant
+
 
 @pytest.fixture(scope="module")
 def small_campaign(system):
@@ -254,11 +256,6 @@ def _failures(results):
     return [(r.name, r.details) for r in results if not r.passed]
 
 
-def _per_invariant(checker):
-    """A checker's sweep, one SELECT per invariant: its parity oracle."""
-    return [checker.check(inv) for inv in checker.invariants]
-
-
 class TestTableScopedChecks:
     """A mutant re-runs only the checks that read a table it wrote, and
     judges the row-local ones on the rows that differ from the clean
@@ -274,7 +271,7 @@ class TestTableScopedChecks:
             checker = template.checker.bound_to(db)
             full = (checker.check_all().results, system.check_determinism())
             # The oracle: the per-invariant path.
-            oracle = (_per_invariant(checker), full[1])
+            oracle = (per_invariant(checker), full[1])
             tracer = telemetry.Tracer()
             with telemetry.use_tracer(tracer):
                 scoped = (checker.check_all(tables=mutation.tables).results,

@@ -4,7 +4,8 @@ Two guarantees the performance work must never erode:
 
 * **Parity** — the batched invariant sweep and the SQL deadlock engine
   are pure optimizations: their outputs are identical (content *and*
-  order) to the per-invariant checker and the row-at-a-time extraction
+  order) to the one-SELECT-per-invariant checks of
+  :mod:`tests.core.invariant_oracle` and the row-at-a-time extraction
   of :mod:`tests.core.deadlock_oracle`.
 
 * **Plans** — the composition self-joins and the direct rows' V joins
@@ -31,6 +32,7 @@ from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable
 
 from ..core.deadlock_oracle import RowAtATimeAnalyzer, analyze_system
+from ..core.invariant_oracle import per_invariant
 
 
 def result_key(r):
@@ -38,11 +40,6 @@ def result_key(r):
     return (r.name, r.passed, r.description,
             tuple((v.invariant, tuple(sorted(v.row.items())))
                   for v in r.details))
-
-
-def per_invariant(checker):
-    """The sweep's parity oracle: one SELECT per invariant."""
-    return [checker.check(inv) for inv in checker.invariants]
 
 
 @pytest.fixture(scope="module")
@@ -251,11 +248,9 @@ class TestQueryPlans:
         # The raw-SQL invariants batch as UNION ALL branches; the
         # expression invariants as one bit-mask query per table.
         checker = system.invariant_checker()
-        batchable = []
-        for idx, inv in enumerate(checker.invariants):
-            cols = checker._probe(inv)[0]
-            if cols is not None and inv.violation is None:
-                batchable.append((idx, inv, cols))
+        batchable = [(idx, inv, checker._probe(inv)[0])
+                     for idx, inv in enumerate(checker.invariants)
+                     if inv.violation is None]
         assert len(batchable) >= 10
         width = max(len(cols) for _, _, cols in batchable)
         sql = checker._batch_sql(batchable, width)
@@ -263,7 +258,7 @@ class TestQueryPlans:
         # One prepared compound statement covering every branch — this is
         # where the ~40x round-trip reduction comes from.
         assert any("COMPOUND" in l or "UNION ALL" in l for l in lines)
-        _, statements = checker._plan(range(len(checker.invariants)), None)
+        statements = checker._plan(range(len(checker.invariants)), None)
         assert len(statements) == 1 + len(
             {inv.table for inv in checker.invariants if inv.table})
 

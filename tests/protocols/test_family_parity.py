@@ -36,6 +36,7 @@ from repro.protocols.family import (
 )
 
 from ..core.deadlock_oracle import analyze_system
+from ..core.invariant_oracle import per_invariant
 from ..explore.sql_oracle import sql_lookups
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -123,7 +124,7 @@ class TestInvariantBatchParity:
         system = family(variant)
         checker = system.invariant_checker()
         batched = checker.check_all("b")
-        unbatched = [checker.check(inv) for inv in checker.invariants]
+        unbatched = per_invariant(checker)
         assert [result_key(r) for r in batched.results] == \
                [result_key(r) for r in unbatched]
 

@@ -1,19 +1,16 @@
 """The simulator on compiled kernels against the simulator on SQL lookups.
 
-By default a :class:`Simulator` steps the dispatch kernels the system
-compiles once per table state (:meth:`FamilySystem.kernels`); the
-``tables=`` seam hands it the SQL-backed tables instead, one query per
-lookup, which stay the semantics oracle.  Every run here is made twice,
-once per backend, and must agree on everything a run is judged by:
-status, step and message counts, the message trace, per-node
-statistics, the deadlock wait cycle, and the (table, rowid) rows fired.
+A :class:`Simulator` steps the dispatch kernels the system compiles once
+per table state (:meth:`FamilySystem.kernels`).  Inside
+:func:`tests.explore.sql_oracle.sql_lookups` that method hands it the
+SQL-backed tables instead, one query per lookup, which stay the
+semantics oracle.  Every run here is made twice, once per backend, and
+must agree on everything a run is judged by: status, step and message
+counts, the message trace, per-node statistics, the deadlock wait
+cycle, and the (table, rowid) rows fired.
 """
 
 from __future__ import annotations
-
-import functools
-from contextlib import contextmanager
-from unittest import mock
 
 import pytest
 
@@ -30,14 +27,7 @@ from repro.sim import (
 )
 from repro.sim.system import Simulator
 
-
-@contextmanager
-def _sql_simulators(system):
-    """Workloads built inside this block pass ``tables=`` the SQL-backed
-    tables to the simulators they construct."""
-    with mock.patch("repro.sim.workloads.Simulator", functools.partial(
-            Simulator, tables=dict(system.tables))):
-        yield
+from ..explore.sql_oracle import sql_lookups
 
 
 def _observe(workload) -> dict:
@@ -59,7 +49,7 @@ def _both(system, make) -> tuple[dict, dict]:
     """``make(system)``'s run on the kernels, then on SQL lookups."""
     compiled = make(system)
     assert isinstance(compiled.simulator.tables["D"], KernelTable)
-    with _sql_simulators(system):
+    with sql_lookups():
         sql = make(system)
     assert isinstance(sql.simulator.tables["D"], ControllerTable)
     return _observe(compiled), _observe(sql)
@@ -111,9 +101,16 @@ def test_mutant_fails_identically(statement, expected):
     try:
         mutated.db.execute(statement)
         compiled = _failure(figure2_scenario(mutated))
-        with _sql_simulators(mutated):
+        with sql_lookups():
             sql = _failure(figure2_scenario(mutated))
     finally:
         mutated.db.close()
     assert compiled[0] == expected
     assert compiled == sql
+
+
+def test_tables_are_not_a_simulator_argument(system):
+    """The SQL-backed tables reach a simulator only through the tests'
+    ``sql_lookups()``: the constructor takes no lookup mapping."""
+    with pytest.raises(TypeError, match="tables"):
+        Simulator(system, tables=dict(system.tables))

@@ -39,7 +39,7 @@ def test_same_query_count_passes(bench_compare):
 
 def test_ungated_module_reports_only(bench_compare):
     assert bench_compare.compare_module(
-        "mapping", report(100), report(101), 2.0) == []
+        "composition", report(100), report(101), 2.0) == []
 
 
 def timed(span_mean, wall=1.0):
@@ -98,3 +98,11 @@ def test_changed_work_counter_fails(bench_compare, current):
 def test_counters_of_other_modules_are_not_gated(bench_compare):
     assert bench_compare.compare_module(
         "simulation", explored(6624), explored(1), 2.0) == []
+
+
+def test_mapping_queries_are_gated(bench_compare):
+    # The mapping module guards the section-5 reconstruction (T6).
+    assert "mapping" in bench_compare.DEFAULT_MODULES
+    failures = bench_compare.compare_module(
+        "mapping", report(100), report(101), 2.0)
+    assert len(failures) == 1 and "sql queries 100 -> 101" in failures[0]
